@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Cross-check the rigidity classifier against the linear-algebra search.
 
-For every corpus member that fits the search box, solve for homogeneous
+For every corpus member (each fits the default degree-4 search box, which
+tests/test_corpus.py checks), solve for homogeneous
 derivations degree by degree and test samples for nilpotency. A member
 the classifier calls rigid must produce no locally nilpotent solution,
 and vice versa. Disagreements are printed and counted.
@@ -14,7 +15,7 @@ import time
 sys.path.insert(0, "src")
 
 from trilnd.classify import is_rigid
-from trilnd.corpus import small_slice
+from trilnd.corpus import corpus
 from trilnd.oracle import BoxTooLarge, oracle_enumerate
 
 
@@ -30,7 +31,7 @@ def main() -> int:
     mismatches = []
     skipped = 0
     started = time.monotonic()
-    for P in small_slice():
+    for P in corpus():
         rigid = is_rigid(P).rigid
         try:
             found = oracle_enumerate(
@@ -49,7 +50,7 @@ def main() -> int:
         if not agree:
             mismatches.append(P.describe())
     elapsed = time.monotonic() - started
-    print(f"\n{len(small_slice()) - skipped} members checked in {elapsed:.1f} s, "
+    print(f"\n{len(corpus()) - skipped} members checked in {elapsed:.1f} s, "
           f"{skipped} skipped, {len(mismatches)} mismatches")
     for name in mismatches:
         print(f"  {name}")

@@ -106,6 +106,6 @@ from .toric import (
     toric_derivation,
     weighted_plane_lnds,
 )
-from .corpus import corpus, small_slice
+from .corpus import corpus
 
 __version__ = "0.1.0"

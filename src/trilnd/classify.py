@@ -19,7 +19,7 @@ raises NeedsNormalization rather than moving to a field extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional, Tuple
 
@@ -213,6 +213,67 @@ def _case_b_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
         if _roots_exist(P, lab, need_gamma=True):
             return lab
     return qualifying[0]
+
+
+# -- the class plan -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlannedClass:
+    """One class entry: a free variable (info None) or an admissible tuple.
+
+    descriptors holds (label, descriptor) pairs that build directly;
+    family is the parameter family of an InfiniteFamily tuple, with no
+    parameter set.
+    """
+
+    info: Optional[AdmissibleTuple]
+    count: str  # "SingleFamily" | "ExactlyTwo" | "InfiniteFamily"
+    descriptors: Tuple[Tuple[str, LndDescriptor], ...]
+    family: Optional[LndDescriptor] = None
+
+
+def class_plan(P: TrinomialPresentation):
+    """Yield the classes in order: free variables first, then one entry
+    per admissible tuple.
+
+    This is the only place that picks role blocks and decides between
+    ExactlyTwo and InfiniteFamily; class_report, enumerate_lnds and
+    is_rigid all read it. It is lazy, so is_rigid pays for one entry.
+    """
+
+    def with_third(pair):
+        return (*pair, min(i for i in P.block_numbers if i not in pair))
+
+    for k in range(1, P.d + 1):
+        desc = LndDescriptor(kind="free", k=k)
+        yield PlannedClass(None, "SingleFamily", ((f"partial_S{k}", desc),))
+    for info in admissible_tuples(P):
+        if info.case == "Type1":
+            desc = LndDescriptor(kind="type1", c=info.c)
+            yield PlannedClass(info, "SingleFamily", (("base", desc),))
+            continue
+        family = None
+        if info.case == "A":
+            i1, i2, b2 = with_third(info.labelings[0])
+            descriptors = tuple(
+                (f"a:moves_block{roles[0]}", LndDescriptor(kind="t2a", c=info.c, roles=roles))
+                for roles in ((i1, i2, b2), (i2, i1, b2))
+            )
+            witness = _case_a_infinite(P, info)
+            if witness is not None:
+                family = LndDescriptor(kind="t2b", c=info.c, roles=with_third(witness))
+        else:
+            lab = _preferred_case_b_labeling(P, info)
+            descriptors = tuple(
+                (label, LndDescriptor(kind="t2c", c=info.c, roles=lab, param=mu))
+                for mu, label in ((I, "delta_0"), (-I, "delta_infinity"))
+            )
+            witness = _case_b_infinite(P, info)
+            if witness is not None:
+                family = LndDescriptor(kind="t2d", c=info.c, roles=witness)
+        count = "ExactlyTwo" if family is None else "InfiniteFamily"
+        yield PlannedClass(info, count, descriptors, family)
 
 
 def free_variable_lnd(P: TrinomialPresentation, k: int) -> Derivation:
@@ -412,6 +473,20 @@ def build_lnd(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation:
     return build_lnd_type2(P, desc)
 
 
+def _off_tuple_generators(P: TrinomialPresentation, c):
+    """Off-tuple variables and free variables: the kernel part common to
+    every class of the tuple."""
+    cmap = dict(zip(P.block_numbers, c))
+    gens = [
+        Poly.generator(tvar(i, j))
+        for i in P.block_numbers
+        for j in range(1, P.block_size(i) + 1)
+        if j != cmap[i]
+    ]
+    gens.extend(Poly.generator(svar(k)) for k in range(1, P.d + 1))
+    return gens
+
+
 def kernel_generators(P: TrinomialPresentation, desc: LndDescriptor):
     """Generators of the kernel of the described derivation."""
     if desc.kind == "free":
@@ -427,26 +502,11 @@ def kernel_generators(P: TrinomialPresentation, desc: LndDescriptor):
             raise WrongType("type1 descriptor on a type 2 presentation")
         if desc.c is None:
             raise InadmissibleDescriptor("type1 descriptor needs a tuple")
-        info = _tuple_info(P, desc.c)
-        cmap = dict(zip(P.block_numbers, info.c))
-        gens = [
-            Poly.generator(tvar(i, j))
-            for i in P.block_numbers
-            for j in range(1, P.block_size(i) + 1)
-            if j != cmap[i]
-        ]
-        gens.extend(Poly.generator(svar(k)) for k in range(1, P.d + 1))
-        return gens
+        return _off_tuple_generators(P, _tuple_info(P, desc.c).c)
     ctx = _type2_context(P, desc)
     B0, B1, B2 = ctx.roles
     cmap = ctx.cmap
-    gens = [
-        Poly.generator(tvar(i, j))
-        for i in P.block_numbers
-        for j in range(1, P.block_size(i) + 1)
-        if j != cmap[i]
-    ]
-    gens.extend(Poly.generator(svar(k)) for k in range(1, P.d + 1))
+    gens = _off_tuple_generators(P, ctx.info.c)
     if desc.kind == "t2a":
         gens.append(Poly.generator(tvar(B1, cmap[B1])))
     elif desc.kind == "t2b":
@@ -487,34 +547,16 @@ class RigidityReport:
         return self.rigid
 
 
-def _default_descriptor(P: TrinomialPresentation, info: AdmissibleTuple) -> LndDescriptor:
-    if info.case == "Type1":
-        return LndDescriptor(kind="type1", c=info.c)
-    if info.case == "A":
-        i1, i2 = info.labelings[0]
-        b2 = min(i for i in P.block_numbers if i not in (i1, i2))
-        return LndDescriptor(kind="t2a", c=info.c, roles=(i1, i2, b2))
-    lab = _preferred_case_b_labeling(P, info)
-    return LndDescriptor(kind="t2c", c=info.c, roles=lab, param=I)
-
-
 def is_rigid(P: TrinomialPresentation) -> RigidityReport:
     """Rigid means: no nonzero graded locally nilpotent derivation at all."""
-    if P.d > 0:
-        return RigidityReport(
-            rigid=False,
-            reason="free variables always carry derivations",
-            witness=LndDescriptor(kind="free", k=1),
-        )
-    tuples = admissible_tuples(P)
-    if tuples:
-        info = tuples[0]
-        return RigidityReport(
-            rigid=False,
-            reason=f"admissible tuple {info.c} exists",
-            witness=_default_descriptor(P, info),
-        )
-    return RigidityReport(rigid=True, reason="no free variables and no admissible tuple")
+    first = next(class_plan(P), None)
+    if first is None:
+        return RigidityReport(rigid=True, reason="no free variables and no admissible tuple")
+    if first.info is None:
+        reason = "free variables always carry derivations"
+    else:
+        reason = f"admissible tuple {first.info.c} exists"
+    return RigidityReport(rigid=False, reason=reason, witness=first.descriptors[0][1])
 
 
 def _without_free_variables(P: TrinomialPresentation) -> TrinomialPresentation:
@@ -644,45 +686,20 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None):
     """
     lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
     out = []
-    for k in range(1, P.d + 1):
-        desc = LndDescriptor(kind="free", k=k)
-        out.append(LndInstance(descriptor=desc, derivation=free_variable_lnd(P, k)))
-    for info in admissible_tuples(P):
-        if info.case == "Type1":
-            desc = LndDescriptor(kind="type1", c=info.c)
-            out.append(LndInstance(descriptor=desc, derivation=build_lnd_type1(P, info.c)))
-            continue
-        if info.case == "A":
-            i1, i2 = info.labelings[0]
-            b2 = min(i for i in P.block_numbers if i not in (i1, i2))
-            for roles in ((i1, i2, b2), (i2, i1, b2)):
-                desc = LndDescriptor(kind="t2a", c=info.c, roles=roles)
-                out.append(LndInstance(descriptor=desc, derivation=build_lnd_type2(P, desc)))
-            witness = _case_a_infinite(P, info)
-            if witness is not None:
-                k0, k1 = witness
-                b2w = min(i for i in P.block_numbers if i not in (k0, k1))
-                for lam in lams:
-                    if not lam:
-                        continue
-                    desc = LndDescriptor(kind="t2b", c=info.c, roles=(k0, k1, b2w), param=lam)
-                    out.append(_safe_instance(P, desc))
-            continue
-        lab = _preferred_case_b_labeling(P, info)
-        for mu in (I, -I):
-            desc = LndDescriptor(kind="t2c", c=info.c, roles=lab, param=mu)
-            out.append(_safe_instance(P, desc))
-        witness = _case_b_infinite(P, info)
-        if witness is not None:
-            for lam in lams:
-                desc = LndDescriptor(kind="t2d", c=info.c, roles=witness, param=lam)
-                out.append(_safe_instance(P, desc))
+    for entry in class_plan(P):
+        out.extend(_safe_instance(P, desc) for _, desc in entry.descriptors)
+        if entry.family is not None:
+            out.extend(
+                _safe_instance(P, replace(entry.family, param=lam))
+                for lam in lams
+                if lam or entry.family.kind == "t2d"
+            )
     return out
 
 
 def _safe_instance(P, desc) -> LndInstance:
     try:
-        return LndInstance(descriptor=desc, derivation=build_lnd_type2(P, desc))
+        return LndInstance(descriptor=desc, derivation=build_lnd(P, desc))
     except NeedsNormalization as exc:
         return LndInstance(descriptor=desc, derivation=None, error=f"NeedsNormalization: {exc}")
 
@@ -746,18 +763,33 @@ def _concrete_base(P, desc, label):
     }
 
 
-def _shared_kernel_strings(P, c):
-    """Off-tuple variables and free variables: the kernel part common to
-    every family of the tuple."""
-    assignment = dict(zip(P.block_numbers, c))
-    out = []
-    for i in P.block_numbers:
-        for j in range(1, P.block_size(i) + 1):
-            if j != assignment[i]:
-                out.append(poly_format(Poly.generator(tvar(i, j))))
-    for k in range(1, P.d + 1):
-        out.append(poly_format(Poly.generator(svar(k))))
-    return out
+def _family_formula(P, family: LndDescriptor):
+    """A formulas entry for a parameter family: its kernel pattern in
+    lambda, or the error when that needs a root missing in Q(i)."""
+    B0, B1, B2 = family.roles
+    entry = {
+        "label": "b:lambda_family" if family.kind == "t2b" else "delta_lambda",
+        "descriptor": {**family.to_dict(), "param": "formal"},
+    }
+    if family.kind == "t2b":
+        m = P.exponents(B0)[dict(zip(P.block_numbers, family.c))[B0] - 1]
+        part_a = poly_format(P.block_power_divided(B0, m))
+        part_b = poly_format(P.block_power_divided(B1, m))
+        entry["kernel_pattern"] = f"lambda*({part_a}) - ({part_b})"
+        return entry
+    try:
+        alpha, beta, gamma = P.triple_coefficients(B0, B1, B2)
+        sb = _sqrt_or_raise(beta / alpha, "the parameter family")
+        sc = _sqrt_or_raise(gamma / alpha, "the parameter family")
+    except NeedsNormalization as exc:
+        entry["error"] = f"NeedsNormalization: {exc}"
+        return entry
+    half_a, half_b, half_c = (poly_format(P.block_power_divided(i, 2)) for i in family.roles)
+    entry["kernel_pattern"] = (
+        f"(1-lambda^2)*({half_a}) - (1+lambda^2)*({gq_format(I * sb)})*({half_b})"
+        f" + 2*lambda*({gq_format(sc)})*({half_c})"
+    )
+    return entry
 
 
 def class_report(P: TrinomialPresentation) -> LndClassReport:
@@ -782,107 +814,21 @@ def class_report(P: TrinomialPresentation) -> LndClassReport:
             status="not_computed", reason="computed for type 1 presentations only"
         )
     classes = []
-    for k in range(1, P.d + 1):
-        desc = LndDescriptor(kind="free", k=k)
-        classes.append(
-            {
-                "tuple": None,
-                "case": "free_variable",
-                "k": k,
-                "count": "SingleFamily",
-                "formulas": [_concrete_base(P, desc, f"partial_S{k}")],
-                "kernel": _kernel_strings(P, desc),
-            }
-        )
-    for info in admissible_tuples(P):
-        if info.case == "Type1":
-            desc = LndDescriptor(kind="type1", c=info.c)
-            classes.append(
-                {
-                    "tuple": list(info.c),
-                    "case": "Type1",
-                    "count": "SingleFamily",
-                    "formulas": [_concrete_base(P, desc, "base")],
-                    "kernel": _kernel_strings(P, desc),
-                }
-            )
-            continue
-        entry = {
-            "tuple": list(info.c),
-            "case": info.case,
-            "labelings": [list(lab) for lab in info.labelings],
-        }
-        formulas = []
-        if info.case == "A":
-            witness = _case_a_infinite(P, info)
-            entry["count"] = "InfiniteFamily" if witness else "ExactlyTwo"
-            i1, i2 = info.labelings[0]
-            b2 = min(i for i in P.block_numbers if i not in (i1, i2))
-            for roles in ((i1, i2, b2), (i2, i1, b2)):
-                desc = LndDescriptor(kind="t2a", c=info.c, roles=roles)
-                formulas.append(_concrete_base(P, desc, f"a:moves_block{roles[0]}"))
-            if witness:
-                k0, k1 = witness
-                b2w = min(i for i in P.block_numbers if i not in (k0, k1))
-                m = P.exponents(k0)[dict(zip(P.block_numbers, info.c))[k0] - 1]
-                part_a = P.block_power_divided(k0, m)
-                part_b = P.block_power_divided(k1, m)
-                formulas.append(
-                    {
-                        "label": "b:lambda_family",
-                        "descriptor": {
-                            "kind": "t2b",
-                            "c": list(info.c),
-                            "roles": [k0, k1, b2w],
-                            "param": "formal",
-                        },
-                        "kernel_pattern": f"lambda*({poly_format(part_a)}) - ({poly_format(part_b)})",
-                    }
-                )
+    for entry in class_plan(P):
+        info = entry.info
+        if info is None:
+            free = entry.descriptors[0][1]
+            head = {"tuple": None, "case": "free_variable", "k": free.k}
+            kernel = _kernel_strings(P, free)
         else:
-            witness = _case_b_infinite(P, info)
-            entry["count"] = "InfiniteFamily" if witness else "ExactlyTwo"
-            lab = _preferred_case_b_labeling(P, info)
-            for mu, label in ((I, "delta_0"), (-I, "delta_infinity")):
-                desc = LndDescriptor(kind="t2c", c=info.c, roles=lab, param=mu)
-                formulas.append(_concrete_base(P, desc, label))
-            if witness:
-                B0, B1, B2 = witness
-                skeleton = {
-                    "kind": "t2d",
-                    "c": list(info.c),
-                    "roles": list(witness),
-                    "param": "formal",
-                }
-                try:
-                    alpha, beta, gamma = P.triple_coefficients(B0, B1, B2)
-                    sb = _sqrt_or_raise(beta / alpha, "the parameter family")
-                    sc = _sqrt_or_raise(gamma / alpha, "the parameter family")
-                    half_a = poly_format(P.block_power_divided(B0, 2))
-                    half_b = poly_format(P.block_power_divided(B1, 2))
-                    half_c = poly_format(P.block_power_divided(B2, 2))
-                    pattern = (
-                        f"(1-lambda^2)*({half_a}) - (1+lambda^2)*({gq_format(I * sb)})*({half_b})"
-                        f" + 2*lambda*({gq_format(sc)})*({half_c})"
-                    )
-                    formulas.append(
-                        {
-                            "label": "delta_lambda",
-                            "descriptor": skeleton,
-                            "kernel_pattern": pattern,
-                        }
-                    )
-                except NeedsNormalization as exc:
-                    formulas.append(
-                        {
-                            "label": "delta_lambda",
-                            "descriptor": skeleton,
-                            "error": f"NeedsNormalization: {exc}",
-                        }
-                    )
-        entry["formulas"] = formulas
-        entry["kernel"] = _shared_kernel_strings(P, info.c)
-        classes.append(entry)
+            head = {"tuple": list(info.c), "case": info.case}
+            if info.case != "Type1":
+                head["labelings"] = [list(lab) for lab in info.labelings]
+            kernel = [poly_format(g) for g in _off_tuple_generators(P, info.c)]
+        formulas = [_concrete_base(P, desc, label) for label, desc in entry.descriptors]
+        if entry.family is not None:
+            formulas.append(_family_formula(P, entry.family))
+        classes.append({**head, "count": entry.count, "formulas": formulas, "kernel": kernel})
     return LndClassReport(
         presentation=P,
         dimension=P.dimension(),

@@ -9,23 +9,14 @@ kept outside the corpus proper as ``unnormalized_member``; it exercises
 the NeedsNormalization path but would defeat the rigid-vs-nilpotent
 cross-check, since its rational forms miss the derivations that exist
 over the closure.
-
-The small slice is the subset suitable for the linear-algebra
-cross-check: total variable count plus free variables at most 5. Every
-slice member's classifier output fits under image degree 4, so the
-default search box always sees it; an assertion guards that choice.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .classify import enumerate_lnds
 from .gaussian import gq
 from .presentation import TrinomialPresentation, type1, type2
-
-SLICE_SIZE_LIMIT = 5
-SLICE_DEGREE_LIMIT = 4
 
 _TYPE1 = (
     (((1,), (1,)), 0),
@@ -121,26 +112,3 @@ def corpus():
     )
     return tuple(members)
 
-
-def _max_image_degree(P: TrinomialPresentation):
-    """Largest image degree across classifier outputs; -1 when there are
-    none (rigid members have nothing to check)."""
-    worst = -1
-    for inst in enumerate_lnds(P):
-        if inst.derivation is None:
-            continue
-        for img in inst.derivation.images.values():
-            worst = max(worst, img.degree())
-    return worst
-
-
-@lru_cache(maxsize=1)
-def small_slice():
-    """Corpus members small enough for the degree-4 search box."""
-    out = []
-    for P in corpus():
-        if P.n + P.d > SLICE_SIZE_LIMIT:
-            continue
-        assert _max_image_degree(P) <= SLICE_DEGREE_LIMIT, P.describe()
-        out.append(P)
-    return tuple(out)

@@ -270,10 +270,3 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
         except PolyParseError as exc:
             raise DerivationFormatError(f"line {lineno}: {exc}") from None
     return Derivation(P, images)
-
-
-def degree_of(delta: Derivation, grading: Grading):
-    """Convenience wrapper; see grading.derivation_degree."""
-    from .grading import derivation_degree
-
-    return derivation_degree(delta.images, grading)

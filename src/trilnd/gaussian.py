@@ -173,25 +173,21 @@ def gq_parse(text: str) -> GaussianRational:
     raise ScalarParseError(f"bad scalar literal: {text!r}")
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def gq_format(q: GaussianRational) -> str:
     """Canonical text form, the inverse of gq_parse on its output."""
     re_, im = q.real, q.imag
     if im == 0:
-        return _frac_str(re_)
+        return str(re_)
     if im == 1:
         istr = "i"
     elif im == -1:
         istr = "-i"
     else:
-        istr = f"{_frac_str(im)}i"
+        istr = f"{im}i"
     if re_ == 0:
         return istr
     joiner = "+" if im > 0 else ""
-    return f"{_frac_str(re_)}{joiner}{istr}"
+    return f"{re_}{joiner}{istr}"
 
 
 def _frac_sqrt(f: Fraction):
@@ -237,10 +233,6 @@ def gq_sqrt(q: GaussianRational):
     root = gq(c, d)
     assert root * root == q
     return root
-
-
-def _g_mul(z, w):
-    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
 
 
 def _g_norm(z) -> int:

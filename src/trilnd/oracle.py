@@ -106,7 +106,6 @@ class SolutionSpace:
     unknowns: List[Tuple]  # (generator, monomial) pairs
     dimension: int
     basis: List[Derivation]
-    _basis_vectors: List[List[GaussianRational]] = field(repr=False, default_factory=list)
     _span_rows: List[List[GaussianRational]] = field(repr=False, default_factory=list)
     _span_pivots: List[int] = field(repr=False, default_factory=list)
 
@@ -193,7 +192,6 @@ def solution_space(
         unknowns=unknowns,
         dimension=len(vectors),
         basis=basis,
-        _basis_vectors=vectors,
         _span_rows=span_rows,
         _span_pivots=span_pivots,
     )
@@ -207,15 +205,21 @@ def _vector_to_derivation(P, unknowns, vec) -> Derivation:
     return Derivation(P, {g: Poly(items) for g, items in images.items()})
 
 
-def induced_weight_box(P: TrinomialPresentation, lambdas=None, grading=None):
-    """The degree shifts realized by the classifier, plus zero."""
-    grading = grading or weight_assignment(P)
-    weights = {grading.zero()}
+def _classifier_by_degree(P: TrinomialPresentation, lambdas, grading):
+    """The classifier's nonzero outputs, grouped by degree shift."""
+    by_degree: dict = {}
     for inst in enumerate_lnds(P, lambdas):
         if inst.derivation is None or inst.derivation.is_zero():
             continue
-        weights.add(derivation_degree(inst.derivation, grading))
-    return tuple(sorted(weights))
+        deg = derivation_degree(inst.derivation, grading)
+        by_degree.setdefault(deg, []).append(inst)
+    return by_degree
+
+
+def induced_weight_box(P: TrinomialPresentation, lambdas=None, grading=None):
+    """The degree shifts realized by the classifier, plus zero."""
+    grading = grading or weight_assignment(P)
+    return tuple(sorted({grading.zero(), *_classifier_by_degree(P, lambdas, grading)}))
 
 
 @dataclass
@@ -297,17 +301,9 @@ def oracle_enumerate(
     slow-dying candidates.
     """
     grading = weight_assignment(P)
-    classifier = [
-        inst for inst in enumerate_lnds(P, lambdas) if inst.derivation is not None
-    ]
-    by_degree: dict = {}
-    for inst in classifier:
-        if inst.derivation.is_zero():
-            continue
-        deg = derivation_degree(inst.derivation, grading)
-        by_degree.setdefault(deg, []).append(inst)
+    by_degree = _classifier_by_degree(P, lambdas, grading)
     if weights is None:
-        weights = induced_weight_box(P, lambdas, grading=grading)
+        weights = tuple(sorted({grading.zero(), *by_degree}))
     else:
         weights = tuple(tuple(w) for w in weights)
     if len(weights) > max_weights:

@@ -422,12 +422,6 @@ def exact_divide(p: Poly, divisor) -> Poly:
     return out
 
 
-def block_power(blocks, i: int, exponents=None) -> Poly:
-    """The monomial T_i^{l_i} as a Poly; exponents defaults to blocks[i]."""
-    exps = blocks[i] if exponents is None else exponents
-    return Poly.monomial(Monomial(tuple((tvar(i, j + 1), e) for j, e in enumerate(exps))))
-
-
 def normal_form(p: Poly, rules: Mapping[Monomial, Poly], strategy: str = "block") -> Poly:
     """Reduce p modulo the oriented rules lead -> replacement.
 
@@ -479,10 +473,6 @@ def _nf_stepwise(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
         m, lead, repl = target
         c = current.coefficient(m)
         current = current - Poly.monomial(m, c) + Poly.monomial(m / lead, c) * repl
-
-
-def is_reduced(p: Poly, rules: Mapping[Monomial, Poly]) -> bool:
-    return all(not lead.divides(m) for m in p.terms for lead in rules)
 
 
 def poly_format(p: Poly) -> str:

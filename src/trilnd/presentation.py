@@ -61,6 +61,11 @@ class AssumptionViolated(PresentationError):
     """A query was made outside its stated hypotheses."""
 
 
+def _is_int(value) -> bool:
+    """True for ints but not bools, which JSON true/false would smuggle in."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _det2(a: Tuple[GaussianRational, GaussianRational], b) -> GaussianRational:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -76,7 +81,7 @@ class TrinomialPresentation:
     anchors: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in (1, 2):
+        if not _is_int(self.kind) or self.kind not in (1, 2):
             raise BadShape(f"kind must be 1 or 2, got {self.kind!r}")
         if not isinstance(self.blocks, tuple) or not all(
             isinstance(b, tuple) for b in self.blocks
@@ -91,9 +96,9 @@ class TrinomialPresentation:
             if not row:
                 raise BadShape("empty exponent row")
             for e in row:
-                if not isinstance(e, int) or e <= 0:
+                if not _is_int(e) or e <= 0:
                     raise NonPositiveExponent(f"bad exponent {e!r}")
-        if not isinstance(self.d, int) or self.d < 0:
+        if not _is_int(self.d) or self.d < 0:
             raise BadShape(f"free variable count must be a nonnegative int, got {self.d!r}")
         if len(self.constants) != len(self.blocks):
             raise BadShape(
@@ -128,7 +133,7 @@ class TrinomialPresentation:
             if len(self.anchors) != len(self.blocks):
                 raise BadShape("anchors must give one index per block")
             for row, b in zip(self.blocks, self.anchors):
-                if not isinstance(b, int) or not 1 <= b <= len(row):
+                if not _is_int(b) or not 1 <= b <= len(row):
                     raise BadShape(f"anchor {b!r} out of range for a block of size {len(row)}")
 
     # -- basic shape ----------------------------------------------------
@@ -349,7 +354,7 @@ class TrinomialPresentation:
             raw_blocks = data["blocks"]
         except KeyError as exc:
             raise BadShape(f"missing field {exc.args[0]!r}") from None
-        if kind not in (1, 2):
+        if not _is_int(kind) or kind not in (1, 2):
             raise BadShape(f"type must be 1 or 2, got {kind!r}")
         if not isinstance(raw_blocks, list) or not all(
             isinstance(row, list) for row in raw_blocks
@@ -372,7 +377,7 @@ class TrinomialPresentation:
         def scalar(value):
             if isinstance(value, str):
                 return gq_parse(value)
-            if isinstance(value, int) and not isinstance(value, bool):
+            if _is_int(value):
                 return gq(value)
             raise BadShape(f"constants must be integers or scalar strings, got {value!r}")
 
@@ -476,8 +481,6 @@ class RescalingReport:
 
 def _bezout_weights(values: Sequence[int]):
     """Integers u_j with sum(u_j * values_j) = gcd(values)."""
-    from math import gcd as _g
-
     us = [0] * len(values)
     g = 0
     for idx, v in enumerate(values):
@@ -486,26 +489,23 @@ def _bezout_weights(values: Sequence[int]):
             us = [0] * len(values)
             us[idx] = 1
             continue
-        old = _g(g, v)
-        # extended gcd of (g, v)
-        a, b = _ext_gcd(g, v)
+        g, a, b = _ext_gcd(g, v)
         us = [u * a for u in us]
         us[idx] += b
-        g = old
     return g, us
 
 
 def _ext_gcd(a: int, b: int):
-    """(x, y) with x*a + y*b = gcd(a, b)."""
+    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
     old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
+    old_x, x = 1, 0
+    old_y, y = 0, 1
     while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_s, old_t
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
 
 
 def all_ones_rescaling(P: TrinomialPresentation) -> RescalingReport:

@@ -24,24 +24,11 @@ from .classify import DEFAULT_LAMBDAS
 from .derivation import Derivation
 from .gaussian import GaussianRational, I, ONE, gq, gq_format
 from .poly import Poly, tvar
-from .presentation import TrinomialPresentation, surface
+from .presentation import TrinomialPresentation, _ext_gcd, surface
 
 
 class RootOutOfRange(ValueError):
     """Asked to materialize a family member with an index below 1."""
-
-
-def _ext_gcd(a: int, b: int):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 def _dot(u, v) -> int:

@@ -25,7 +25,7 @@ from trilnd.classify import (
     is_semirigid,
     makar_limanov,
 )
-from trilnd.corpus import corpus, small_slice
+from trilnd.corpus import corpus
 from trilnd.derivation import (
     decompose,
     is_well_defined,
@@ -169,7 +169,7 @@ def test_criterion_5_every_corpus_derivation_verifies():
 
 def test_criterion_6_rigidity_matches_the_linear_algebra_oracle():
     mismatches = []
-    for P in small_slice():
+    for P in corpus():
         rigid = is_rigid(P).rigid
         found = oracle_enumerate(P, degree_bound=4).nilpotent_found
         # a rigid member must yield no nilpotent solution, and vice versa
@@ -217,7 +217,7 @@ def test_criterion_8_inhomogeneous_multiples_decompose_into_nilpotent_parts():
     # an LND times a sum of kernel elements of different weights is no
     # longer homogeneous; its extreme graded pieces must stay LNDs
     tested = 0
-    for P in small_slice():
+    for P in corpus():
         if tested >= 20:
             break
         grading = weight_assignment(P)

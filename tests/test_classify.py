@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from trilnd.classify import (
@@ -20,11 +22,15 @@ from trilnd.classify import (
     kernel_generators,
     makar_limanov,
 )
-from trilnd.corpus import unnormalized_member
+from trilnd.corpus import corpus, unnormalized_member
 from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check
 from trilnd.gaussian import I, gq
+from trilnd.grading import derivation_degree, weight_assignment
+from trilnd.oracle import induced_weight_box
 from trilnd.poly import Poly, poly_parse, svar, tvar
-from trilnd.presentation import surface, type1, type2
+from trilnd.presentation import TrinomialPresentation, surface, type1, type2
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 # -- admissible tuples -------------------------------------------------------
@@ -427,3 +433,32 @@ def test_class_report_case_a_family():
     labels = [f["label"] for f in entry["formulas"]]
     assert labels[-1] == "b:lambda_family"
     assert any(lab.startswith("a:moves_block") for lab in labels)
+
+
+def test_report_enumeration_rigidity_and_weight_box_share_one_plan():
+    members = list(corpus())
+    members.extend(
+        TrinomialPresentation.from_json(path.read_text()) for path in sorted(SAMPLES.glob("*.json"))
+    )
+    for P in members:
+        concrete = [
+            formula["descriptor"]
+            for entry in class_report(P).to_dict()["classes"]
+            for formula in entry["formulas"]
+            if formula["descriptor"].get("param") != "formal"
+        ]
+        instances = enumerate_lnds(P)
+        built = iter([inst.descriptor.to_dict() for inst in instances])
+        # in the same order: each lookup resumes where the last one stopped
+        assert all(desc in built for desc in concrete), P.describe()
+        rigidity = is_rigid(P)
+        assert rigidity.rigid == (not concrete)
+        if not rigidity.rigid:
+            assert rigidity.witness.to_dict() == concrete[0], P.describe()
+        grading = weight_assignment(P)
+        degrees = {
+            derivation_degree(inst.derivation, grading)
+            for inst in instances
+            if inst.derivation is not None and not inst.derivation.is_zero()
+        }
+        assert induced_weight_box(P) == tuple(sorted({grading.zero(), *degrees}))

@@ -246,6 +246,20 @@ def test_unknown_presentation_field(tmp_path, capsys):
     assert "weights" in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "data, kind",
+    [
+        ({"type": 1, "blocks": [[True], [2]]}, "NonPositiveExponent"),
+        ({"type": 1, "blocks": [[1], [2]], "free_vars": True}, "BadShape"),
+    ],
+)
+def test_boolean_in_place_of_an_integer_is_an_input_error(tmp_path, capsys, data, kind):
+    path = write_presentation(tmp_path, data)
+    code, rep = run(capsys, "analyze", "--presentation", path)
+    assert code == 1
+    assert rep["kind"] == kind
+
+
 def test_bad_lambda_string(capsys):
     code, rep = run(
         capsys,

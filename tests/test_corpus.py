@@ -1,7 +1,7 @@
 import pytest
 
-from trilnd.classify import LndDescriptor, NeedsNormalization, build_lnd_type2
-from trilnd.corpus import SLICE_DEGREE_LIMIT, corpus, small_slice, unnormalized_member
+from trilnd.classify import LndDescriptor, NeedsNormalization, build_lnd_type2, enumerate_lnds
+from trilnd.corpus import corpus, unnormalized_member
 from trilnd.gaussian import I
 
 
@@ -28,15 +28,20 @@ def test_corpus_members_are_distinct():
     assert len(set(members)) == len(members)
 
 
-def test_small_slice_covers_everything():
-    # every member was chosen small enough for the exhaustive checks
-    assert small_slice() == corpus()
-    for P in small_slice():
+def test_corpus_members_are_small_enough_for_exhaustive_checks():
+    for P in corpus():
         assert P.n + P.d <= 5
 
 
-def test_slice_degree_limit():
-    assert SLICE_DEGREE_LIMIT == 4
+def test_corpus_classifier_images_fit_the_oracle_degree_box():
+    # the oracle's default image degree bound is 4; an output above it
+    # would be invisible to the rigidity cross-check
+    for P in corpus():
+        for inst in enumerate_lnds(P):
+            if inst.derivation is None:
+                continue
+            for img in inst.derivation.images.values():
+                assert img.degree() <= 4, P.describe()
 
 
 def test_unnormalized_member_is_kept_outside():

@@ -10,6 +10,7 @@ from trilnd.presentation import (
     DependentColumns,
     DuplicateConstants,
     NonPositiveExponent,
+    PresentationError,
     TrinomialPresentation,
     all_ones_rescaling,
     surface,
@@ -201,6 +202,20 @@ def test_from_json_and_field_validation():
         TrinomialPresentation.from_json(
             '{"type": 1, "blocks": [[2],[3]], "constants": ["1", "bogus"]}'
         )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"type": 1, "blocks": [[True], [2]]},
+        {"type": 1, "blocks": [[1], [2]], "free_vars": True},
+        {"type": 1, "blocks": [[1], [2]], "anchors": [True, 1]},
+        {"type": True, "blocks": [[1], [2]]},
+    ],
+)
+def test_booleans_are_not_integers(data):
+    with pytest.raises(PresentationError):
+        TrinomialPresentation.from_input_dict(data)
 
 
 def test_describe():

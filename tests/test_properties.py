@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trilnd.classify import LndDescriptor, admissible_tuples, build_lnd, enumerate_lnds
-from trilnd.corpus import corpus, small_slice
+from trilnd.corpus import corpus
 from trilnd.derivation import (
     derivation_from_text,
     derivation_to_text,
@@ -202,7 +202,7 @@ def test_invariant_field_generators_share_weights():
 
 
 def test_derivation_text_round_trip_on_emitted_lnds():
-    for P in small_slice():
+    for P in corpus():
         for inst in enumerate_lnds(P):
             if inst.derivation is None:
                 continue
