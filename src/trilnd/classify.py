@@ -20,7 +20,7 @@ raises NeedsNormalization rather than moving to a field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Tuple
 
 from .derivation import Derivation, is_well_defined
@@ -37,7 +37,7 @@ from .poly import (
     svar,
     tvar,
 )
-from .presentation import AssumptionViolated, TrinomialPresentation
+from .presentation import AssumptionViolated, TrinomialPresentation, _is_int
 
 
 class WrongType(TypeError):
@@ -119,7 +119,7 @@ def _tuple_info(P: TrinomialPresentation, c) -> AdmissibleTuple:
     if len(c) != len(nums):
         raise InadmissibleTuple(f"tuple must pick one variable in each of {len(nums)} blocks")
     for i, ci in zip(nums, c):
-        if not isinstance(ci, int) or not 1 <= ci <= P.block_size(i):
+        if not _is_int(ci) or not 1 <= ci <= P.block_size(i):
             raise InadmissibleTuple(f"index {ci!r} out of range in block {i}")
     cmap = dict(zip(nums, c))
     big = tuple(i for i in nums if P.exponents(i)[cmap[i] - 1] > 1)
@@ -238,8 +238,9 @@ def class_plan(P: TrinomialPresentation):
     per admissible tuple.
 
     This is the only place that picks role blocks and decides between
-    ExactlyTwo and InfiniteFamily; class_report, enumerate_lnds and
-    is_rigid all read it. It is lazy, so is_rigid pays for one entry.
+    ExactlyTwo and InfiniteFamily; class_report, enumerate_lnds,
+    is_rigid and is_semirigid all read it. It is lazy, but the first
+    tuple entry costs the whole admissible_tuples list.
     """
 
     def with_third(pair):
@@ -277,7 +278,7 @@ def class_plan(P: TrinomialPresentation):
 
 
 def free_variable_lnd(P: TrinomialPresentation, k: int) -> Derivation:
-    if not isinstance(k, int) or not 1 <= k <= P.d:
+    if not _is_int(k) or not 1 <= k <= P.d:
         raise NoSuchFreeVariable(f"presentation has {P.d} free variables, asked for {k}")
     return Derivation(P, {svar(k): Poly.constant(1)})
 
@@ -324,7 +325,7 @@ def _type2_context(P: TrinomialPresentation, desc: LndDescriptor) -> _Type2Conte
     cmap = dict(zip(P.block_numbers, info.c))
     roles = tuple(desc.roles)
     if len(roles) != 3 or len(set(roles)) != 3 or any(
-        i not in P.block_numbers for i in roles
+        not _is_int(i) or i not in P.block_numbers for i in roles
     ):
         raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
     B0, B1, B2 = roles
@@ -490,7 +491,7 @@ def _off_tuple_generators(P: TrinomialPresentation, c):
 def kernel_generators(P: TrinomialPresentation, desc: LndDescriptor):
     """Generators of the kernel of the described derivation."""
     if desc.kind == "free":
-        if desc.k is None or not isinstance(desc.k, int) or not 1 <= desc.k <= P.d:
+        if not _is_int(desc.k) or not 1 <= desc.k <= P.d:
             raise InadmissibleDescriptor(f"no free variable {desc.k!r}")
         gens = [Poly.generator(g) for g in P.generators if g[0] == "T"]
         gens.extend(
@@ -549,7 +550,11 @@ class RigidityReport:
 
 def is_rigid(P: TrinomialPresentation) -> RigidityReport:
     """Rigid means: no nonzero graded locally nilpotent derivation at all."""
-    first = next(class_plan(P), None)
+    return _rigidity(next(class_plan(P), None))
+
+
+def _rigidity(first: Optional[PlannedClass]) -> RigidityReport:
+    """Rigidity read off the first entry of the class plan."""
     if first is None:
         return RigidityReport(rigid=True, reason="no free variables and no admissible tuple")
     if first.info is None:
@@ -557,12 +562,6 @@ def is_rigid(P: TrinomialPresentation) -> RigidityReport:
     else:
         reason = f"admissible tuple {first.info.c} exists"
     return RigidityReport(rigid=False, reason=reason, witness=first.descriptors[0][1])
-
-
-def _without_free_variables(P: TrinomialPresentation) -> TrinomialPresentation:
-    return TrinomialPresentation(
-        kind=P.kind, blocks=P.blocks, constants=P.constants, d=0, anchors=P.anchors
-    )
 
 
 @dataclass(frozen=True)
@@ -581,14 +580,22 @@ def is_semirigid(P: TrinomialPresentation) -> SemirigidityReport:
     variable over a rigid base; or (type 1 only) when the
     Makar-Limanov computation applies.
     """
-    if is_rigid(P).rigid:
+    ml_computed = P.kind == 1 and makar_limanov(P).status == "computed"
+    return _semirigidity(P, list(islice(class_plan(P), 2)), ml_computed)
+
+
+def _semirigidity(P: TrinomialPresentation, plan: list, ml_computed: bool) -> SemirigidityReport:
+    """Semirigidity from the class plan, or at least its first two entries.
+
+    Admissible tuples do not depend on the free variables, so the base
+    without them is rigid exactly when the plan has no tuple entry.
+    """
+    if not plan:
         return SemirigidityReport(True, "rigid")
-    if P.d == 1 and is_rigid(_without_free_variables(P)).rigid:
+    if P.d == 1 and len(plan) == 1:
         return SemirigidityReport(True, "single_free_variable_over_rigid_base")
-    if P.kind == 1:
-        ml = makar_limanov(P)
-        if ml.status == "computed":
-            return SemirigidityReport(True, "makar_limanov")
+    if ml_computed:
+        return SemirigidityReport(True, "makar_limanov")
     return SemirigidityReport(False, None)
 
 
@@ -813,8 +820,9 @@ def class_report(P: TrinomialPresentation) -> LndClassReport:
         ml = MakarLimanovReport(
             status="not_computed", reason="computed for type 1 presentations only"
         )
+    plan = list(class_plan(P))
     classes = []
-    for entry in class_plan(P):
+    for entry in plan:
         info = entry.info
         if info is None:
             free = entry.descriptors[0][1]
@@ -834,8 +842,8 @@ def class_report(P: TrinomialPresentation) -> LndClassReport:
         dimension=P.dimension(),
         factorial=factorial,
         factorial_note=note,
-        rigidity=is_rigid(P),
-        semirigidity=is_semirigid(P),
+        rigidity=_rigidity(plan[0] if plan else None),
+        semirigidity=_semirigidity(P, plan, ml.status == "computed"),
         ml=ml,
         classes=classes,
     )

@@ -4,7 +4,8 @@ Every command reads a presentation from a JSON file and writes a JSON
 report to stdout. Exit codes: 0 on success, 1 on invalid input or
 exceeded search limits, 2 when a verification fails (a relation is
 broken or the derivation is not homogeneous), 3 when nilpotency testing
-hits its iteration cap without an answer.
+hits its iteration cap without an answer, 141 (128 + SIGPIPE) when the
+reader of stdout goes away.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .poly import (
 from .presentation import (
     PresentationError,
     TrinomialPresentation,
+    _is_int,
     all_ones_rescaling,
 )
 from .toric import Cone2D, RootOutOfRange, demazure_roots
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFICATION = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_BROKEN_PIPE = 141
 
 _INPUT_ERRORS = (
     PresentationError,
@@ -76,7 +79,8 @@ _INPUT_ERRORS = (
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # flush here, so that a closed stdout fails inside main
+    print(json.dumps(obj, indent=2), flush=True)
 
 
 def _load_presentation(path: str) -> TrinomialPresentation:
@@ -109,11 +113,21 @@ def _descriptor_from_json(text: str) -> LndDescriptor:
         if not isinstance(param, str):
             raise InadmissibleDescriptor("param must be a scalar string such as \"1+i\"")
         param = gq_parse(param)
+    k = data.get("k")
+    if k is not None and not _is_int(k):
+        raise InadmissibleDescriptor(f"k must be an integer, got {json.dumps(k)}")
     c = data.get("c")
     roles = data.get("roles")
+    for name, value in (("c", c), ("roles", roles)):
+        if value is not None and (
+            not isinstance(value, list) or not all(_is_int(x) for x in value)
+        ):
+            raise InadmissibleDescriptor(
+                f"{name} must be a list of integers, got {json.dumps(value)}"
+            )
     return LndDescriptor(
         kind=data["kind"],
-        k=data.get("k"),
+        k=k,
         c=tuple(c) if c is not None else None,
         roles=tuple(roles) if roles is not None else None,
         param=param,
@@ -329,6 +343,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ExactDivisionFailed:
         raise
+    except BrokenPipeError:
+        # nobody reads stdout any more; dropping it keeps the flush at
+        # interpreter exit from failing again on what is still buffered
+        sys.stdout = None
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return EXIT_INPUT

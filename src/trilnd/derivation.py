@@ -11,18 +11,19 @@ oracle deliberately produces candidates that can fail it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from .gaussian import GaussianRational, gq
-from .grading import Grading, homogeneous_parts, weight_of
+from .grading import Grading, homogeneous_parts
 from .poly import (
     Gen,
-    Monomial,
     Poly,
     PolyParseError,
     UnknownGenerator,
+    _add_product,
     gen_name,
     parse_gen_name,
+    partial_derivative,
     poly_format,
     poly_parse,
 )
@@ -108,23 +109,19 @@ class Derivation:
         return hash((self.presentation, frozenset(self.images.items())))
 
     def apply(self, p: Poly) -> Poly:
-        """The Leibniz extension, returned in normal form."""
+        """The Leibniz extension, the sum over the nonzero images of
+        dp/dg * delta(g), returned in normal form."""
         known = self.presentation.generator_set
-        acc = Poly.zero()
-        for m, c in p.terms.items():
-            for g, e in m.pairs:
+        for m in p.terms:
+            for g, _ in m.pairs:
                 if g not in known:
                     raise UnknownGenerator(
                         f"{gen_name(g)} is not a generator of this presentation"
                     )
-                img = self.images.get(g)
-                if img is None:
-                    continue
-                rest = Monomial(
-                    tuple((gg, ee - 1 if gg == g else ee) for gg, ee in m.pairs)
-                )
-                acc = acc + Poly.monomial(rest, c * e) * img
-        return self.presentation.normal_form(acc)
+        acc: dict = {}
+        for g, img in self.images.items():
+            _add_product(acc, partial_derivative(p, g), img)
+        return self.presentation.normal_form(Poly._of(acc))
 
     def scaled(self, factor: GaussianRational) -> "Derivation":
         factor = factor if isinstance(factor, GaussianRational) else gq(factor)

@@ -177,6 +177,17 @@ class Monomial:
 MONO_ONE = Monomial()
 
 
+def _add_term(acc: dict, m: Monomial, c: GaussianRational) -> None:
+    """Add the nonzero c to the coefficient of m in acc, dropping m if it
+    cancels. This is the only place that merges terms."""
+    cur = acc.get(m)
+    new = c if cur is None else cur + c
+    if new:
+        acc[m] = new
+    else:
+        del acc[m]
+
+
 class Poly:
     """A polynomial with exact Gaussian rational coefficients."""
 
@@ -191,13 +202,15 @@ class Poly:
             if not isinstance(c, GaussianRational):
                 c = gq(c)
             if c:
-                cur = acc.get(m)
-                new = c if cur is None else cur + c
-                if new:
-                    acc[m] = new
-                elif cur is not None:
-                    del acc[m]
+                _add_term(acc, m, c)
         self._terms = acc
+
+    @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """Wrap a finished dict of nonzero coefficients, without copying."""
+        out = Poly.__new__(Poly)
+        out._terms = terms
+        return out
 
     @staticmethod
     def zero() -> "Poly":
@@ -231,9 +244,6 @@ class Poly:
     def coefficient(self, m: Monomial) -> GaussianRational:
         return self._terms.get(m, ZERO)
 
-    def constant_term(self) -> GaussianRational:
-        return self._terms.get(MONO_ONE, ZERO)
-
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         if not self._terms:
@@ -257,22 +267,13 @@ class Poly:
             return NotImplemented
         d = dict(self._terms)
         for m, c in other._terms.items():
-            cur = d.get(m)
-            new = c if cur is None else cur + c
-            if new:
-                d[m] = new
-            elif cur is not None:
-                del d[m]
-        out = Poly.zero()
-        out._terms = d
-        return out
+            _add_term(d, m, c)
+        return Poly._of(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.zero()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return Poly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -291,26 +292,13 @@ class Poly:
             c = other if isinstance(other, GaussianRational) else gq(other)
             if not c:
                 return Poly.zero()
-            out = Poly.zero()
-            out._terms = {m: cc * c for m, cc in self._terms.items()}
-            return out
+            return Poly._of({m: cc * c for m, cc in self._terms.items()})
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         acc: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                cur = acc.get(m)
-                new = c if cur is None else cur + c
-                if new:
-                    acc[m] = new
-                elif cur is not None:
-                    del acc[m]
-        out = Poly.zero()
-        out._terms = acc
-        return out
+        _add_product(acc, self, other)
+        return Poly._of(acc)
 
     __rmul__ = __mul__
 
@@ -326,21 +314,9 @@ class Poly:
             n >>= 1
         return result
 
-    def scale_generator(self, g: Gen, factor: GaussianRational) -> "Poly":
-        """Substitute g -> factor * g."""
-        out: dict = {}
-        for m, c in self._terms.items():
-            e = m.exponent(g)
-            scaled = c * factor**e if e else c
-            if scaled:
-                out[m] = scaled
-        p = Poly.zero()
-        p._terms = out
-        return p
-
     def substitute(self, assignment: Mapping[Gen, "Poly"]) -> "Poly":
         """Replace each generator by a polynomial (missing ones stay)."""
-        result = Poly.zero()
+        acc: dict = {}
         for m, c in self._terms.items():
             term = Poly.constant(c)
             for g, e in m.pairs:
@@ -349,8 +325,9 @@ class Poly:
                     term = term * Poly.monomial(Monomial(((g, e),)))
                 else:
                     term = term * repl**e
-            result = result + term
-        return result
+            for tm, tc in term._terms.items():
+                _add_term(acc, tm, tc)
+        return Poly._of(acc)
 
     def __eq__(self, other):
         other = _as_poly(other)
@@ -376,23 +353,22 @@ def _as_poly(value):
     return NotImplemented
 
 
+def _add_product(acc: dict, p: Poly, q: Poly) -> None:
+    """Add p * q into the term dict acc."""
+    q_terms = q.terms.items()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q_terms:
+            _add_term(acc, m1 * m2, c1 * c2)
+
+
 def partial_derivative(p: Poly, g: Gen) -> Poly:
     acc: dict = {}
     for m, c in p.terms.items():
         e = m.exponent(g)
-        if not e:
-            continue
-        dm = Monomial(tuple((gg, ee - 1 if gg == g else ee) for gg, ee in m.pairs))
-        coeff = c * e
-        cur = acc.get(dm)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            acc[dm] = new
-        elif cur is not None:
-            del acc[dm]
-    out = Poly.zero()
-    out._terms = acc
-    return out
+        if e:
+            dm = Monomial(tuple((gg, ee - 1 if gg == g else ee) for gg, ee in m.pairs))
+            _add_term(acc, dm, c * e)
+    return Poly._of(acc)
 
 
 def exact_divide(p: Poly, divisor) -> Poly:
@@ -417,30 +393,17 @@ def exact_divide(p: Poly, divisor) -> Poly:
         if not dm.divides(m):
             raise NotDivisible(f"term {m} of {p} is not divisible by {dm}")
         acc[m / dm] = c / dc
-    out = Poly.zero()
-    out._terms = acc
-    return out
+    return Poly._of(acc)
 
 
-def normal_form(p: Poly, rules: Mapping[Monomial, Poly], strategy: str = "block") -> Poly:
+def normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
     """Reduce p modulo the oriented rules lead -> replacement.
 
     Rules are expected to have pairwise coprime leads and lead-free
-    replacements, which is what presentations produce. The "block"
-    strategy divides out the maximal power of each lead per term in one
-    pass; "stepwise" performs single-step rewrites to a fixed point.
-    Both give the same answer (this is checked property-style in the
-    test suite) but block is the fast path.
+    replacements, which is what presentations produce. Each term gives
+    up the maximal power of every lead in one pass.
     """
-    if strategy == "block":
-        return _nf_block(p, rules)
-    if strategy == "stepwise":
-        return _nf_stepwise(p, rules)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _nf_block(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
-    result = Poly.zero()
+    acc: dict = {}
     for m, c in p.terms.items():
         factor = None
         residual = m
@@ -450,14 +413,16 @@ def _nf_block(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
                 residual = residual / lead**q
                 piece = repl**q
                 factor = piece if factor is None else factor * piece
-        term = Poly.monomial(residual, c)
-        if factor is not None:
-            term = term * factor
-        result = result + term
-    return result
+        if factor is None:
+            _add_term(acc, residual, c)
+        else:
+            _add_product(acc, Poly._of({residual: c}), factor)
+    return Poly._of(acc)
 
 
-def _nf_stepwise(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
+def stepwise_normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
+    """normal_form by single-step rewrites to a fixed point: the slow,
+    evidently correct reference that the tests compare normal_form with."""
     current = p
     while True:
         target = None
@@ -519,11 +484,12 @@ def poly_parse(text: str, allowed: Iterable[Gen] = None) -> Poly:
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial text")
-    terms = _split_terms(s)
-    result = Poly.zero()
-    for sign, chunk in terms:
-        result = result + _parse_term(chunk, allowed_set) * sign
-    return result
+    acc: dict = {}
+    for sign, chunk in _split_terms(s):
+        m, c = _parse_term(chunk, allowed_set)
+        if c:
+            _add_term(acc, m, c * sign)
+    return Poly._of(acc)
 
 
 def _split_terms(s: str):
@@ -569,7 +535,8 @@ def _split_terms(s: str):
     return terms
 
 
-def _parse_term(chunk: str, allowed_set) -> Poly:
+def _parse_term(chunk: str, allowed_set):
+    """The monomial and the coefficient of one term."""
     factors = [f.strip() for f in chunk.split("*")]
     coeff = ONE
     exps: dict = {}
@@ -601,4 +568,4 @@ def _parse_term(chunk: str, allowed_set) -> Poly:
         else:
             e = 1
         exps[g] = exps.get(g, 0) + e
-    return Poly.monomial(Monomial(exps), coeff)
+    return Monomial(exps), coeff

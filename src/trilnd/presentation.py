@@ -185,15 +185,9 @@ class TrinomialPresentation:
     def generator_set(self) -> frozenset:
         return frozenset(self.generators)
 
-    def block_gens(self, i: int) -> Tuple[Gen, ...]:
-        return tuple(tvar(i, j) for j in range(1, self.block_size(i) + 1))
-
     def block_power(self, i: int) -> Poly:
         """The monomial T_i^{l_i}."""
-        exps = self.exponents(i)
-        return Poly.monomial(
-            Monomial(tuple((tvar(i, j + 1), e) for j, e in enumerate(exps)))
-        )
+        return self.block_power_divided(i, 1)
 
     def block_power_divided(self, i: int, divisor: int) -> Poly:
         """The monomial T_i^{l_i / divisor}; divisor must divide every exponent."""
@@ -267,8 +261,8 @@ class TrinomialPresentation:
                 )
         return rules
 
-    def normal_form(self, p: Poly, strategy: str = "block") -> Poly:
-        return normal_form(p, self.rewrite_rules, strategy=strategy)
+    def normal_form(self, p: Poly) -> Poly:
+        return normal_form(p, self.rewrite_rules)
 
     # -- divisor theory --------------------------------------------------
 

@@ -36,7 +36,7 @@ from trilnd.derivation import (
 from trilnd.gaussian import I, gq
 from trilnd.grading import derivation_degree, weight_assignment, weight_of
 from trilnd.oracle import oracle_enumerate
-from trilnd.poly import Monomial, Poly, normal_form, poly_parse, tvar
+from trilnd.poly import Monomial, Poly, normal_form, poly_parse, stepwise_normal_form, tvar
 from trilnd.presentation import surface, type1
 from trilnd.toric import case_b_pair, demazure_roots, gamma_cone, toric_derivation
 
@@ -208,9 +208,7 @@ def test_criterion_7_randomized_ring_checks_hold_a_thousand_times():
         assert normal_form(lhs - rhs, rules).is_zero()
     for _ in range(1000):
         p = rand_poly()
-        assert normal_form(p, rules, strategy="block") == normal_form(
-            p, rules, strategy="stepwise"
-        )
+        assert normal_form(p, rules) == stepwise_normal_form(p, rules)
 
 
 def test_criterion_8_inhomogeneous_multiples_decompose_into_nilpotent_parts():

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from trilnd import classify
 from trilnd.classify import (
     DEFAULT_LAMBDAS,
     InadmissibleDescriptor,
@@ -378,6 +379,30 @@ def test_enumerate_carries_normalization_errors():
     for inst in out:
         assert inst.derivation is None
         assert "NeedsNormalization" in inst.error
+
+
+@pytest.mark.parametrize(
+    "P, clause",
+    [
+        (type1(((1, 1, 1), (1, 1), (1, 1))), None),
+        (type1(((2, 3), (2, 5)), d=1), "single_free_variable_over_rigid_base"),
+    ],
+    ids=["d0", "d1"],
+)
+def test_class_report_classifies_once(monkeypatch, P, clause):
+    calls = []
+
+    def counted(Q):
+        calls.append(Q)
+        return admissible_tuples(Q)
+
+    monkeypatch.setattr(classify, "admissible_tuples", counted)
+    report = class_report(P)
+    assert len(calls) == 1
+    assert not report.rigidity.rigid
+    assert report.semirigidity.clause == clause
+    assert report.rigidity == is_rigid(P)
+    assert report.semirigidity == is_semirigid(P)
 
 
 def test_class_report_surface():

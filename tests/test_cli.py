@@ -260,6 +260,39 @@ def test_boolean_in_place_of_an_integer_is_an_input_error(tmp_path, capsys, data
     assert rep["kind"] == kind
 
 
+@pytest.mark.parametrize(
+    "presentation, descriptor",
+    [
+        ("sphere_cylinder.json", '{"kind": "free", "k": true}'),
+        ("sphere.json", '{"kind": "t2c", "c": [true, 1, 1], "roles": [0, true, 2], "param": "i"}'),
+        ("sphere.json", '{"kind": "t2c", "c": 5, "roles": [0, 1, 2], "param": "i"}'),
+    ],
+)
+def test_descriptor_needs_integers_and_lists(capsys, presentation, descriptor):
+    code, rep = run(
+        capsys,
+        "kernel",
+        "--presentation",
+        f"{SAMPLES}/{presentation}",
+        "--descriptor",
+        descriptor,
+    )
+    assert code == 1
+    assert rep["kind"] == "InadmissibleDescriptor"
+
+
+def test_closed_stdout_exits_quietly(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"]) == 141
+
+
 def test_bad_lambda_string(capsys):
     code, rep = run(
         capsys,

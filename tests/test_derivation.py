@@ -67,6 +67,9 @@ def test_apply_rejects_foreign_polynomial():
     d = delta_zero(2)
     with pytest.raises(UnknownGenerator):
         d.apply(Poly.generator(svar(1)))
+    # the first foreign generator in term order is named
+    with pytest.raises(UnknownGenerator, match="^S3 is not"):
+        d.apply(poly_parse("S3 + T7_1*S9"))
 
 
 def test_derivation_sum_and_scale():

@@ -1,5 +1,6 @@
 import pytest
 
+from trilnd.derivation import Derivation
 from trilnd.gaussian import I, gq
 from trilnd.poly import (
     Monomial,
@@ -9,15 +10,15 @@ from trilnd.poly import (
     UnknownGenerator,
     exact_divide,
     gen_name,
-    normal_form,
     parse_gen_name,
     partial_derivative,
     poly_format,
     poly_parse,
+    stepwise_normal_form,
     svar,
     tvar,
 )
-from trilnd.presentation import surface
+from trilnd.presentation import surface, type1
 
 X = tvar(0, 1)
 Y = tvar(1, 1)
@@ -74,6 +75,26 @@ def test_poly_collects_terms():
     assert Poly.constant(0).is_zero()
 
 
+def test_no_zero_coefficient_survives_a_cancellation():
+    S = surface(2, 2, 2)
+    F = type1(((2,), (3,)), d=2)
+    S1, S2 = svar(1), svar(2)
+    delta = Derivation(F, {S1: Poly.generator(S2), S2: Poly.generator(S1)})
+    x, y = Monomial({X: 1}), Monomial({Y: 1})
+    cases = [
+        (Poly([(x, gq(2)), (x, gq(-2)), (y, gq(1))]), "T1_1"),
+        (p("T0_1 + T1_1") + p("-T0_1"), "T1_1"),
+        (p("T0_1 + T1_1") * p("T0_1 - T1_1"), "T0_1^2 - T1_1^2"),
+        (poly_parse("T0_1 - T0_1"), "0"),
+        (p("T0_1 + T1_1 + T2_1").substitute({X: p("-T1_1")}), "T2_1"),
+        (S.normal_form(S.relations()[0] + p("T0_1")), "T0_1"),
+        (delta.apply(p("S1^2 - S2^2")), "0"),
+    ]
+    for q, expected in cases:
+        assert all(q.terms.values())
+        assert q == p(expected)
+
+
 def test_poly_ring_identities():
     a = p("T0_1^2 + 3*T1_1")
     b = p("T1_1 - i")
@@ -113,7 +134,7 @@ def test_exact_divide_by_monomial():
 
 def test_scale_generator_substitutes_scalar():
     q = p("T0_1^2 + T1_1")
-    assert q.scale_generator(X, gq(2)) == p("4*T0_1^2 + T1_1")
+    assert q.substitute({X: p("2*T0_1")}) == p("4*T0_1^2 + T1_1")
 
 
 def test_substitute():
@@ -169,9 +190,7 @@ def test_normal_form_strategies_agree():
         p("T2_1^3 + T2_1^2 + T2_1 + 1"),
     ]
     for q in samples:
-        assert S.normal_form(q, strategy="block") == S.normal_form(q, strategy="stepwise")
-    with pytest.raises(ValueError):
-        normal_form(samples[0], S.rewrite_rules, strategy="bogus")
+        assert S.normal_form(q) == stepwise_normal_form(q, S.rewrite_rules)
 
 
 def test_normal_form_kills_relations():

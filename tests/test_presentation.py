@@ -243,11 +243,10 @@ def test_rescaling_solves_extractable_coefficients():
     )
     report = all_ones_rescaling(P)
     assert report.status == "rescaled"
-    # substituting T -> scalar * T into the relation clears coefficients:
-    # check by rescaling the original relation generator by generator
-    rel = P.relations()[0]
-    for g, s in report.scalars.items():
-        rel = rel.scale_generator(g, s)
+    # substituting T -> scalar * T into the relation clears coefficients
+    rel = P.relations()[0].substitute(
+        {g: Poly.generator(g) * s for g, s in report.scalars.items()}
+    )
     target = report.result.relations()[0]
     # the rescaled relation is a nonzero scalar multiple of the target
     lead = rel.lead_monomial()

@@ -20,7 +20,7 @@ from trilnd.derivation import (
 )
 from trilnd.gaussian import I, GaussianRational, gq
 from trilnd.grading import weight_assignment, weight_of
-from trilnd.poly import Monomial, Poly, normal_form
+from trilnd.poly import Monomial, Poly, normal_form, stepwise_normal_form
 from trilnd.presentation import surface, type2
 from trilnd.toric import Cone2D, demazure_roots, gamma_cone, toric_derivation
 
@@ -71,9 +71,7 @@ def test_normal_form_is_additive(p, q):
 @given(polys(UNEVEN, max_exp=4))
 def test_rewrite_strategies_agree(p):
     rules = UNEVEN.rewrite_rules
-    assert normal_form(p, rules, strategy="block") == normal_form(
-        p, rules, strategy="stepwise"
-    )
+    assert normal_form(p, rules) == stepwise_normal_form(p, rules)
 
 
 @settings(max_examples=250, deadline=None)
