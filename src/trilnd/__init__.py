@@ -14,7 +14,7 @@ relations between monomial block powers. Entry points:
 * cli: the command line.
 """
 
-from .gaussian import GaussianRational, I, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
+from .gaussian import GaussianRational, I, InternalError, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
 from .poly import (
     Gen,
     Monomial,

@@ -24,7 +24,7 @@ from itertools import islice, product
 from typing import Optional, Tuple
 
 from .derivation import Derivation, is_well_defined
-from .gaussian import I, ONE, GaussianRational, gq, gq_format, gq_sqrt
+from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
 from .grading import weight_assignment
 from .poly import (
     Gen,
@@ -65,7 +65,7 @@ class NeedsNormalization(ValueError):
         self.order = order
 
 
-class ExactDivisionFailed(RuntimeError):
+class ExactDivisionFailed(InternalError):
     """A structurally guaranteed division failed; this signals a bug."""
 
 
@@ -302,18 +302,28 @@ def build_lnd_type1(P: TrinomialPresentation, c) -> Derivation:
         images[tvar(i, cmap[i])] = img
     delta = Derivation(P, images)
     report = is_well_defined(delta)
-    assert report.ok, f"type 1 construction broke relation {report.relation_index}"
+    if not report.ok:
+        raise InternalError(f"type 1 construction broke relation {report.relation_index}")
     return delta
 
 
 @dataclass(frozen=True)
 class _Type2Context:
+    """A validated type 2 descriptor with the pieces its formulas share.
+
+    parts: T_B0^(l/m) and T_B1^(l/m) for t2b, the halves of the role
+    blocks for t2c (B0, B1) and t2d (B0, B1, B2). roots: sb for t2c,
+    sb and sc for t2d.
+    """
+
     info: AdmissibleTuple
     cmap: dict
     roles: Tuple[int, int, int]
     alpha: GaussianRational
     beta: GaussianRational
     gamma: GaussianRational
+    parts: Tuple[Poly, ...]
+    roots: Tuple[GaussianRational, ...]
 
 
 def _type2_context(P: TrinomialPresentation, desc: LndDescriptor) -> _Type2Context:
@@ -363,7 +373,19 @@ def _type2_context(P: TrinomialPresentation, desc: LndDescriptor) -> _Type2Conte
     else:
         raise InadmissibleDescriptor(f"unknown type 2 descriptor kind {desc.kind!r}")
     alpha, beta, gamma = P.triple_coefficients(B0, B1, B2)
-    return _Type2Context(info=info, cmap=cmap, roles=roles, alpha=alpha, beta=beta, gamma=gamma)
+    parts, roots = (), ()
+    if desc.kind == "t2b":
+        parts = (P.block_power_divided(B0, m), P.block_power_divided(B1, m))
+    elif desc.kind == "t2c":
+        parts = (P.block_power_divided(B0, 2), P.block_power_divided(B1, 2))
+        roots = (_sqrt_or_raise(beta / alpha, "the two-class family"),)
+    elif desc.kind == "t2d":
+        parts = tuple(P.block_power_divided(i, 2) for i in roles)
+        roots = (
+            _sqrt_or_raise(beta / alpha, "the parameter family"),
+            _sqrt_or_raise(gamma / alpha, "the parameter family"),
+        )
+    return _Type2Context(info, cmap, roles, alpha, beta, gamma, parts, roots)
 
 
 def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
@@ -389,53 +411,42 @@ def build_lnd_type2(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation
     ctx = _type2_context(P, desc)
     B0, B1, B2 = ctx.roles
     cmap = ctx.cmap
+    t_a, t_b, t_c = (tvar(i, cmap[i]) for i in ctx.roles)
     multiplier = Poly.constant(1)
     for i in P.block_numbers:
         if i not in ctx.roles:
             multiplier = multiplier * partial_derivative(P.block_power(i), tvar(i, cmap[i]))
-    g_b2_full = partial_derivative(P.block_power(B2), tvar(B2, cmap[B2]))
+    g_b2_full = partial_derivative(P.block_power(B2), t_c)
+    d_parts = [partial_derivative(part, t) for part, t in zip(ctx.parts, (t_a, t_b, t_c))]
     images = {}
     if desc.kind == "t2a":
-        images[tvar(B0, cmap[B0])] = g_b2_full * multiplier
+        images[t_a] = g_b2_full * multiplier
     elif desc.kind == "t2b":
-        m = P.exponents(B0)[cmap[B0] - 1]
-        part_a = P.block_power_divided(B0, m)
-        part_b = P.block_power_divided(B1, m)
-        d_a = partial_derivative(part_a, tvar(B0, cmap[B0]))
-        d_b = partial_derivative(part_b, tvar(B1, cmap[B1]))
-        images[tvar(B0, cmap[B0])] = d_b * g_b2_full * multiplier
-        images[tvar(B1, cmap[B1])] = d_a * g_b2_full * multiplier * desc.param
+        d_a, d_b = d_parts
+        images[t_a] = d_b * g_b2_full * multiplier
+        images[t_b] = d_a * g_b2_full * multiplier * desc.param
     elif desc.kind == "t2c":
-        half_a = P.block_power_divided(B0, 2)
-        half_b = P.block_power_divided(B1, 2)
-        d_a = partial_derivative(half_a, tvar(B0, cmap[B0]))
-        d_b = partial_derivative(half_b, tvar(B1, cmap[B1]))
-        sb = _sqrt_or_raise(ctx.beta / ctx.alpha, "the two-class family")
-        u = desc.param * sb
-        images[tvar(B0, cmap[B0])] = d_b * g_b2_full * multiplier * u
-        images[tvar(B1, cmap[B1])] = d_a * g_b2_full * multiplier
+        d_a, d_b = d_parts
+        u = desc.param * ctx.roots[0]
+        images[t_a] = d_b * g_b2_full * multiplier * u
+        images[t_b] = d_a * g_b2_full * multiplier
     else:  # t2d
-        half_a = P.block_power_divided(B0, 2)
-        half_b = P.block_power_divided(B1, 2)
-        half_c = P.block_power_divided(B2, 2)
-        d_a = partial_derivative(half_a, tvar(B0, cmap[B0]))
-        d_b = partial_derivative(half_b, tvar(B1, cmap[B1]))
-        d_c = partial_derivative(half_c, tvar(B2, cmap[B2]))
-        sb = _sqrt_or_raise(ctx.beta / ctx.alpha, "the parameter family")
-        sc = _sqrt_or_raise(ctx.gamma / ctx.alpha, "the parameter family")
+        d_a, d_b, d_c = d_parts
+        half_a, half_b, half_c = ctx.parts
+        sb, sc = ctx.roots
         lam = desc.param
         one_plus = (ONE + lam * lam) * I
         one_minus = ONE - lam * lam
-        images[tvar(B0, cmap[B0])] = (
+        images[t_a] = (
             d_b * d_c * (half_b * (lam * 2 * sb) + half_c * (one_plus * sc)) * multiplier
         )
-        images[tvar(B1, cmap[B1])] = (
+        images[t_b] = (
             d_a * d_c * (half_a * (-2 * lam / sb) + half_c * (one_minus * sc / sb)) * multiplier
         )
-    d_t_b0 = partial_derivative(P.block_power(B0), tvar(B0, cmap[B0]))
-    d_t_b1 = partial_derivative(P.block_power(B1), tvar(B1, cmap[B1]))
-    img0 = images.get(tvar(B0, cmap[B0]), Poly.zero())
-    img1 = images.get(tvar(B1, cmap[B1]), Poly.zero())
+    d_t_b0 = partial_derivative(P.block_power(B0), t_a)
+    d_t_b1 = partial_derivative(P.block_power(B1), t_b)
+    img0 = images.get(t_a, Poly.zero())
+    img1 = images.get(t_b, Poly.zero())
     for s in P.block_numbers:
         if s in (B0, B1):
             continue
@@ -455,7 +466,8 @@ def build_lnd_type2(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation
             images[tvar(s, cmap[s])] = solved
     delta = Derivation(P, images)
     report = is_well_defined(delta)
-    assert report.ok, f"type 2 construction broke relation {report.relation_index}"
+    if not report.ok:
+        raise InternalError(f"type 2 construction broke relation {report.relation_index}")
     return delta
 
 
@@ -505,28 +517,20 @@ def kernel_generators(P: TrinomialPresentation, desc: LndDescriptor):
             raise InadmissibleDescriptor("type1 descriptor needs a tuple")
         return _off_tuple_generators(P, _tuple_info(P, desc.c).c)
     ctx = _type2_context(P, desc)
-    B0, B1, B2 = ctx.roles
-    cmap = ctx.cmap
     gens = _off_tuple_generators(P, ctx.info.c)
     if desc.kind == "t2a":
-        gens.append(Poly.generator(tvar(B1, cmap[B1])))
+        B1 = ctx.roles[1]
+        gens.append(Poly.generator(tvar(B1, ctx.cmap[B1])))
     elif desc.kind == "t2b":
-        m = P.exponents(B0)[cmap[B0] - 1]
-        part_a = P.block_power_divided(B0, m)
-        part_b = P.block_power_divided(B1, m)
+        part_a, part_b = ctx.parts
         gens.append(part_a * desc.param - part_b)
     elif desc.kind == "t2c":
-        sb = _sqrt_or_raise(ctx.beta / ctx.alpha, "the two-class family")
-        half_a = P.block_power_divided(B0, 2)
-        half_b = P.block_power_divided(B1, 2)
-        gens.append(half_a * desc.param + half_b * sb)
+        half_a, half_b = ctx.parts
+        gens.append(half_a * desc.param + half_b * ctx.roots[0])
     else:
-        sb = _sqrt_or_raise(ctx.beta / ctx.alpha, "the parameter family")
-        sc = _sqrt_or_raise(ctx.gamma / ctx.alpha, "the parameter family")
+        half_a, half_b, half_c = ctx.parts
+        sb, sc = ctx.roots
         lam = desc.param
-        half_a = P.block_power_divided(B0, 2)
-        half_b = P.block_power_divided(B1, 2)
-        half_c = P.block_power_divided(B2, 2)
         gens.append(
             half_a * (ONE - lam * lam)
             - half_b * ((ONE + lam * lam) * I * sb)
@@ -754,47 +758,36 @@ def _kernel_strings(P, desc):
 
 def _concrete_base(P, desc, label):
     """A formulas entry for a descriptor that can be built right away."""
-    try:
-        delta = build_lnd(P, desc)
-    except NeedsNormalization as exc:
-        return {
-            "label": label,
-            "descriptor": desc.to_dict(),
-            "error": f"NeedsNormalization: {exc}",
-        }
-    return {
-        "label": label,
-        "descriptor": desc.to_dict(),
-        "images": delta.image_strings(),
-        "kernel": _kernel_strings(P, desc),
-    }
+    inst = _safe_instance(P, desc)
+    entry = {"label": label, "descriptor": desc.to_dict()}
+    if inst.derivation is None:
+        entry["error"] = inst.error
+    else:
+        entry["images"] = inst.derivation.image_strings()
+        entry["kernel"] = _kernel_strings(P, desc)
+    return entry
 
 
 def _family_formula(P, family: LndDescriptor):
     """A formulas entry for a parameter family: its kernel pattern in
     lambda, or the error when that needs a root missing in Q(i)."""
-    B0, B1, B2 = family.roles
     entry = {
         "label": "b:lambda_family" if family.kind == "t2b" else "delta_lambda",
         "descriptor": {**family.to_dict(), "param": "formal"},
     }
-    if family.kind == "t2b":
-        m = P.exponents(B0)[dict(zip(P.block_numbers, family.c))[B0] - 1]
-        part_a = poly_format(P.block_power_divided(B0, m))
-        part_b = poly_format(P.block_power_divided(B1, m))
-        entry["kernel_pattern"] = f"lambda*({part_a}) - ({part_b})"
-        return entry
     try:
-        alpha, beta, gamma = P.triple_coefficients(B0, B1, B2)
-        sb = _sqrt_or_raise(beta / alpha, "the parameter family")
-        sc = _sqrt_or_raise(gamma / alpha, "the parameter family")
+        ctx = _type2_context(P, replace(family, param=ONE))
     except NeedsNormalization as exc:
         entry["error"] = f"NeedsNormalization: {exc}"
         return entry
-    half_a, half_b, half_c = (poly_format(P.block_power_divided(i, 2)) for i in family.roles)
+    parts = [poly_format(part) for part in ctx.parts]
+    if family.kind == "t2b":
+        entry["kernel_pattern"] = f"lambda*({parts[0]}) - ({parts[1]})"
+        return entry
+    sb, sc = ctx.roots
     entry["kernel_pattern"] = (
-        f"(1-lambda^2)*({half_a}) - (1+lambda^2)*({gq_format(I * sb)})*({half_b})"
-        f" + 2*lambda*({gq_format(sc)})*({half_c})"
+        f"(1-lambda^2)*({parts[0]}) - (1+lambda^2)*({gq_format(I * sb)})*({parts[1]})"
+        f" + 2*lambda*({gq_format(sc)})*({parts[2]})"
     )
     return entry
 

@@ -15,7 +15,6 @@ import json
 import sys
 
 from .classify import (
-    ExactDivisionFailed,
     InadmissibleDescriptor,
     InadmissibleTuple,
     LndDescriptor,
@@ -341,8 +340,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ExactDivisionFailed:
-        raise
     except BrokenPipeError:
         # nobody reads stdout any more; dropping it keeps the flush at
         # interpreter exit from failing again on what is still buffered

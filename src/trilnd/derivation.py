@@ -60,13 +60,22 @@ class NilpotencyReport:
         return self.status == "verified"
 
 
+def _first_foreign(p: Poly, known) -> Optional[Gen]:
+    """The first generator of p outside known, in p's term order."""
+    for m in p.terms:
+        for g, _ in m.pairs:
+            if g not in known:
+                return g
+    return None
+
+
 class Derivation:
     """Images are normalized on construction; zero images are dropped."""
 
     __slots__ = ("presentation", "images")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
-        known = set(presentation.generators)
+        known = presentation.generator_set
         stored = {}
         for g, img in images.items():
             if g not in known:
@@ -74,10 +83,10 @@ class Derivation:
             if not isinstance(img, Poly):
                 img = Poly.constant(img)
             reduced = presentation.normal_form(img)
-            bad = reduced.variables() - known
-            if bad:
+            bad = _first_foreign(reduced, known)
+            if bad is not None:
                 raise UnknownGenerator(
-                    f"image of {gen_name(g)} uses foreign generator {gen_name(next(iter(bad)))}"
+                    f"image of {gen_name(g)} uses foreign generator {gen_name(bad)}"
                 )
             if reduced:
                 stored[g] = reduced
@@ -111,13 +120,9 @@ class Derivation:
     def apply(self, p: Poly) -> Poly:
         """The Leibniz extension, the sum over the nonzero images of
         dp/dg * delta(g), returned in normal form."""
-        known = self.presentation.generator_set
-        for m in p.terms:
-            for g, _ in m.pairs:
-                if g not in known:
-                    raise UnknownGenerator(
-                        f"{gen_name(g)} is not a generator of this presentation"
-                    )
+        bad = _first_foreign(p, self.presentation.generator_set)
+        if bad is not None:
+            raise UnknownGenerator(f"{gen_name(bad)} is not a generator of this presentation")
         acc: dict = {}
         for g, img in self.images.items():
             _add_product(acc, partial_derivative(p, g), img)

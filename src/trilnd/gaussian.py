@@ -10,10 +10,15 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
 
 class ScalarParseError(ValueError):
     """Raised when a scalar literal cannot be parsed."""
+
+
+class InternalError(RuntimeError):
+    """A self-check failed: this signals a bug, never invalid input."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,8 +209,6 @@ def _frac_sqrt(f: Fraction):
 
 
 def _isqrt_exact(n: int):
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -231,7 +234,8 @@ def gq_sqrt(q: GaussianRational):
         return None
     d = b / (2 * c)
     root = gq(c, d)
-    assert root * root == q
+    if root * root != q:
+        raise InternalError(f"closed-form square root of {gq_format(q)} is wrong")
     return root
 
 
@@ -311,11 +315,29 @@ def _gaussian_int_factor(z):
     return unit, factors
 
 
+def gq_factor(q: GaussianRational):
+    """Factor a nonzero Gaussian rational into a unit and prime powers.
+
+    Returns (unit, {canonical prime pair: exponent}); primes of the
+    denominator carry negative exponents.
+    """
+    den = lcm(q.real.denominator, q.imag.denominator)
+    unit, factors = _gaussian_int_factor((int(q.real * den), int(q.imag * den)))
+    unit_d, fac_d = _gaussian_int_factor((den, 0))
+    for p, e in fac_d.items():
+        factors[p] = factors.get(p, 0) - e
+        if not factors[p]:
+            del factors[p]
+    return unit * unit_d.conjugate(), factors
+
+
 def gq_nth_root(q: GaussianRational, n: int):
     """One n-th root of q in Q(i), or None if there is none.
 
-    n = 1 and 2 are handled natively; larger n goes through factoring
-    x^n - q over Q(i), which sympy does exactly.
+    n = 1 and 2 are handled in closed form. For larger n every prime
+    exponent of q must be divisible by n; the root is then the product of
+    pi^(e/n) times the first unit, in UNITS order, whose n-th power is
+    the unit of q. Unique factorization makes this complete.
     """
     if n <= 0:
         raise ValueError("root order must be positive")
@@ -325,19 +347,10 @@ def gq_nth_root(q: GaussianRational, n: int):
         return ZERO
     if n == 2:
         return gq_sqrt(q)
-    import sympy
-
-    x = sympy.Symbol("x")
-    target = sympy.Rational(q.real) + sympy.Rational(q.imag) * sympy.I
-    _, factors = sympy.factor_list(x**n - target, x, gaussian=True)
-    for poly, _mult in factors:
-        p = sympy.Poly(poly, x)
-        if p.degree() == 1:
-            lead, const = p.all_coeffs()
-            root_expr = sympy.expand(-sympy.Rational(1) * const / lead)
-            root = gq(
-                Fraction(str(sympy.re(root_expr))), Fraction(str(sympy.im(root_expr)))
-            )
-            if root**n == q:
-                return root
-    return None
+    unit, factors = gq_factor(q)
+    if any(e % n for e in factors.values()):
+        return None
+    root = ONE
+    for (a, b), e in factors.items():
+        root = root * gq(a, b) ** (e // n)
+    return next((v * root for v in UNITS if v**n == unit), None)

@@ -161,15 +161,6 @@ def solution_space(
             f"{len(unknowns)} unknowns exceed the limit {max_unknowns}; raise "
             "max_unknowns to search anyway"
         )
-    if not unknowns:
-        return SolutionSpace(
-            presentation=P,
-            weight=weight,
-            degree_bound=degree_bound,
-            unknowns=[],
-            dimension=0,
-            basis=[],
-        )
     rows = []
     for rel in P.relations():
         cells: dict = {}

@@ -255,12 +255,6 @@ class Poly:
             raise ValueError("zero polynomial has no lead monomial")
         return max(self._terms)
 
-    def variables(self) -> set:
-        out: set = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return out
-
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:

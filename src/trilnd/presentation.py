@@ -27,9 +27,13 @@ from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .gaussian import (
+    ONE,
+    UNITS,
     GaussianRational,
+    InternalError,
     ScalarParseError,
     gq,
+    gq_factor,
     gq_format,
     gq_nth_root,
     gq_parse,
@@ -537,7 +541,8 @@ def all_ones_rescaling(P: TrinomialPresentation) -> RescalingReport:
     for i, coeff, m in zip(P.block_numbers, (alpha, beta, gamma), gcds):
         sigma = target / coeff
         w = gq_nth_root(sigma, m)
-        assert w is not None, "coset solver returned an invalid witness"
+        if w is None:
+            raise InternalError("coset solver returned an invalid witness")
         _, us = _bezout_weights(list(P.exponents(i)))
         for j, u in enumerate(us, start=1):
             scalars[tvar(i, j)] = w**u
@@ -555,67 +560,20 @@ def _power_coset_intersection(pairs):
 
     Works on Gaussian prime valuations: the exponent of each prime in x
     must satisfy one congruence per pair, solved by CRT; the remaining
-    unit ambiguity is a four-way brute force check.
+    unit ambiguity is a four-way check.
     """
     from sympy.ntheory.modular import crt
 
-    from .gaussian import UNITS
-
-    factored = [(_gaussian_factor_q(ratio), m) for ratio, m in pairs]
-    primes = set()
-    for (unit, fac), _m in factored:
-        primes.update(fac)
-    exponents = {}
-    for prime in primes:
-        moduli, residues = [], []
-        for (unit, fac), m in factored:
-            if m == 1:
-                continue
-            moduli.append(m)
-            residues.append(-fac.get(prime, 0) % m)
-        if not moduli:
-            exponents[prime] = 0
-            continue
-        sol = crt(moduli, residues)
+    pairs = [(ratio, m) for ratio, m in pairs if m != 1]
+    factored = [(gq_factor(ratio)[1], m) for ratio, m in pairs]
+    moduli = [m for _ratio, m in pairs]
+    x0 = ONE
+    for prime in {p for fac, _m in factored for p in fac}:
+        sol = crt(moduli, [-fac.get(prime, 0) % m for fac, m in factored])
         if sol is None:
             return None
-        exponents[prime] = int(sol[0])
-    x0 = gq(1)
-    for prime, e in exponents.items():
-        pg = gq(prime[0], prime[1])
-        x0 = x0 * pg**e
+        x0 = x0 * gq(*prime) ** int(sol[0])
     for u in UNITS:
-        x = x0 * u
-        ok = True
-        for ratio, m in pairs:
-            if gq_nth_root(ratio * x, m) is None:
-                ok = False
-                break
-        if ok:
-            return x
+        if all(gq_nth_root(ratio * x0 * u, m) is not None for ratio, m in pairs):
+            return x0 * u
     return None
-
-
-def _gaussian_factor_q(q: GaussianRational):
-    """Factor a nonzero Gaussian rational into unit and prime powers.
-
-    Primes are returned as canonical integer pairs (a, b); exponents may
-    be negative (denominator part).
-    """
-    from .gaussian import _gaussian_int_factor
-
-    if not q:
-        raise ZeroDivisionError("cannot factor zero")
-    den = (q.real.denominator * q.imag.denominator) // gcd(
-        q.real.denominator, q.imag.denominator
-    )
-    num = (int(q.real * den), int(q.imag * den))
-    unit_n, fac_n = _gaussian_int_factor(num)
-    unit_d, fac_d = _gaussian_int_factor((den, 0))
-    fac = dict(fac_n)
-    for p, e in fac_d.items():
-        fac[p] = fac.get(p, 0) - e
-        if fac[p] == 0:
-            del fac[p]
-    unit = unit_n * unit_d.inverse()
-    return unit, fac

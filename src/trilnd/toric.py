@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from .classify import DEFAULT_LAMBDAS
 from .derivation import Derivation
-from .gaussian import GaussianRational, I, ONE, gq, gq_format
+from .gaussian import GaussianRational, I, InternalError, ONE, gq, gq_format
 from .poly import Poly, tvar
 from .presentation import TrinomialPresentation, _ext_gcd, surface
 
@@ -133,13 +133,14 @@ def demazure_roots(cone: Cone2D, ray_index: int) -> RootFamily:
     n_other = cone.normal_to(2 if ray_index == 1 else 1)
     step = cone.ray(ray_index)
     g, x, y = _ext_gcd(n[0], n[1])
-    assert abs(g) == 1, "primitive normal must have coprime entries"
     e0 = (-x * g, -y * g)
-    assert _dot(n, e0) == -1
+    if abs(g) != 1 or _dot(n, e0) != -1:
+        raise InternalError(f"normal {n} is not primitive")
     # shift e0 along the ray until the second condition holds;
     # ceil(-offset / slope) is -(offset // slope) for positive slope
     slope = _dot(n_other, step)
-    assert slope > 0
+    if slope <= 0:
+        raise InternalError(f"ray {step} does not point into the other half-plane")
     offset = _dot(n_other, e0)
     t_min = -(offset // slope)
     base = (e0[0] + (t_min - 1) * step[0], e0[1] + (t_min - 1) * step[1])
@@ -151,8 +152,8 @@ def demazure_roots(cone: Cone2D, ray_index: int) -> RootFamily:
         normal=n,
         other_normal=n_other,
     )
-    assert fam.contains(fam.root(1))
-    assert not fam.contains((base[0], base[1]))
+    if not fam.contains(fam.root(1)) or fam.contains(base):
+        raise InternalError(f"root family anchored at {base} is off by a step")
     return fam
 
 

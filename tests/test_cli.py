@@ -1,8 +1,19 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trilnd.classify
 from trilnd.cli import main
+from trilnd.corpus import corpus
+from trilnd.derivation import WellDefinedReport
+from trilnd.gaussian import InternalError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SAMPLES = "sample_inputs"
 
@@ -217,6 +228,19 @@ def test_normalize_standard_columns(tmp_path, capsys):
     assert rep["status"] == "rescaled"
 
 
+def test_normalize_keeps_unit_coefficients(tmp_path, capsys):
+    # coefficients that are already 1 get the identity rescaling
+    paths = [f"{SAMPLES}/quartic.json"]
+    for k, P in enumerate(corpus()):
+        if P.kind == 2 and P.r == 2:
+            paths.append(write_presentation(tmp_path, P.to_input_dict(), name=f"m{k}.json"))
+    for path in paths:
+        code, rep = run(capsys, "normalize", "--presentation", path)
+        assert code == 0
+        assert rep["status"] == "rescaled"
+        assert set(rep["scalars"].values()) == {"1"}, path
+
+
 def test_normalize_obstructed(tmp_path, capsys):
     path = write_presentation(
         tmp_path,
@@ -310,3 +334,37 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])
     assert exc.value.code == 2
+
+
+# -- internal errors -----------------------------------------------------------
+
+
+def test_self_checks_are_explicit_raises():
+    # assert statements vanish under python -O
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "trilnd").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
+def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
+    assert not issubclass(InternalError, ValueError)
+    monkeypatch.setattr(
+        trilnd.classify, "is_well_defined", lambda delta: WellDefinedReport(False, 0)
+    )
+    with pytest.raises(InternalError):
+        trilnd.classify.build_lnd_type1(trilnd.type1(((1, 2), (2,))), (1, 1))
+    with pytest.raises(InternalError):
+        main(["analyze", "--presentation", f"{SAMPLES}/type1_semirigid.json"])
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    code = "import sys, trilnd, trilnd.cli; print('sympy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

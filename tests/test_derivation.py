@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from trilnd.classify import LndDescriptor, build_lnd_type2
@@ -52,6 +57,25 @@ def test_constructor_rejects_foreign_generators():
         Derivation(S, {tvar(5, 1): Poly.constant(1)})
     with pytest.raises(UnknownGenerator):
         Derivation(S, {X: Poly.generator(svar(1))})
+
+
+def test_foreign_generator_named_independently_of_hashing():
+    # the first foreign generator in the image's term order is named,
+    # whatever order string hashing gives a set of generators
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from trilnd import Derivation, poly_parse, surface, tvar\n"
+        "try:\n"
+        "    Derivation(surface(2, 2, 2), {tvar(0, 1): poly_parse('T7_1 + S3')})\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "image of T0_1 uses foreign generator T7_1", seed
 
 
 def test_apply_leibniz_on_products():

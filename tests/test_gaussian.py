@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trilnd.gaussian import (
     I,
@@ -9,6 +11,7 @@ from trilnd.gaussian import (
     GaussianRational,
     ScalarParseError,
     gq,
+    gq_factor,
     gq_format,
     gq_nth_root,
     gq_parse,
@@ -127,6 +130,32 @@ def test_nth_root():
     assert root is not None and root**3 == gq(0, -8)
     with pytest.raises(ValueError):
         gq_nth_root(gq(1), 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_nth_root_of_one_is_one(n):
+    assert gq_nth_root(ONE, n) == ONE
+
+
+SMALL_PART = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(gq, SMALL_PART, SMALL_PART).filter(bool),
+    st.integers(3, 6),
+)
+def test_nth_roots_from_prime_valuations(w, n):
+    q = w**n
+    root = gq_nth_root(q, n)
+    assert root is not None and root**n == q
+    # one extra prime (1+2i) leaves an exponent that n does not divide
+    assert gq_nth_root(q * gq(1, 2), n) is None
+    unit, factors = gq_factor(q * gq(1, 2))
+    product = unit
+    for (a, b), e in factors.items():
+        product = product * gq(a, b) ** e
+    assert product == q * gq(1, 2)
 
 
 def test_hashable_and_comparable_with_ints():

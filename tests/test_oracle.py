@@ -136,3 +136,11 @@ def test_combination_sampling_finds_hidden_lnd():
         if not s[0].startswith("classifier:") and s[2].status == "verified"
     ]
     assert combo_hits
+
+
+def test_weight_without_unknowns_gives_an_empty_entry():
+    rep = oracle_enumerate(surface(2, 2, 3), weights=[(100,)], degree_bound=2)
+    (entry,) = rep.entries
+    assert entry.unknown_count == 0
+    assert entry.dimension == 0
+    assert entry.samples == []

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -236,11 +237,20 @@ def test_rescaling_standard_surface_is_identity_like():
     assert all(s == gq(1) for s in report.scalars.values())
 
 
-def test_rescaling_solves_extractable_coefficients():
-    P = type2(
-        ((2,), (2,), (2,)),
-        constants=((gq(1), gq(0)), (gq(0), gq(1)), (gq(-4), gq(-1))),
-    )
+# Coefficient ratios 4, 8, 16, i, 27 and 2 need square, cube and fourth roots.
+@pytest.mark.parametrize(
+    "blocks, third_column, second_column",
+    [
+        (((2,), (2,), (2,)), (gq(-4), gq(-1)), (gq(0), gq(1))),
+        (((3,), (3,), (3,)), (gq(-8), gq(-1)), (gq(0), gq(1))),
+        (((4,), (4,), (2,)), (gq(-16), gq(-1)), (gq(0), gq(1))),
+        (((2,), (3,), (4,)), (gq(-1), gq(0, 1)), (gq(0), gq(1))),
+        (((3, 6), (3,), (2,)), (gq(Fraction(-27, 2)), gq(-1)), (gq(0), gq(2))),
+    ],
+    ids=["2-2-2", "3-3-3", "4-4-2", "2-3-4", "3,6-3-2"],
+)
+def test_rescaling_solves_extractable_coefficients(blocks, third_column, second_column):
+    P = type2(blocks, constants=((gq(1), gq(0)), second_column, third_column))
     report = all_ones_rescaling(P)
     assert report.status == "rescaled"
     # substituting T -> scalar * T into the relation clears coefficients
