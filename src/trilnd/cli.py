@@ -62,7 +62,6 @@ _INPUT_ERRORS = (
     ScalarParseError,
     PolyParseError,
     UnknownGenerator,
-    NotDivisible,
     DerivationFormatError,
     InadmissibleTuple,
     InadmissibleDescriptor,
@@ -345,6 +344,9 @@ def main(argv=None) -> int:
         # interpreter exit from failing again on what is still buffered
         sys.stdout = None
         return EXIT_BROKEN_PIPE
+    except NotDivisible:
+        # a ValueError, but a failed exact division is a bug, never invalid input
+        raise
     except _INPUT_ERRORS as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return EXIT_INPUT

@@ -6,11 +6,18 @@ inducing the same map have equal image dictionaries. Whether a
 candidate assignment actually descends to the quotient algebra is a
 check (is_well_defined), not an assumption, since the verification
 oracle deliberately produces candidates that can fail it.
+
+Iteration and zero tests (nilpotency_check, is_well_defined,
+kernel_member) run on a dense form of the derivation over the Gaussian
+integers that is exact up to a nonzero scalar; Derivation.apply on Poly
+stays the exact reference and produces every polynomial a report shows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import add
 from typing import Mapping, Optional
 
 from .gaussian import GaussianRational, gq
@@ -22,6 +29,7 @@ from .poly import (
     UnknownGenerator,
     _add_product,
     gen_name,
+    integer_terms,
     parse_gen_name,
     partial_derivative,
     poly_format,
@@ -54,6 +62,7 @@ class NilpotencyReport:
     cap: int
     index: Optional[int] = None
     witness: Optional[Gen] = None
+    guard: Optional[str] = None  # "cap" | "term_limit" | "degree_limit" when inconclusive
 
     @property
     def verified(self) -> bool:
@@ -69,10 +78,121 @@ def _first_foreign(p: Poly, known) -> Optional[Gen]:
     return None
 
 
+def _reject_foreign(p: Poly, presentation: TrinomialPresentation) -> None:
+    bad = _first_foreign(p, presentation.generator_set)
+    if bad is not None:
+        raise UnknownGenerator(f"{gen_name(bad)} is not a generator of this presentation")
+
+
+class _DenseForm:
+    """A derivation over the Gaussian integers, exact up to a nonzero scalar.
+
+    A polynomial is a dict from exponent tuples, one entry per generator
+    in presentation.generators order, to (real, imaginary) int pairs.
+    The images are scaled by one positive integer, the rules are the
+    presentation's integer_rules, and step returns the primitive part of
+    an integer multiple of delta(p) in normal form: the result vanishes
+    exactly when delta(p) does, and has the same monomials.
+    """
+
+    __slots__ = ("index", "scale", "rules", "images", "parts", "factors")
+
+    def __init__(self, delta: "Derivation"):
+        P = delta.presentation
+        self.index = P.generator_index
+        self.scale, self.rules = P.integer_rules
+        _, dense = integer_terms(delta.images.values(), self.index)
+        self.images = dict(zip(delta.images, dense))
+        # (k, delta(g_k) / g_k): for a term x^m with m[k] > 0, adding m to
+        # these exponents gives the terms of dx^m/dg_k * delta(g_k) / m[k]
+        parts = []
+        for g, img in self.images.items():
+            k = self.index[g]
+            shifted = tuple((tuple(e - (i == k) for i, e in enumerate(t)), c) for t, c in img.items())
+            parts.append((k, shifted))
+        self.parts = tuple(parts)
+        self.factors = {}  # rule powers (q_1, ..., q_r) -> product of replacement^q_j
+
+    def of(self, p: Poly) -> dict:
+        return integer_terms((p,), self.index)[1][0]
+
+    def step(self, p: dict) -> dict:
+        """delta(p) in normal form, up to a nonzero scalar, as a primitive dense dict."""
+        acc: dict = {}
+        for m, (a, b) in p.items():
+            for k, img in self.parts:
+                e = m[k]
+                if e:
+                    _add_scaled(acc, m, a * e, b * e, img)
+        return self.normal_form(acc)
+
+    def normal_form(self, terms: dict) -> dict:
+        """Reduce in one pass per term; the whole result is multiplied by
+        scale^top, top being the largest number of rule applications to a
+        term, so every coefficient stays a Gaussian integer."""
+        rules = self.rules
+        pending = []
+        top = 0
+        for m, c in terms.items():
+            if not (c[0] or c[1]):
+                continue
+            qs = tuple(min([m[k] // l for k, l in support]) for support, _ in rules)
+            total = sum(qs)
+            if total:
+                m = list(m)
+                for (support, _), q in zip(rules, qs):
+                    for k, l in support:
+                        m[k] -= q * l
+                top = max(top, total)
+            pending.append((m, c, total, qs))
+        s = self.scale
+        out: dict = {}
+        for m, (a, b), total, qs in pending:
+            f = s ** (top - total)
+            _add_scaled(out, m, a * f, b * f, self._factor(qs))
+        result = {}
+        g = 0
+        for m, c in out.items():
+            if c[0] or c[1]:
+                result[m] = c
+                if g != 1:
+                    g = gcd(g, *c)
+        if g > 1:
+            result = {m: (a // g, b // g) for m, (a, b) in result.items()}
+        return result
+
+    def _factor(self, qs: tuple) -> tuple:
+        """The product over the rules of replacement_j ** q_j, as (exponents, coefficient) pairs."""
+        factor = self.factors.get(qs)
+        if factor is None:
+            terms = {(0,) * len(self.index): (1, 0)}
+            for (_, repl), q in zip(self.rules, qs):
+                for _ in range(q):
+                    nxt: dict = {}
+                    for m, (a, b) in terms.items():
+                        _add_scaled(nxt, m, a, b, repl.items())
+                    terms = nxt
+            factor = tuple((m, c) for m, c in terms.items() if c[0] or c[1])
+            self.factors[qs] = factor
+        return factor
+
+
+def _add_scaled(acc: dict, m: tuple, a: int, b: int, terms) -> None:
+    """Add (a + bi) * x^m * terms into acc, terms being (exponents, (re, im)) pairs.
+    Cancelled entries stay as (0, 0)."""
+    for t, (c, d) in terms:
+        key = tuple(map(add, m, t))
+        re, im = a * c - b * d, a * d + b * c
+        cur = acc.get(key)
+        if cur is not None:
+            re, im = re + cur[0], im + cur[1]
+        acc[key] = (re, im)
+
+
 class Derivation:
     """Images are normalized on construction; zero images are dropped."""
 
-    __slots__ = ("presentation", "images")
+    __slots__ = ("presentation", "images", "_dense")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
         known = presentation.generator_set
@@ -92,6 +212,13 @@ class Derivation:
                 stored[g] = reduced
         self.presentation = presentation
         self.images = stored
+        self._dense = None
+
+    def _dense_form(self) -> _DenseForm:
+        """The dense form, built on first use."""
+        if self._dense is None:
+            self._dense = _DenseForm(self)
+        return self._dense
 
     def image(self, g: Gen) -> Poly:
         return self.images.get(g, Poly.zero())
@@ -120,9 +247,7 @@ class Derivation:
     def apply(self, p: Poly) -> Poly:
         """The Leibniz extension, the sum over the nonzero images of
         dp/dg * delta(g), returned in normal form."""
-        bad = _first_foreign(p, self.presentation.generator_set)
-        if bad is not None:
-            raise UnknownGenerator(f"{gen_name(bad)} is not a generator of this presentation")
+        _reject_foreign(p, self.presentation)
         acc: dict = {}
         for g, img in self.images.items():
             _add_product(acc, partial_derivative(p, g), img)
@@ -155,11 +280,15 @@ class Derivation:
 
 
 def is_well_defined(delta: Derivation) -> WellDefinedReport:
-    """Check that every defining relation maps into the relation ideal."""
+    """Check that every defining relation maps into the relation ideal.
+
+    The zero test runs on the dense form; a broken relation's residue is
+    recomputed exactly with Derivation.apply.
+    """
+    dense = delta._dense_form()
     for idx, rel in enumerate(delta.presentation.relations()):
-        residue = delta.apply(rel)
-        if residue:
-            return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
+        if dense.step(dense.of(rel)):
+            return WellDefinedReport(ok=False, relation_index=idx, residue=delta.apply(rel))
     return WellDefinedReport(ok=True)
 
 
@@ -174,26 +303,39 @@ def nilpotency_check(
     never as failure: weight reasons can make a non-nilpotent candidate
     cycle forever. The size guards likewise bail out as inconclusive
     when an iterate balloons past any plausible vanishing trajectory.
+    An inconclusive report names the guard that tripped.
+
+    Iterates live in the dense form, where each is a nonzero scalar
+    multiple of the true one: its vanishing, term count and degree are
+    those of the true iterate.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    dense = delta._dense_form()
     worst = 1
     for g in delta.presentation.generators:
-        p = delta.image(g)
+        p = dense.images.get(g)
         steps = 1
         while p:
+            guard = None
             if steps >= cap:
-                return NilpotencyReport(status="inconclusive", cap=cap, witness=g)
-            if len(p.terms) > term_limit or p.degree() > degree_limit:
-                return NilpotencyReport(status="inconclusive", cap=cap, witness=g)
-            p = delta.apply(p)
+                guard = "cap"
+            elif len(p) > term_limit:
+                guard = "term_limit"
+            elif max(map(sum, p)) > degree_limit:
+                guard = "degree_limit"
+            if guard is not None:
+                return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)
+            p = dense.step(p)
             steps += 1
         worst = max(worst, steps)
     return NilpotencyReport(status="verified", cap=cap, index=worst)
 
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:
-    return delta.apply(p).is_zero()
+    _reject_foreign(p, delta.presentation)
+    dense = delta._dense_form()
+    return not dense.step(dense.of(p))
 
 
 def replica(delta: Derivation, h: Poly) -> Derivation:

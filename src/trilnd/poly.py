@@ -16,6 +16,7 @@ lead term.
 from __future__ import annotations
 
 import re as _re
+from math import lcm
 from typing import Iterable, Mapping, Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
@@ -363,6 +364,35 @@ def partial_derivative(p: Poly, g: Gen) -> Poly:
             dm = Monomial(tuple((gg, ee - 1 if gg == g else ee) for gg, ee in m.pairs))
             _add_term(acc, dm, c * e)
     return Poly._of(acc)
+
+
+def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
+    """Scale polynomials by one positive integer into dense Gaussian-integer form.
+
+    Returns (s, dense): s is the least positive integer that clears every
+    denominator of every coefficient, and dense lists s * p for each p as
+    a dict from exponent tuples, with generator g at position index[g], to
+    (real, imaginary) int pairs. Every generator of polys must be in index.
+    """
+    polys = list(polys)
+    s = 1
+    for p in polys:
+        for c in p.terms.values():
+            s = lcm(s, c.real.denominator, c.imag.denominator)
+    n = len(index)
+    dense = []
+    for p in polys:
+        terms = {}
+        for m, c in p.terms.items():
+            exps = [0] * n
+            for g, e in m.pairs:
+                exps[index[g]] = e
+            terms[tuple(exps)] = (
+                c.real.numerator * (s // c.real.denominator),
+                c.imag.numerator * (s // c.imag.denominator),
+            )
+        dense.append(terms)
+    return s, dense
 
 
 def exact_divide(p: Poly, divisor) -> Poly:

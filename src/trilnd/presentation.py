@@ -38,7 +38,7 @@ from .gaussian import (
     gq_nth_root,
     gq_parse,
 )
-from .poly import Gen, Monomial, Poly, gen_name, normal_form, svar, tvar
+from .poly import Gen, Monomial, Poly, gen_name, integer_terms, normal_form, svar, tvar
 
 
 class PresentationError(ValueError):
@@ -189,6 +189,11 @@ class TrinomialPresentation:
     def generator_set(self) -> frozenset:
         return frozenset(self.generators)
 
+    @cached_property
+    def generator_index(self) -> dict:
+        """The position of each generator in self.generators."""
+        return {g: k for k, g in enumerate(self.generators)}
+
     def block_power(self, i: int) -> Poly:
         """The monomial T_i^{l_i}."""
         return self.block_power_divided(i, 1)
@@ -264,6 +269,23 @@ class TrinomialPresentation:
                     + self.block_power(1) * (-beta / gamma)
                 )
         return rules
+
+    @cached_property
+    def integer_rules(self) -> tuple:
+        """rewrite_rules over the Gaussian integers, for dense iteration.
+
+        Returns (s, rules). s is the least positive integer that clears
+        every denominator of the replacements. Each rule is a pair
+        (support, replacement): support lists the (position, exponent)
+        pairs of the lead over self.generator_index, and replacement is s
+        times the rule's replacement in poly.integer_terms form. So every
+        rule reads s * lead -> replacement.
+        """
+        index = self.generator_index
+        rules = self.rewrite_rules
+        s, replacements = integer_terms(rules.values(), index)
+        supports = [tuple((index[g], e) for g, e in lead.pairs) for lead in rules]
+        return s, tuple(zip(supports, replacements))
 
     def normal_form(self, p: Poly) -> Poly:
         return normal_form(p, self.rewrite_rules)

@@ -361,6 +361,16 @@ def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
         main(["analyze", "--presentation", f"{SAMPLES}/type1_semirigid.json"])
 
 
+def test_failed_exact_division_is_not_reported_as_invalid_input(monkeypatch, capsys):
+    def divide(*args):
+        raise trilnd.NotDivisible("T0_1 is not divisible by T1_1")
+
+    monkeypatch.setattr(trilnd.cli, "class_report", divide)
+    with pytest.raises(trilnd.NotDivisible):
+        main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"])
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_import_leaves_sympy_unloaded():
     code = "import sys, trilnd, trilnd.cli; print('sympy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -9,6 +9,7 @@ from trilnd.classify import LndDescriptor, build_lnd_type2
 from trilnd.derivation import (
     Derivation,
     DerivationFormatError,
+    NilpotencyReport,
     NotInKernel,
     decompose,
     derivation_from_text,
@@ -124,6 +125,7 @@ def test_nilpotency_verified_with_index():
     report = nilpotency_check(delta_zero(3))
     assert report.verified
     assert report.index == 4
+    assert report.guard is None
     P = type1(((2,), (3,)), d=1)
     d = Derivation(P, {svar(1): Poly.constant(1)})
     report = nilpotency_check(d)
@@ -136,7 +138,8 @@ def test_nilpotency_inconclusive_on_euler():
     euler = Derivation(S, {g: Poly.generator(g) for g in S.generators})
     report = nilpotency_check(euler, cap=12)
     assert report.status == "inconclusive"
-    assert report.witness is not None
+    assert report.witness == X
+    assert report.guard == "cap"
     assert not report.verified
 
 
@@ -145,6 +148,40 @@ def test_nilpotency_size_guard_bails_out():
     grower = Derivation(S, {X: poly_parse("T0_1^2")})
     report = nilpotency_check(grower, cap=64, degree_limit=10)
     assert report.status == "inconclusive"
+    assert report.guard == "degree_limit"
+
+
+def test_index_equal_to_the_cap_is_verified():
+    # delta_zero(3) has index 4, and T0_1, the first generator, needs all four
+    assert nilpotency_check(delta_zero(3), cap=4) == NilpotencyReport(
+        status="verified", cap=4, index=4
+    )
+    assert nilpotency_check(delta_zero(3), cap=3) == NilpotencyReport(
+        status="inconclusive", cap=3, witness=X, guard="cap"
+    )
+
+
+def test_degree_limit_trips_on_the_first_iterate_above_it():
+    # delta^k(T0_1) = k! * T0_1^(k+1): the first iterate of degree 11
+    # is the tenth, so a cap of 10 stops one step before the guard would
+    grower = Derivation(surface(2, 2, 2), {X: poly_parse("T0_1^2")})
+    assert nilpotency_check(grower, cap=11, degree_limit=10) == NilpotencyReport(
+        status="inconclusive", cap=11, witness=X, guard="degree_limit"
+    )
+    assert nilpotency_check(grower, cap=10, degree_limit=10).guard == "cap"
+    assert nilpotency_check(grower, cap=11, degree_limit=11).guard == "cap"
+
+
+def test_term_limit_trips_on_the_first_iterate_above_it():
+    # the iterates of S1 have 2, 3, 5, 6, 9, ... terms: the fourth is the
+    # first with more than five
+    P = type1(((2,), (3,)), d=2)
+    grower = derivation_from_text(P, "S1 = S1^2 + S2\nS2 = S1\n")
+    assert nilpotency_check(grower, cap=5, term_limit=5) == NilpotencyReport(
+        status="inconclusive", cap=5, witness=svar(1), guard="term_limit"
+    )
+    assert nilpotency_check(grower, cap=4, term_limit=5).guard == "cap"
+    assert nilpotency_check(grower, cap=5, term_limit=6).guard == "cap"
 
 
 def test_nilpotency_cap_validation():

@@ -1,8 +1,11 @@
+import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from trilnd.corpus import corpus
 from trilnd.gaussian import gq
 from trilnd.poly import Poly, poly_parse, svar, tvar
 from trilnd.presentation import (
@@ -118,6 +121,27 @@ def test_type2_relations_are_consecutive_triples():
     assert len(rels) == 2
     assert rels[0] == P.triple_relation(0, 1, 2)
     assert rels[1] == P.triple_relation(1, 2, 3)
+
+
+def test_rewrite_rules_normalize_in_one_pass():
+    # Pairwise coprime leads make the rules a Groebner basis (Buchberger's
+    # first criterion), and replacements sharing no variable with any lead
+    # leave a term reduced after one pass. poly.normal_form and the dense
+    # form of a derivation both rely on this.
+    samples = Path(__file__).resolve().parents[1] / "sample_inputs"
+    presentations = [
+        *corpus(),
+        *(TrinomialPresentation.from_json(path.read_text()) for path in sorted(samples.glob("*.json"))),
+    ]
+    assert len(presentations) == 60
+    for P in presentations:
+        leads = [set(lead.variables()) for lead in P.rewrite_rules]
+        for a, b in itertools.combinations(leads, 2):
+            assert a.isdisjoint(b), P.describe()
+        lead_vars = set().union(*leads)
+        for replacement in P.rewrite_rules.values():
+            for m in replacement.terms:
+                assert lead_vars.isdisjoint(m.variables()), P.describe()
 
 
 def test_triple_coefficients_minor_identity():

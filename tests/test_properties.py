@@ -4,24 +4,28 @@ The deterministic tests freeze specific values; these ones attack the
 ring axioms, normal forms, and the classifier from random directions.
 """
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trilnd.classify import LndDescriptor, admissible_tuples, build_lnd, enumerate_lnds
 from trilnd.corpus import corpus
 from trilnd.derivation import (
+    Derivation,
     derivation_from_text,
     derivation_to_text,
     is_well_defined,
+    kernel_member,
     nilpotency_check,
 )
 from trilnd.gaussian import I, GaussianRational, gq
 from trilnd.grading import weight_assignment, weight_of
-from trilnd.poly import Monomial, Poly, normal_form, stepwise_normal_form
-from trilnd.presentation import surface, type2
+from trilnd.poly import Monomial, Poly, integer_terms, normal_form, stepwise_normal_form
+from trilnd.presentation import PresentationError, TrinomialPresentation, surface, type2
 from trilnd.toric import Cone2D, demazure_roots, gamma_cone, toric_derivation
 
 SPHERE = surface(2, 2, 2)
@@ -30,6 +34,11 @@ UNEVEN = type2(((2,), (2,), (3,)))
 SCALARS = st.sampled_from(
     [gq(0), gq(1), gq(-1), gq(2), gq(-3), I, -I, gq(1, 1), gq(-1, 2), gq(1, -2)]
 )
+# rational and non-unit Gaussian coefficients, for the dense form's scaling
+FRACTIONAL_SCALARS = st.sampled_from(
+    [gq(1), -I, gq(Fraction(1, 2)), gq(Fraction(-2, 3)), gq(2, 1), gq(Fraction(1, 3), -2), gq(0, 3)]
+)
+CORPUS = corpus()
 
 
 def monomials(gens, max_exp=3):
@@ -39,8 +48,8 @@ def monomials(gens, max_exp=3):
     )
 
 
-def polys(presentation, max_terms=4, max_exp=3):
-    term = st.tuples(SCALARS, monomials(presentation.generators, max_exp))
+def polys(presentation, max_terms=4, max_exp=3, scalars=SCALARS):
+    term = st.tuples(scalars, monomials(presentation.generators, max_exp))
     return st.lists(term, min_size=0, max_size=max_terms).map(
         lambda terms: sum(
             (Poly.monomial(m, c) for c, m in terms), start=Poly.zero()
@@ -90,6 +99,104 @@ def test_derivation_satisfies_leibniz(p, q):
     rhs = delta.apply(p) * q + p * delta.apply(q)
     rules = SPHERE.rewrite_rules
     assert normal_form(lhs - rhs, rules).is_zero()
+
+
+# -- the dense form of a derivation agrees with Derivation.apply ---------------
+
+
+@functools.cache
+def classifier_lnds(P):
+    return [
+        inst.derivation
+        for inst in enumerate_lnds(P)
+        if inst.derivation is not None and not inst.derivation.is_zero()
+    ]
+
+
+def with_constants(draw, P):
+    """P with drawn constants, so that the rewrite rules have denominators."""
+    size = len(P.blocks)
+    if P.kind == 1:
+        constants = draw(st.lists(FRACTIONAL_SCALARS, min_size=size, max_size=size, unique=True))
+    else:
+        column = st.tuples(FRACTIONAL_SCALARS, FRACTIONAL_SCALARS)
+        constants = draw(st.lists(column, min_size=size, max_size=size))
+    try:
+        return TrinomialPresentation(P.kind, P.blocks, tuple(constants), P.d, P.anchors)
+    except PresentationError:
+        assume(False)
+
+
+@st.composite
+def corpus_derivations(draw):
+    """A classifier output times a scalar, or random images (rarely nilpotent)
+    on a corpus member, possibly with other constants."""
+    P = draw(st.sampled_from(CORPUS))
+    lnds = classifier_lnds(P)
+    if lnds and draw(st.booleans()):
+        return draw(st.sampled_from(lnds)) * draw(FRACTIONAL_SCALARS)
+    if draw(st.booleans()):
+        P = with_constants(draw, P)
+    gens = draw(st.lists(st.sampled_from(P.generators), unique=True, max_size=3))
+    images = {
+        g: draw(polys(P, max_terms=3, max_exp=2, scalars=FRACTIONAL_SCALARS)) for g in gens
+    }
+    return Derivation(P, images)
+
+
+def gaussian_product(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dense_step_is_apply_up_to_a_scalar(data):
+    delta = data.draw(corpus_derivations())
+    P = delta.presentation
+    p = data.draw(polys(P, scalars=FRACTIONAL_SCALARS))
+    dense = delta._dense_form()
+    got = dense.step(dense.of(p))
+    exact = delta.apply(p)
+    _, (want,) = integer_terms([exact], P.generator_index)
+    assert got.keys() == want.keys()
+    if got:
+        m0 = next(iter(got))
+        for m in got:
+            assert gaussian_product(got[m], want[m0]) == gaussian_product(got[m0], want[m])
+    assert kernel_member(delta, p) == exact.is_zero()
+    assert is_well_defined(delta).ok == all(delta.apply(rel).is_zero() for rel in P.relations())
+
+
+def apply_loop(delta, cap, term_limit, degree_limit):
+    """nilpotency_check's verdict, computed with Derivation.apply."""
+    worst = 1
+    for g in delta.presentation.generators:
+        p = delta.image(g)
+        steps = 1
+        while p:
+            if steps >= cap:
+                return ("inconclusive", None, g, "cap")
+            if len(p.terms) > term_limit:
+                return ("inconclusive", None, g, "term_limit")
+            if p.degree() > degree_limit:
+                return ("inconclusive", None, g, "degree_limit")
+            p = delta.apply(p)
+            steps += 1
+        worst = max(worst, steps)
+    return ("verified", worst, None, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus_derivations(),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+)
+def test_nilpotency_check_matches_an_apply_loop(delta, cap, term_limit, degree_limit):
+    report = nilpotency_check(delta, cap=cap, term_limit=term_limit, degree_limit=degree_limit)
+    got = (report.status, report.index, report.witness, report.guard)
+    assert got == apply_loop(delta, cap, term_limit, degree_limit)
 
 
 # -- scalar field axioms -------------------------------------------------------
