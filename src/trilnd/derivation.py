@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import add
 from typing import Mapping, Optional
 
 from .gaussian import GaussianRational, gq
@@ -28,6 +27,7 @@ from .poly import (
     PolyParseError,
     UnknownGenerator,
     _add_product,
+    _add_scaled,
     gen_name,
     integer_terms,
     parse_gen_name,
@@ -89,18 +89,18 @@ class _DenseForm:
 
     A polynomial is a dict from exponent tuples, one entry per generator
     in presentation.generators order, to (real, imaginary) int pairs.
-    The images are scaled by one positive integer, the rules are the
-    presentation's integer_rules, and step returns the primitive part of
-    an integer multiple of delta(p) in normal form: the result vanishes
+    The images are scaled by one positive integer, the normal form is the
+    presentation's dense_normal_form, and step returns the primitive part
+    of an integer multiple of delta(p) in normal form: the result vanishes
     exactly when delta(p) does, and has the same monomials.
     """
 
-    __slots__ = ("index", "scale", "rules", "images", "parts", "factors")
+    __slots__ = ("presentation", "index", "images", "parts")
 
     def __init__(self, delta: "Derivation"):
         P = delta.presentation
+        self.presentation = P
         self.index = P.generator_index
-        self.scale, self.rules = P.integer_rules
         _, dense = integer_terms(delta.images.values(), self.index)
         self.images = dict(zip(delta.images, dense))
         # (k, delta(g_k) / g_k): for a term x^m with m[k] > 0, adding m to
@@ -111,7 +111,6 @@ class _DenseForm:
             shifted = tuple((tuple(e - (i == k) for i, e in enumerate(t)), c) for t, c in img.items())
             parts.append((k, shifted))
         self.parts = tuple(parts)
-        self.factors = {}  # rule powers (q_1, ..., q_r) -> product of replacement^q_j
 
     def of(self, p: Poly) -> dict:
         return integer_terms((p,), self.index)[1][0]
@@ -124,69 +123,19 @@ class _DenseForm:
                 e = m[k]
                 if e:
                     _add_scaled(acc, m, a * e, b * e, img)
-        return self.normal_form(acc)
-
-    def normal_form(self, terms: dict) -> dict:
-        """Reduce in one pass per term; the whole result is multiplied by
-        scale^top, top being the largest number of rule applications to a
-        term, so every coefficient stays a Gaussian integer."""
-        rules = self.rules
-        pending = []
-        top = 0
-        for m, c in terms.items():
-            if not (c[0] or c[1]):
-                continue
-            qs = tuple(min([m[k] // l for k, l in support]) for support, _ in rules)
-            total = sum(qs)
-            if total:
-                m = list(m)
-                for (support, _), q in zip(rules, qs):
-                    for k, l in support:
-                        m[k] -= q * l
-                top = max(top, total)
-            pending.append((m, c, total, qs))
-        s = self.scale
-        out: dict = {}
-        for m, (a, b), total, qs in pending:
-            f = s ** (top - total)
-            _add_scaled(out, m, a * f, b * f, self._factor(qs))
-        result = {}
-        g = 0
-        for m, c in out.items():
-            if c[0] or c[1]:
-                result[m] = c
-                if g != 1:
-                    g = gcd(g, *c)
-        if g > 1:
-            result = {m: (a // g, b // g) for m, (a, b) in result.items()}
-        return result
-
-    def _factor(self, qs: tuple) -> tuple:
-        """The product over the rules of replacement_j ** q_j, as (exponents, coefficient) pairs."""
-        factor = self.factors.get(qs)
-        if factor is None:
-            terms = {(0,) * len(self.index): (1, 0)}
-            for (_, repl), q in zip(self.rules, qs):
-                for _ in range(q):
-                    nxt: dict = {}
-                    for m, (a, b) in terms.items():
-                        _add_scaled(nxt, m, a, b, repl.items())
-                    terms = nxt
-            factor = tuple((m, c) for m, c in terms.items() if c[0] or c[1])
-            self.factors[qs] = factor
-        return factor
+        return _primitive(self.presentation.dense_normal_form(acc)[0])
 
 
-def _add_scaled(acc: dict, m: tuple, a: int, b: int, terms) -> None:
-    """Add (a + bi) * x^m * terms into acc, terms being (exponents, (re, im)) pairs.
-    Cancelled entries stay as (0, 0)."""
-    for t, (c, d) in terms:
-        key = tuple(map(add, m, t))
-        re, im = a * c - b * d, a * d + b * c
-        cur = acc.get(key)
-        if cur is not None:
-            re, im = re + cur[0], im + cur[1]
-        acc[key] = (re, im)
+def _primitive(terms: dict) -> dict:
+    """terms divided by the gcd of all their real and imaginary parts."""
+    g = 0
+    for a, b in terms.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return terms
+    if g > 1:
+        terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
+    return terms
 
 
 class Derivation:

@@ -6,8 +6,8 @@ finite-dimensional vector space once the image degree is capped: the
 unknowns are coefficients x_(g, m) of reduced monomials m with
 weight(m) = weight(g) + w, and each defining relation imposes linear
 constraints because its image must reduce to zero. The solution space
-is computed by row reduction over Q(i) with no reference to the
-classified constructions, which makes it a useful cross-check: every
+is computed by fraction-free row reduction over the Gaussian integers,
+with no reference to the classified constructions, which makes it a useful cross-check: every
 classifier output below the degree cap must land inside the span, and
 rigid presentations must yield no certified nilpotent element.
 """
@@ -15,13 +15,15 @@ rigid presentations must yield no certified nilpotent element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
 from .gaussian import GaussianRational, I, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
-from .poly import Monomial, Poly, partial_derivative
+from .poly import Monomial, Poly, _add_scaled, integer_terms
 from .presentation import TrinomialPresentation
 
 
@@ -56,44 +58,76 @@ def reduced_monomials(P: TrinomialPresentation, max_degree: int):
     return out
 
 
-def _rref(rows: List[List[GaussianRational]], ncols: int):
-    """Row-reduce in place; returns (nonzero rows, pivot columns)."""
-    r = 0
-    pivots = []
+def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
+    """p * row - x * pivot_row, where p = pivot_row[c] and x = row[c], divided
+    by the gcd of its real and imaginary parts. Column c drops out."""
+    pa, pb = pivot_row[c]
+    xa, xb = row[c]
+    out = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
+    for j, (a, b) in pivot_row.items():
+        ra, rb = xa * a - xb * b, xa * b + xb * a
+        cur = out.get(j)
+        out[j] = (-ra, -rb) if cur is None else (cur[0] - ra, cur[1] - rb)
+    out = {j: v for j, v in out.items() if v[0] or v[1]}
+    g = 0
+    for a, b in out.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return out
+    return {j: (a // g, b // g) for j, (a, b) in out.items()}
+
+
+def _rref(rows: List[dict], ncols: int):
+    """Reduced row echelon form of a matrix over the Gaussian integers.
+
+    Rows are sparse dicts from column to (real, imaginary) int pairs.
+    Gauss-Jordan runs over Z[i] with every updated row divided by the gcd
+    of its parts, so no fraction appears until the end, where each pivot
+    row is divided by its pivot. The reduced row echelon form is unique,
+    so it does not depend on the pivot rows chosen on the way. Returns
+    (reduced rows as sparse dicts of nonzero GaussianRational entries,
+    pivot columns in increasing order).
+    """
+    pending = [row for row in rows if row]
+    done: List[Tuple[int, dict]] = []
     for c in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if not pending:
             break
-    return rows[:r], pivots
+        candidates = [row for row in pending if c in row]
+        if not candidates:
+            continue
+        pivot_row = min(candidates, key=len)
+        pending = [
+            _eliminate(row, pivot_row, c) if c in row else row
+            for row in pending
+            if row is not pivot_row
+        ]
+        pending = [row for row in pending if row]
+        done = [(pc, _eliminate(row, pivot_row, c) if c in row else row) for pc, row in done]
+        done.append((c, pivot_row))
+    reduced = []
+    for pc, row in done:
+        pa, pb = row[pc]
+        n = pa * pa + pb * pb
+        reduced.append(
+            {
+                j: GaussianRational(Fraction(a * pa + b * pb, n), Fraction(b * pa - a * pb, n))
+                for j, (a, b) in row.items()
+            }
+        )
+    return reduced, [pc for pc, _ in done]
 
 
-def _nullspace(rows, ncols):
-    reduced, pivots = _rref([list(r) for r in rows], ncols)
+def _nullspace(reduced: List[dict], pivots: List[int], ncols: int) -> List[dict]:
+    """A basis of {v : Rv = 0} from the reduced rows R: one sparse vector per
+    free column, 1 there and 0 at every other free column."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for ridx, pc in enumerate(pivots):
-            vec[pc] = -reduced[ridx][fc]
-        basis.append(vec)
-    return basis
+    basis = {fc: {fc: ONE} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = -v
+    return list(basis.values())
 
 
 @dataclass
@@ -106,8 +140,7 @@ class SolutionSpace:
     unknowns: List[Tuple]  # (generator, monomial) pairs
     dimension: int
     basis: List[Derivation]
-    _span_rows: List[List[GaussianRational]] = field(repr=False, default_factory=list)
-    _span_pivots: List[int] = field(repr=False, default_factory=list)
+    _constraints: List[dict] = field(repr=False, default_factory=list)  # reduced rows
 
     def coordinates_of(self, delta: Derivation):
         """Coefficient vector of a derivation, or None if it uses
@@ -123,15 +156,29 @@ class SolutionSpace:
         return vec
 
     def contains(self, delta: Derivation) -> bool:
+        """Whether delta lies in the box and satisfies every reduced constraint."""
         vec = self.coordinates_of(delta)
         if vec is None:
             return False
-        v = list(vec)
-        for row, pc in zip(self._span_rows, self._span_pivots):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        return not any(sum((v * vec[c] for c, v in row.items()), ZERO) for row in self._constraints)
+
+
+def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading) -> dict:
+    """reduced_monomials grouped by weight, each with its exponent tuple over
+    P.generator_index."""
+    index = P.generator_index
+    by_weight: dict = {}
+    for m in reduced_monomials(P, degree_bound):
+        exps = [0] * len(index)
+        for g, e in m.pairs:
+            exps[index[g]] = e
+        by_weight.setdefault(grading.weight_of_monomial(m), []).append((m, tuple(exps)))
+    return by_weight
+
+
+def _check_degree_bound(degree_bound: int) -> None:
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
 
 
 def solution_space(
@@ -140,59 +187,82 @@ def solution_space(
     degree_bound: int = 4,
     max_unknowns: int = 600,
     grading: Optional[Grading] = None,
+    box: Optional[dict] = None,
 ) -> SolutionSpace:
     """Solve for all derivations of the given degree shift whose images
-    stay within the degree bound."""
+    stay within the degree bound.
+
+    box is the search box grouped by weight, which oracle_enumerate builds
+    once for all the weights it solves; it is built here when omitted.
+    The constraint matrix has one column per unknown and one row per
+    relation and monomial of the relation's image. Its entries are the
+    Gaussian integers of dense_normal_form, and all rows of one relation
+    share one scale factor, so they vanish on the same vectors as the
+    exact rows.
+    """
+    _check_degree_bound(degree_bound)
     grading = grading or weight_assignment(P)
     weight = tuple(weight)
     if len(weight) != grading.rank:
         raise ValueError(f"weight must have {grading.rank} components")
-    box = reduced_monomials(P, degree_bound)
-    by_weight: dict = {}
-    for m in box:
-        by_weight.setdefault(grading.weight_of_monomial(m), []).append(m)
+    if box is None:
+        box = _box_by_weight(P, degree_bound, grading)
     unknowns = []
+    exponents = []
     for g in P.generators:
         target = tuple(a + b for a, b in zip(grading.weights[g], weight))
-        for m in by_weight.get(target, ()):
+        for m, exps in box.get(target, ()):
             unknowns.append((g, m))
+            exponents.append((P.generator_index[g], exps))
     if len(unknowns) > max_unknowns:
         raise BoxTooLarge(
             f"{len(unknowns)} unknowns exceed the limit {max_unknowns}; raise "
             "max_unknowns to search anyway"
         )
+    s = P.integer_rules[0]
+    _, relations = integer_terms(P.relations(), P.generator_index)
     rows = []
-    for rel in P.relations():
+    for rel in relations:
+        partials = []  # d(rel)/dg_k as (exponents, coefficient) pairs, by position k
+        for k in range(len(P.generators)):
+            partials.append(
+                [
+                    (tuple(e - (i == k) for i, e in enumerate(t)), (a * t[k], b * t[k]))
+                    for t, (a, b) in rel.items()
+                    if t[k]
+                ]
+            )
+        columns = []
+        for k, exps in exponents:
+            terms: dict = {}
+            _add_scaled(terms, exps, 1, 0, partials[k])
+            columns.append(P.dense_normal_form(terms))
+        # one power of s for every column of this relation keeps the rows exact
+        top = max((t for _, t in columns), default=0)
         cells: dict = {}
-        for k, (g, m) in enumerate(unknowns):
-            contribution = P.normal_form(partial_derivative(rel, g) * Poly.monomial(m))
-            for mono, coeff in contribution.terms.items():
-                row = cells.get(mono)
-                if row is None:
-                    row = [ZERO] * len(unknowns)
-                    cells[mono] = row
-                row[k] = row[k] + coeff
-        rows.extend(row for _, row in sorted(cells.items(), key=lambda kv: kv[0]))
-    vectors = _nullspace(rows, len(unknowns))
-    basis = [_vector_to_derivation(P, unknowns, vec) for vec in vectors]
-    span_rows, span_pivots = _rref([list(v) for v in vectors], len(unknowns))
+        for col, (nf, t) in enumerate(columns):
+            f = s ** (top - t)
+            for mono, (a, b) in nf.items():
+                cells.setdefault(mono, {})[col] = (a * f, b * f)
+        rows.extend(cells.values())
+    reduced, pivots = _rref(rows, len(unknowns))
+    vectors = _nullspace(reduced, pivots, len(unknowns))
     return SolutionSpace(
         presentation=P,
         weight=weight,
         degree_bound=degree_bound,
         unknowns=unknowns,
         dimension=len(vectors),
-        basis=basis,
-        _span_rows=span_rows,
-        _span_pivots=span_pivots,
+        basis=[_vector_to_derivation(P, unknowns, vec) for vec in vectors],
+        _constraints=reduced,
     )
 
 
-def _vector_to_derivation(P, unknowns, vec) -> Derivation:
+def _vector_to_derivation(P, unknowns, vec: dict) -> Derivation:
     images: dict = {}
-    for (g, m), c in zip(unknowns, vec):
-        if c:
-            images.setdefault(g, []).append((m, c))
+    for k in sorted(vec):
+        g, m = unknowns[k]
+        images.setdefault(g, []).append((m, vec[k]))
     return Derivation(P, {g: Poly(items) for g, items in images.items()})
 
 
@@ -289,8 +359,12 @@ def oracle_enumerate(
     iterated-application nilpotency verdict, never a guess. The default
     cap of 16 is three times the largest vanishing index any classifier
     output exhibits at the default degree bound; raise it when hunting
-    slow-dying candidates.
+    slow-dying candidates. A cap below 1 or a negative degree bound
+    raises ValueError before any search.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    _check_degree_bound(degree_bound)
     grading = weight_assignment(P)
     by_degree = _classifier_by_degree(P, lambdas, grading)
     if weights is None:
@@ -301,10 +375,11 @@ def oracle_enumerate(
         raise BoxTooLarge(
             f"{len(weights)} weights exceed the limit {max_weights}"
         )
+    box = _box_by_weight(P, degree_bound, grading)
     entries = []
     for w in weights:
         space = solution_space(
-            P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, grading=grading
+            P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, grading=grading, box=box
         )
         samples = [(f"basis[{k}]", delta) for k, delta in enumerate(space.basis)]
         head = space.basis[:_MAX_COMBO_BASIS]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re as _re
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
@@ -393,6 +394,18 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
             )
         dense.append(terms)
     return s, dense
+
+
+def _add_scaled(acc: dict, m: tuple, a: int, b: int, terms) -> None:
+    """Add (a + bi) * x^m * terms into a dense dict, terms being (exponents,
+    (re, im)) pairs in integer_terms form. Cancelled entries stay as (0, 0)."""
+    for t, (c, d) in terms:
+        key = tuple(map(add, m, t))
+        re, im = a * c - b * d, a * d + b * c
+        cur = acc.get(key)
+        if cur is not None:
+            re, im = re + cur[0], im + cur[1]
+        acc[key] = (re, im)
 
 
 def exact_divide(p: Poly, divisor) -> Poly:

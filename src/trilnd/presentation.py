@@ -38,7 +38,7 @@ from .gaussian import (
     gq_nth_root,
     gq_parse,
 )
-from .poly import Gen, Monomial, Poly, gen_name, integer_terms, normal_form, svar, tvar
+from .poly import Gen, Monomial, Poly, _add_scaled, gen_name, integer_terms, normal_form, svar, tvar
 
 
 class PresentationError(ValueError):
@@ -286,6 +286,77 @@ class TrinomialPresentation:
         s, replacements = integer_terms(rules.values(), index)
         supports = [tuple((index[g], e) for g, e in lead.pairs) for lead in rules]
         return s, tuple(zip(supports, replacements))
+
+    def dense_normal_form(self, terms: dict) -> Tuple[dict, int]:
+        """The normal form of a polynomial in integer_terms form.
+
+        Returns (nf, top): nf is s**top times the normal form, with no
+        zero coefficient, where s is the scale of integer_rules and top
+        the largest number of rule applications any term needs. So every
+        coefficient stays a Gaussian integer. One pass per term suffices
+        because replacements contain no lead.
+
+        Each term's reduction (reduced exponents, product of replacement
+        powers, number of applications) depends only on the rules and is
+        memoized on the presentation, so the oracle and every derivation
+        on it share the work. The memo holds one entry per distinct
+        exponent tuple of a nonzero term ever passed here, plus one
+        replacement product per distinct vector of application counts,
+        and is freed with the presentation.
+        """
+        memo = self._dense_reductions
+        pending = []
+        top = 0
+        for m, c in terms.items():
+            if c[0] or c[1]:
+                hit = memo.get(m)
+                if hit is None:
+                    hit = memo[m] = self._dense_reduction(m)
+                if hit[2] > top:
+                    top = hit[2]
+                pending.append((hit, c))
+        s = self.integer_rules[0]
+        out: dict = {}
+        for (m, factor, total), (a, b) in pending:
+            f = s ** (top - total)
+            _add_scaled(out, m, a * f, b * f, factor)
+        return {m: c for m, c in out.items() if c[0] or c[1]}, top
+
+    @cached_property
+    def _dense_reductions(self) -> dict:
+        """dense_normal_form's memo: exponent tuple -> _dense_reduction of it."""
+        return {}
+
+    @cached_property
+    def _rule_powers(self) -> dict:
+        """Rule application counts (q_1, ..., q_r) -> the product of the
+        integer replacements to those powers, as (exponents, (re, im)) pairs."""
+        return {}
+
+    def _dense_reduction(self, m: tuple) -> tuple:
+        """(reduced exponents, replacement product, number of rule applications)
+        for the term x^m: s**total * x^m reduces to x^reduced * product."""
+        rules = self.integer_rules[1]
+        qs = tuple(min([m[k] // l for k, l in support]) for support, _ in rules)
+        total = sum(qs)
+        if total:
+            m = list(m)
+            for (support, _), q in zip(rules, qs):
+                for k, l in support:
+                    m[k] -= q * l
+            m = tuple(m)
+        factor = self._rule_powers.get(qs)
+        if factor is None:
+            terms = {(0,) * len(self.generators): (1, 0)}
+            for (_, repl), q in zip(rules, qs):
+                for _ in range(q):
+                    nxt: dict = {}
+                    for t, (a, b) in terms.items():
+                        _add_scaled(nxt, t, a, b, repl.items())
+                    terms = nxt
+            factor = tuple((t, c) for t, c in terms.items() if c[0] or c[1])
+            self._rule_powers[qs] = factor
+        return m, factor, total
 
     def normal_form(self, p: Poly) -> Poly:
         return normal_form(p, self.rewrite_rules)

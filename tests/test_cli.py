@@ -378,3 +378,17 @@ def test_cli_import_leaves_sympy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("flags", [("--cap", "0"), ("--bound", "-2")], ids=["cap0", "bound-2"])
+@pytest.mark.parametrize("rigid", [True, False], ids=["rigid", "sphere"])
+def test_oracle_rejects_a_cap_below_one_and_a_negative_bound(tmp_path, capsys, flags, rigid):
+    # the rigid member's box yields no sample, so only a check made before
+    # any search can see the cap
+    if rigid:
+        path = write_presentation(tmp_path, {"type": 1, "blocks": [[2], [3], [4], [2]]})
+    else:
+        path = f"{SAMPLES}/sphere.json"
+    code, rep = run(capsys, "oracle", "--presentation", path, *flags)
+    assert code == 1
+    assert rep["kind"] == "ValueError"

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from trilnd.classify import LndDescriptor, build_lnd
-from trilnd.derivation import Derivation
-from trilnd.gaussian import I
+from trilnd.classify import LndDescriptor, build_lnd, enumerate_lnds
+from trilnd.corpus import corpus
+from trilnd.derivation import Derivation, is_well_defined
+from trilnd.gaussian import I, gq
 from trilnd.oracle import (
     BoxTooLarge,
     induced_weight_box,
@@ -144,3 +147,47 @@ def test_weight_without_unknowns_gives_an_empty_entry():
     assert entry.unknown_count == 0
     assert entry.dimension == 0
     assert entry.samples == []
+
+
+def test_cap_below_one_and_negative_degree_bound_are_rejected():
+    P = type1(((2,), (3,), (4,), (2,)))
+    with pytest.raises(ValueError):
+        oracle_enumerate(P, cap=0)
+    with pytest.raises(ValueError):
+        oracle_enumerate(P, degree_bound=-3)
+    with pytest.raises(ValueError):
+        solution_space(P, (0,), degree_bound=-1)
+
+
+def test_contains_checks_the_reduced_constraints():
+    rng = random.Random(8017)
+    pool = [gq(1), gq(-2), I, gq(1, -1), gq(3, 2) / 5]
+    broken = 0
+    for P in corpus():
+        outputs = [
+            inst.derivation
+            for inst in enumerate_lnds(P)
+            if inst.derivation is not None and not inst.derivation.is_zero()
+        ]
+        for w in induced_weight_box(P):
+            space = solution_space(P, w, degree_bound=4)
+            for delta in space.basis:
+                assert space.contains(delta)
+            combos = [Derivation(P, {})]
+            for _ in range(3):
+                if space.basis:
+                    picked = rng.sample(space.basis, min(3, len(space.basis)))
+                    combos.append(sum((d * rng.choice(pool) for d in picked[1:]), picked[0]))
+            for delta in combos:
+                assert space.contains(delta)
+            # one more monomial in one image: contained exactly when that
+            # monomial alone is a derivation of the presentation
+            for g, m in rng.sample(space.unknowns, min(6, len(space.unknowns))):
+                extra = Derivation(P, {g: Poly.monomial(m)})
+                ok = is_well_defined(extra).ok
+                broken += not ok
+                assert space.contains(rng.choice(combos) + extra) == ok
+            for delta in outputs:
+                expected = space.coordinates_of(delta) is not None and is_well_defined(delta).ok
+                assert space.contains(delta) == expected
+    assert broken

@@ -8,6 +8,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,8 +23,9 @@ from trilnd.derivation import (
     kernel_member,
     nilpotency_check,
 )
-from trilnd.gaussian import I, GaussianRational, gq
+from trilnd.gaussian import I, ONE, ZERO, GaussianRational, gq
 from trilnd.grading import weight_assignment, weight_of
+from trilnd.oracle import _nullspace, _rref
 from trilnd.poly import Monomial, Poly, integer_terms, normal_form, stepwise_normal_form
 from trilnd.presentation import PresentationError, TrinomialPresentation, surface, type2
 from trilnd.toric import Cone2D, demazure_roots, gamma_cone, toric_derivation
@@ -197,6 +199,133 @@ def test_nilpotency_check_matches_an_apply_loop(delta, cap, term_limit, degree_l
     report = nilpotency_check(delta, cap=cap, term_limit=term_limit, degree_limit=degree_limit)
     got = (report.status, report.index, report.witness, report.guard)
     assert got == apply_loop(delta, cap, term_limit, degree_limit)
+
+
+@st.composite
+def derivation_pairs(draw):
+    """Two derivations on one corpus member, some on drawn constants."""
+    A = draw(corpus_derivations())
+    P = A.presentation
+    lnds = classifier_lnds(P)
+    if lnds and draw(st.booleans()):
+        return A, draw(st.sampled_from(lnds)) * draw(FRACTIONAL_SCALARS)
+    gens = draw(st.lists(st.sampled_from(P.generators), unique=True, max_size=3))
+    images = {
+        g: draw(polys(P, max_terms=3, max_exp=2, scalars=FRACTIONAL_SCALARS)) for g in gens
+    }
+    return A, Derivation(P, images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(derivation_pairs())
+def test_shared_reductions_do_not_depend_on_the_order_of_checks(pair):
+    P = pair[0].presentation
+
+    def verdicts(order):
+        fresh = TrinomialPresentation(P.kind, P.blocks, P.constants, P.d, P.anchors)
+        out = {}
+        for k in order:
+            delta = Derivation(fresh, pair[k].images)
+            report = nilpotency_check(delta, cap=10, term_limit=200, degree_limit=20)
+            out[k] = (report, is_well_defined(delta))
+        return out
+
+    assert verdicts([0, 1]) == verdicts([1, 0])
+
+
+# -- fraction-free elimination agrees with Gauss-Jordan over Q(i) ---------------
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan over GaussianRational; returns (nonzero rows, pivot columns)."""
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pivot_row = None
+        for k in range(r, len(rows)):
+            if rows[k][c]:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    reduced, pivots = reference_rref([list(r) for r in rows], ncols)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free_cols:
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for ridx, pc in enumerate(pivots):
+            vec[pc] = -reduced[ridx][fc]
+        basis.append(vec)
+    return basis
+
+
+MATRIX_ENTRIES = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, b: gq(Fraction(a, b)), st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(
+        lambda a, b, c: gq(Fraction(a, c), Fraction(b, c)),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.integers(1, 6),
+    ),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Up to 12 x 12, with rational, Gaussian and zero entries and some
+    duplicated or dependent rows."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    row = st.lists(MATRIX_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    for _ in range(draw(st.integers(min_value=0, max_value=12 - len(rows)))):
+        if not rows:
+            break
+        a = draw(st.sampled_from(rows))
+        b = draw(st.sampled_from(rows))
+        ca, cb = draw(SCALARS), draw(SCALARS)
+        rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    return ncols, draw(st.permutations(rows))
+
+
+def integer_row(row):
+    """The row times the least positive integer that clears its denominators."""
+    s = 1
+    for x in row:
+        s = lcm(s, x.real.denominator, x.imag.denominator)
+    return {c: (int(x.real * s), int(x.imag * s)) for c, x in enumerate(row) if x}
+
+
+def dense(vectors, ncols):
+    return [[v.get(c, ZERO) for c in range(ncols)] for v in vectors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_fraction_free_elimination_matches_gauss_jordan(matrix):
+    ncols, rows = matrix
+    want_rows, want_pivots = reference_rref([list(r) for r in rows], ncols)
+    reduced, pivots = _rref([integer_row(r) for r in rows], ncols)
+    assert pivots == want_pivots
+    assert dense(reduced, ncols) == want_rows
+    assert dense(_nullspace(reduced, pivots, ncols), ncols) == reference_nullspace(rows, ncols)
 
 
 # -- scalar field axioms -------------------------------------------------------
