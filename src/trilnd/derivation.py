@@ -9,14 +9,14 @@ oracle deliberately produces candidates that can fail it.
 
 Iteration and zero tests (nilpotency_check, is_well_defined,
 kernel_member) run on a dense form of the derivation over the Gaussian
-integers that is exact up to a nonzero scalar; Derivation.apply on Poly
-stays the exact reference and produces every polynomial a report shows.
+integers that is exact up to a nonzero scalar and built per call;
+Derivation.apply on Poly stays the exact reference and produces every
+polynomial a report shows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Mapping, Optional
 
 from .gaussian import GaussianRational, gq
@@ -27,13 +27,15 @@ from .poly import (
     PolyParseError,
     UnknownGenerator,
     _add_product,
-    _add_scaled,
+    dense_leibniz,
     gen_name,
     integer_terms,
+    leibniz_part,
     parse_gen_name,
     partial_derivative,
     poly_format,
     poly_parse,
+    primitive_part,
 )
 from .presentation import TrinomialPresentation
 
@@ -103,45 +105,22 @@ class _DenseForm:
         self.index = P.generator_index
         _, dense = integer_terms(delta.images.values(), self.index)
         self.images = dict(zip(delta.images, dense))
-        # (k, delta(g_k) / g_k): for a term x^m with m[k] > 0, adding m to
-        # these exponents gives the terms of dx^m/dg_k * delta(g_k) / m[k]
-        parts = []
-        for g, img in self.images.items():
-            k = self.index[g]
-            shifted = tuple((tuple(e - (i == k) for i, e in enumerate(t)), c) for t, c in img.items())
-            parts.append((k, shifted))
-        self.parts = tuple(parts)
+        self.parts = tuple(
+            leibniz_part(self.index[g], img.items()) for g, img in self.images.items()
+        )
 
     def of(self, p: Poly) -> dict:
         return integer_terms((p,), self.index)[1][0]
 
     def step(self, p: dict) -> dict:
         """delta(p) in normal form, up to a nonzero scalar, as a primitive dense dict."""
-        acc: dict = {}
-        for m, (a, b) in p.items():
-            for k, img in self.parts:
-                e = m[k]
-                if e:
-                    _add_scaled(acc, m, a * e, b * e, img)
-        return _primitive(self.presentation.dense_normal_form(acc)[0])
-
-
-def _primitive(terms: dict) -> dict:
-    """terms divided by the gcd of all their real and imaginary parts."""
-    g = 0
-    for a, b in terms.values():
-        g = gcd(g, a, b)
-        if g == 1:
-            return terms
-    if g > 1:
-        terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
-    return terms
+        return primitive_part(self.presentation.dense_normal_form(dense_leibniz(p, self.parts))[0])
 
 
 class Derivation:
     """Images are normalized on construction; zero images are dropped."""
 
-    __slots__ = ("presentation", "images", "_dense")
+    __slots__ = ("presentation", "images")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
         known = presentation.generator_set
@@ -161,13 +140,6 @@ class Derivation:
                 stored[g] = reduced
         self.presentation = presentation
         self.images = stored
-        self._dense = None
-
-    def _dense_form(self) -> _DenseForm:
-        """The dense form, built on first use."""
-        if self._dense is None:
-            self._dense = _DenseForm(self)
-        return self._dense
 
     def image(self, g: Gen) -> Poly:
         return self.images.get(g, Poly.zero())
@@ -234,7 +206,7 @@ def is_well_defined(delta: Derivation) -> WellDefinedReport:
     The zero test runs on the dense form; a broken relation's residue is
     recomputed exactly with Derivation.apply.
     """
-    dense = delta._dense_form()
+    dense = _DenseForm(delta)
     for idx, rel in enumerate(delta.presentation.relations()):
         if dense.step(dense.of(rel)):
             return WellDefinedReport(ok=False, relation_index=idx, residue=delta.apply(rel))
@@ -260,7 +232,7 @@ def nilpotency_check(
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    dense = delta._dense_form()
+    dense = _DenseForm(delta)
     worst = 1
     for g in delta.presentation.generators:
         p = dense.images.get(g)
@@ -283,7 +255,7 @@ def nilpotency_check(
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:
     _reject_foreign(p, delta.presentation)
-    dense = delta._dense_form()
+    dense = _DenseForm(delta)
     return not dense.step(dense.of(p))
 
 

@@ -156,19 +156,14 @@ def homogeneous_parts(p: Poly, grading: Grading) -> dict:
     return {w: Poly(items) for w, items in parts.items()}
 
 
-def derivation_degree(images: Mapping[Gen, Poly], grading: Grading) -> Weight:
-    """The common degree shift weight(image) - weight(gen) of a derivation.
+def derivation_degree(delta, grading: Grading) -> Weight:
+    """The common degree shift weight(image) - weight(gen) of a Derivation.
 
-    Accepts either a mapping of images or an object with an ``images``
-    attribute. Zero images are skipped; the zero derivation has no
-    degree and raises ValueError.
+    A Derivation stores only nonzero images; the zero derivation has no
+    degree and raises ZeroDerivation, a ValueError.
     """
-    if hasattr(images, "images"):
-        images = images.images
     degree = None
-    for g, img in images.items():
-        if img.is_zero():
-            continue
+    for g, img in delta.images.items():
         w_img = weight_of(img, grading)
         w_gen = grading.weights[g]
         shift = tuple(a - b for a, b in zip(w_img, w_gen))

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
 from .gaussian import GaussianRational, I, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
-from .poly import Monomial, Poly, _add_scaled, integer_terms
+from .poly import Monomial, Poly, dense_leibniz, integer_terms, leibniz_part, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -68,13 +67,7 @@ def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
         ra, rb = xa * a - xb * b, xa * b + xb * a
         cur = out.get(j)
         out[j] = (-ra, -rb) if cur is None else (cur[0] - ra, cur[1] - rb)
-    out = {j: v for j, v in out.items() if v[0] or v[1]}
-    g = 0
-    for a, b in out.values():
-        g = gcd(g, a, b)
-        if g == 1:
-            return out
-    return {j: (a // g, b // g) for j, (a, b) in out.items()}
+    return primitive_part({j: v for j, v in out.items() if v[0] or v[1]})
 
 
 def _rref(rows: List[dict], ncols: int):
@@ -186,7 +179,6 @@ def solution_space(
     weight,
     degree_bound: int = 4,
     max_unknowns: int = 600,
-    grading: Optional[Grading] = None,
     box: Optional[dict] = None,
 ) -> SolutionSpace:
     """Solve for all derivations of the given degree shift whose images
@@ -198,22 +190,23 @@ def solution_space(
     relation and monomial of the relation's image. Its entries are the
     Gaussian integers of dense_normal_form, and all rows of one relation
     share one scale factor, so they vanish on the same vectors as the
-    exact rows.
+    exact rows. Column (g_k, m) is the one-image derivation g_k -> m applied
+    to the relation, in normal form.
     """
     _check_degree_bound(degree_bound)
-    grading = grading or weight_assignment(P)
+    grading = weight_assignment(P)
     weight = tuple(weight)
     if len(weight) != grading.rank:
         raise ValueError(f"weight must have {grading.rank} components")
     if box is None:
         box = _box_by_weight(P, degree_bound, grading)
     unknowns = []
-    exponents = []
+    parts = []  # leibniz_part of each unknown's one-image derivation
     for g in P.generators:
         target = tuple(a + b for a, b in zip(grading.weights[g], weight))
         for m, exps in box.get(target, ()):
             unknowns.append((g, m))
-            exponents.append((P.generator_index[g], exps))
+            parts.append((leibniz_part(P.generator_index[g], ((exps, (1, 0)),)),))
     if len(unknowns) > max_unknowns:
         raise BoxTooLarge(
             f"{len(unknowns)} unknowns exceed the limit {max_unknowns}; raise "
@@ -223,20 +216,7 @@ def solution_space(
     _, relations = integer_terms(P.relations(), P.generator_index)
     rows = []
     for rel in relations:
-        partials = []  # d(rel)/dg_k as (exponents, coefficient) pairs, by position k
-        for k in range(len(P.generators)):
-            partials.append(
-                [
-                    (tuple(e - (i == k) for i, e in enumerate(t)), (a * t[k], b * t[k]))
-                    for t, (a, b) in rel.items()
-                    if t[k]
-                ]
-            )
-        columns = []
-        for k, exps in exponents:
-            terms: dict = {}
-            _add_scaled(terms, exps, 1, 0, partials[k])
-            columns.append(P.dense_normal_form(terms))
+        columns = [P.dense_normal_form(dense_leibniz(rel, part)) for part in parts]
         # one power of s for every column of this relation keeps the rows exact
         top = max((t for _, t in columns), default=0)
         cells: dict = {}
@@ -266,10 +246,10 @@ def _vector_to_derivation(P, unknowns, vec: dict) -> Derivation:
     return Derivation(P, {g: Poly(items) for g, items in images.items()})
 
 
-def _classifier_by_degree(P: TrinomialPresentation, lambdas, grading):
+def _classifier_by_degree(P: TrinomialPresentation, grading):
     """The classifier's nonzero outputs, grouped by degree shift."""
     by_degree: dict = {}
-    for inst in enumerate_lnds(P, lambdas):
+    for inst in enumerate_lnds(P):
         if inst.derivation is None or inst.derivation.is_zero():
             continue
         deg = derivation_degree(inst.derivation, grading)
@@ -277,10 +257,10 @@ def _classifier_by_degree(P: TrinomialPresentation, lambdas, grading):
     return by_degree
 
 
-def induced_weight_box(P: TrinomialPresentation, lambdas=None, grading=None):
+def induced_weight_box(P: TrinomialPresentation):
     """The degree shifts realized by the classifier, plus zero."""
-    grading = grading or weight_assignment(P)
-    return tuple(sorted({grading.zero(), *_classifier_by_degree(P, lambdas, grading)}))
+    grading = weight_assignment(P)
+    return tuple(sorted({grading.zero(), *_classifier_by_degree(P, grading)}))
 
 
 @dataclass
@@ -288,7 +268,6 @@ class OracleWeightEntry:
     weight: Tuple[int, ...]
     unknown_count: int
     dimension: int
-    basis: List[Derivation]
     samples: List[Tuple[str, Derivation, NilpotencyReport]]
     nilpotent_found: bool
     inconclusive: int
@@ -348,7 +327,6 @@ def oracle_enumerate(
     cap: int = 16,
     max_unknowns: int = 600,
     max_weights: int = 200,
-    lambdas=None,
 ) -> OracleReport:
     """Search each weight for derivations and probe them for nilpotency.
 
@@ -366,7 +344,7 @@ def oracle_enumerate(
         raise ValueError("cap must be at least 1")
     _check_degree_bound(degree_bound)
     grading = weight_assignment(P)
-    by_degree = _classifier_by_degree(P, lambdas, grading)
+    by_degree = _classifier_by_degree(P, grading)
     if weights is None:
         weights = tuple(sorted({grading.zero(), *by_degree}))
     else:
@@ -378,9 +356,7 @@ def oracle_enumerate(
     box = _box_by_weight(P, degree_bound, grading)
     entries = []
     for w in weights:
-        space = solution_space(
-            P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, grading=grading, box=box
-        )
+        space = solution_space(P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, box=box)
         samples = [(f"basis[{k}]", delta) for k, delta in enumerate(space.basis)]
         head = space.basis[:_MAX_COMBO_BASIS]
         for a in range(len(head)):
@@ -408,7 +384,6 @@ def oracle_enumerate(
                 weight=w,
                 unknown_count=len(space.unknowns),
                 dimension=space.dimension,
-                basis=space.basis,
                 samples=checked,
                 nilpotent_found=nilpotent_found,
                 inconclusive=inconclusive,

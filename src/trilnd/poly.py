@@ -16,7 +16,7 @@ lead term.
 from __future__ import annotations
 
 import re as _re
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -406,6 +406,38 @@ def _add_scaled(acc: dict, m: tuple, a: int, b: int, terms) -> None:
         if cur is not None:
             re, im = re + cur[0], im + cur[1]
         acc[key] = (re, im)
+
+
+def leibniz_part(k: int, image) -> tuple:
+    """(k, image / x_k) for the derivation sending generator k to image, given
+    as (exponents, (re, im)) pairs: adding m to these exponents gives the terms
+    of dx^m/dx_k * image / m[k]."""
+    return k, tuple((tuple(e - (i == k) for i, e in enumerate(t)), c) for t, c in image)
+
+
+def dense_leibniz(p: dict, parts) -> dict:
+    """The Leibniz rule on a dense dict: the sum over the leibniz_part pairs
+    (k, shifted) of dp/dx_k * image_k, not reduced. Cancelled entries stay
+    as (0, 0)."""
+    acc: dict = {}
+    for m, (a, b) in p.items():
+        for k, shifted in parts:
+            e = m[k]
+            if e:
+                _add_scaled(acc, m, a * e, b * e, shifted)
+    return acc
+
+
+def primitive_part(terms: dict) -> dict:
+    """A dict of (re, im) int pairs divided by the gcd of all their parts."""
+    g = 0
+    for a, b in terms.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return terms
+    if g > 1:
+        terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
+    return terms
 
 
 def exact_divide(p: Poly, divisor) -> Poly:

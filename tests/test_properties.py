@@ -17,6 +17,7 @@ from trilnd.classify import LndDescriptor, admissible_tuples, build_lnd, enumera
 from trilnd.corpus import corpus
 from trilnd.derivation import (
     Derivation,
+    _DenseForm,
     derivation_from_text,
     derivation_to_text,
     is_well_defined,
@@ -156,7 +157,7 @@ def test_dense_step_is_apply_up_to_a_scalar(data):
     delta = data.draw(corpus_derivations())
     P = delta.presentation
     p = data.draw(polys(P, scalars=FRACTIONAL_SCALARS))
-    dense = delta._dense_form()
+    dense = _DenseForm(delta)
     got = dense.step(dense.of(p))
     exact = delta.apply(p)
     _, (want,) = integer_terms([exact], P.generator_index)
