@@ -5,7 +5,9 @@ For every corpus member (each fits the default degree-4 search box, which
 tests/test_corpus.py checks), solve for homogeneous
 derivations degree by degree and test samples for nilpotency. A member
 the classifier calls rigid must produce no locally nilpotent solution,
-and vice versa. Disagreements are printed and counted.
+and vice versa. Disagreements are printed and counted. Each line also
+counts the member's samples by nilpotency verdict (verified, refuted,
+inconclusive), and the last line sums them.
 """
 
 import argparse
@@ -17,6 +19,12 @@ sys.path.insert(0, "src")
 from trilnd.classify import is_rigid
 from trilnd.corpus import corpus
 from trilnd.oracle import BoxTooLarge, oracle_enumerate
+
+VERDICTS = ("verified", "refuted", "inconclusive")
+
+
+def format_counts(counts):
+    return " ".join(f"{verdict}={counts[verdict]:<4d}" for verdict in VERDICTS).rstrip()
 
 
 def main() -> int:
@@ -30,28 +38,38 @@ def main() -> int:
 
     mismatches = []
     skipped = 0
+    totals = dict.fromkeys(VERDICTS, 0)
     started = time.monotonic()
     for P in corpus():
         rigid = is_rigid(P).rigid
         try:
-            found = oracle_enumerate(
+            report = oracle_enumerate(
                 P,
                 degree_bound=args.bound,
                 cap=args.cap,
                 max_unknowns=args.max_unknowns,
-            ).nilpotent_found
+            )
         except BoxTooLarge as exc:
             print(f"{P.describe():40s} skipped ({exc})")
             skipped += 1
             continue
+        found = report.nilpotent_found
+        counts = dict.fromkeys(VERDICTS, 0)
+        for entry in report.entries:
+            for _, _, nil in entry.samples:
+                counts[nil.status] += 1
+        for verdict, n in counts.items():
+            totals[verdict] += n
         agree = rigid != found
         mark = "agree" if agree else "MISMATCH"
-        print(f"{P.describe():40s} rigid={rigid!s:5s} oracle_found={found!s:5s} {mark}")
+        print(f"{P.describe():40s} rigid={rigid!s:5s} oracle_found={found!s:5s} "
+              f"{format_counts(counts)}  {mark}")
         if not agree:
             mismatches.append(P.describe())
     elapsed = time.monotonic() - started
     print(f"\n{len(corpus()) - skipped} members checked in {elapsed:.1f} s, "
           f"{skipped} skipped, {len(mismatches)} mismatches")
+    print(f"samples: {format_counts(totals)}")
     for name in mismatches:
         print(f"  {name}")
     return 1 if mismatches else 0

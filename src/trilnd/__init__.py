@@ -56,6 +56,7 @@ from .derivation import (
     is_well_defined,
     kernel_member,
     nilpotency_check,
+    refutation_holds,
     replica,
 )
 from .classify import (

@@ -3,9 +3,10 @@
 Every command reads a presentation from a JSON file and writes a JSON
 report to stdout. Exit codes: 0 on success, 1 on invalid input or
 exceeded search limits, 2 when a verification fails (a relation is
-broken or the derivation is not homogeneous), 3 when nilpotency testing
-hits its iteration cap without an answer, 141 (128 + SIGPIPE) when the
-reader of stdout goes away.
+broken, the derivation is not homogeneous, or nilpotency is refuted),
+3 when nilpotency testing ends inconclusive (a guard such as the
+iteration cap tripped), 141 (128 + SIGPIPE) when the reader of stdout
+goes away.
 """
 
 from __future__ import annotations
@@ -219,10 +220,17 @@ def cmd_verify(args) -> int:
     if info:
         out.update(info)
     nil = nilpotency_check(delta, cap=args.cap)
-    out["nilpotency"] = {"status": nil.status, "cap": nil.cap, "index": nil.index}
-    out["verified"] = nil.status == "verified"
+    out["nilpotency"] = {
+        "status": nil.status,
+        "cap": nil.cap,
+        "index": nil.index,
+        **nil.evidence(),
+    }
+    out["verified"] = nil.verified
     _emit(out)
-    return EXIT_OK if nil.status == "verified" else EXIT_INCONCLUSIVE
+    if nil.verified:
+        return EXIT_OK
+    return EXIT_VERIFICATION if nil.status == "refuted" else EXIT_INCONCLUSIVE
 
 
 def cmd_oracle(args) -> int:

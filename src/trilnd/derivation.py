@@ -11,7 +11,8 @@ Iteration and zero tests (nilpotency_check, is_well_defined,
 kernel_member) run on a dense form of the derivation over the Gaussian
 integers that is exact up to a nonzero scalar and built per call;
 Derivation.apply on Poly stays the exact reference and produces every
-polynomial a report shows.
+polynomial a report shows. A refuted nilpotency report is re-checked by
+refutation_holds on the exact images alone.
 """
 
 from __future__ import annotations
@@ -60,15 +61,27 @@ class WellDefinedReport:
 
 @dataclass(frozen=True)
 class NilpotencyReport:
-    status: str  # "verified" | "inconclusive"
+    status: str  # "verified" | "refuted" | "inconclusive"
     cap: int
     index: Optional[int] = None
     witness: Optional[Gen] = None
     guard: Optional[str] = None  # "cap" | "term_limit" | "degree_limit" when inconclusive
+    refutation: Optional[str] = None  # "divisibility" when refuted
 
     @property
     def verified(self) -> bool:
         return self.status == "verified"
+
+    def evidence(self) -> dict:
+        """What decided the verdict, for JSON reports: the witness generator
+        (None when verified), plus the guard of an inconclusive report or
+        the refutation of a refuted one."""
+        out = {"witness": None if self.witness is None else gen_name(self.witness)}
+        if self.status == "inconclusive":
+            out["guard"] = self.guard
+        elif self.status == "refuted":
+            out["refutation"] = self.refutation
+        return out
 
 
 def _first_foreign(p: Poly, known) -> Optional[Gen]:
@@ -216,7 +229,14 @@ def is_well_defined(delta: Derivation) -> WellDefinedReport:
 def nilpotency_check(
     delta: Derivation, cap: int = 64, term_limit: int = 4096, degree_limit: int = 512
 ) -> NilpotencyReport:
-    """Iterate on each generator until the image dies, up to cap steps.
+    """Decide local nilpotency where an exact test can, else iterate up to cap steps.
+
+    Refuted(witness g) means delta(g) is nonzero and every term of its
+    normal form contains g (refutation "divisibility"); such a delta is
+    not a locally nilpotent derivation of the algebra A, and
+    refutation_holds re-checks that on the exact images. Every image is
+    scanned before any generator is iterated, so a refutable generator is
+    found even when an earlier one would run to the cap.
 
     Verified(m) means delta^m kills every generator and m is minimal.
     Since the generators generate, that certifies local nilpotency of
@@ -233,6 +253,13 @@ def nilpotency_check(
     if cap < 1:
         raise ValueError("cap must be at least 1")
     dense = _DenseForm(delta)
+    for g in delta.presentation.generators:
+        img = dense.images.get(g)
+        k = dense.index[g]
+        if img and all(m[k] for m in img):
+            return NilpotencyReport(
+                status="refuted", cap=cap, witness=g, refutation="divisibility"
+            )
     worst = 1
     for g in delta.presentation.generators:
         p = dense.images.get(g)
@@ -251,6 +278,37 @@ def nilpotency_check(
             steps += 1
         worst = max(worst, steps)
     return NilpotencyReport(status="verified", cap=cap, index=worst)
+
+
+def refutation_holds(delta: Derivation, report: NilpotencyReport) -> bool:
+    """Re-check a refuted report from the exact images alone.
+
+    The divisibility certificate holds when delta(witness) is nonzero and
+    every monomial of it contains the witness. It then refutes local
+    nilpotency, because:
+
+    * normal forms are canonical (the rewrite leads are pairwise coprime,
+      so the rules are a Groebner basis), hence a nonzero normal form is
+      a nonzero element of A, and the normal form g*h of delta(g) shows
+      that g divides delta(g) in A;
+    * A is an integral domain: the trinomial algebras of type 1
+      (pairwise distinct constants) and of type 2 (pairwise linearly
+      independent coefficient columns), free variables adjoined or not,
+      are normal integral domains (Hausen and Wrobel, "Non-complete
+      rational T-varieties of complexity one", Math. Nachr. 290 (2017));
+    * a locally nilpotent derivation D of a domain with f | D(f) has
+      D(f) = 0 (Freudenburg, Algebraic Theory of Locally Nilpotent
+      Derivations, Ch. 1), and here delta(g) is not 0.
+
+    So a refuted delta is not a locally nilpotent derivation of A; when
+    delta is not well defined it is no derivation of A at all, and the
+    statement holds trivially.
+    """
+    if report.status != "refuted" or report.refutation != "divisibility":
+        return False
+    g = report.witness
+    image = delta.image(g)
+    return bool(image) and all(m.exponent(g) >= 1 for m in image.terms)
 
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:

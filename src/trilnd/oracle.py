@@ -14,6 +14,7 @@ rigid presentations must yield no certified nilpotent element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -31,6 +32,14 @@ class BoxTooLarge(RuntimeError):
 
 
 _MAX_COMBO_BASIS = 4
+
+# The search box holds every monomial of degree at most the bound in n
+# generators, C(n + bound, n) of them before the rewrite leads are
+# filtered out, and reduced_monomials enumerates all of them at roughly
+# 17 microseconds each (Python 3.11, 2-core x86_64). Past this many the
+# box is refused before it is built: 20,000 is about a third of a second
+# of enumeration, and the largest corpus box at degree bound 4 is 126.
+_MAX_BOX_MONOMIALS = 20_000
 
 
 def reduced_monomials(P: TrinomialPresentation, max_degree: int):
@@ -158,11 +167,19 @@ class SolutionSpace:
 
 def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading) -> dict:
     """reduced_monomials grouped by weight, each with its exponent tuple over
-    P.generator_index."""
+    P.generator_index. Raises BoxTooLarge before enumerating a box of more
+    than _MAX_BOX_MONOMIALS monomials."""
     index = P.generator_index
+    n = len(index)
+    size = math.comb(n + degree_bound, n)
+    if size > _MAX_BOX_MONOMIALS:
+        raise BoxTooLarge(
+            f"the degree-{degree_bound} box in {n} generators has {size} monomials, "
+            f"over the limit {_MAX_BOX_MONOMIALS}; lower the degree bound"
+        )
     by_weight: dict = {}
     for m in reduced_monomials(P, degree_bound):
-        exps = [0] * len(index)
+        exps = [0] * n
         for g, e in m.pairs:
             exps[index[g]] = e
         by_weight.setdefault(grading.weight_of_monomial(m), []).append((m, tuple(exps)))
@@ -185,7 +202,8 @@ def solution_space(
     stay within the degree bound.
 
     box is the search box grouped by weight, which oracle_enumerate builds
-    once for all the weights it solves; it is built here when omitted.
+    once for all the weights it solves; it is built here when omitted,
+    and a box over _MAX_BOX_MONOMIALS raises BoxTooLarge unbuilt.
     The constraint matrix has one column per unknown and one row per
     relation and monomial of the relation's image. Its entries are the
     Gaussian integers of dense_normal_form, and all rows of one relation
@@ -270,6 +288,7 @@ class OracleWeightEntry:
     dimension: int
     samples: List[Tuple[str, Derivation, NilpotencyReport]]
     nilpotent_found: bool
+    refuted: int
     inconclusive: int
     classifier_members: List[Tuple[str, bool]]
 
@@ -280,6 +299,7 @@ class OracleWeightEntry:
             "unknowns": self.unknown_count,
             "dimension": self.dimension,
             "nilpotent_found": self.nilpotent_found,
+            "refuted_samples": self.refuted,
             "inconclusive_samples": self.inconclusive,
             "samples": [
                 {
@@ -287,6 +307,7 @@ class OracleWeightEntry:
                     "images": delta.image_strings(),
                     "nilpotency": report.status,
                     "index": report.index,
+                    **report.evidence(),
                 }
                 for name, delta, report in self.samples
             ],
@@ -334,11 +355,11 @@ def oracle_enumerate(
     classifier realizes, plus zero. Samples per weight are the basis
     vectors, their pairwise sums and differences (with an i twist), and
     the classifier's own outputs of that degree; each sample gets an
-    iterated-application nilpotency verdict, never a guess. The default
-    cap of 16 is three times the largest vanishing index any classifier
-    output exhibits at the default degree bound; raise it when hunting
-    slow-dying candidates. A cap below 1 or a negative degree bound
-    raises ValueError before any search.
+    exact nilpotency verdict (verified, refuted or inconclusive), never a
+    guess. The default cap of 16 is three times the largest vanishing
+    index any classifier output exhibits at the default degree bound;
+    raise it when hunting slow-dying candidates. A cap below 1 or a
+    negative degree bound raises ValueError before any search.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -371,12 +392,14 @@ def oracle_enumerate(
             samples.append((f"classifier:{name}", inst.derivation))
         checked = []
         nilpotent_found = False
-        inconclusive = 0
+        refuted = inconclusive = 0
         for name, delta in samples:
             report = nilpotency_check(delta, cap=cap)
             checked.append((name, delta, report))
             if report.status == "verified" and not delta.is_zero():
                 nilpotent_found = True
+            elif report.status == "refuted":
+                refuted += 1
             elif report.status == "inconclusive":
                 inconclusive += 1
         entries.append(
@@ -386,6 +409,7 @@ def oracle_enumerate(
                 dimension=space.dimension,
                 samples=checked,
                 nilpotent_found=nilpotent_found,
+                refuted=refuted,
                 inconclusive=inconclusive,
                 classifier_members=members,
             )

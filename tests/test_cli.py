@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,8 +135,7 @@ def test_verify_good_derivation(tmp_path, capsys):
     assert rep["well_defined"] is True
     assert rep["homogeneous"] is True
     assert rep["degree"] == [0]
-    assert rep["nilpotency"]["status"] == "verified"
-    assert rep["nilpotency"]["index"] == 3
+    assert rep["nilpotency"] == {"status": "verified", "cap": 64, "index": 3, "witness": None}
     assert rep["verified"] is True
 
 
@@ -156,7 +156,7 @@ def test_verify_broken_relation(tmp_path, capsys):
     assert rep["residue"] == "2*T0_1"
 
 
-def test_verify_inconclusive_euler(tmp_path, capsys):
+def test_verify_refutes_euler(tmp_path, capsys):
     deriv = tmp_path / "euler.txt"
     deriv.write_text("T0_1 = T0_1\nT1_1 = T1_1\nT2_1 = T2_1\n")
     code, rep = run(
@@ -169,8 +169,40 @@ def test_verify_inconclusive_euler(tmp_path, capsys):
         "--cap",
         "8",
     )
+    assert code == 2
+    assert rep["nilpotency"] == {
+        "status": "refuted",
+        "cap": 8,
+        "index": None,
+        "witness": "T0_1",
+        "refutation": "divisibility",
+    }
+    assert rep["verified"] is False
+
+
+def test_verify_inconclusive_names_the_guard(tmp_path, capsys):
+    # a rotation of the sphere: no image is divisible by its generator, and
+    # the iterates of T0_1 cycle through +-T0_1 and +-T1_1
+    deriv = tmp_path / "rotation.txt"
+    deriv.write_text("T0_1 = -T1_1\nT1_1 = T0_1\n")
+    code, rep = run(
+        capsys,
+        "verify",
+        "--presentation",
+        f"{SAMPLES}/sphere.json",
+        "--derivation",
+        str(deriv),
+        "--cap",
+        "8",
+    )
     assert code == 3
-    assert rep["nilpotency"]["status"] == "inconclusive"
+    assert rep["nilpotency"] == {
+        "status": "inconclusive",
+        "cap": 8,
+        "index": None,
+        "witness": "T0_1",
+        "guard": "cap",
+    }
     assert rep["verified"] is False
 
 
@@ -378,6 +410,17 @@ def test_cli_import_leaves_sympy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_oracle_refuses_an_oversized_box_before_building_it(tmp_path, capsys):
+    # C(6 + 40, 6) = 9,366,819 monomials: enumerating them would take minutes
+    path = write_presentation(tmp_path, {"type": 1, "blocks": [[1, 1, 1], [1, 1, 1]]})
+    started = time.monotonic()
+    code, rep = run(capsys, "oracle", "--presentation", path, "--bound", "40")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert rep["kind"] == "BoxTooLarge"
+    assert "9366819 monomials" in rep["error"]
 
 
 @pytest.mark.parametrize("flags", [("--cap", "0"), ("--bound", "-2")], ids=["cap0", "bound-2"])

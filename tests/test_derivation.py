@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from trilnd.classify import LndDescriptor, build_lnd_type2
+from trilnd.classify import LndDescriptor, build_lnd_type2, enumerate_lnds
+from trilnd.corpus import corpus
 from trilnd.derivation import (
     Derivation,
     DerivationFormatError,
@@ -17,12 +18,13 @@ from trilnd.derivation import (
     is_well_defined,
     kernel_member,
     nilpotency_check,
+    refutation_holds,
     replica,
 )
 from trilnd.gaussian import I, gq
 from trilnd.grading import weight_assignment
 from trilnd.poly import Poly, UnknownGenerator, poly_parse, svar, tvar
-from trilnd.presentation import surface, type1
+from trilnd.presentation import TrinomialPresentation, surface, type1
 
 X = tvar(0, 1)
 Y = tvar(1, 1)
@@ -133,22 +135,83 @@ def test_nilpotency_verified_with_index():
     assert report.index == 2
 
 
-def test_nilpotency_inconclusive_on_euler():
+def free_grower(extra=""):
+    """S1 -> S2^2, S2 -> S1 on free variables: no image is divisible by its
+    generator, and the iterates of S1 have degrees 2, 2, 3, 3, 4, 4, ..."""
+    P = type1(((2,), (3,)), d=3)
+    return derivation_from_text(P, "S1 = S2^2\nS2 = S1\n" + extra)
+
+
+def test_nilpotency_refutes_euler_by_divisibility():
+    # the Euler derivation maps every generator to itself: T0_1 divides
+    # delta(T0_1) = T0_1, which an LND of a domain allows only when it is 0
     S = surface(2, 2, 2)
     euler = Derivation(S, {g: Poly.generator(g) for g in S.generators})
     report = nilpotency_check(euler, cap=12)
-    assert report.status == "inconclusive"
-    assert report.witness == X
-    assert report.guard == "cap"
+    assert report == NilpotencyReport(
+        status="refuted", cap=12, witness=X, refutation="divisibility"
+    )
     assert not report.verified
+    assert refutation_holds(euler, report)
 
 
 def test_nilpotency_size_guard_bails_out():
-    S = surface(2, 2, 2)
-    grower = Derivation(S, {X: poly_parse("T0_1^2")})
+    assert nilpotency_check(free_grower(), cap=64, degree_limit=10) == NilpotencyReport(
+        status="inconclusive", cap=64, witness=svar(1), guard="degree_limit"
+    )
+    # delta^k(T0_1) = k! * T0_1^(k+1) grows without bound too, but the
+    # divisibility test decides it before any guard can trip
+    grower = Derivation(surface(2, 2, 2), {X: poly_parse("T0_1^2")})
     report = nilpotency_check(grower, cap=64, degree_limit=10)
-    assert report.status == "inconclusive"
-    assert report.guard == "degree_limit"
+    assert report == NilpotencyReport(
+        status="refuted", cap=64, witness=X, refutation="divisibility"
+    )
+    assert refutation_holds(grower, report)
+
+
+def test_refutation_scans_every_generator_before_iterating():
+    # S1 alone would run to the cap; S3 -> S3^2 is refutable, and is found
+    # although S1 comes first
+    assert nilpotency_check(free_grower(), cap=20) == NilpotencyReport(
+        status="inconclusive", cap=20, witness=svar(1), guard="cap"
+    )
+    delta = free_grower("S3 = S3^2\n")
+    report = nilpotency_check(delta, cap=20)
+    assert report == NilpotencyReport(
+        status="refuted", cap=20, witness=svar(3), refutation="divisibility"
+    )
+    assert refutation_holds(delta, report)
+
+
+def test_refutation_needs_every_term_divisible():
+    # one term of delta(S1) free of S1 leaves it undecided by divisibility
+    P = type1(((2,), (3,)), d=2)
+    delta = derivation_from_text(P, "S1 = S1^2 + S1*S2\nS2 = 1\n")
+    assert nilpotency_check(delta, cap=8).status == "refuted"
+    mixed = derivation_from_text(P, "S1 = S1^2 + S2\nS2 = 1\n")
+    assert nilpotency_check(mixed, cap=8).status == "inconclusive"
+    forged = NilpotencyReport(
+        status="refuted", cap=8, witness=svar(1), refutation="divisibility"
+    )
+    assert not refutation_holds(mixed, forged)
+
+
+def test_refutation_holds_rejects_other_reports():
+    d = delta_zero(3)
+    verified = nilpotency_check(d)
+    assert verified.verified
+    assert not refutation_holds(d, verified)
+    # an LND passes no forged certificate, whatever the witness
+    for g in d.presentation.generators:
+        forged = NilpotencyReport(status="refuted", cap=64, witness=g, refutation="divisibility")
+        assert not refutation_holds(d, forged)
+    # a generator with zero image certifies nothing
+    euler_x = Derivation(surface(2, 2, 2), {X: Poly.generator(X)})
+    forged = NilpotencyReport(status="refuted", cap=64, witness=Y, refutation="divisibility")
+    assert not refutation_holds(euler_x, forged)
+    inconclusive = nilpotency_check(free_grower(), cap=5)
+    assert inconclusive.guard == "cap"
+    assert not refutation_holds(free_grower(), inconclusive)
 
 
 def test_index_equal_to_the_cap_is_verified():
@@ -162,14 +225,14 @@ def test_index_equal_to_the_cap_is_verified():
 
 
 def test_degree_limit_trips_on_the_first_iterate_above_it():
-    # delta^k(T0_1) = k! * T0_1^(k+1): the first iterate of degree 11
-    # is the tenth, so a cap of 10 stops one step before the guard would
-    grower = Derivation(surface(2, 2, 2), {X: poly_parse("T0_1^2")})
-    assert nilpotency_check(grower, cap=11, degree_limit=10) == NilpotencyReport(
-        status="inconclusive", cap=11, witness=X, guard="degree_limit"
+    # the k-th iterate of S1 has degree (k + 3) // 2: the first of degree 6
+    # is the ninth, so a cap of 9 stops one step before the guard would
+    grower = free_grower()
+    assert nilpotency_check(grower, cap=10, degree_limit=5) == NilpotencyReport(
+        status="inconclusive", cap=10, witness=svar(1), guard="degree_limit"
     )
-    assert nilpotency_check(grower, cap=10, degree_limit=10).guard == "cap"
-    assert nilpotency_check(grower, cap=11, degree_limit=11).guard == "cap"
+    assert nilpotency_check(grower, cap=9, degree_limit=5).guard == "cap"
+    assert nilpotency_check(grower, cap=10, degree_limit=6).guard == "cap"
 
 
 def test_term_limit_trips_on_the_first_iterate_above_it():
@@ -273,3 +336,28 @@ def test_equality_ignores_presentation_identity():
     )
     assert d1 == d2
     assert hash(d1) == hash(d2)
+
+
+def test_no_classifier_output_is_refuted():
+    # every classifier output is an LND, so no generator may certify a
+    # divisibility refutation, and each one verifies
+    samples = Path(__file__).resolve().parents[1] / "sample_inputs"
+    presentations = [
+        *corpus(),
+        *(TrinomialPresentation.from_json(path.read_text()) for path in sorted(samples.glob("*.json"))),
+    ]
+    assert len(presentations) == 60
+    checked = 0
+    for P in presentations:
+        for inst in enumerate_lnds(P):
+            if inst.derivation is None:
+                continue
+            report = nilpotency_check(inst.derivation)
+            assert report.verified, (P.describe(), inst.descriptor)
+            for g in P.generators:
+                forged = NilpotencyReport(
+                    status="refuted", cap=64, witness=g, refutation="divisibility"
+                )
+                assert not refutation_holds(inst.derivation, forged)
+            checked += 1
+    assert checked > len(presentations)

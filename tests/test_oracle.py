@@ -1,12 +1,21 @@
+import math
 import random
 
 import pytest
 
+import trilnd.oracle
 from trilnd.classify import LndDescriptor, build_lnd, enumerate_lnds
 from trilnd.corpus import corpus
-from trilnd.derivation import Derivation, is_well_defined
+from trilnd.derivation import (
+    Derivation,
+    NilpotencyReport,
+    _DenseForm,
+    is_well_defined,
+    refutation_holds,
+)
 from trilnd.gaussian import I, gq
 from trilnd.oracle import (
+    _MAX_BOX_MONOMIALS,
     BoxTooLarge,
     induced_weight_box,
     oracle_enumerate,
@@ -14,6 +23,9 @@ from trilnd.oracle import (
 )
 from trilnd.poly import Poly, poly_parse, tvar
 from trilnd.presentation import surface, type1, type2
+
+X = tvar(0, 1)
+Y = tvar(1, 1)
 
 
 def test_solution_space_degree_one_sphere():
@@ -94,6 +106,25 @@ def test_oracle_guards():
         oracle_enumerate(surface(2, 2, 2), max_unknowns=2)
 
 
+def test_box_size_is_checked_before_the_box_is_built(monkeypatch):
+    def never(*args):
+        raise AssertionError("the box was enumerated")
+
+    monkeypatch.setattr(trilnd.oracle, "reduced_monomials", never)
+    P = type1(((1, 1, 1), (1, 1, 1)))
+    # C(6 + 12, 6) = 18,564 monomials fit; C(6 + 13, 6) = 27,132 do not
+    assert math.comb(18, 6) <= _MAX_BOX_MONOMIALS < math.comb(19, 6)
+    with pytest.raises(BoxTooLarge, match="27132 monomials"):
+        solution_space(P, (0, 0, 0, 0), degree_bound=13)
+    with pytest.raises(BoxTooLarge):
+        oracle_enumerate(P, degree_bound=13)
+    with pytest.raises(AssertionError, match="enumerated"):
+        solution_space(P, (0, 0, 0, 0), degree_bound=12)
+    # the cross-checks run far below the limit
+    largest = max(math.comb(len(Q.generators) + 4, 4) for Q in corpus())
+    assert largest * 100 < _MAX_BOX_MONOMIALS
+
+
 def test_report_serialization():
     rep = oracle_enumerate(surface(2, 2, 2), degree_bound=1)
     d = rep.to_dict()
@@ -115,7 +146,29 @@ def test_report_serialization():
     assert "basis[0]" in sample_names
     verified = [s for s in entry["samples"] if s["nilpotency"] == "verified"]
     assert verified
-    assert all(s["index"] is not None for s in verified)
+    assert all(s["index"] is not None and s["witness"] is None for s in verified)
+    # 31 samples: 12 verified, 10 refuted by divisibility, 9 at the cap
+    assert len(entry["samples"]) == 31
+    assert len(verified) == 12
+    assert entry["refuted_samples"] == 10
+    assert entry["inconclusive_samples"] == 9
+    by_name = {s["name"]: s for s in entry["samples"]}
+    assert by_name["basis[0]"] == {
+        "name": "basis[0]",
+        "images": {"T0_1": "-T1_1", "T1_1": "T0_1"},
+        "nilpotency": "inconclusive",
+        "index": None,
+        "witness": "T0_1",
+        "guard": "cap",
+    }
+    assert by_name["basis[3]"] == {
+        "name": "basis[3]",
+        "images": {"T0_1": "T0_1", "T1_1": "T1_1", "T2_1": "T2_1"},
+        "nilpotency": "refuted",
+        "index": None,
+        "witness": "T0_1",
+        "refutation": "divisibility",
+    }
 
 
 def test_explicit_weight_list():
@@ -130,9 +183,16 @@ def test_combination_sampling_finds_hidden_lnd():
     # complex combination is; the sampler must surface one
     rep = oracle_enumerate(surface(2, 2, 2), degree_bound=1)
     (entry,) = rep.entries
-    basis_samples = [s for s in entry.samples if s[0].startswith("basis[") and "+" not in s[0] and "-" not in s[0]]
-    assert basis_samples
-    assert all(s[2].status == "inconclusive" for s in basis_samples)
+    basis = {name: report for name, _, report in entry.samples[: entry.dimension]}
+    # the three rotations run to the cap; the Euler derivation is refuted
+    assert basis == {
+        "basis[0]": NilpotencyReport(status="inconclusive", cap=16, witness=X, guard="cap"),
+        "basis[1]": NilpotencyReport(status="inconclusive", cap=16, witness=X, guard="cap"),
+        "basis[2]": NilpotencyReport(status="inconclusive", cap=16, witness=Y, guard="cap"),
+        "basis[3]": NilpotencyReport(
+            status="refuted", cap=16, witness=X, refutation="divisibility"
+        ),
+    }
     combo_hits = [
         s
         for s in entry.samples
@@ -191,3 +251,60 @@ def test_contains_checks_the_reduced_constraints():
                 expected = space.coordinates_of(delta) is not None and is_well_defined(delta).ok
                 assert space.contains(delta) == expected
     assert broken
+
+
+def reference_loop(delta, cap):
+    """nilpotency_check without the divisibility refutation: the dense
+    iteration alone, with the default size guards."""
+    dense = _DenseForm(delta)
+    worst = 1
+    for g in delta.presentation.generators:
+        p = dense.images.get(g)
+        steps = 1
+        while p:
+            guard = None
+            if steps >= cap:
+                guard = "cap"
+            elif len(p) > 4096:
+                guard = "term_limit"
+            elif max(map(sum, p)) > 512:
+                guard = "degree_limit"
+            if guard is not None:
+                return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)
+            p = dense.step(p)
+            steps += 1
+        worst = max(worst, steps)
+    return NilpotencyReport(status="verified", cap=cap, index=worst)
+
+
+def test_criterion_6_refutes_exactly_the_certified_samples_the_loop_leaves_open():
+    # the samples of the rigidity cross-check (degree bound 4, cap 16): a
+    # sample is refuted exactly when the plain iteration does not verify it
+    # and some generator certifies divisibility; every other verdict,
+    # index, witness and guard is the plain iteration's
+    counts = {"verified": 0, "refuted": 0, "inconclusive": 0}
+    for P in corpus():
+        for entry in oracle_enumerate(P, degree_bound=4, cap=16).entries:
+            for name, delta, report in entry.samples:
+                counts[report.status] += 1
+                reference = reference_loop(delta, cap=16)
+                certified = [
+                    g
+                    for g in P.generators
+                    if refutation_holds(
+                        delta,
+                        NilpotencyReport(
+                            status="refuted", cap=16, witness=g, refutation="divisibility"
+                        ),
+                    )
+                ]
+                if report.status == "refuted":
+                    assert not reference.verified, (P.describe(), name)
+                    assert refutation_holds(delta, report)
+                    assert report.witness == certified[0]
+                else:
+                    assert not certified, (P.describe(), name)
+                    assert report == reference, (P.describe(), name)
+    # at this commit: 1,899 samples, of which the plain iteration verifies
+    # 547 and leaves 1,352 at the cap; divisibility decides 1,044 of those
+    assert counts == {"verified": 547, "refuted": 1044, "inconclusive": 308}

@@ -23,6 +23,7 @@ from trilnd.derivation import (
     is_well_defined,
     kernel_member,
     nilpotency_check,
+    refutation_holds,
 )
 from trilnd.gaussian import I, ONE, ZERO, GaussianRational, gq
 from trilnd.grading import weight_assignment, weight_of
@@ -171,7 +172,8 @@ def test_dense_step_is_apply_up_to_a_scalar(data):
 
 
 def apply_loop(delta, cap, term_limit, degree_limit):
-    """nilpotency_check's verdict, computed with Derivation.apply."""
+    """nilpotency_check's verdict without the divisibility refutation,
+    computed with Derivation.apply."""
     worst = 1
     for g in delta.presentation.generators:
         p = delta.image(g)
@@ -198,8 +200,16 @@ def apply_loop(delta, cap, term_limit, degree_limit):
 )
 def test_nilpotency_check_matches_an_apply_loop(delta, cap, term_limit, degree_limit):
     report = nilpotency_check(delta, cap=cap, term_limit=term_limit, degree_limit=degree_limit)
-    got = (report.status, report.index, report.witness, report.guard)
-    assert got == apply_loop(delta, cap, term_limit, degree_limit)
+    want = apply_loop(delta, cap, term_limit, degree_limit)
+    if report.status == "refuted":
+        assert refutation_holds(delta, report)
+        # the loop cannot verify a derivation of A that divisibility refutes;
+        # a map that is no derivation of A may still die under it
+        if is_well_defined(delta):
+            assert want[0] != "verified"
+    else:
+        assert report.refutation is None
+        assert (report.status, report.index, report.witness, report.guard) == want
 
 
 @st.composite
