@@ -20,6 +20,7 @@ raises NeedsNormalization rather than moving to a field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice, product
 from typing import Optional, Tuple
 
@@ -28,6 +29,7 @@ from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq
 from .grading import weight_assignment
 from .poly import (
     Gen,
+    Monomial,
     NotDivisible,
     Poly,
     exact_divide,
@@ -283,6 +285,22 @@ def free_variable_lnd(P: TrinomialPresentation, k: int) -> Derivation:
     return Derivation(P, {svar(k): Poly.constant(1)})
 
 
+def _partials_product(P: TrinomialPresentation, cmap: dict, blocks) -> Poly:
+    """The product of the block partials dT_i^{l_i}/dT_{i c_i} over blocks.
+
+    Blocks share no variable, so the product is one monomial: the exponent
+    pairs of the partials concatenated, higher blocks first (the monomial
+    order), with the product of the chosen exponents as coefficient.
+    """
+    pairs = []
+    coeff = 1
+    for i in sorted(blocks, reverse=True):
+        (m, _), = P.block_partial(i, cmap[i]).terms.items()
+        pairs.extend(m.pairs)
+        coeff *= P.exponents(i)[cmap[i] - 1]
+    return Poly._of({Monomial._of(tuple(pairs)): gq(coeff)})
+
+
 def build_lnd_type1(P: TrinomialPresentation, c) -> Derivation:
     """The tuple derivation: each chosen variable maps to the product of
     the other blocks' partials, everything else to zero."""
@@ -290,16 +308,10 @@ def build_lnd_type1(P: TrinomialPresentation, c) -> Derivation:
         raise WrongType("this construction is for type 1; use build_lnd_type2")
     info = _tuple_info(P, c)
     cmap = dict(zip(P.block_numbers, info.c))
-    partials = {
-        i: partial_derivative(P.block_power(i), tvar(i, cmap[i])) for i in P.block_numbers
+    images = {
+        tvar(i, cmap[i]): _partials_product(P, cmap, (k for k in P.block_numbers if k != i))
+        for i in P.block_numbers
     }
-    images = {}
-    for i in P.block_numbers:
-        img = Poly.constant(1)
-        for k in P.block_numbers:
-            if k != i:
-                img = img * partials[k]
-        images[tvar(i, cmap[i])] = img
     delta = Derivation(P, images)
     report = is_well_defined(delta)
     if not report.ok:
@@ -307,85 +319,154 @@ def build_lnd_type1(P: TrinomialPresentation, c) -> Derivation:
     return delta
 
 
-@dataclass(frozen=True)
 class _Type2Context:
-    """A validated type 2 descriptor with the pieces its formulas share.
+    """A validated type 2 (kind, tuple, roles) and the parameter-free pieces
+    of its formulas, each computed on first use.
 
-    parts: T_B0^(l/m) and T_B1^(l/m) for t2b, the halves of the role
-    blocks for t2c (B0, B1) and t2d (B0, B1, B2). roots: sb for t2c,
-    sb and sc for t2d.
+    The samples of a family and the kernels of its descriptors share one
+    context. Callers keep it for one plan entry at most, never on the
+    presentation, which holds only the block-level pieces.
     """
 
-    info: AdmissibleTuple
-    cmap: dict
-    roles: Tuple[int, int, int]
-    alpha: GaussianRational
-    beta: GaussianRational
-    gamma: GaussianRational
-    parts: Tuple[Poly, ...]
-    roots: Tuple[GaussianRational, ...]
-
-
-def _type2_context(P: TrinomialPresentation, desc: LndDescriptor) -> _Type2Context:
-    if P.kind != 2:
-        raise WrongType("this construction is for type 2; use build_lnd_type1")
-    if desc.c is None or desc.roles is None:
-        raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
-    info = _tuple_info(P, desc.c)
-    cmap = dict(zip(P.block_numbers, info.c))
-    roles = tuple(desc.roles)
-    if len(roles) != 3 or len(set(roles)) != 3 or any(
-        not _is_int(i) or i not in P.block_numbers for i in roles
-    ):
-        raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
-    B0, B1, B2 = roles
-    if desc.kind in ("t2a", "t2b"):
-        if info.case != "A":
-            raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case A")
-        if (B0, B1) not in info.labelings:
-            raise InadmissibleDescriptor(f"({B0},{B1}) is not a valid labeling for this tuple")
-        if P.exponents(B2)[cmap[B2] - 1] != 1:
-            raise InadmissibleDescriptor(f"third role block {B2} must have exponent 1 at the tuple")
-        if desc.kind == "t2b":
-            m = P.exponents(B0)[cmap[B0] - 1]
-            if any(e % m for i in (B0, B1) for e in P.exponents(i)):
-                raise InadmissibleDescriptor(
-                    f"exponent {m} of the first role block must divide both distinguished blocks"
-                )
-            if desc.param is None or not desc.param:
-                raise InadmissibleDescriptor("this family needs a nonzero parameter")
-    elif desc.kind in ("t2c", "t2d"):
-        if info.case != "B":
-            raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case B")
-        key = (min(B0, B1), max(B0, B1), B2)
-        if key not in info.labelings:
-            raise InadmissibleDescriptor(f"({B0},{B1},{B2}) is not a valid labeling for this tuple")
-        if desc.kind == "t2c":
-            if desc.param is None or desc.param * desc.param != gq(-1):
-                raise InadmissibleDescriptor("parameter must be i or -i")
-        else:
-            if not _case_b_pair_ok(P, B2, cmap[B2]):
+    def __init__(self, P: TrinomialPresentation, desc: LndDescriptor):
+        """Check everything about desc except its parameter (check_param)."""
+        if P.kind != 2:
+            raise WrongType("this construction is for type 2; use build_lnd_type1")
+        if desc.c is None or desc.roles is None:
+            raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
+        info = _tuple_info(P, desc.c)
+        cmap = dict(zip(P.block_numbers, info.c))
+        roles = tuple(desc.roles)
+        if len(roles) != 3 or len(set(roles)) != 3 or any(
+            not _is_int(i) or i not in P.block_numbers for i in roles
+        ):
+            raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
+        B0, B1, B2 = roles
+        m = 2
+        if desc.kind in ("t2a", "t2b"):
+            if info.case != "A":
+                raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case A")
+            if (B0, B1) not in info.labelings:
+                raise InadmissibleDescriptor(f"({B0},{B1}) is not a valid labeling for this tuple")
+            if P.exponents(B2)[cmap[B2] - 1] != 1:
+                raise InadmissibleDescriptor(f"third role block {B2} must have exponent 1 at the tuple")
+            if desc.kind == "t2b":
+                m = P.exponents(B0)[cmap[B0] - 1]
+                if any(e % m for i in (B0, B1) for e in P.exponents(i)):
+                    raise InadmissibleDescriptor(
+                        f"exponent {m} of the first role block must divide both distinguished blocks"
+                    )
+        elif desc.kind in ("t2c", "t2d"):
+            if info.case != "B":
+                raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case B")
+            key = (min(B0, B1), max(B0, B1), B2)
+            if key not in info.labelings:
+                raise InadmissibleDescriptor(f"({B0},{B1},{B2}) is not a valid labeling for this tuple")
+            if desc.kind == "t2d" and not _case_b_pair_ok(P, B2, cmap[B2]):
                 raise InadmissibleDescriptor(
                     f"third block {B2} must be even with chosen exponent 2 for this family"
                 )
-            if desc.param is None:
-                raise InadmissibleDescriptor("this family needs a parameter value")
-    else:
-        raise InadmissibleDescriptor(f"unknown type 2 descriptor kind {desc.kind!r}")
-    alpha, beta, gamma = P.triple_coefficients(B0, B1, B2)
-    parts, roots = (), ()
-    if desc.kind == "t2b":
-        parts = (P.block_power_divided(B0, m), P.block_power_divided(B1, m))
-    elif desc.kind == "t2c":
-        parts = (P.block_power_divided(B0, 2), P.block_power_divided(B1, 2))
-        roots = (_sqrt_or_raise(beta / alpha, "the two-class family"),)
-    elif desc.kind == "t2d":
-        parts = tuple(P.block_power_divided(i, 2) for i in roles)
-        roots = (
-            _sqrt_or_raise(beta / alpha, "the parameter family"),
-            _sqrt_or_raise(gamma / alpha, "the parameter family"),
+        else:
+            raise InadmissibleDescriptor(f"unknown type 2 descriptor kind {desc.kind!r}")
+        self.presentation = P
+        self.kind = desc.kind
+        self.info = info
+        self.cmap = cmap
+        self.roles = roles
+        self.gens = tuple(tvar(i, cmap[i]) for i in roles)
+        self._m = m
+
+    def check_param(self, param):
+        """Raise InadmissibleDescriptor unless param suits this kind."""
+        if self.kind == "t2b":
+            if param is None or not param:
+                raise InadmissibleDescriptor("this family needs a nonzero parameter")
+        elif self.kind == "t2c":
+            if param is None or param * param != gq(-1):
+                raise InadmissibleDescriptor("parameter must be i or -i")
+        elif self.kind == "t2d" and param is None:
+            raise InadmissibleDescriptor("this family needs a parameter value")
+
+    @cached_property
+    def parts(self) -> Tuple[Poly, ...]:
+        """T_B0^(l/m) and T_B1^(l/m) for t2b, m the chosen exponent of B0;
+        the halves of the role blocks for t2c (B0, B1) and t2d (B0, B1, B2)."""
+        P = self.presentation
+        if self.kind == "t2a":
+            return ()
+        count = 3 if self.kind == "t2d" else 2
+        return tuple(P.block_power_divided(i, self._m) for i in self.roles[:count])
+
+    @cached_property
+    def roots(self) -> Tuple[GaussianRational, ...]:
+        """sb for t2c, sb and sc for t2d; NeedsNormalization when missing in Q(i)."""
+        if self.kind in ("t2a", "t2b"):
+            return ()
+        alpha, beta, gamma = self.presentation.triple_coefficients(*self.roles)
+        what = "the two-class family" if self.kind == "t2c" else "the parameter family"
+        sb = _sqrt_or_raise(beta / alpha, what)
+        if self.kind == "t2c":
+            return (sb,)
+        return (sb, _sqrt_or_raise(gamma / alpha, what))
+
+    @cached_property
+    def image_pieces(self) -> Tuple[Poly, ...]:
+        """The parameter-free factors of the two distinguished images.
+
+        With rest the product of the partials of the blocks outside B0 and
+        B1: rest for t2a, and d_b * rest and d_a * rest for t2b and t2c,
+        where d_a, d_b are the partials of parts. For t2d, rest leaves out
+        B2 as well, and the pieces are the half-products d_b*d_c*half_b,
+        d_b*d_c*half_c, d_a*d_c*half_a and d_a*d_c*half_c times rest.
+        """
+        P = self.presentation
+        skip = self.roles if self.kind == "t2d" else self.roles[:2]
+        rest = _partials_product(P, self.cmap, (i for i in P.block_numbers if i not in skip))
+        if self.kind == "t2a":
+            return (rest,)
+        d_parts = [partial_derivative(part, t) for part, t in zip(self.parts, self.gens)]
+        if self.kind in ("t2b", "t2c"):
+            d_a, d_b = d_parts
+            return (d_b * rest, d_a * rest)
+        d_a, d_b, d_c = d_parts
+        half_a, half_b, half_c = self.parts
+        return (
+            d_b * d_c * half_b * rest,
+            d_b * d_c * half_c * rest,
+            d_a * d_c * half_a * rest,
+            d_a * d_c * half_c * rest,
         )
-    return _Type2Context(info, cmap, roles, alpha, beta, gamma, parts, roots)
+
+    @cached_property
+    def solve_steps(self) -> tuple:
+        """(T_sc, dB0 * alpha_s, dB1 * beta_s, ds * gamma_s) for every block s
+        outside B0 and B1, with the minors of the relation on (B0, B1, s) and
+        each d the partial of a block power at the chosen variable: the image
+        of T_sc is -(dB0*alpha_s*img0 + dB1*beta_s*img1) / (ds*gamma_s)."""
+        P = self.presentation
+        B0, B1, _ = self.roles
+        d_b0 = P.block_partial(B0, self.cmap[B0])
+        d_b1 = P.block_partial(B1, self.cmap[B1])
+        steps = []
+        for s in P.block_numbers:
+            if s in (B0, B1):
+                continue
+            alpha_s, beta_s, gamma_s = P.triple_coefficients(B0, B1, s)
+            steps.append(
+                (
+                    tvar(s, self.cmap[s]),
+                    d_b0 * alpha_s,
+                    d_b1 * beta_s,
+                    P.block_partial(s, self.cmap[s]) * gamma_s,
+                )
+            )
+        return tuple(steps)
+
+
+def _type2_context(P: TrinomialPresentation, desc: LndDescriptor) -> _Type2Context:
+    ctx = _Type2Context(P, desc)
+    ctx.check_param(desc.param)
+    return ctx
 
 
 def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
@@ -408,63 +489,44 @@ def build_lnd_type2(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation
     from the triple relation through that block, an exact division by a
     monomial. A division failure is a bug and raises ExactDivisionFailed.
     """
-    ctx = _type2_context(P, desc)
-    B0, B1, B2 = ctx.roles
-    cmap = ctx.cmap
-    t_a, t_b, t_c = (tvar(i, cmap[i]) for i in ctx.roles)
-    multiplier = Poly.constant(1)
-    for i in P.block_numbers:
-        if i not in ctx.roles:
-            multiplier = multiplier * partial_derivative(P.block_power(i), tvar(i, cmap[i]))
-    g_b2_full = partial_derivative(P.block_power(B2), t_c)
-    d_parts = [partial_derivative(part, t) for part, t in zip(ctx.parts, (t_a, t_b, t_c))]
+    return _build_type2(_type2_context(P, desc), desc.param)
+
+
+def _build_type2(ctx: _Type2Context, param) -> Derivation:
+    """build_lnd_type2 on a context whose check_param(param) has passed."""
+    roots = ctx.roots
+    t_a, t_b, _ = ctx.gens
+    pieces = ctx.image_pieces
     images = {}
-    if desc.kind == "t2a":
-        images[t_a] = g_b2_full * multiplier
-    elif desc.kind == "t2b":
-        d_a, d_b = d_parts
-        images[t_a] = d_b * g_b2_full * multiplier
-        images[t_b] = d_a * g_b2_full * multiplier * desc.param
-    elif desc.kind == "t2c":
-        d_a, d_b = d_parts
-        u = desc.param * ctx.roots[0]
-        images[t_a] = d_b * g_b2_full * multiplier * u
-        images[t_b] = d_a * g_b2_full * multiplier
+    if ctx.kind == "t2a":
+        images[t_a] = pieces[0]
+    elif ctx.kind == "t2b":
+        images[t_a] = pieces[0]
+        images[t_b] = pieces[1] * param
+    elif ctx.kind == "t2c":
+        images[t_a] = pieces[0] * (param * roots[0])
+        images[t_b] = pieces[1]
     else:  # t2d
-        d_a, d_b, d_c = d_parts
-        half_a, half_b, half_c = ctx.parts
-        sb, sc = ctx.roots
-        lam = desc.param
+        ab, ac, ba, bc = pieces
+        sb, sc = roots
+        lam = param
         one_plus = (ONE + lam * lam) * I
         one_minus = ONE - lam * lam
-        images[t_a] = (
-            d_b * d_c * (half_b * (lam * 2 * sb) + half_c * (one_plus * sc)) * multiplier
-        )
-        images[t_b] = (
-            d_a * d_c * (half_a * (-2 * lam / sb) + half_c * (one_minus * sc / sb)) * multiplier
-        )
-    d_t_b0 = partial_derivative(P.block_power(B0), t_a)
-    d_t_b1 = partial_derivative(P.block_power(B1), t_b)
+        images[t_a] = ab * (lam * 2 * sb) + ac * (one_plus * sc)
+        images[t_b] = ba * (-2 * lam / sb) + bc * (one_minus * sc / sb)
     img0 = images.get(t_a, Poly.zero())
     img1 = images.get(t_b, Poly.zero())
-    for s in P.block_numbers:
-        if s in (B0, B1):
-            continue
-        if s == B2:
-            alpha_s, beta_s, gamma_s = ctx.alpha, ctx.beta, ctx.gamma
-        else:
-            alpha_s, beta_s, gamma_s = P.triple_coefficients(B0, B1, s)
-        numerator = -(d_t_b0 * img0 * alpha_s + d_t_b1 * img1 * beta_s)
-        divisor = partial_derivative(P.block_power(s), tvar(s, cmap[s])) * gamma_s
+    for t_s, a_s, b_s, c_s in ctx.solve_steps:
+        numerator = -(a_s * img0 + b_s * img1)
         try:
-            solved = exact_divide(numerator, divisor)
+            solved = exact_divide(numerator, c_s)
         except NotDivisible as exc:
             raise ExactDivisionFailed(
-                f"solving the image of block {s} failed: {exc}"
+                f"solving the image of block {t_s[1]} failed: {exc}"
             ) from exc
         if solved:
-            images[tvar(s, cmap[s])] = solved
-    delta = Derivation(P, images)
+            images[t_s] = solved
+    delta = Derivation(ctx.presentation, images)
     report = is_well_defined(delta)
     if not report.ok:
         raise InternalError(f"type 2 construction broke relation {report.relation_index}")
@@ -491,12 +553,12 @@ def _off_tuple_generators(P: TrinomialPresentation, c):
     every class of the tuple."""
     cmap = dict(zip(P.block_numbers, c))
     gens = [
-        Poly.generator(tvar(i, j))
+        tvar(i, j)
         for i in P.block_numbers
         for j in range(1, P.block_size(i) + 1)
         if j != cmap[i]
     ]
-    gens.extend(Poly.generator(svar(k)) for k in range(1, P.d + 1))
+    gens.extend(svar(k) for k in range(1, P.d + 1))
     return gens
 
 
@@ -515,28 +577,31 @@ def kernel_generators(P: TrinomialPresentation, desc: LndDescriptor):
             raise WrongType("type1 descriptor on a type 2 presentation")
         if desc.c is None:
             raise InadmissibleDescriptor("type1 descriptor needs a tuple")
-        return _off_tuple_generators(P, _tuple_info(P, desc.c).c)
+        return [Poly.generator(g) for g in _off_tuple_generators(P, _tuple_info(P, desc.c).c)]
     ctx = _type2_context(P, desc)
-    gens = _off_tuple_generators(P, ctx.info.c)
-    if desc.kind == "t2a":
-        B1 = ctx.roles[1]
-        gens.append(Poly.generator(tvar(B1, ctx.cmap[B1])))
-    elif desc.kind == "t2b":
+    extra = _kernel_extra(ctx, desc.param)
+    return [*(Poly.generator(g) for g in _off_tuple_generators(P, ctx.info.c)), extra]
+
+
+def _kernel_extra(ctx: _Type2Context, param) -> Poly:
+    """The kernel generator of a type 2 descriptor beyond the off-tuple ones."""
+    if ctx.kind == "t2a":
+        return Poly.generator(ctx.gens[1])
+    if ctx.kind == "t2b":
         part_a, part_b = ctx.parts
-        gens.append(part_a * desc.param - part_b)
-    elif desc.kind == "t2c":
+        return part_a * param - part_b
+    roots = ctx.roots
+    if ctx.kind == "t2c":
         half_a, half_b = ctx.parts
-        gens.append(half_a * desc.param + half_b * ctx.roots[0])
-    else:
-        half_a, half_b, half_c = ctx.parts
-        sb, sc = ctx.roots
-        lam = desc.param
-        gens.append(
-            half_a * (ONE - lam * lam)
-            - half_b * ((ONE + lam * lam) * I * sb)
-            + half_c * (2 * lam * sc)
-        )
-    return gens
+        return half_a * param + half_b * roots[0]
+    half_a, half_b, half_c = ctx.parts
+    sb, sc = roots
+    lam = param
+    return (
+        half_a * (ONE - lam * lam)
+        - half_b * ((ONE + lam * lam) * I * sb)
+        + half_c * (2 * lam * sc)
+    )
 
 
 # -- rigidity and the Makar-Limanov invariant ------------------------------
@@ -698,21 +763,47 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None):
     lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
     out = []
     for entry in class_plan(P):
-        out.extend(_safe_instance(P, desc) for _, desc in entry.descriptors)
+        builds = _EntryBuilds(P)
+        out.extend(builds.instance(desc) for _, desc in entry.descriptors)
         if entry.family is not None:
             out.extend(
-                _safe_instance(P, replace(entry.family, param=lam))
+                builds.instance(replace(entry.family, param=lam))
                 for lam in lams
                 if lam or entry.family.kind == "t2d"
             )
     return out
 
 
-def _safe_instance(P, desc) -> LndInstance:
-    try:
-        return LndInstance(descriptor=desc, derivation=build_lnd(P, desc))
-    except NeedsNormalization as exc:
-        return LndInstance(descriptor=desc, derivation=None, error=f"NeedsNormalization: {exc}")
+class _EntryBuilds:
+    """Builds for the descriptors of one plan entry, sharing one
+    _Type2Context per (kind, roles): the two t2c classes, the samples of a
+    family and each descriptor's kernel reuse its pieces. Made per entry
+    and dropped with it."""
+
+    def __init__(self, P: TrinomialPresentation):
+        self.presentation = P
+        self._contexts = {}
+
+    def context(self, desc: LndDescriptor) -> _Type2Context:
+        """The shared context of desc; its parameter is not checked."""
+        key = (desc.kind, desc.roles)
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            ctx = self._contexts[key] = _Type2Context(self.presentation, desc)
+        return ctx
+
+    def instance(self, desc: LndDescriptor) -> LndInstance:
+        """desc built, or with the NeedsNormalization its build raised as error."""
+        try:
+            if desc.kind in ("free", "type1"):
+                delta = build_lnd(self.presentation, desc)
+            else:
+                ctx = self.context(desc)
+                ctx.check_param(desc.param)
+                delta = _build_type2(ctx, desc.param)
+        except NeedsNormalization as exc:
+            return LndInstance(descriptor=desc, derivation=None, error=f"NeedsNormalization: {exc}")
+        return LndInstance(descriptor=desc, derivation=delta)
 
 
 @dataclass
@@ -752,31 +843,36 @@ class LndClassReport:
         return out
 
 
-def _kernel_strings(P, desc):
-    return [poly_format(g) for g in kernel_generators(P, desc)]
+def _concrete_base(builds: _EntryBuilds, desc, label, kernel):
+    """A formulas entry for a descriptor that can be built right away.
 
-
-def _concrete_base(P, desc, label):
-    """A formulas entry for a descriptor that can be built right away."""
-    inst = _safe_instance(P, desc)
+    kernel is the entry's kernel list: the whole kernel of a free or
+    type 1 descriptor, which a type 2 descriptor extends by one generator.
+    """
+    inst = builds.instance(desc)
     entry = {"label": label, "descriptor": desc.to_dict()}
     if inst.derivation is None:
         entry["error"] = inst.error
+        return entry
+    entry["images"] = inst.derivation.image_strings()
+    if desc.kind in ("free", "type1"):
+        entry["kernel"] = kernel
     else:
-        entry["images"] = inst.derivation.image_strings()
-        entry["kernel"] = _kernel_strings(P, desc)
+        extra = _kernel_extra(builds.context(desc), desc.param)
+        entry["kernel"] = [*kernel, poly_format(extra)]
     return entry
 
 
-def _family_formula(P, family: LndDescriptor):
+def _family_formula(builds: _EntryBuilds, family: LndDescriptor):
     """A formulas entry for a parameter family: its kernel pattern in
     lambda, or the error when that needs a root missing in Q(i)."""
     entry = {
         "label": "b:lambda_family" if family.kind == "t2b" else "delta_lambda",
         "descriptor": {**family.to_dict(), "param": "formal"},
     }
+    ctx = builds.context(family)
     try:
-        ctx = _type2_context(P, replace(family, param=ONE))
+        roots = ctx.roots
     except NeedsNormalization as exc:
         entry["error"] = f"NeedsNormalization: {exc}"
         return entry
@@ -784,7 +880,7 @@ def _family_formula(P, family: LndDescriptor):
     if family.kind == "t2b":
         entry["kernel_pattern"] = f"lambda*({parts[0]}) - ({parts[1]})"
         return entry
-    sb, sc = ctx.roots
+    sb, sc = roots
     entry["kernel_pattern"] = (
         f"(1-lambda^2)*({parts[0]}) - (1+lambda^2)*({gq_format(I * sb)})*({parts[1]})"
         f" + 2*lambda*({gq_format(sc)})*({parts[2]})"
@@ -820,15 +916,18 @@ def class_report(P: TrinomialPresentation) -> LndClassReport:
         if info is None:
             free = entry.descriptors[0][1]
             head = {"tuple": None, "case": "free_variable", "k": free.k}
-            kernel = _kernel_strings(P, free)
+            kernel = [poly_format(g) for g in kernel_generators(P, free)]
         else:
             head = {"tuple": list(info.c), "case": info.case}
             if info.case != "Type1":
                 head["labelings"] = [list(lab) for lab in info.labelings]
-            kernel = [poly_format(g) for g in _off_tuple_generators(P, info.c)]
-        formulas = [_concrete_base(P, desc, label) for label, desc in entry.descriptors]
+            kernel = [gen_name(g) for g in _off_tuple_generators(P, info.c)]
+        builds = _EntryBuilds(P)
+        formulas = [
+            _concrete_base(builds, desc, label, kernel) for label, desc in entry.descriptors
+        ]
         if entry.family is not None:
-            formulas.append(_family_formula(P, entry.family))
+            formulas.append(_family_formula(builds, entry.family))
         classes.append({**head, "count": entry.count, "formulas": formulas, "kernel": kernel})
     return LndClassReport(
         presentation=P,

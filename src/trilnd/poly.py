@@ -16,9 +16,10 @@ lead term.
 from __future__ import annotations
 
 import re as _re
+from collections.abc import Iterable, Mapping
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
 
@@ -70,13 +71,23 @@ def gen_significance(g: Gen):
     return (0, -g[1])
 
 
+def _items(data):
+    """The (key, value) pairs of a mapping, or data itself, taken to be such
+    pairs. Plain dicts and tuples are recognized before the Mapping ABC."""
+    if isinstance(data, dict):
+        return data.items()
+    if isinstance(data, tuple) or not isinstance(data, Mapping):
+        return data
+    return data.items()
+
+
 class Monomial:
     """An immutable sparse exponent vector, hashable and totally ordered."""
 
     __slots__ = ("_pairs", "_key", "_hash")
 
     def __init__(self, exps: Union[Mapping[Gen, int], Iterable[Tuple[Gen, int]]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
+        items = _items(exps)
         merged: dict = {}
         for g, e in items:
             if e:
@@ -94,6 +105,16 @@ class Monomial:
         self._pairs = pairs
         self._key = tuple((gen_significance(g), e) for g, e in pairs)
         self._hash = hash(pairs)
+
+    @staticmethod
+    def _of(pairs: tuple) -> "Monomial":
+        """Wrap (generator, exponent) pairs that are already merged, nonzero
+        and in decreasing significance, without checking."""
+        out = Monomial.__new__(Monomial)
+        out._pairs = pairs
+        out._key = tuple((gen_significance(g), e) for g, e in pairs)
+        out._hash = hash(pairs)
+        return out
 
     @property
     def pairs(self) -> tuple:
@@ -196,7 +217,7 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[Monomial, GaussianRational], Iterable] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = _items(terms)
         acc: dict = {}
         for m, c in items:
             if not isinstance(m, Monomial):
@@ -224,7 +245,7 @@ class Poly:
 
     @staticmethod
     def generator(g: Gen) -> "Poly":
-        return Poly({Monomial(((g, 1),)): ONE})
+        return Poly._of({Monomial(((g, 1),)): ONE})
 
     @staticmethod
     def monomial(m: Monomial, c=ONE) -> "Poly":

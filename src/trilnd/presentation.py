@@ -38,7 +38,18 @@ from .gaussian import (
     gq_nth_root,
     gq_parse,
 )
-from .poly import Gen, Monomial, Poly, _add_scaled, gen_name, integer_terms, normal_form, svar, tvar
+from .poly import (
+    Gen,
+    Monomial,
+    Poly,
+    _add_scaled,
+    gen_name,
+    integer_terms,
+    normal_form,
+    partial_derivative,
+    svar,
+    tvar,
+)
 
 
 class PresentationError(ValueError):
@@ -194,18 +205,40 @@ class TrinomialPresentation:
         """The position of each generator in self.generators."""
         return {g: k for k, g in enumerate(self.generators)}
 
+    @cached_property
+    def _block_memo(self) -> dict:
+        """Memo of the block-level pieces, filled on first use: keys
+        ("minors", p, q, s) for triple_coefficients, ("power", i, divisor)
+        for block_power_divided and ("partial", i, j) for block_partial.
+        It holds at most r^3 minors, n partials and a few powers per block,
+        and nothing that depends on a tuple or a derivation."""
+        return {}
+
     def block_power(self, i: int) -> Poly:
         """The monomial T_i^{l_i}."""
         return self.block_power_divided(i, 1)
 
     def block_power_divided(self, i: int, divisor: int) -> Poly:
         """The monomial T_i^{l_i / divisor}; divisor must divide every exponent."""
-        exps = self.exponents(i)
-        if any(e % divisor for e in exps):
-            raise ValueError(f"{divisor} does not divide the exponents of block {i}")
-        return Poly.monomial(
-            Monomial(tuple((tvar(i, j + 1), e // divisor) for j, e in enumerate(exps)))
-        )
+        key = ("power", i, divisor)
+        hit = self._block_memo.get(key)
+        if hit is None:
+            exps = self.exponents(i)
+            if any(e % divisor for e in exps):
+                raise ValueError(f"{divisor} does not divide the exponents of block {i}")
+            hit = self._block_memo[key] = Poly.monomial(
+                Monomial(tuple((tvar(i, j + 1), e // divisor) for j, e in enumerate(exps)))
+            )
+        return hit
+
+    def block_partial(self, i: int, j: int) -> Poly:
+        """The partial derivative of T_i^{l_i} by T_ij: the single term
+        l_ij * T_i^{l_i} / T_ij."""
+        key = ("partial", i, j)
+        hit = self._block_memo.get(key)
+        if hit is None:
+            hit = self._block_memo[key] = partial_derivative(self.block_power(i), tvar(i, j))
+        return hit
 
     def block_gcd(self, i: int) -> int:
         g = 0
@@ -219,8 +252,12 @@ class TrinomialPresentation:
         """Minor coefficients (alpha, beta, gamma) of the relation on blocks p, q, s."""
         if self.kind != 2:
             raise AssumptionViolated("triple coefficients only exist for type 2")
-        ap, aq, as_ = self.constant(p), self.constant(q), self.constant(s)
-        return (_det2(aq, as_), -_det2(ap, as_), _det2(ap, aq))
+        key = ("minors", p, q, s)
+        hit = self._block_memo.get(key)
+        if hit is None:
+            ap, aq, as_ = self.constant(p), self.constant(q), self.constant(s)
+            hit = self._block_memo[key] = (_det2(aq, as_), -_det2(ap, as_), _det2(ap, aq))
+        return hit
 
     def triple_relation(self, p: int, q: int, s: int) -> Poly:
         alpha, beta, gamma = self.triple_coefficients(p, q, s)

@@ -1,3 +1,5 @@
+import gc
+import json
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from trilnd.classify import (
     kernel_generators,
     makar_limanov,
 )
+from trilnd.cli import _descriptor_from_json
 from trilnd.corpus import corpus, unnormalized_member
 from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check
 from trilnd.gaussian import I, gq
@@ -487,3 +490,81 @@ def test_report_enumeration_rigidity_and_weight_box_share_one_plan():
             if inst.derivation is not None and not inst.derivation.is_zero()
         }
         assert induced_weight_box(P) == tuple(sorted({grading.zero(), *degrees}))
+
+
+# -- pieces computed once ------------------------------------------------------
+
+
+def _fresh(P):
+    """An equal presentation with every cache cold."""
+    return TrinomialPresentation.from_input_dict(P.to_input_dict())
+
+
+def test_warm_presentation_builds_what_a_fresh_one_builds():
+    """Builds that share block pieces (on the presentation) and per-tuple
+    pieces (within a plan entry) equal standalone builds on a cold equal
+    presentation, kernels included: a cache key that confused t2a/t2b/t2c/t2d
+    or two role orders would show here."""
+    members = list(corpus())
+    members.extend(
+        TrinomialPresentation.from_json(path.read_text()) for path in sorted(SAMPLES.glob("*.json"))
+    )
+    kinds = set()
+    for member in members:
+        P = _fresh(member)
+        class_report(P)
+        for inst in enumerate_lnds(P):
+            desc = inst.descriptor
+            kinds.add(desc.kind)
+            cold = _fresh(P)
+            if inst.derivation is None:
+                with pytest.raises(NeedsNormalization):
+                    build_lnd(cold, desc)
+                continue
+            assert inst.derivation == build_lnd(cold, desc), (P.describe(), desc)
+            assert kernel_generators(P, desc) == kernel_generators(_fresh(P), desc)
+    assert kinds == {"free", "type1", "t2a", "t2b", "t2c", "t2d"}
+
+
+def test_report_kernels_match_kernel_generators():
+    """class_report shares the off-tuple kernel part among a tuple's
+    descriptors; each kernel still reads as kernel_generators prints it."""
+    for path in sorted(SAMPLES.glob("*.json")):
+        P = TrinomialPresentation.from_json(path.read_text())
+        for entry in class_report(P).to_dict()["classes"]:
+            for formula in entry["formulas"]:
+                if "kernel" not in formula:
+                    continue
+                desc = _descriptor_from_json(json.dumps(formula["descriptor"]))
+                expected = [str(g) for g in kernel_generators(_fresh(P), desc)]
+                assert formula["kernel"] == expected, (path.name, formula["descriptor"])
+
+
+def test_presentation_keeps_only_block_level_pieces():
+    """After a type 2 report and enumeration with several tuples and t2b
+    families, the presentation holds block pieces only, at most n + r^3 of
+    them, and no per-tuple context is left alive."""
+    P = type2(((2,), (4,), (1, 1, 1), (1, 1)))
+    plan = list(classify.class_plan(P))
+    assert len(plan) == 6 and all(entry.family.kind == "t2b" for entry in plan)
+    class_report(P)
+    instances = enumerate_lnds(P)
+    assert len(instances) == 48 and all(inst.derivation is not None for inst in instances)
+    blocks = set(P.block_numbers)
+    for key in P._block_memo:
+        tag, *args = key
+        if tag == "minors":
+            assert set(args) <= blocks and len(set(args)) == 3
+        elif tag == "power":
+            assert args[0] in blocks and all(e % args[1] == 0 for e in P.exponents(args[0]))
+        else:
+            assert tag == "partial" and 1 <= args[1] <= P.block_size(args[0])
+    assert len(P._block_memo) <= P.n + P.r**3
+    assert set(P.__dict__) <= {
+        "kind", "blocks", "constants", "d", "anchors",
+        "generators", "generator_set", "generator_index", "_relations", "rewrite_rules",
+        "integer_rules", "_dense_reductions", "_rule_powers", "_block_memo",
+    }
+    gc.collect()
+    per_tuple = (classify._Type2Context, classify._EntryBuilds)
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, per_tuple)]

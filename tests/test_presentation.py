@@ -7,7 +7,7 @@ import pytest
 
 from trilnd.corpus import corpus
 from trilnd.gaussian import gq
-from trilnd.poly import Poly, poly_parse, svar, tvar
+from trilnd.poly import Poly, partial_derivative, poly_parse, svar, tvar
 from trilnd.presentation import (
     AssumptionViolated,
     BadShape,
@@ -16,6 +16,7 @@ from trilnd.presentation import (
     NonPositiveExponent,
     PresentationError,
     TrinomialPresentation,
+    _det2,
     all_ones_rescaling,
     surface,
     type1,
@@ -170,6 +171,47 @@ def test_block_power_helpers():
         P.block_power_divided(1, 3)
     assert P.block_gcd(1) == 2
     assert P.block_gcd(2) == 3
+
+
+def test_block_partial_is_the_partial_of_the_block_power():
+    for P in corpus():
+        for g in P.generators:
+            if g[0] != "T":
+                continue
+            _, i, j = g
+            fresh = partial_derivative(P.block_power(i), tvar(i, j))
+            assert P.block_partial(i, j) == fresh, (P.describe(), g)
+            assert len(fresh.terms) == 1
+            assert P.block_partial(i, j) is P.block_partial(i, j)
+
+
+def test_memoized_minors_are_the_fresh_minors():
+    members = [P for P in corpus() if P.kind == 2]
+    assert members
+    for P in members:
+        blocks = list(P.block_numbers)
+        for p, q, s in itertools.permutations(blocks, 3):
+            ap, aq, as_ = P.constant(p), P.constant(q), P.constant(s)
+            fresh = (_det2(aq, as_), -_det2(ap, as_), _det2(ap, aq))
+            assert P.triple_coefficients(p, q, s) == fresh
+            assert P.triple_coefficients(p, q, s) == fresh  # memo hit
+
+
+def test_warm_caches_do_not_change_identity():
+    from trilnd.classify import class_report, enumerate_lnds
+
+    for P in corpus():
+        warm = TrinomialPresentation.from_input_dict(P.to_input_dict())
+        cold = TrinomialPresentation.from_input_dict(P.to_input_dict())
+        warm.relations()
+        class_report(warm)
+        enumerate_lnds(warm)
+        assert warm._block_memo
+        assert "_block_memo" not in cold.__dict__
+        assert warm == cold and cold == warm
+        assert hash(warm) == hash(cold)
+        assert warm.to_input_dict() == cold.to_input_dict()
+        assert len({warm, cold}) == 1
 
 
 def test_factoriality():
