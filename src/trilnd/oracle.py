@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
@@ -113,7 +112,7 @@ def _rref(rows: List[dict], ncols: int):
         n = pa * pa + pb * pb
         reduced.append(
             {
-                j: GaussianRational(Fraction(a * pa + b * pb, n), Fraction(b * pa - a * pb, n))
+                j: GaussianRational._of(a * pa + b * pb, b * pa - a * pb, n)
                 for j, (a, b) in row.items()
             }
         )

@@ -400,7 +400,7 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
     s = 1
     for p in polys:
         for c in p.terms.values():
-            s = lcm(s, c.real.denominator, c.imag.denominator)
+            s = lcm(s, c._abd[2])
     n = len(index)
     dense = []
     for p in polys:
@@ -409,10 +409,9 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
             exps = [0] * n
             for g, e in m.pairs:
                 exps[index[g]] = e
-            terms[tuple(exps)] = (
-                c.real.numerator * (s // c.real.denominator),
-                c.imag.numerator * (s // c.imag.denominator),
-            )
+            a, b, d = c._abd
+            k = s // d
+            terms[tuple(exps)] = (a * k, b * k)
         dense.append(terms)
     return s, dense
 

@@ -16,7 +16,6 @@ to cross-check the generic classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
@@ -263,7 +262,7 @@ def toric_derivation(gamma: int, ray_index: int, p: int) -> ToricDerivation:
     du = realize(uv_data["u"])
     dv = realize(uv_data["v"])
     dz = realize(uv_data["z"])
-    half = gq(Fraction(1, 2))
+    half = ONE / 2
     dx = (du + dv) * (half * -I)
     dy = (dv - du) * half
     scale = gq(-2) ** p if ray_index == 1 else gq(2) ** p

@@ -223,6 +223,24 @@ def test_oracle_sphere(capsys):
     assert entry["dimension"] == 4
 
 
+def test_parser_reuse_keeps_no_state(capsys):
+    """main parses with one parser per process; nothing of one call reaches the next."""
+    sphere = f"{SAMPLES}/sphere.json"
+    code, rep = run(
+        capsys, "oracle", "--presentation", sphere, "--bound", "1", "--weight", "1", "--weight", "2"
+    )
+    assert code == 0
+    assert [e["weight"] for e in rep["entries"]] == [[1], [2]]
+    code, rep = run(capsys, "oracle", "--presentation", sphere, "--bound", "1")
+    assert code == 0
+    assert [e["weight"] for e in rep["entries"]] == [[0]]
+    with pytest.raises(SystemExit):
+        main(["oracle", "--bound", "1"])
+    assert "--presentation" in capsys.readouterr().err
+    code, rep = run(capsys, "analyze", "--presentation", sphere)
+    assert code == 0 and rep["dimension"] == 2
+
+
 def test_demazure_family(capsys):
     code, rep = run(capsys, "demazure", "--rays", "0,1:3,-1", "--ray", "1")
     assert code == 0

@@ -1,4 +1,8 @@
+import copy
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +167,138 @@ def test_hashable_and_comparable_with_ints():
     assert 2 == gq(2)
     assert hash(gq(1, 0)) == hash(gq(1))
     assert len({gq(1), gq(1, 0), ONE}) == 1
+
+
+# -- differential tests against a Fraction-pair reference ---------------------
+
+
+@dataclass(frozen=True)
+class RefQ:
+    """The reference scalar: a real and an imaginary Fraction."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, RefQ):
+            return x
+        return RefQ(Fraction(x), Fraction(0))
+
+    def __add__(self, o):
+        o = RefQ.of(o)
+        return RefQ(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        o = RefQ.of(o)
+        return RefQ(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        o = RefQ.of(o)
+        return RefQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm()
+        return RefQ(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * RefQ.of(o).inverse()
+
+    def __pow__(self, e):
+        base = self.inverse() if e < 0 else self
+        out = RefQ.of(1)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+
+def ref_format(q: RefQ) -> str:
+    """The Fraction-based text form the scalar layer has always printed."""
+    re_, im = q.re, q.im
+    if im == 0:
+        return str(re_)
+    istr = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if re_ == 0:
+        return istr
+    return f"{re_}{'+' if im > 0 else ''}{istr}"
+
+
+def agrees(q, ref: RefQ) -> bool:
+    """q has ref's value and is in canonical form."""
+    a, b, d = q._abd
+    return (
+        isinstance(q, GaussianRational)
+        and all(type(x) is int for x in (a, b, d))
+        and d > 0
+        and gcd(a, b, d) == 1
+        and (q.real, q.imag) == (ref.re, ref.im)
+    )
+
+
+PART = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+PAIR = st.tuples(PART, PART)
+OPERAND = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIR, PAIR, OPERAND, st.integers(-4, 4))
+def test_scalar_layer_matches_fraction_pairs(xp, yp, k, e):
+    x, y = gq(*xp), gq(*yp)
+    rx, ry = RefQ(*xp), RefQ(*yp)
+    assert agrees(x, rx) and agrees(y, ry)
+    assert agrees(x + y, rx + ry) and agrees(x - y, rx - ry) and agrees(x * y, rx * ry)
+    assert agrees(x + k, rx + k) and agrees(k + x, RefQ.of(k) + rx)
+    assert agrees(x - k, rx - k) and agrees(k - x, RefQ.of(k) - rx)
+    assert agrees(x * k, rx * k) and agrees(k * x, rx * k)
+    assert agrees(-x, RefQ.of(0) - rx)
+    assert agrees(x.conjugate(), RefQ(rx.re, -rx.im))
+    assert x.norm() == rx.norm() and type(x.norm()) is Fraction
+    assert bool(x) == bool(rx.re or rx.im)
+    assert x.is_rational() == (rx.im == 0)
+    assert (x == y) == (rx == ry) and (x == k) == (rx == RefQ.of(k))
+    assert (k == x) == (rx == RefQ.of(k))
+    if y:
+        assert agrees(x / y, rx / ry) and agrees(y.inverse(), ry.inverse())
+    if k:
+        assert agrees(x / k, rx / k)
+    if x:
+        assert agrees(k / x, RefQ.of(k) / rx)
+    if x or e >= 0:
+        assert agrees(x**e, rx**e)
+    assert gq_format(x) == ref_format(rx)
+    assert gq_parse(gq_format(x)) == x
+    root = gq_sqrt(x * x)
+    assert root * root == x * x
+    assert root.real > 0 or (root.real == 0 and root.imag >= 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIR, PAIR.filter(lambda p: any(p)))
+def test_equal_values_hash_alike(xp, yp):
+    x, y = gq(*xp), gq(*yp)
+    z = x * y / y
+    assert z == x and hash(z) == hash(x)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+
+
+def test_equal_values_from_different_paths():
+    assert gq(Fraction(2, 4)) == gq(1) / 2 == GaussianRational(Fraction(1, 2), 0)
+    assert hash(gq(Fraction(2, 4))) == hash(gq(1) / 2)
+    assert gq(Fraction(2, 4), Fraction(-6, 4)) == gq_parse("2/4-6/4i") == gq(1, -3) / 2
+    assert len({gq(Fraction(3, 3), 0), ONE, I * -I, gq_parse("4/4")}) == 1
+
+
+def test_scalars_are_immutable_and_copyable():
+    q = gq(Fraction(1, 2), -3)
+    with pytest.raises(AttributeError):
+        q.real = Fraction(1)
+    with pytest.raises(AttributeError):
+        q._abd = (0, 0, 1)
+    with pytest.raises(AttributeError):
+        del q._abd
+    assert q == gq(Fraction(1, 2), -3)
+    for clone in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert clone == q and hash(clone) == hash(q) and clone._abd == q._abd
