@@ -11,9 +11,10 @@ does not add src/ to the path itself: PYTHONPATH picks the tree under
 test. The inputs are sample_inputs/*.json, every corpus() member and
 unnormalized_member(). For each it writes:
 
-* stdout and exit code of the CLI commands analyze, lnds,
-  lnds --lambdas "0,1,i,2-3i" and normalize, and of verify --cap 16 on
-  every derivation that enumerate_lnds materializes;
+* stdout and exit code of the CLI commands analyze, lnds and
+  lnds --lambdas "0,1,i,2-3i", each with and without --expand, and
+  normalize, and of verify --cap 16 on every derivation that
+  enumerate_lnds materializes;
 * kernel_generators for every descriptor that enumerate_lnds builds;
 * oracle_enumerate(degree_bound=3, cap=4).to_dict() for members with
   n + d <= 4.
@@ -39,8 +40,11 @@ from trilnd.presentation import TrinomialPresentation
 
 COMMANDS = (
     ("analyze",),
+    ("analyze", "--expand"),
     ("lnds",),
+    ("lnds", "--expand"),
     ("lnds", "--lambdas", "0,1,i,2-3i"),
+    ("lnds", "--expand", "--lambdas", "0,1,i,2-3i"),
     ("normalize",),
 )
 

@@ -14,7 +14,7 @@ relations between monomial block powers. Entry points:
 * cli: the command line.
 """
 
-from .gaussian import GaussianRational, I, InternalError, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
+from .gaussian import GaussianRational, I, InternalError, InvalidArgument, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
 from .poly import (
     Gen,
     Monomial,
@@ -73,6 +73,7 @@ from .classify import (
     NoSuchFreeVariable,
     RigidityReport,
     SemirigidityReport,
+    TupleOrbit,
     WrongType,
     admissible_tuples,
     build_lnd,
@@ -80,11 +81,13 @@ from .classify import (
     build_lnd_type2,
     class_report,
     enumerate_lnds,
+    expand_orbits,
     free_variable_lnd,
     is_rigid,
     is_semirigid,
     kernel_generators,
     makar_limanov,
+    tuple_orbits,
 )
 from .oracle import (
     BoxTooLarge,

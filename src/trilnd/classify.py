@@ -15,6 +15,15 @@ distinguished blocks; the remaining images are forced by the relations
 and recovered by exact division. Case B formulas need square roots of
 coefficient ratios inside Q(i); when those do not exist the build
 raises NeedsNormalization rather than moving to a field extension.
+
+Admissibility only reads the exponent at the chosen variable of each
+block, so the tuples come in orbits: all tuples that pick variables of
+the same exponents. Swapping two equal-exponent variables of one block
+is an automorphism sigma fixing every relation, and delta -> sigma delta
+sigma^-1 carries the classes of a tuple c onto those of sigma(c)
+(Arzhantsev, Hausen, Herppich, Liendo, Moscow Math. J. 14 (2014)). The
+class plan holds one entry per orbit, built at its lexicographically
+first member; expand_orbits relabels it onto every other member.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice, product
+from math import prod
 from typing import Optional, Tuple
 
 from .derivation import Derivation, is_well_defined
@@ -159,16 +169,119 @@ def _tuple_info(P: TrinomialPresentation, c) -> AdmissibleTuple:
     )
 
 
-def admissible_tuples(P: TrinomialPresentation):
-    """All admissible tuples in lexicographic order."""
-    ranges = [range(1, P.block_size(i) + 1) for i in P.block_numbers]
+@dataclass(frozen=True)
+class TupleOrbit:
+    """The tuples that pick, in each block, a variable of one fixed exponent.
+
+    columns[k] lists, ascending, the columns of block blocks[k] that carry
+    that exponent. Every member is admissible exactly when one is, with
+    the same case, Big set and labelings.
+    """
+
+    blocks: Tuple[int, ...]
+    columns: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return prod(len(cols) for cols in self.columns)
+
+    @property
+    def representative(self) -> Tuple[int, ...]:
+        """The lexicographically first member."""
+        return tuple(cols[0] for cols in self.columns)
+
+    def members(self):
+        """Every member tuple, in lexicographic order."""
+        return product(*self.columns)
+
+    def swap(self, c) -> dict:
+        """sigma as a generator map: per block, the representative's
+        variable and member c's variable trade places."""
+        sigma = {}
+        for i, a, b in zip(self.blocks, self.representative, c):
+            if a != b:
+                sigma[tvar(i, a)] = tvar(i, b)
+                sigma[tvar(i, b)] = tvar(i, a)
+        return sigma
+
+    def to_dict(self):
+        return {"size": self.size, "columns": [list(cols) for cols in self.columns]}
+
+
+def _check_swaps(P: TrinomialPresentation, groups) -> None:
+    """Raise InternalError unless swapping the first column of each group
+    with each other column of the group fixes every relation exactly.
+
+    Every sigma of TupleOrbit.swap is a product of such transpositions in
+    distinct blocks, so this one pass covers every orbit of P.
+    """
+    swaps = [
+        (i, cols[0], j)
+        for i, block_groups in zip(P.block_numbers, groups)
+        for cols in block_groups
+        for j in cols[1:]
+    ]
+    relations = P.relations() if swaps else ()
+    for i, a, b in swaps:
+        sigma = {tvar(i, a): tvar(i, b), tvar(i, b): tvar(i, a)}
+        for index, relation in enumerate(relations):
+            if relation.relabel(sigma) != relation:
+                raise InternalError(f"swapping T{i}_{a} and T{i}_{b} moves relation {index}")
+
+
+def tuple_orbits(P: TrinomialPresentation):
+    """(AdmissibleTuple of the representative, TupleOrbit) per orbit of
+    admissible tuples, in lexicographic order of the representatives.
+
+    The candidates are the product over blocks of the distinct exponents;
+    no member beyond a representative is looked at.
+    """
+    groups = []
+    for i in P.block_numbers:
+        by_exponent = {}
+        for j, e in enumerate(P.exponents(i), start=1):
+            by_exponent.setdefault(e, []).append(j)
+        # first-occurrence order keeps the representatives lexicographic
+        groups.append([tuple(cols) for cols in by_exponent.values()])
+    _check_swaps(P, groups)
+    blocks = tuple(P.block_numbers)
     out = []
-    for combo in product(*ranges):
+    for columns in product(*groups):
+        orbit = TupleOrbit(blocks, columns)
         try:
-            out.append(_tuple_info(P, combo))
+            out.append((_tuple_info(P, orbit.representative), orbit))
         except InadmissibleTuple:
             continue
     return out
+
+
+def expand_orbits(pairs):
+    """Expand (orbit, value) pairs, orbit None for a free variable entry,
+    into (value, c, sigma) for every member c of every orbit.
+
+    Free variable entries come first with c None and sigma empty, then
+    the members of all orbits merged in lexicographic order of c: the
+    order of admissible_tuples, which is the order classes were listed in
+    before orbits were formed. sigma is TupleOrbit.swap(c), the map that
+    carries the representative's classes onto c's; it is empty for the
+    representative.
+    """
+    pairs = list(pairs)
+    for orbit, value in pairs:
+        if orbit is None:
+            yield value, None, {}
+    members = sorted(
+        (c, k) for k, (orbit, _) in enumerate(pairs) if orbit is not None for c in orbit.members()
+    )
+    for c, k in members:
+        orbit, value = pairs[k]
+        yield value, c, orbit.swap(c)
+
+
+def admissible_tuples(P: TrinomialPresentation):
+    """All admissible tuples in lexicographic order."""
+    pairs = ((orbit, info) for info, orbit in tuple_orbits(P))
+    return [replace(info, c=c) for info, c, _ in expand_orbits(pairs)]
 
 
 def _case_a_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
@@ -222,7 +335,8 @@ def _case_b_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
 
 @dataclass(frozen=True)
 class PlannedClass:
-    """One class entry: a free variable (info None) or an admissible tuple.
+    """One class entry: a free variable (info and orbit None) or an orbit
+    of admissible tuples, described at its representative.
 
     descriptors holds (label, descriptor) pairs that build directly;
     family is the parameter family of an InfiniteFamily tuple, with no
@@ -233,16 +347,19 @@ class PlannedClass:
     count: str  # "SingleFamily" | "ExactlyTwo" | "InfiniteFamily"
     descriptors: Tuple[Tuple[str, LndDescriptor], ...]
     family: Optional[LndDescriptor] = None
+    orbit: Optional[TupleOrbit] = None
 
 
 def class_plan(P: TrinomialPresentation):
     """Yield the classes in order: free variables first, then one entry
-    per admissible tuple.
+    per orbit of admissible tuples, in the order of the representatives.
 
     This is the only place that picks role blocks and decides between
     ExactlyTwo and InfiniteFamily; class_report, enumerate_lnds,
     is_rigid and is_semirigid all read it. It is lazy, but the first
-    tuple entry costs the whole admissible_tuples list.
+    tuple entry costs the whole tuple_orbits list. The first tuple entry's
+    representative is the lexicographically first admissible tuple, and
+    an orbit exists exactly when a tuple does.
     """
 
     def with_third(pair):
@@ -251,10 +368,10 @@ def class_plan(P: TrinomialPresentation):
     for k in range(1, P.d + 1):
         desc = LndDescriptor(kind="free", k=k)
         yield PlannedClass(None, "SingleFamily", ((f"partial_S{k}", desc),))
-    for info in admissible_tuples(P):
+    for info, orbit in tuple_orbits(P):
         if info.case == "Type1":
             desc = LndDescriptor(kind="type1", c=info.c)
-            yield PlannedClass(info, "SingleFamily", (("base", desc),))
+            yield PlannedClass(info, "SingleFamily", (("base", desc),), orbit=orbit)
             continue
         family = None
         if info.case == "A":
@@ -276,7 +393,7 @@ def class_plan(P: TrinomialPresentation):
             if witness is not None:
                 family = LndDescriptor(kind="t2d", c=info.c, roles=witness)
         count = "ExactlyTwo" if family is None else "InfiniteFamily"
-        yield PlannedClass(info, count, descriptors, family)
+        yield PlannedClass(info, count, descriptors, family, orbit)
 
 
 def free_variable_lnd(P: TrinomialPresentation, k: int) -> Derivation:
@@ -750,28 +867,48 @@ class LndInstance:
     descriptor: LndDescriptor
     derivation: Optional[Derivation]
     error: Optional[str] = None
+    orbit: Optional[TupleOrbit] = None
+
+    def relabelled(self, c, sigma) -> "LndInstance":
+        """This representative's instance carried onto orbit member c, where
+        sigma = orbit.swap(c); the instance itself when sigma is empty."""
+        if not sigma:
+            return self
+        delta = None if self.derivation is None else self.derivation.relabelled(sigma)
+        return replace(self, descriptor=replace(self.descriptor, c=c), derivation=delta)
 
 
-def enumerate_lnds(P: TrinomialPresentation, lambdas=None):
+def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
     """Materialize one derivation per class, sampling parameter families.
 
     Families with a free parameter produce one instance per sample value
     (zero is skipped where the classification excludes it). Instances
     whose construction needs an unavailable root carry an error string
-    instead of a derivation.
+    instead of a derivation. Only orbit representatives are built and
+    self-checked. With expand (the default) the list holds every orbit
+    member's instances, relabelled from its representative's in the order
+    of expand_orbits; without it, the representatives' instances only.
+    Instances of a tuple carry their orbit either way.
     """
     lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
-    out = []
+    built = []
     for entry in class_plan(P):
-        builds = _EntryBuilds(P)
-        out.extend(builds.instance(desc) for _, desc in entry.descriptors)
+        builds = _EntryBuilds(P, entry.orbit)
+        instances = [builds.instance(desc) for _, desc in entry.descriptors]
         if entry.family is not None:
-            out.extend(
+            instances.extend(
                 builds.instance(replace(entry.family, param=lam))
                 for lam in lams
                 if lam or entry.family.kind == "t2d"
             )
-    return out
+        built.append((entry.orbit, instances))
+    if not expand:
+        return [inst for _, instances in built for inst in instances]
+    return [
+        inst.relabelled(c, sigma)
+        for instances, c, sigma in expand_orbits(built)
+        for inst in instances
+    ]
 
 
 class _EntryBuilds:
@@ -780,8 +917,9 @@ class _EntryBuilds:
     family and each descriptor's kernel reuse its pieces. Made per entry
     and dropped with it."""
 
-    def __init__(self, P: TrinomialPresentation):
+    def __init__(self, P: TrinomialPresentation, orbit: Optional[TupleOrbit]):
         self.presentation = P
+        self.orbit = orbit
         self._contexts = {}
 
     def context(self, desc: LndDescriptor) -> _Type2Context:
@@ -802,8 +940,8 @@ class _EntryBuilds:
                 ctx.check_param(desc.param)
                 delta = _build_type2(ctx, desc.param)
         except NeedsNormalization as exc:
-            return LndInstance(descriptor=desc, derivation=None, error=f"NeedsNormalization: {exc}")
-        return LndInstance(descriptor=desc, derivation=delta)
+            return LndInstance(desc, None, f"NeedsNormalization: {exc}", self.orbit)
+        return LndInstance(desc, delta, orbit=self.orbit)
 
 
 @dataclass
@@ -816,6 +954,7 @@ class LndClassReport:
     semirigidity: SemirigidityReport
     ml: MakarLimanovReport
     classes: list
+    expanded_count: Optional[int] = None  # set unless classes lists every tuple
 
     def to_dict(self):
         grading = weight_assignment(self.presentation)
@@ -839,33 +978,33 @@ class LndClassReport:
         if self.semirigidity.clause:
             out["semirigid_clause"] = self.semirigidity.clause
         out["ml_invariant"] = self.ml.to_dict()
+        if self.expanded_count is not None:
+            out["expanded_count"] = self.expanded_count
         out["classes"] = self.classes
         return out
 
 
-def _concrete_base(builds: _EntryBuilds, desc, label, kernel):
-    """A formulas entry for a descriptor that can be built right away.
+def _concrete_formula(label, inst: LndInstance, extra, kernel, sigma):
+    """A formulas entry for a descriptor that builds right away, inst
+    already carried onto the orbit member whose swap is sigma.
 
     kernel is the entry's kernel list: the whole kernel of a free or
-    type 1 descriptor, which a type 2 descriptor extends by one generator.
+    type 1 descriptor; extra, the representative's kernel generator beyond
+    it for a type 2 descriptor, extends it.
     """
-    inst = builds.instance(desc)
-    entry = {"label": label, "descriptor": desc.to_dict()}
+    entry = {"label": label, "descriptor": inst.descriptor.to_dict()}
     if inst.derivation is None:
         entry["error"] = inst.error
         return entry
     entry["images"] = inst.derivation.image_strings()
-    if desc.kind in ("free", "type1"):
-        entry["kernel"] = kernel
-    else:
-        extra = _kernel_extra(builds.context(desc), desc.param)
-        entry["kernel"] = [*kernel, poly_format(extra)]
+    entry["kernel"] = kernel if extra is None else [*kernel, poly_format(extra.relabel(sigma))]
     return entry
 
 
-def _family_formula(builds: _EntryBuilds, family: LndDescriptor):
+def _family_formula(builds: _EntryBuilds, family: LndDescriptor, sigma):
     """A formulas entry for a parameter family: its kernel pattern in
-    lambda, or the error when that needs a root missing in Q(i)."""
+    lambda, or the error when that needs a root missing in Q(i). family
+    carries the tuple of the orbit member whose swap is sigma."""
     entry = {
         "label": "b:lambda_family" if family.kind == "t2b" else "delta_lambda",
         "descriptor": {**family.to_dict(), "param": "formal"},
@@ -876,7 +1015,7 @@ def _family_formula(builds: _EntryBuilds, family: LndDescriptor):
     except NeedsNormalization as exc:
         entry["error"] = f"NeedsNormalization: {exc}"
         return entry
-    parts = [poly_format(part) for part in ctx.parts]
+    parts = [poly_format(part.relabel(sigma)) for part in ctx.parts]
     if family.kind == "t2b":
         entry["kernel_pattern"] = f"lambda*({parts[0]}) - ({parts[1]})"
         return entry
@@ -888,14 +1027,57 @@ def _family_formula(builds: _EntryBuilds, family: LndDescriptor):
     return entry
 
 
-def class_report(P: TrinomialPresentation) -> LndClassReport:
-    """The classification: one entry per free variable, one per tuple.
+def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
+    """Build one plan entry at its representative; return fmt(c, sigma),
+    the report entry of orbit member c (None for a free variable) with
+    sigma = orbit.swap(c), naming the orbit when one is passed."""
+    builds = _EntryBuilds(P, entry.orbit)
+    concrete = []
+    for label, desc in entry.descriptors:
+        inst = builds.instance(desc)
+        extra = None
+        if inst.derivation is not None and desc.kind not in ("free", "type1"):
+            extra = _kernel_extra(builds.context(desc), desc.param)
+        concrete.append((label, inst, extra))
+    info = entry.info
+    if info is None:
+        free = entry.descriptors[0][1]
+        free_kernel = [poly_format(g) for g in kernel_generators(P, free)]
+
+    def fmt(c, sigma, orbit=None):
+        if info is None:
+            out = {"tuple": None, "case": "free_variable", "k": free.k}
+            kernel = free_kernel
+        else:
+            out = {"tuple": list(c), "case": info.case}
+            if info.case != "Type1":
+                out["labelings"] = [list(lab) for lab in info.labelings]
+            if orbit is not None:
+                out["orbit"] = orbit.to_dict()
+            kernel = [gen_name(g) for g in _off_tuple_generators(P, c)]
+        formulas = [
+            _concrete_formula(label, inst.relabelled(c, sigma), extra, kernel, sigma)
+            for label, inst, extra in concrete
+        ]
+        if entry.family is not None:
+            formulas.append(_family_formula(builds, replace(entry.family, c=c), sigma))
+        out.update(count=entry.count, formulas=formulas, kernel=kernel)
+        return out
+
+    return fmt
+
+
+def class_report(P: TrinomialPresentation, expand=False) -> LndClassReport:
+    """The classification: one entry per free variable, one per orbit of
+    admissible tuples, or with expand one per tuple.
 
     Free variables and type 1 tuples each carry a single class
     (SingleFamily); type 2 tuples carry either ExactlyTwo classes or an
     InfiniteFamily depending on the divisibility conditions. Parameter
     families appear with "param": "formal" and a kernel pattern; the
-    enumerate_lnds function materializes them.
+    enumerate_lnds function materializes them. An orbit entry is its
+    representative's entry plus "orbit" (TupleOrbit.to_dict), and the
+    report counts the entries expand would list as expanded_count.
     """
     try:
         factorial = P.is_factorial()
@@ -910,25 +1092,16 @@ def class_report(P: TrinomialPresentation) -> LndClassReport:
             status="not_computed", reason="computed for type 1 presentations only"
         )
     plan = list(class_plan(P))
-    classes = []
-    for entry in plan:
-        info = entry.info
-        if info is None:
-            free = entry.descriptors[0][1]
-            head = {"tuple": None, "case": "free_variable", "k": free.k}
-            kernel = [poly_format(g) for g in kernel_generators(P, free)]
-        else:
-            head = {"tuple": list(info.c), "case": info.case}
-            if info.case != "Type1":
-                head["labelings"] = [list(lab) for lab in info.labelings]
-            kernel = [gen_name(g) for g in _off_tuple_generators(P, info.c)]
-        builds = _EntryBuilds(P)
-        formulas = [
-            _concrete_base(builds, desc, label, kernel) for label, desc in entry.descriptors
+    formatters = [(entry.orbit, _class_formatter(P, entry)) for entry in plan]
+    expanded_count = None
+    if expand:
+        classes = [fmt(c, sigma) for fmt, c, sigma in expand_orbits(formatters)]
+    else:
+        classes = [
+            fmt(None if orbit is None else orbit.representative, {}, orbit)
+            for orbit, fmt in formatters
         ]
-        if entry.family is not None:
-            formulas.append(_family_formula(builds, entry.family))
-        classes.append({**head, "count": entry.count, "formulas": formulas, "kernel": kernel})
+        expanded_count = sum(1 if orbit is None else orbit.size for orbit, _ in formatters)
     return LndClassReport(
         presentation=P,
         dimension=P.dimension(),
@@ -938,4 +1111,5 @@ def class_report(P: TrinomialPresentation) -> LndClassReport:
         semirigidity=_semirigidity(P, plan, ml.status == "computed"),
         ml=ml,
         classes=classes,
+        expanded_count=expanded_count,
     )

@@ -5,8 +5,10 @@ report to stdout. Exit codes: 0 on success, 1 on invalid input or
 exceeded search limits, 2 when a verification fails (a relation is
 broken, the derivation is not homogeneous, or nilpotency is refuted),
 3 when nilpotency testing ends inconclusive (a guard such as the
-iteration cap tripped), 141 (128 + SIGPIPE) when the reader of stdout
-goes away.
+iteration cap tripped), 4 when a self-check fails (an InternalError, a
+bug), 141 (128 + SIGPIPE) when the reader of stdout goes away. Exits 1
+and 4 print {"error", "kind"}; any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from .derivation import (
     kernel_member,
     nilpotency_check,
 )
-from .gaussian import ScalarParseError, gq_parse
+from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_parse
 from .grading import NonHomogeneous, derivation_degree, weight_assignment
 from .oracle import BoxTooLarge, oracle_enumerate
 from .poly import (
-    NotDivisible,
     PolyParseError,
     UnknownGenerator,
     poly_format,
@@ -57,6 +58,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFICATION = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
 _INPUT_ERRORS = (
@@ -72,9 +74,10 @@ _INPUT_ERRORS = (
     WrongType,
     RootOutOfRange,
     BoxTooLarge,
+    InvalidArgument,
     json.JSONDecodeError,
+    UnicodeDecodeError,
     OSError,
-    ValueError,
 )
 
 
@@ -143,7 +146,7 @@ def _degree_info(delta, grading):
 
 def cmd_analyze(args) -> int:
     P = _load_presentation(args.presentation)
-    _emit(class_report(P).to_dict())
+    _emit(class_report(P, args.expand).to_dict())
     return EXIT_OK
 
 
@@ -151,8 +154,14 @@ def cmd_lnds(args) -> int:
     P = _load_presentation(args.presentation)
     grading = weight_assignment(P)
     records = []
-    for inst in enumerate_lnds(P, _parse_lambdas(args.lambdas)):
+    expanded_count = 0
+    # the instances are dropped with the loop, before the report is encoded
+    for inst in enumerate_lnds(P, _parse_lambdas(args.lambdas), expand=args.expand):
         record = {"descriptor": inst.descriptor.to_dict()}
+        if not args.expand:
+            expanded_count += 1 if inst.orbit is None else inst.orbit.size
+            if inst.orbit is not None:
+                record["orbit"] = inst.orbit.to_dict()
         if inst.derivation is None:
             record["error"] = inst.error
         else:
@@ -161,13 +170,11 @@ def cmd_lnds(args) -> int:
             if info:
                 record.update(info)
         records.append(record)
-    _emit(
-        {
-            "presentation": P.to_input_dict(),
-            "count": len(records),
-            "lnds": records,
-        }
-    )
+    out = {"presentation": P.to_input_dict(), "count": len(records)}
+    if not args.expand:
+        out["expanded_count"] = expanded_count
+    out["lnds"] = records
+    _emit(out)
     return EXIT_OK
 
 
@@ -240,7 +247,12 @@ def cmd_oracle(args) -> int:
     if args.weight:
         weights = []
         for chunk in args.weight:
-            weights.append(tuple(int(x) for x in chunk.split(",")))
+            try:
+                weights.append(tuple(int(x) for x in chunk.split(",")))
+            except ValueError:
+                raise InvalidArgument(
+                    f"weight {chunk!r} must be comma-separated integers"
+                ) from None
     report = oracle_enumerate(
         P,
         weights=weights,
@@ -258,7 +270,7 @@ def cmd_demazure(args) -> int:
         ray1 = tuple(int(x) for x in first.split(","))
         ray2 = tuple(int(x) for x in second.split(","))
     except ValueError:
-        raise ValueError('rays must look like "x1,y1:x2,y2"') from None
+        raise InvalidArgument('rays must look like "x1,y1:x2,y2"') from None
     cone = Cone2D(ray1, ray2)
     family = demazure_roots(cone, args.ray)
     out = family.to_dict()
@@ -289,8 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    expand_help = (
+        "list every admissible tuple of an orbit of equal-exponent tuples, "
+        "instead of one record per orbit"
+    )
     p = sub.add_parser("analyze", help="full classification report")
     p.add_argument("--presentation", required=True, help="path to a presentation JSON file")
+    p.add_argument("--expand", action="store_true", help=expand_help)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lnds", help="materialize one derivation per class")
@@ -299,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambdas",
         help="comma-separated parameter samples for infinite families, e.g. 0,1,-1,i",
     )
+    p.add_argument("--expand", action="store_true", help=expand_help)
     p.set_defaults(func=cmd_lnds)
 
     p = sub.add_parser("kernel", help="kernel generators of a described derivation")
@@ -356,12 +374,12 @@ def main(argv=None) -> int:
         # interpreter exit from failing again on what is still buffered
         sys.stdout = None
         return EXIT_BROKEN_PIPE
-    except NotDivisible:
-        # a ValueError, but a failed exact division is a bug, never invalid input
-        raise
     except _INPUT_ERRORS as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return EXIT_INPUT
+    except InternalError as exc:
+        _emit({"error": str(exc), "kind": type(exc).__name__})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .gaussian import GaussianRational, gq
+from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
 from .poly import (
     Gen,
@@ -168,6 +168,19 @@ class Derivation:
     def is_zero(self) -> bool:
         return not self.images
 
+    def relabelled(self, sigma: Mapping[Gen, Gen]) -> "Derivation":
+        """sigma * self * sigma^-1 for a permutation sigma of the generators
+        that maps every relation to itself.
+
+        Such a sigma fixes every block power, hence every rewrite rule, so
+        it maps normal forms to normal forms: the images are not normalized
+        again. The caller checks the relations.
+        """
+        out = Derivation.__new__(Derivation)
+        out.presentation = self.presentation
+        out.images = {sigma.get(g, g): img.relabel(sigma) for g, img in self.images.items()}
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, Derivation)
@@ -251,7 +264,7 @@ def nilpotency_check(
     those of the true iterate.
     """
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise InvalidArgument("cap must be at least 1")
     dense = _DenseForm(delta)
     for g in delta.presentation.generators:
         img = dense.images.get(g)

@@ -24,6 +24,10 @@ class InternalError(RuntimeError):
     """A self-check failed: this signals a bug, never invalid input."""
 
 
+class InvalidArgument(ValueError):
+    """An option or argument value outside its documented range."""
+
+
 class GaussianRational:
     """An immutable element (a + b*i) / d of Q(i).
 

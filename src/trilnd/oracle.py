@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
-from .gaussian import GaussianRational, I, ONE, ZERO, gq_format
+from .gaussian import GaussianRational, I, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
 from .poly import Monomial, Poly, dense_leibniz, integer_terms, leibniz_part, primitive_part
 from .presentation import TrinomialPresentation
@@ -187,7 +187,7 @@ def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading
 
 def _check_degree_bound(degree_bound: int) -> None:
     if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+        raise InvalidArgument("degree bound must be nonnegative")
 
 
 def solution_space(
@@ -214,7 +214,7 @@ def solution_space(
     grading = weight_assignment(P)
     weight = tuple(weight)
     if len(weight) != grading.rank:
-        raise ValueError(f"weight must have {grading.rank} components")
+        raise InvalidArgument(f"weight must have {grading.rank} components")
     if box is None:
         box = _box_by_weight(P, degree_bound, grading)
     unknowns = []
@@ -358,10 +358,10 @@ def oracle_enumerate(
     guess. The default cap of 16 is three times the largest vanishing
     index any classifier output exhibits at the default degree bound;
     raise it when hunting slow-dying candidates. A cap below 1 or a
-    negative degree bound raises ValueError before any search.
+    negative degree bound raises InvalidArgument before any search.
     """
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise InvalidArgument("cap must be at least 1")
     _check_degree_bound(degree_bound)
     grading = weight_assignment(P)
     by_degree = _classifier_by_degree(P, grading)

@@ -148,6 +148,14 @@ class Monomial:
             raise ValueError("negative monomial power")
         return Monomial(tuple((g, e * n) for g, e in self._pairs))
 
+    def relabel(self, sigma: Mapping[Gen, Gen]) -> "Monomial":
+        """Each generator g replaced by sigma.get(g, g); sigma must be one to one.
+
+        Pairs of generators sigma leaves alone are shared with self."""
+        pairs = [(sigma[pair[0]], pair[1]) if pair[0] in sigma else pair for pair in self._pairs]
+        pairs.sort(key=lambda it: gen_significance(it[0]), reverse=True)
+        return Monomial._of(tuple(pairs))
+
     def divides(self, other: "Monomial") -> bool:
         other_map = dict(other._pairs)
         return all(other_map.get(g, 0) >= e for g, e in self._pairs)
@@ -345,6 +353,10 @@ class Poly:
             for tm, tc in term._terms.items():
                 _add_term(acc, tm, tc)
         return Poly._of(acc)
+
+    def relabel(self, sigma: Mapping[Gen, Gen]) -> "Poly":
+        """Each generator g replaced by sigma.get(g, g); sigma must be one to one."""
+        return Poly._of({m.relabel(sigma): c for m, c in self._terms.items()})
 
     def __eq__(self, other):
         other = _as_poly(other)

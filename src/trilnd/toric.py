@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .classify import DEFAULT_LAMBDAS
 from .derivation import Derivation
-from .gaussian import GaussianRational, I, InternalError, ONE, gq, gq_format
+from .gaussian import GaussianRational, I, InternalError, InvalidArgument, ONE, gq, gq_format
 from .poly import Poly, tvar
 from .presentation import TrinomialPresentation, _ext_gcd, surface
 
@@ -44,14 +44,14 @@ class Cone2D:
     def __post_init__(self):
         for ray in (self.ray1, self.ray2):
             if len(ray) != 2 or not all(isinstance(c, int) for c in ray):
-                raise ValueError(f"ray {ray!r} must be a pair of integers")
+                raise InvalidArgument(f"ray {ray!r} must be a pair of integers")
             if ray == (0, 0):
-                raise ValueError("zero vector cannot generate a ray")
+                raise InvalidArgument("zero vector cannot generate a ray")
             if gcd(abs(ray[0]), abs(ray[1])) != 1:
-                raise ValueError(f"ray generator {ray} is not primitive")
+                raise InvalidArgument(f"ray generator {ray} is not primitive")
         det = self.ray1[0] * self.ray2[1] - self.ray1[1] * self.ray2[0]
         if det == 0:
-            raise ValueError("ray generators are proportional, the cone is not full")
+            raise InvalidArgument("ray generators are proportional, the cone is not full")
 
     def ray(self, index: int) -> Tuple[int, int]:
         if index == 1:

@@ -394,12 +394,13 @@ def test_enumerate_carries_normalization_errors():
 )
 def test_class_report_classifies_once(monkeypatch, P, clause):
     calls = []
+    tuple_orbits = classify.tuple_orbits
 
     def counted(Q):
         calls.append(Q)
-        return admissible_tuples(Q)
+        return tuple_orbits(Q)
 
-    monkeypatch.setattr(classify, "admissible_tuples", counted)
+    monkeypatch.setattr(classify, "tuple_orbits", counted)
     report = class_report(P)
     assert len(calls) == 1
     assert not report.rigidity.rigid
@@ -545,7 +546,10 @@ def test_presentation_keeps_only_block_level_pieces():
     families, the presentation holds block pieces only, at most n + r^3 of
     them, and no per-tuple context is left alive."""
     P = type2(((2,), (4,), (1, 1, 1), (1, 1)))
-    plan = list(classify.class_plan(P))
+    plan = [
+        entry
+        for entry, _, _ in classify.expand_orbits((e.orbit, e) for e in classify.class_plan(P))
+    ]
     assert len(plan) == 6 and all(entry.family.kind == "t2b" for entry in plan)
     class_report(P)
     instances = enumerate_lnds(P)

@@ -400,15 +400,16 @@ def test_self_checks_are_explicit_raises():
     assert asserts == []
 
 
-def test_internal_error_is_not_reported_as_invalid_input(monkeypatch):
+def test_internal_error_is_not_reported_as_invalid_input(monkeypatch, capsys):
     assert not issubclass(InternalError, ValueError)
     monkeypatch.setattr(
         trilnd.classify, "is_well_defined", lambda delta: WellDefinedReport(False, 0)
     )
     with pytest.raises(InternalError):
         trilnd.classify.build_lnd_type1(trilnd.type1(((1, 2), (2,))), (1, 1))
-    with pytest.raises(InternalError):
-        main(["analyze", "--presentation", f"{SAMPLES}/type1_semirigid.json"])
+    code, rep = run(capsys, "analyze", "--presentation", f"{SAMPLES}/type1_semirigid.json")
+    assert code == 4
+    assert rep == {"error": "type 1 construction broke relation 0", "kind": "InternalError"}
 
 
 def test_failed_exact_division_is_not_reported_as_invalid_input(monkeypatch, capsys):
@@ -452,4 +453,36 @@ def test_oracle_rejects_a_cap_below_one_and_a_negative_bound(tmp_path, capsys, f
         path = f"{SAMPLES}/sphere.json"
     code, rep = run(capsys, "oracle", "--presentation", path, *flags)
     assert code == 1
-    assert rep["kind"] == "ValueError"
+    assert rep["kind"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--presentation", f"{SAMPLES}/sphere.json", "--derivation", "D", "--cap", "0"),
+        ("oracle", "--presentation", f"{SAMPLES}/sphere.json", "--weight", "1,2"),
+        ("oracle", "--presentation", f"{SAMPLES}/sphere.json", "--weight", "one"),
+        ("demazure", "--rays", "0,1", "--ray", "1"),
+        ("demazure", "--rays", "0,0:1,0", "--ray", "1"),
+        ("demazure", "--rays", "2,0:0,1", "--ray", "1"),
+        ("demazure", "--rays", "1,1:2,2", "--ray", "1"),
+    ],
+    ids=["cap0", "weight-length", "weight-text", "rays-text", "rays-zero", "rays-imprimitive",
+         "rays-proportional"],
+)
+def test_documented_input_errors_exit_one(tmp_path, capsys, argv):
+    deriv = tmp_path / "d.txt"
+    deriv.write_text("T0_1 = 2i*T2_1\nT1_1 = 2*T2_1\nT2_1 = -2*T1_1 - 2i*T0_1\n")
+    code, rep = run(capsys, *(str(deriv) if a == "D" else a for a in argv))
+    assert code == 1
+    assert rep["kind"] == "InvalidArgument" and rep["error"]
+
+
+def test_an_undocumented_value_error_is_not_reported_as_invalid_input(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("an internal slip")
+
+    monkeypatch.setattr(trilnd.cli, "class_report", broken)
+    with pytest.raises(ValueError, match="an internal slip"):
+        main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"])
+    assert capsys.readouterr().out == ""
