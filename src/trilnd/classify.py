@@ -91,12 +91,6 @@ class AdmissibleTuple:
     big: Tuple[int, ...]
     labelings: Tuple = ()
 
-    def to_dict(self):
-        data = {"c": list(self.c), "case": self.case, "big": list(self.big)}
-        if self.case != "Type1":
-            data["labelings"] = [list(lab) for lab in self.labelings]
-        return data
-
 
 @dataclass(frozen=True)
 class LndDescriptor:
@@ -396,12 +390,6 @@ def class_plan(P: TrinomialPresentation):
         yield PlannedClass(info, count, descriptors, family, orbit)
 
 
-def free_variable_lnd(P: TrinomialPresentation, k: int) -> Derivation:
-    if not _is_int(k) or not 1 <= k <= P.d:
-        raise NoSuchFreeVariable(f"presentation has {P.d} free variables, asked for {k}")
-    return Derivation(P, {svar(k): Poly.constant(1)})
-
-
 def _partials_product(P: TrinomialPresentation, cmap: dict, blocks) -> Poly:
     """The product of the block partials dT_i^{l_i}/dT_{i c_i} over blocks.
 
@@ -418,41 +406,64 @@ def _partials_product(P: TrinomialPresentation, cmap: dict, blocks) -> Poly:
     return Poly._of({Monomial._of(tuple(pairs)): gq(coeff)})
 
 
-def build_lnd_type1(P: TrinomialPresentation, c) -> Derivation:
-    """The tuple derivation: each chosen variable maps to the product of
-    the other blocks' partials, everything else to zero."""
-    if P.kind != 1:
-        raise WrongType("this construction is for type 1; use build_lnd_type2")
-    info = _tuple_info(P, c)
-    cmap = dict(zip(P.block_numbers, info.c))
-    images = {
-        tvar(i, cmap[i]): _partials_product(P, cmap, (k for k in P.block_numbers if k != i))
-        for i in P.block_numbers
-    }
-    delta = Derivation(P, images)
-    report = is_well_defined(delta)
-    if not report.ok:
-        raise InternalError(f"type 1 construction broke relation {report.relation_index}")
-    return delta
+def _off_tuple_generators(P: TrinomialPresentation, c):
+    """Off-tuple variables and free variables: the kernel part common to
+    every class of the tuple."""
+    chosen = {tvar(i, ci) for i, ci in zip(P.block_numbers, c)}
+    return [g for g in P.generators if g not in chosen]
 
 
-class _Type2Context:
-    """A validated type 2 (kind, tuple, roles) and the parameter-free pieces
-    of its formulas, each computed on first use.
+def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
+    root = gq_sqrt(ratio)
+    if root is None:
+        raise NeedsNormalization(
+            f"{what} requires a square root of {gq_format(ratio)} in Q(i); rescale the "
+            "presentation first",
+            ratio=ratio,
+            order=2,
+        )
+    return root
 
-    The samples of a family and the kernels of its descriptors share one
-    context. Callers keep it for one plan entry at most, never on the
-    presentation, which holds only the block-level pieces.
+
+class _Construction:
+    """A validated descriptor of any kind: its derivation and its kernel,
+    from the parameter-free pieces of its formulas, each computed on first
+    use.
+
+    This is the one place that reads a descriptor's kind. The samples of
+    a family and the kernels of its descriptors share one construction.
+    Callers keep it for one plan entry at most, never on the presentation,
+    which holds only the block-level pieces.
     """
 
     def __init__(self, P: TrinomialPresentation, desc: LndDescriptor):
         """Check everything about desc except its parameter (check_param)."""
-        if P.kind != 2:
-            raise WrongType("this construction is for type 2; use build_lnd_type1")
-        if desc.c is None or desc.roles is None:
-            raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
+        self.presentation = P
+        self.kind = desc.kind
+        if desc.kind == "free":
+            if desc.k is None:
+                raise InadmissibleDescriptor("free descriptor needs an index k")
+            if not _is_int(desc.k) or not 1 <= desc.k <= P.d:
+                raise NoSuchFreeVariable(
+                    f"presentation has {P.d} free variables, asked for {desc.k}"
+                )
+            self.moved = frozenset({svar(desc.k)})
+            return
+        if desc.kind == "type1":
+            if desc.c is None:
+                raise InadmissibleDescriptor("type1 descriptor needs a tuple")
+            if P.kind != 1:
+                raise WrongType("type1 descriptor on a type 2 presentation")
+        else:
+            if P.kind != 2:
+                raise WrongType("this construction is for type 2; use build_lnd_type1")
+            if desc.c is None or desc.roles is None:
+                raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
         info = _tuple_info(P, desc.c)
-        cmap = dict(zip(P.block_numbers, info.c))
+        self.cmap = cmap = dict(zip(P.block_numbers, info.c))
+        self.moved = frozenset(tvar(i, ci) for i, ci in cmap.items())
+        if desc.kind == "type1":
+            return
         roles = tuple(desc.roles)
         if len(roles) != 3 or len(set(roles)) != 3 or any(
             not _is_int(i) or i not in P.block_numbers for i in roles
@@ -485,39 +496,39 @@ class _Type2Context:
                 )
         else:
             raise InadmissibleDescriptor(f"unknown type 2 descriptor kind {desc.kind!r}")
-        self.presentation = P
-        self.kind = desc.kind
-        self.info = info
-        self.cmap = cmap
         self.roles = roles
         self.gens = tuple(tvar(i, cmap[i]) for i in roles)
         self._m = m
 
+    def param_fault(self, param) -> Optional[str]:
+        """Why param does not suit this kind, or None when it does."""
+        if self.kind == "t2b" and not param:
+            return "this family needs a nonzero parameter"
+        if self.kind == "t2c" and (param is None or param * param != gq(-1)):
+            return "parameter must be i or -i"
+        if self.kind == "t2d" and param is None:
+            return "this family needs a parameter value"
+        return None
+
     def check_param(self, param):
         """Raise InadmissibleDescriptor unless param suits this kind."""
-        if self.kind == "t2b":
-            if param is None or not param:
-                raise InadmissibleDescriptor("this family needs a nonzero parameter")
-        elif self.kind == "t2c":
-            if param is None or param * param != gq(-1):
-                raise InadmissibleDescriptor("parameter must be i or -i")
-        elif self.kind == "t2d" and param is None:
-            raise InadmissibleDescriptor("this family needs a parameter value")
+        fault = self.param_fault(param)
+        if fault is not None:
+            raise InadmissibleDescriptor(fault)
 
     @cached_property
     def parts(self) -> Tuple[Poly, ...]:
         """T_B0^(l/m) and T_B1^(l/m) for t2b, m the chosen exponent of B0;
         the halves of the role blocks for t2c (B0, B1) and t2d (B0, B1, B2)."""
-        P = self.presentation
         if self.kind == "t2a":
             return ()
         count = 3 if self.kind == "t2d" else 2
-        return tuple(P.block_power_divided(i, self._m) for i in self.roles[:count])
+        return tuple(self.presentation.block_power_divided(i, self._m) for i in self.roles[:count])
 
     @cached_property
     def roots(self) -> Tuple[GaussianRational, ...]:
         """sb for t2c, sb and sc for t2d; NeedsNormalization when missing in Q(i)."""
-        if self.kind in ("t2a", "t2b"):
+        if self.kind not in ("t2c", "t2d"):
             return ()
         alpha, beta, gamma = self.presentation.triple_coefficients(*self.roles)
         what = "the two-class family" if self.kind == "t2c" else "the parameter family"
@@ -528,7 +539,8 @@ class _Type2Context:
 
     @cached_property
     def image_pieces(self) -> Tuple[Poly, ...]:
-        """The parameter-free factors of the two distinguished images.
+        """The parameter-free factors of the two distinguished images of a
+        type 2 kind.
 
         With rest the product of the partials of the blocks outside B0 and
         B1: rest for t2a, and d_b * rest and d_a * rest for t2b and t2c,
@@ -579,146 +591,139 @@ class _Type2Context:
             )
         return tuple(steps)
 
+    def build(self, param=None) -> Derivation:
+        """The derivation at param, self-checked against every relation.
 
-def _type2_context(P: TrinomialPresentation, desc: LndDescriptor) -> _Type2Context:
-    ctx = _Type2Context(P, desc)
-    ctx.check_param(desc.param)
-    return ctx
+        A type 2 derivation gets its two distinguished images from the
+        classified formulas; the image of the third role block and of every
+        other block is solved from the triple relation through that block,
+        an exact division by a monomial. A division failure is a bug and
+        raises ExactDivisionFailed, a broken relation InternalError.
+        """
+        self.check_param(param)
+        P = self.presentation
+        if self.kind == "free":
+            images = dict.fromkeys(self.moved, Poly.constant(1))
+        elif self.kind == "type1":
+            # each chosen variable maps to the product of the other blocks' partials
+            images = {
+                tvar(i, self.cmap[i]): _partials_product(
+                    P, self.cmap, (k for k in P.block_numbers if k != i)
+                )
+                for i in P.block_numbers
+            }
+        else:
+            images = self._type2_images(param)
+        delta = Derivation(P, images)
+        report = is_well_defined(delta)
+        if not report.ok:
+            raise InternalError(f"type {P.kind} construction broke relation {report.relation_index}")
+        return delta
 
+    def _type2_images(self, param) -> dict:
+        roots = self.roots
+        t_a, t_b, _ = self.gens
+        pieces = self.image_pieces
+        images = {}
+        if self.kind == "t2a":
+            images[t_a] = pieces[0]
+        elif self.kind == "t2b":
+            images[t_a] = pieces[0]
+            images[t_b] = pieces[1] * param
+        elif self.kind == "t2c":
+            images[t_a] = pieces[0] * (param * roots[0])
+            images[t_b] = pieces[1]
+        else:  # t2d
+            ab, ac, ba, bc = pieces
+            sb, sc = roots
+            lam = param
+            one_plus = (ONE + lam * lam) * I
+            one_minus = ONE - lam * lam
+            images[t_a] = ab * (lam * 2 * sb) + ac * (one_plus * sc)
+            images[t_b] = ba * (-2 * lam / sb) + bc * (one_minus * sc / sb)
+        img0 = images.get(t_a, Poly.zero())
+        img1 = images.get(t_b, Poly.zero())
+        for t_s, a_s, b_s, c_s in self.solve_steps:
+            numerator = -(a_s * img0 + b_s * img1)
+            try:
+                solved = exact_divide(numerator, c_s)
+            except NotDivisible as exc:
+                raise ExactDivisionFailed(
+                    f"solving the image of block {t_s[1]} failed: {exc}"
+                ) from exc
+            if solved:
+                images[t_s] = solved
+        return images
 
-def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
-    root = gq_sqrt(ratio)
-    if root is None:
-        raise NeedsNormalization(
-            f"{what} requires a square root of {gq_format(ratio)} in Q(i); rescale the "
-            "presentation first",
-            ratio=ratio,
-            order=2,
-        )
-    return root
+    def kernel(self, param=None) -> list:
+        """Generators of the kernel at param: every generator the derivation
+        does not move, then kernel_extra's generator if any."""
+        extra = self.kernel_extra(param)
+        gens = [Poly.generator(g) for g in self.presentation.generators if g not in self.moved]
+        return gens if extra is None else [*gens, extra]
 
+    def kernel_extra(self, param) -> Optional[Poly]:
+        """The kernel generator of a type 2 kind beyond the generators it
+        does not move; None for free and type1."""
+        self.check_param(param)
+        if self.kind == "t2a":
+            return Poly.generator(self.gens[1])
+        if self.kind == "t2b":
+            part_a, part_b = self.parts
+            return part_a * param - part_b
+        if self.kind == "t2c":
+            half_a, half_b = self.parts
+            return half_a * param + half_b * self.roots[0]
+        if self.kind == "t2d":
+            half_a, half_b, half_c = self.parts
+            sb, sc = self.roots
+            lam = param
+            return (
+                half_a * (ONE - lam * lam)
+                - half_b * ((ONE + lam * lam) * I * sb)
+                + half_c * (2 * lam * sc)
+            )
+        return None
 
-def build_lnd_type2(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation:
-    """Construct the derivation described by desc on a type 2 presentation.
-
-    The two distinguished images follow the classified formulas; the
-    image of the third role block and of every other block is solved
-    from the triple relation through that block, an exact division by a
-    monomial. A division failure is a bug and raises ExactDivisionFailed.
-    """
-    return _build_type2(_type2_context(P, desc), desc.param)
-
-
-def _build_type2(ctx: _Type2Context, param) -> Derivation:
-    """build_lnd_type2 on a context whose check_param(param) has passed."""
-    roots = ctx.roots
-    t_a, t_b, _ = ctx.gens
-    pieces = ctx.image_pieces
-    images = {}
-    if ctx.kind == "t2a":
-        images[t_a] = pieces[0]
-    elif ctx.kind == "t2b":
-        images[t_a] = pieces[0]
-        images[t_b] = pieces[1] * param
-    elif ctx.kind == "t2c":
-        images[t_a] = pieces[0] * (param * roots[0])
-        images[t_b] = pieces[1]
-    else:  # t2d
-        ab, ac, ba, bc = pieces
+    def kernel_pattern(self, sigma) -> str:
+        """kernel_extra of a t2b or t2d family in the formal parameter
+        lambda, carried onto the orbit member whose swap is sigma;
+        NeedsNormalization when it needs a root missing in Q(i)."""
+        roots = self.roots
+        parts = [poly_format(part.relabel(sigma)) for part in self.parts]
+        if self.kind == "t2b":
+            return f"lambda*({parts[0]}) - ({parts[1]})"
         sb, sc = roots
-        lam = param
-        one_plus = (ONE + lam * lam) * I
-        one_minus = ONE - lam * lam
-        images[t_a] = ab * (lam * 2 * sb) + ac * (one_plus * sc)
-        images[t_b] = ba * (-2 * lam / sb) + bc * (one_minus * sc / sb)
-    img0 = images.get(t_a, Poly.zero())
-    img1 = images.get(t_b, Poly.zero())
-    for t_s, a_s, b_s, c_s in ctx.solve_steps:
-        numerator = -(a_s * img0 + b_s * img1)
-        try:
-            solved = exact_divide(numerator, c_s)
-        except NotDivisible as exc:
-            raise ExactDivisionFailed(
-                f"solving the image of block {t_s[1]} failed: {exc}"
-            ) from exc
-        if solved:
-            images[t_s] = solved
-    delta = Derivation(ctx.presentation, images)
-    report = is_well_defined(delta)
-    if not report.ok:
-        raise InternalError(f"type 2 construction broke relation {report.relation_index}")
-    return delta
+        return (
+            f"(1-lambda^2)*({parts[0]}) - (1+lambda^2)*({gq_format(I * sb)})*({parts[1]})"
+            f" + 2*lambda*({gq_format(sc)})*({parts[2]})"
+        )
 
 
 def build_lnd(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation:
-    """Dispatch on the descriptor kind."""
-    if desc.kind == "free":
-        if desc.k is None:
-            raise InadmissibleDescriptor("free descriptor needs an index k")
-        return free_variable_lnd(P, desc.k)
-    if desc.kind == "type1":
-        if desc.c is None:
-            raise InadmissibleDescriptor("type1 descriptor needs a tuple")
-        if P.kind != 1:
-            raise WrongType("type1 descriptor on a type 2 presentation")
-        return build_lnd_type1(P, desc.c)
-    return build_lnd_type2(P, desc)
+    """The derivation desc describes, of any kind, self-checked."""
+    return _Construction(P, desc).build(desc.param)
 
 
-def _off_tuple_generators(P: TrinomialPresentation, c):
-    """Off-tuple variables and free variables: the kernel part common to
-    every class of the tuple."""
-    cmap = dict(zip(P.block_numbers, c))
-    gens = [
-        tvar(i, j)
-        for i in P.block_numbers
-        for j in range(1, P.block_size(i) + 1)
-        if j != cmap[i]
-    ]
-    gens.extend(svar(k) for k in range(1, P.d + 1))
-    return gens
+def free_variable_lnd(P: TrinomialPresentation, k: int) -> Derivation:
+    """The partial derivative by the free variable S_k."""
+    return _Construction(P, LndDescriptor(kind="free", k=k)).build()
+
+
+def build_lnd_type1(P: TrinomialPresentation, c) -> Derivation:
+    """The tuple derivation: each chosen variable maps to the product of
+    the other blocks' partials, everything else to zero."""
+    return _Construction(P, LndDescriptor(kind="type1", c=c)).build()
+
+
+def build_lnd_type2(P: TrinomialPresentation, desc: LndDescriptor) -> Derivation:
+    """build_lnd, under the name of the type 2 constructions."""
+    return _Construction(P, desc).build(desc.param)
 
 
 def kernel_generators(P: TrinomialPresentation, desc: LndDescriptor):
     """Generators of the kernel of the described derivation."""
-    if desc.kind == "free":
-        if not _is_int(desc.k) or not 1 <= desc.k <= P.d:
-            raise InadmissibleDescriptor(f"no free variable {desc.k!r}")
-        gens = [Poly.generator(g) for g in P.generators if g[0] == "T"]
-        gens.extend(
-            Poly.generator(svar(p)) for p in range(1, P.d + 1) if p != desc.k
-        )
-        return gens
-    if desc.kind == "type1":
-        if P.kind != 1:
-            raise WrongType("type1 descriptor on a type 2 presentation")
-        if desc.c is None:
-            raise InadmissibleDescriptor("type1 descriptor needs a tuple")
-        return [Poly.generator(g) for g in _off_tuple_generators(P, _tuple_info(P, desc.c).c)]
-    ctx = _type2_context(P, desc)
-    extra = _kernel_extra(ctx, desc.param)
-    return [*(Poly.generator(g) for g in _off_tuple_generators(P, ctx.info.c)), extra]
-
-
-def _kernel_extra(ctx: _Type2Context, param) -> Poly:
-    """The kernel generator of a type 2 descriptor beyond the off-tuple ones."""
-    if ctx.kind == "t2a":
-        return Poly.generator(ctx.gens[1])
-    if ctx.kind == "t2b":
-        part_a, part_b = ctx.parts
-        return part_a * param - part_b
-    roots = ctx.roots
-    if ctx.kind == "t2c":
-        half_a, half_b = ctx.parts
-        return half_a * param + half_b * roots[0]
-    half_a, half_b, half_c = ctx.parts
-    sb, sc = roots
-    lam = param
-    return (
-        half_a * (ONE - lam * lam)
-        - half_b * ((ONE + lam * lam) * I * sb)
-        + half_c * (2 * lam * sc)
-    )
+    return _Construction(P, desc).kernel(desc.param)
 
 
 # -- rigidity and the Makar-Limanov invariant ------------------------------
@@ -896,10 +901,11 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
         builds = _EntryBuilds(P, entry.orbit)
         instances = [builds.instance(desc) for _, desc in entry.descriptors]
         if entry.family is not None:
+            family = builds.construction(entry.family)
             instances.extend(
                 builds.instance(replace(entry.family, param=lam))
                 for lam in lams
-                if lam or entry.family.kind == "t2d"
+                if family.param_fault(lam) is None
             )
         built.append((entry.orbit, instances))
     if not expand:
@@ -913,32 +919,27 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
 
 class _EntryBuilds:
     """Builds for the descriptors of one plan entry, sharing one
-    _Type2Context per (kind, roles): the two t2c classes, the samples of a
-    family and each descriptor's kernel reuse its pieces. Made per entry
+    _Construction per (kind, k, roles): the two t2c classes, the samples of
+    a family and each descriptor's kernel reuse its pieces. Made per entry
     and dropped with it."""
 
     def __init__(self, P: TrinomialPresentation, orbit: Optional[TupleOrbit]):
         self.presentation = P
         self.orbit = orbit
-        self._contexts = {}
+        self._constructions = {}
 
-    def context(self, desc: LndDescriptor) -> _Type2Context:
-        """The shared context of desc; its parameter is not checked."""
-        key = (desc.kind, desc.roles)
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            ctx = self._contexts[key] = _Type2Context(self.presentation, desc)
-        return ctx
+    def construction(self, desc: LndDescriptor) -> _Construction:
+        """The shared construction of desc; its parameter is not checked."""
+        key = (desc.kind, desc.k, desc.roles)
+        construction = self._constructions.get(key)
+        if construction is None:
+            construction = self._constructions[key] = _Construction(self.presentation, desc)
+        return construction
 
     def instance(self, desc: LndDescriptor) -> LndInstance:
         """desc built, or with the NeedsNormalization its build raised as error."""
         try:
-            if desc.kind in ("free", "type1"):
-                delta = build_lnd(self.presentation, desc)
-            else:
-                ctx = self.context(desc)
-                ctx.check_param(desc.param)
-                delta = _build_type2(ctx, desc.param)
+            delta = self.construction(desc).build(desc.param)
         except NeedsNormalization as exc:
             return LndInstance(desc, None, f"NeedsNormalization: {exc}", self.orbit)
         return LndInstance(desc, delta, orbit=self.orbit)
@@ -1009,21 +1010,10 @@ def _family_formula(builds: _EntryBuilds, family: LndDescriptor, sigma):
         "label": "b:lambda_family" if family.kind == "t2b" else "delta_lambda",
         "descriptor": {**family.to_dict(), "param": "formal"},
     }
-    ctx = builds.context(family)
     try:
-        roots = ctx.roots
+        entry["kernel_pattern"] = builds.construction(family).kernel_pattern(sigma)
     except NeedsNormalization as exc:
         entry["error"] = f"NeedsNormalization: {exc}"
-        return entry
-    parts = [poly_format(part.relabel(sigma)) for part in ctx.parts]
-    if family.kind == "t2b":
-        entry["kernel_pattern"] = f"lambda*({parts[0]}) - ({parts[1]})"
-        return entry
-    sb, sc = roots
-    entry["kernel_pattern"] = (
-        f"(1-lambda^2)*({parts[0]}) - (1+lambda^2)*({gq_format(I * sb)})*({parts[1]})"
-        f" + 2*lambda*({gq_format(sc)})*({parts[2]})"
-    )
     return entry
 
 
@@ -1036,13 +1026,13 @@ def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
     for label, desc in entry.descriptors:
         inst = builds.instance(desc)
         extra = None
-        if inst.derivation is not None and desc.kind not in ("free", "type1"):
-            extra = _kernel_extra(builds.context(desc), desc.param)
+        if inst.derivation is not None:
+            extra = builds.construction(desc).kernel_extra(desc.param)
         concrete.append((label, inst, extra))
     info = entry.info
     if info is None:
         free = entry.descriptors[0][1]
-        free_kernel = [poly_format(g) for g in kernel_generators(P, free)]
+        free_kernel = [poly_format(g) for g in builds.construction(free).kernel()]
 
     def fmt(c, sigma, orbit=None):
         if info is None:

@@ -86,13 +86,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2), flush=True)
 
 
-def _load_presentation(path: str) -> TrinomialPresentation:
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for "-"."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return TrinomialPresentation.from_json(text)
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _parse_lambdas(text):
@@ -145,13 +144,13 @@ def _degree_info(delta, grading):
 
 
 def cmd_analyze(args) -> int:
-    P = _load_presentation(args.presentation)
+    P = TrinomialPresentation.from_json(_read_text(args.presentation))
     _emit(class_report(P, args.expand).to_dict())
     return EXIT_OK
 
 
 def cmd_lnds(args) -> int:
-    P = _load_presentation(args.presentation)
+    P = TrinomialPresentation.from_json(_read_text(args.presentation))
     grading = weight_assignment(P)
     records = []
     expanded_count = 0
@@ -179,7 +178,7 @@ def cmd_lnds(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    P = _load_presentation(args.presentation)
+    P = TrinomialPresentation.from_json(_read_text(args.presentation))
     desc = _descriptor_from_json(args.descriptor)
     gens = kernel_generators(P, desc)
     out = {
@@ -199,13 +198,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    P = _load_presentation(args.presentation)
-    if args.derivation == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.derivation, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    delta = derivation_from_text(P, text)
+    P = TrinomialPresentation.from_json(_read_text(args.presentation))
+    delta = derivation_from_text(P, _read_text(args.derivation))
     out = {"presentation": P.to_input_dict()}
     report = is_well_defined(delta)
     out["well_defined"] = report.ok
@@ -242,7 +236,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    P = _load_presentation(args.presentation)
+    P = TrinomialPresentation.from_json(_read_text(args.presentation))
     weights = None
     if args.weight:
         weights = []
@@ -285,7 +279,7 @@ def cmd_demazure(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    P = _load_presentation(args.presentation)
+    P = TrinomialPresentation.from_json(_read_text(args.presentation))
     _emit(all_ones_rescaling(P).to_dict())
     return EXIT_OK
 

@@ -39,6 +39,8 @@ _MAX_COMBO_BASIS = 4
 # box is refused before it is built: 20,000 is about a third of a second
 # of enumeration, and the largest corpus box at degree bound 4 is 126.
 _MAX_BOX_MONOMIALS = 20_000
+# More degree shifts than this are refused before any search.
+_MAX_WEIGHTS = 200
 
 
 def reduced_monomials(P: TrinomialPresentation, max_degree: int):
@@ -346,7 +348,6 @@ def oracle_enumerate(
     degree_bound: int = 4,
     cap: int = 16,
     max_unknowns: int = 600,
-    max_weights: int = 200,
 ) -> OracleReport:
     """Search each weight for derivations and probe them for nilpotency.
 
@@ -369,10 +370,8 @@ def oracle_enumerate(
         weights = tuple(sorted({grading.zero(), *by_degree}))
     else:
         weights = tuple(tuple(w) for w in weights)
-    if len(weights) > max_weights:
-        raise BoxTooLarge(
-            f"{len(weights)} weights exceed the limit {max_weights}"
-        )
+    if len(weights) > _MAX_WEIGHTS:
+        raise BoxTooLarge(f"{len(weights)} weights exceed the limit {_MAX_WEIGHTS}")
     box = _box_by_weight(P, degree_bound, grading)
     entries = []
     for w in weights:

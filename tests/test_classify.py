@@ -570,5 +570,5 @@ def test_presentation_keeps_only_block_level_pieces():
         "integer_rules", "_dense_reductions", "_rule_powers", "_block_memo",
     }
     gc.collect()
-    per_tuple = (classify._Type2Context, classify._EntryBuilds)
+    per_tuple = (classify._Construction, classify._EntryBuilds)
     assert not [obj for obj in gc.get_objects() if isinstance(obj, per_tuple)]

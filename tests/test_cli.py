@@ -335,6 +335,40 @@ def test_boolean_in_place_of_an_integer_is_an_input_error(tmp_path, capsys, data
 
 
 @pytest.mark.parametrize(
+    "presentation, descriptor, error",
+    [
+        (
+            "sphere_cylinder.json",
+            '{"kind": "free"}',
+            {"error": "free descriptor needs an index k", "kind": "InadmissibleDescriptor"},
+        ),
+        (
+            "sphere_cylinder.json",
+            '{"kind": "free", "k": 2}',
+            {"error": "presentation has 1 free variables, asked for 2", "kind": "NoSuchFreeVariable"},
+        ),
+        (
+            "sphere.json",
+            '{"kind": "type1"}',
+            {"error": "type1 descriptor needs a tuple", "kind": "InadmissibleDescriptor"},
+        ),
+    ],
+)
+def test_kernel_reports_a_descriptor_fault_as_build_lnd_does(capsys, presentation, descriptor, error):
+    for member in ([], ["--member", "T0_1"]):
+        code, rep = run(
+            capsys,
+            "kernel",
+            "--presentation",
+            f"{SAMPLES}/{presentation}",
+            "--descriptor",
+            descriptor,
+            *member,
+        )
+        assert (code, rep) == (1, error)
+
+
+@pytest.mark.parametrize(
     "presentation, descriptor",
     [
         ("sphere_cylinder.json", '{"kind": "free", "k": true}'),

@@ -99,9 +99,11 @@ def test_oracle_on_rigid_member():
         assert not entry.nilpotent_found
 
 
-def test_oracle_guards():
-    with pytest.raises(BoxTooLarge):
-        oracle_enumerate(surface(2, 2, 2), max_weights=0)
+def test_oracle_guards(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(trilnd.oracle, "_MAX_WEIGHTS", 0)
+        with pytest.raises(BoxTooLarge):
+            oracle_enumerate(surface(2, 2, 2))
     with pytest.raises(BoxTooLarge):
         oracle_enumerate(surface(2, 2, 2), max_unknowns=2)
 

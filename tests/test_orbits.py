@@ -276,14 +276,13 @@ def test_stress_shape_builds_one_derivation_per_record(monkeypatch, tmp_path):
     P = TrinomialPresentation.from_input_dict(STRESS)
     assert [(entry.orbit.size, entry.info.c) for entry in class_plan(P)] == [(20736, (1, 1, 1, 1))]
     builds = []
-    for name in ("build_lnd_type1", "_build_type2", "free_variable_lnd"):
-        original = getattr(classify, name)
+    original = classify._Construction.build
 
-        def counted(*args, original=original):
-            builds.append(args)
-            return original(*args)
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
 
-        monkeypatch.setattr(classify, name, counted)
+    monkeypatch.setattr(classify._Construction, "build", counted)
     path = tmp_path / "stress.json"
     path.write_text(json.dumps(STRESS))
     code, rep = cli("analyze", "--presentation", str(path))

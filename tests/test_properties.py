@@ -4,16 +4,29 @@ The deterministic tests freeze specific values; these ones attack the
 ring axioms, normal forms, and the classifier from random directions.
 """
 
+import contextlib
 import functools
+import io
 import itertools
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trilnd.classify import LndDescriptor, admissible_tuples, build_lnd, enumerate_lnds
+from trilnd.classify import (
+    LndDescriptor,
+    admissible_tuples,
+    build_lnd,
+    class_plan,
+    enumerate_lnds,
+    kernel_generators,
+)
+from trilnd.cli import _descriptor_from_json, main
 from trilnd.corpus import corpus
 from trilnd.derivation import (
     Derivation,
@@ -28,7 +41,14 @@ from trilnd.derivation import (
 from trilnd.gaussian import I, ONE, ZERO, GaussianRational, gq
 from trilnd.grading import weight_assignment, weight_of
 from trilnd.oracle import _nullspace, _rref
-from trilnd.poly import Monomial, Poly, integer_terms, normal_form, stepwise_normal_form
+from trilnd.poly import (
+    Monomial,
+    Poly,
+    gen_name,
+    integer_terms,
+    normal_form,
+    stepwise_normal_form,
+)
 from trilnd.presentation import PresentationError, TrinomialPresentation, surface, type2
 from trilnd.toric import Cone2D, demazure_roots, gamma_cone, toric_derivation
 
@@ -453,3 +473,70 @@ def test_derivation_text_round_trip_on_emitted_lnds():
                 continue
             text = derivation_to_text(inst.derivation)
             assert derivation_from_text(P, text) == inst.derivation
+
+
+SAMPLE_PATHS = sorted((Path(__file__).resolve().parents[1] / "sample_inputs").glob("*.json"))
+DESCRIPTOR_KINDS = ("free", "type1", "t2a", "t2b", "t2c", "t2d", "bogus")
+DESCRIPTOR_FIELDS = {
+    "k": st.integers(min_value=-1, max_value=3),
+    "c": st.lists(st.integers(min_value=0, max_value=3), max_size=4),
+    "roles": st.lists(st.integers(min_value=-1, max_value=3), max_size=4),
+    "param": st.sampled_from(["0", "1", "-1", "2", "i", "-i", "1+i"]),
+}
+
+
+@functools.cache
+def plan_descriptors(path):
+    """The descriptors of the class plan of a sample, families at
+    parameter 1, as descriptor JSON objects; a bare kind for a rigid one."""
+    P = TrinomialPresentation.from_json(path.read_text())
+    out = []
+    for entry in class_plan(P):
+        out.extend(desc.to_dict() for _, desc in entry.descriptors)
+        if entry.family is not None:
+            out.append(replace(entry.family, param=ONE).to_dict())
+    return out or [{"kind": "type1"}]
+
+
+@st.composite
+def sample_descriptors(draw):
+    """A sample input and descriptor JSON for it: a plan descriptor with
+    up to three changes, each a new kind or a field dropped or redrawn."""
+    path = draw(st.sampled_from(SAMPLE_PATHS))
+    data = dict(draw(st.sampled_from(plan_descriptors(path))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        name = draw(st.sampled_from(("kind", *DESCRIPTOR_FIELDS)))
+        if name == "kind":
+            data["kind"] = draw(st.sampled_from(DESCRIPTOR_KINDS))
+        elif draw(st.booleans()):
+            data.pop(name, None)
+        else:
+            data[name] = draw(DESCRIPTOR_FIELDS[name])
+    return path, json.dumps(data)
+
+
+def outcome(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_descriptors())
+def test_every_descriptor_is_checked_alike_by_build_and_kernel(case):
+    """build_lnd and kernel_generators both succeed or raise the same
+    exception with the same message, and trilnd kernel, with or without
+    --member, exits 0 or 1 with a JSON report."""
+    path, text = case
+    P = TrinomialPresentation.from_json(path.read_text())
+    desc = _descriptor_from_json(text)
+    assert outcome(lambda: build_lnd(P, desc)) == outcome(lambda: kernel_generators(P, desc))
+    argv = ["kernel", "--presentation", str(path), "--descriptor", text]
+    for extra in ([], ["--member", gen_name(P.generators[0])]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + extra)
+        rep = json.loads(out.getvalue())
+        assert code == 0 and "kernel" in rep or code == 1 and set(rep) == {"error", "kind"}
