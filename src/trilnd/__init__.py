@@ -16,6 +16,7 @@ relations between monomial block powers. Entry points:
 
 from .gaussian import GaussianRational, I, InternalError, InvalidArgument, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
 from .poly import (
+    DegreeOverflow,
     Gen,
     Monomial,
     NotDivisible,

@@ -456,7 +456,7 @@ class _Construction:
                 raise WrongType("type1 descriptor on a type 2 presentation")
         else:
             if P.kind != 2:
-                raise WrongType("this construction is for type 2; use build_lnd_type1")
+                raise WrongType(f"{desc.kind} descriptor on a type 1 presentation")
             if desc.c is None or desc.roles is None:
                 raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
         info = _tuple_info(P, desc.c)

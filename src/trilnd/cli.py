@@ -41,6 +41,7 @@ from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_parse
 from .grading import NonHomogeneous, derivation_degree, weight_assignment
 from .oracle import BoxTooLarge, oracle_enumerate
 from .poly import (
+    DegreeOverflow,
     PolyParseError,
     UnknownGenerator,
     poly_format,
@@ -75,6 +76,7 @@ _INPUT_ERRORS = (
     RootOutOfRange,
     BoxTooLarge,
     InvalidArgument,
+    DegreeOverflow,
     json.JSONDecodeError,
     UnicodeDecodeError,
     OSError,

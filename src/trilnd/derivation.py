@@ -23,6 +23,8 @@ from typing import Mapping, Optional
 from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
 from .poly import (
+    EXPONENT_BITS,
+    EXPONENT_MASK,
     Gen,
     Poly,
     PolyParseError,
@@ -102,8 +104,9 @@ def _reject_foreign(p: Poly, presentation: TrinomialPresentation) -> None:
 class _DenseForm:
     """A derivation over the Gaussian integers, exact up to a nonzero scalar.
 
-    A polynomial is a dict from exponent tuples, one entry per generator
-    in presentation.generators order, to (real, imaginary) int pairs.
+    A polynomial is a dict from dense keys (poly.pack), one field per
+    generator in presentation.generators order and the total degree in
+    the top field, to (real, imaginary) int pairs.
     The images are scaled by one positive integer, the normal form is the
     presentation's dense_normal_form, and step returns the primitive part
     of an integer multiple of delta(p) in normal form: the result vanishes
@@ -118,8 +121,9 @@ class _DenseForm:
         self.index = P.generator_index
         _, dense = integer_terms(delta.images.values(), self.index)
         self.images = dict(zip(delta.images, dense))
+        n = len(self.index)
         self.parts = tuple(
-            leibniz_part(self.index[g], img.items()) for g, img in self.images.items()
+            leibniz_part(self.index[g], img.items(), n) for g, img in self.images.items()
         )
 
     def of(self, p: Poly) -> dict:
@@ -232,10 +236,12 @@ def is_well_defined(delta: Derivation) -> WellDefinedReport:
     The zero test runs on the dense form; a broken relation's residue is
     recomputed exactly with Derivation.apply.
     """
+    P = delta.presentation
     dense = _DenseForm(delta)
-    for idx, rel in enumerate(delta.presentation.relations()):
-        if dense.step(dense.of(rel)):
-            return WellDefinedReport(ok=False, relation_index=idx, residue=delta.apply(rel))
+    for idx, rel in enumerate(P.integer_relations):
+        if dense.step(rel):
+            residue = delta.apply(P.relations()[idx])
+            return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
     return WellDefinedReport(ok=True)
 
 
@@ -261,18 +267,21 @@ def nilpotency_check(
 
     Iterates live in the dense form, where each is a nonzero scalar
     multiple of the true one: its vanishing, term count and degree are
-    those of the true iterate.
+    those of the true iterate. The total degree of a term is the top
+    field of its key, and keys order by it first, so the degree of an
+    iterate p is max(p) shifted down.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
     dense = _DenseForm(delta)
     for g in delta.presentation.generators:
         img = dense.images.get(g)
-        k = dense.index[g]
-        if img and all(m[k] for m in img):
+        shift = EXPONENT_BITS * dense.index[g]
+        if img and all((m >> shift) & EXPONENT_MASK for m in img):
             return NilpotencyReport(
                 status="refuted", cap=cap, witness=g, refutation="divisibility"
             )
+    degree_shift = EXPONENT_BITS * len(dense.index)
     worst = 1
     for g in delta.presentation.generators:
         p = dense.images.get(g)
@@ -283,7 +292,7 @@ def nilpotency_check(
                 guard = "cap"
             elif len(p) > term_limit:
                 guard = "term_limit"
-            elif max(map(sum, p)) > degree_limit:
+            elif max(p) >> degree_shift > degree_limit:
                 guard = "degree_limit"
             if guard is not None:
                 return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)

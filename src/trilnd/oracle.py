@@ -22,7 +22,7 @@ from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
 from .gaussian import GaussianRational, I, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
-from .poly import Monomial, Poly, dense_leibniz, integer_terms, leibniz_part, primitive_part
+from .poly import Monomial, Poly, dense_leibniz, leibniz_part, pack, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -167,7 +167,7 @@ class SolutionSpace:
 
 
 def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading) -> dict:
-    """reduced_monomials grouped by weight, each with its exponent tuple over
+    """reduced_monomials grouped by weight, each with its dense key over
     P.generator_index. Raises BoxTooLarge before enumerating a box of more
     than _MAX_BOX_MONOMIALS monomials."""
     index = P.generator_index
@@ -180,10 +180,7 @@ def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading
         )
     by_weight: dict = {}
     for m in reduced_monomials(P, degree_bound):
-        exps = [0] * n
-        for g, e in m.pairs:
-            exps[index[g]] = e
-        by_weight.setdefault(grading.weight_of_monomial(m), []).append((m, tuple(exps)))
+        by_weight.setdefault(grading.weight_of_monomial(m), []).append((m, pack(m.pairs, index)))
     return by_weight
 
 
@@ -221,20 +218,20 @@ def solution_space(
         box = _box_by_weight(P, degree_bound, grading)
     unknowns = []
     parts = []  # leibniz_part of each unknown's one-image derivation
+    n = len(P.generators)
     for g in P.generators:
         target = tuple(a + b for a, b in zip(grading.weights[g], weight))
-        for m, exps in box.get(target, ()):
+        for m, key in box.get(target, ()):
             unknowns.append((g, m))
-            parts.append((leibniz_part(P.generator_index[g], ((exps, (1, 0)),)),))
+            parts.append((leibniz_part(P.generator_index[g], ((key, (1, 0)),), n),))
     if len(unknowns) > max_unknowns:
         raise BoxTooLarge(
             f"{len(unknowns)} unknowns exceed the limit {max_unknowns}; raise "
             "max_unknowns to search anyway"
         )
     s = P.integer_rules[0]
-    _, relations = integer_terms(P.relations(), P.generator_index)
     rows = []
-    for rel in relations:
+    for rel in P.integer_relations:
         columns = [P.dense_normal_form(dense_leibniz(rel, part)) for part in parts]
         # one power of s for every column of this relation keeps the rows exact
         top = max((t for _, t in columns), default=0)

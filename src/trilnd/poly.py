@@ -18,7 +18,6 @@ from __future__ import annotations
 import re as _re
 from collections.abc import Iterable, Mapping
 from math import gcd, lcm
-from operator import add
 from typing import Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
@@ -36,6 +35,10 @@ class PolyParseError(ValueError):
 
 class NotDivisible(ValueError):
     """exact_divide was asked for a quotient that does not exist."""
+
+
+class DegreeOverflow(ValueError):
+    """A monomial of the dense form has total degree DEGREE_BOUND or more."""
 
 
 def tvar(i: int, j: int) -> Gen:
@@ -400,63 +403,115 @@ def partial_derivative(p: Poly, g: Gen) -> Poly:
     return Poly._of(acc)
 
 
+# The dense form keys a monomial x^e in n generators by one int, its packed
+# exponent vector: e[k] in the EXPONENT_BITS-wide field k, and the total
+# degree in field n, the top one, so that multiplying two monomials is one
+# integer addition and comparing keys compares total degrees first. Valid
+# keys have total degree below DEGREE_BOUND; then every field is in range
+# and no addition carries out of one, so the degree field of a key is
+# checked wherever a key could leave that range.
+EXPONENT_BITS = 32
+EXPONENT_MASK = (1 << EXPONENT_BITS) - 1
+DEGREE_BOUND = 1 << EXPONENT_BITS
+
+
+def check_degree(degree: int) -> None:
+    """Raise DegreeOverflow unless a total degree fits the dense form."""
+    if degree >= DEGREE_BOUND:
+        raise DegreeOverflow(
+            f"a monomial reaches total degree 2^{EXPONENT_BITS}, the bound of the dense form"
+        )
+
+
+def pack(exps: Iterable[Tuple[Gen, int]], index: Mapping[Gen, int]) -> int:
+    """The dense key of the monomial with exponent e at generator g for each
+    (g, e) in exps, over the n = len(index) positions of index (a range(n)
+    makes the positions their own generators). Raises DegreeOverflow when
+    its total degree is DEGREE_BOUND or more: the sum below is exact, so
+    its top field is at least the total degree, and equal to it when that
+    is below the bound."""
+    top = EXPONENT_BITS * len(index)
+    high = 1 << top
+    key = 0
+    for g, e in exps:
+        key += e * ((1 << (EXPONENT_BITS * index[g])) + high)
+    check_degree(key >> top)
+    return key
+
+
+def unpack(key: int, n: int) -> tuple:
+    """The exponent vector of length n of a dense key."""
+    return tuple((key >> (EXPONENT_BITS * k)) & EXPONENT_MASK for k in range(n))
+
+
 def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
     """Scale polynomials by one positive integer into dense Gaussian-integer form.
 
     Returns (s, dense): s is the least positive integer that clears every
     denominator of every coefficient, and dense lists s * p for each p as
-    a dict from exponent tuples, with generator g at position index[g], to
+    a dict from dense keys, with generator g at position index[g], to
     (real, imaginary) int pairs. Every generator of polys must be in index.
+    Raises DegreeOverflow for a monomial of total degree DEGREE_BOUND or more.
     """
     polys = list(polys)
     s = 1
     for p in polys:
         for c in p.terms.values():
             s = lcm(s, c._abd[2])
-    n = len(index)
     dense = []
     for p in polys:
         terms = {}
         for m, c in p.terms.items():
-            exps = [0] * n
-            for g, e in m.pairs:
-                exps[index[g]] = e
             a, b, d = c._abd
             k = s // d
-            terms[tuple(exps)] = (a * k, b * k)
+            terms[pack(m.pairs, index)] = (a * k, b * k)
         dense.append(terms)
     return s, dense
 
 
-def _add_scaled(acc: dict, m: tuple, a: int, b: int, terms) -> None:
-    """Add (a + bi) * x^m * terms into a dense dict, terms being (exponents,
+def _add_scaled(acc: dict, m: int, a: int, b: int, terms) -> None:
+    """Add (a + bi) * x^m * terms into a dense dict, terms being (key,
     (re, im)) pairs in integer_terms form. Cancelled entries stay as (0, 0)."""
+    get = acc.get
     for t, (c, d) in terms:
-        key = tuple(map(add, m, t))
+        key = m + t
         re, im = a * c - b * d, a * d + b * c
-        cur = acc.get(key)
+        cur = get(key)
         if cur is not None:
             re, im = re + cur[0], im + cur[1]
         acc[key] = (re, im)
 
 
-def leibniz_part(k: int, image) -> tuple:
-    """(k, image / x_k) for the derivation sending generator k to image, given
-    as (exponents, (re, im)) pairs: adding m to these exponents gives the terms
-    of dx^m/dx_k * image / m[k]."""
-    return k, tuple((tuple(e - (i == k) for i, e in enumerate(t)), c) for t, c in image)
+def leibniz_part(k: int, image, n: int) -> tuple:
+    """(EXPONENT_BITS * k, image / x_k) for the derivation sending generator k
+    of n to image, given as (key, (re, im)) pairs: adding a key m to these
+    keys gives the terms of dx^m/dx_k * image / m[k].
+
+    A term of image without x_k gets a field k of -1 in its shifted key,
+    which borrows from the field above; dense_leibniz only adds it to keys
+    m with m[k] >= 1, and the sum is exact."""
+    unit = (1 << (EXPONENT_BITS * k)) + (1 << (EXPONENT_BITS * n))
+    return EXPONENT_BITS * k, tuple((t - unit, c) for t, c in image)
 
 
 def dense_leibniz(p: dict, parts) -> dict:
     """The Leibniz rule on a dense dict: the sum over the leibniz_part pairs
-    (k, shifted) of dp/dx_k * image_k, not reduced. Cancelled entries stay
+    (shift, shifted) of dp/dx_k * image_k, not reduced. Cancelled entries stay
     as (0, 0)."""
     acc: dict = {}
+    get = acc.get
     for m, (a, b) in p.items():
-        for k, shifted in parts:
-            e = m[k]
+        for shift, shifted in parts:
+            e = (m >> shift) & EXPONENT_MASK
             if e:
-                _add_scaled(acc, m, a * e, b * e, shifted)
+                a_e, b_e = a * e, b * e
+                for t, (c, d) in shifted:
+                    key = m + t
+                    re, im = a_e * c - b_e * d, a_e * d + b_e * c
+                    cur = get(key)
+                    if cur is not None:
+                        re, im = re + cur[0], im + cur[1]
+                    acc[key] = (re, im)
     return acc
 
 
@@ -502,10 +557,12 @@ def normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
 
     Rules are expected to have pairwise coprime leads and lead-free
     replacements, which is what presentations produce. Each term gives
-    up the maximal power of every lead in one pass.
+    up the maximal power of every lead in one pass. When no term is
+    divisible by a lead, p is already in normal form and is returned
+    itself.
     """
-    acc: dict = {}
-    for m, c in p.terms.items():
+    reductions = {}
+    for m in p.terms:
         factor = None
         residual = m
         for lead, repl in rules.items():
@@ -514,10 +571,17 @@ def normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
                 residual = residual / lead**q
                 piece = repl**q
                 factor = piece if factor is None else factor * piece
-        if factor is None:
-            _add_term(acc, residual, c)
+        if factor is not None:
+            reductions[m] = residual, factor
+    if not reductions:
+        return p
+    acc: dict = {}
+    for m, c in p.terms.items():
+        hit = reductions.get(m)
+        if hit is None:
+            _add_term(acc, m, c)
         else:
-            _add_product(acc, Poly._of({residual: c}), factor)
+            _add_product(acc, Poly._of({hit[0]: c}), hit[1])
     return Poly._of(acc)
 
 

@@ -352,6 +352,21 @@ def test_boolean_in_place_of_an_integer_is_an_input_error(tmp_path, capsys, data
             '{"kind": "type1"}',
             {"error": "type1 descriptor needs a tuple", "kind": "InadmissibleDescriptor"},
         ),
+        (
+            "sphere.json",
+            '{"kind": "type1", "c": [1, 1, 1]}',
+            {"error": "type1 descriptor on a type 2 presentation", "kind": "WrongType"},
+        ),
+        (
+            "rigid_type1.json",
+            '{"kind": "t2a", "c": [1, 1], "roles": [0, 1, 2]}',
+            {"error": "t2a descriptor on a type 1 presentation", "kind": "WrongType"},
+        ),
+        (
+            "rigid_type1.json",
+            '{"kind": "t2d", "c": [1, 1], "roles": [0, 1, 2], "param": "1"}',
+            {"error": "t2d descriptor on a type 1 presentation", "kind": "WrongType"},
+        ),
     ],
 )
 def test_kernel_reports_a_descriptor_fault_as_build_lnd_does(capsys, presentation, descriptor, error):

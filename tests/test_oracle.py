@@ -21,7 +21,7 @@ from trilnd.oracle import (
     oracle_enumerate,
     solution_space,
 )
-from trilnd.poly import Poly, poly_parse, tvar
+from trilnd.poly import Poly, poly_parse, tvar, unpack
 from trilnd.presentation import surface, type1, type2
 
 X = tvar(0, 1)
@@ -259,6 +259,7 @@ def reference_loop(delta, cap):
     """nilpotency_check without the divisibility refutation: the dense
     iteration alone, with the default size guards."""
     dense = _DenseForm(delta)
+    n = len(dense.index)
     worst = 1
     for g in delta.presentation.generators:
         p = dense.images.get(g)
@@ -269,7 +270,7 @@ def reference_loop(delta, cap):
                 guard = "cap"
             elif len(p) > 4096:
                 guard = "term_limit"
-            elif max(map(sum, p)) > 512:
+            elif max(sum(unpack(m, n)) for m in p) > 512:
                 guard = "degree_limit"
             if guard is not None:
                 return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)

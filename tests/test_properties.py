@@ -108,6 +108,20 @@ def test_rewrite_strategies_agree(p):
 
 
 @settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_normal_form_returns_an_irreducible_input_itself(data):
+    P = data.draw(st.sampled_from(CORPUS))
+    rules = P.rewrite_rules
+    p = data.draw(polys(P, max_exp=4))
+    if data.draw(st.booleans()):
+        p = stepwise_normal_form(p, rules)
+    nf = normal_form(p, rules)
+    assert nf == stepwise_normal_form(p, rules)
+    irreducible = not any(lead.divides(m) for m in p.terms for lead in rules)
+    assert (nf is p) == irreducible
+
+
+@settings(max_examples=250, deadline=None)
 @given(polys(SPHERE), polys(SPHERE))
 def test_ring_subtraction_cancels(p, q):
     assert (p + q) - q == p
