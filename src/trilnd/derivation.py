@@ -7,11 +7,14 @@ candidate assignment actually descends to the quotient algebra is a
 check (is_well_defined), not an assumption, since the verification
 oracle deliberately produces candidates that can fail it.
 
-Iteration and zero tests (nilpotency_check, is_well_defined,
-kernel_member) run on a dense form of the derivation over the Gaussian
-integers that is exact up to a nonzero scalar and built per call;
-Derivation.apply on Poly stays the exact reference and produces every
-polynomial a report shows. A refuted nilpotency report is re-checked by
+Every normal form comes from the presentation's one rewrite engine,
+dense_normal_form, through poly.normal_form for a Poly. Iteration and
+zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
+dense form of the derivation over the Gaussian integers that is exact up
+to a nonzero scalar and built per call. Derivation.apply, the Leibniz
+rule on Poly, produces every polynomial a report shows; it and
+poly.stepwise_normal_form are the references the tests compare the
+dense form with. A refuted nilpotency report is re-checked by
 refutation_holds on the exact images alone.
 """
 
@@ -34,6 +37,7 @@ from .poly import (
     gen_name,
     integer_terms,
     leibniz_part,
+    normal_form,
     parse_gen_name,
     partial_derivative,
     poly_format,
@@ -86,19 +90,16 @@ class NilpotencyReport:
         return out
 
 
-def _first_foreign(p: Poly, known) -> Optional[Gen]:
-    """The first generator of p outside known, in p's term order."""
+def _reject_foreign(
+    p: Poly, known, message: str = "{} is not a generator of this presentation"
+) -> None:
+    """Raise UnknownGenerator, message naming the first generator of p
+    outside known in p's term order, if there is one. Callers check their
+    input before normalizing it, where a foreign term may cancel."""
     for m in p.terms:
         for g, _ in m.pairs:
             if g not in known:
-                return g
-    return None
-
-
-def _reject_foreign(p: Poly, presentation: TrinomialPresentation) -> None:
-    bad = _first_foreign(p, presentation.generator_set)
-    if bad is not None:
-        raise UnknownGenerator(f"{gen_name(bad)} is not a generator of this presentation")
+                raise UnknownGenerator(message.format(gen_name(g)))
 
 
 class _DenseForm:
@@ -147,12 +148,8 @@ class Derivation:
                 raise UnknownGenerator(f"{gen_name(g)} is not a generator here")
             if not isinstance(img, Poly):
                 img = Poly.constant(img)
-            reduced = presentation.normal_form(img)
-            bad = _first_foreign(reduced, known)
-            if bad is not None:
-                raise UnknownGenerator(
-                    f"image of {gen_name(g)} uses foreign generator {gen_name(bad)}"
-                )
+            _reject_foreign(img, known, f"image of {gen_name(g)} uses foreign generator {{}}")
+            reduced = normal_form(img, presentation)
             if reduced:
                 stored[g] = reduced
         self.presentation = presentation
@@ -198,11 +195,11 @@ class Derivation:
     def apply(self, p: Poly) -> Poly:
         """The Leibniz extension, the sum over the nonzero images of
         dp/dg * delta(g), returned in normal form."""
-        _reject_foreign(p, self.presentation)
+        _reject_foreign(p, self.presentation.generator_set)
         acc: dict = {}
         for g, img in self.images.items():
             _add_product(acc, partial_derivative(p, g), img)
-        return self.presentation.normal_form(Poly._of(acc))
+        return normal_form(Poly._of(acc), self.presentation)
 
     def scaled(self, factor: GaussianRational) -> "Derivation":
         factor = factor if isinstance(factor, GaussianRational) else gq(factor)
@@ -334,7 +331,7 @@ def refutation_holds(delta: Derivation, report: NilpotencyReport) -> bool:
 
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:
-    _reject_foreign(p, delta.presentation)
+    _reject_foreign(p, delta.presentation.generator_set)
     dense = _DenseForm(delta)
     return not dense.step(dense.of(p))
 

@@ -11,6 +11,10 @@ the smaller j is the more significant one (plain lexicographic reading).
 Free variables compare by index, smaller k more significant. Under this
 order the highest-index block monomial of each defining relation is the
 lead term.
+
+Normal forms come from one rewrite engine, a presentation's
+dense_normal_form on the packed dense form below; normal_form is its
+entry for a Poly, and stepwise_normal_form the independent reference.
 """
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ from __future__ import annotations
 import re as _re
 from collections.abc import Iterable, Mapping
 from math import gcd, lcm
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
+
+if TYPE_CHECKING:
+    from .presentation import TrinomialPresentation
 
 Gen = Tuple
 
@@ -146,11 +153,6 @@ class Monomial:
             d[g] = d.get(g, 0) + e
         return Monomial(d)
 
-    def __pow__(self, n: int) -> "Monomial":
-        if n < 0:
-            raise ValueError("negative monomial power")
-        return Monomial(tuple((g, e * n) for g, e in self._pairs))
-
     def relabel(self, sigma: Mapping[Gen, Gen]) -> "Monomial":
         """Each generator g replaced by sigma.get(g, g); sigma must be one to one.
 
@@ -170,13 +172,6 @@ class Monomial:
             if d[g] < 0:
                 raise NotDivisible(f"{self} not divisible by {other}")
         return Monomial(d)
-
-    def divisibility_count(self, other: "Monomial") -> int:
-        """Largest q such that other^q divides self (other must not be 1)."""
-        if not other._pairs:
-            raise ValueError("divisibility_count against the unit monomial")
-        mine = dict(self._pairs)
-        return min(mine.get(g, 0) // e for g, e in other._pairs)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._pairs == other._pairs
@@ -427,16 +422,14 @@ def pack(exps: Iterable[Tuple[Gen, int]], index: Mapping[Gen, int]) -> int:
     """The dense key of the monomial with exponent e at generator g for each
     (g, e) in exps, over the n = len(index) positions of index (a range(n)
     makes the positions their own generators). Raises DegreeOverflow when
-    its total degree is DEGREE_BOUND or more: the sum below is exact, so
-    its top field is at least the total degree, and equal to it when that
-    is below the bound."""
-    top = EXPONENT_BITS * len(index)
-    high = 1 << top
-    key = 0
+    its total degree is DEGREE_BOUND or more, so that no exponent of a
+    returned key overflows its field."""
+    key = degree = 0
     for g, e in exps:
-        key += e * ((1 << (EXPONENT_BITS * index[g])) + high)
-    check_degree(key >> top)
-    return key
+        key += e << (EXPONENT_BITS * index[g])
+        degree += e
+    check_degree(degree)
+    return key + (degree << (EXPONENT_BITS * len(index)))
 
 
 def unpack(key: int, n: int) -> tuple:
@@ -552,42 +545,48 @@ def exact_divide(p: Poly, divisor) -> Poly:
     return Poly._of(acc)
 
 
-def normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
-    """Reduce p modulo the oriented rules lead -> replacement.
+def normal_form(p: Poly, presentation: TrinomialPresentation) -> Poly:
+    """The normal form of p modulo the rewrite rules of a presentation.
 
-    Rules are expected to have pairwise coprime leads and lead-free
-    replacements, which is what presentations produce. Each term gives
-    up the maximal power of every lead in one pass. When no term is
-    divisible by a lead, p is already in normal form and is returned
-    itself.
+    This is the Poly-level entry to the presentation's one rewrite
+    engine, dense_normal_form, and shares its memo of term reductions.
+    When no term of p is divisible by a rule's lead, p is already in
+    normal form and is returned itself, before any dense output is built.
+
+    Raises UnknownGenerator for a generator outside the presentation, and
+    DegreeOverflow for a term, or a term of its reduction, of total degree
+    DEGREE_BOUND or more.
     """
-    reductions = {}
-    for m in p.terms:
-        factor = None
-        residual = m
-        for lead, repl in rules.items():
-            q = residual.divisibility_count(lead)
-            if q:
-                residual = residual / lead**q
-                piece = repl**q
-                factor = piece if factor is None else factor * piece
-        if factor is not None:
-            reductions[m] = residual, factor
-    if not reductions:
-        return p
-    acc: dict = {}
-    for m, c in p.terms.items():
-        hit = reductions.get(m)
+    index = presentation.generator_index
+    try:
+        keys = [pack(m.pairs, index) for m in p.terms]
+    except KeyError as exc:
+        raise UnknownGenerator(
+            f"{gen_name(exc.args[0])} is not a generator of this presentation"
+        ) from None
+    memo = presentation._dense_reductions
+    for key in keys:
+        hit = memo.get(key)
         if hit is None:
-            _add_term(acc, m, c)
-        else:
-            _add_product(acc, Poly._of({hit[0]: c}), hit[1])
-    return Poly._of(acc)
+            hit = memo[key] = presentation._dense_reduction(key)
+        if hit[2]:
+            break
+    else:
+        return p
+    scale, (terms,) = integer_terms((p,), index)
+    nf, top = presentation.dense_normal_form(terms)
+    scale *= presentation.integer_rules[0] ** top
+    gens = presentation.generators
+    out = {}
+    for m, (a, b) in nf.items():
+        out[Monomial(zip(gens, unpack(m, len(gens))))] = GaussianRational._of(a, b, scale)
+    return Poly._of(out)
 
 
 def stepwise_normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:
-    """normal_form by single-step rewrites to a fixed point: the slow,
-    evidently correct reference that the tests compare normal_form with."""
+    """The normal form of p by single-step rewrites lead -> replacement to
+    a fixed point: the slow, evidently correct reference, independent of
+    the dense engine, that the tests compare normal_form with."""
     current = p
     while True:
         target = None

@@ -48,7 +48,6 @@ from .poly import (
     check_degree,
     gen_name,
     integer_terms,
-    normal_form,
     pack,
     partial_derivative,
     svar,
@@ -345,13 +344,15 @@ class TrinomialPresentation:
         coefficient stays a Gaussian integer. One pass per term suffices
         because replacements contain no lead.
 
-        Each term's reduction (reduced key, product of replacement
-        powers, number of applications) depends only on the rules and is
-        memoized on the presentation, so the oracle and every derivation
-        on it share the work. The memo holds one entry per distinct
-        key of a nonzero term ever passed here, plus one replacement
-        product per distinct vector of application counts, and is freed
-        with the presentation.
+        This is the one rewrite engine: poly.normal_form reduces a Poly
+        through it. Each term's reduction (reduced key, product of
+        replacement powers, number of applications) depends only on the
+        rules and is memoized on the presentation, so the oracle,
+        poly.normal_form and every derivation on it share the work. The
+        memo holds one entry per distinct key of a nonzero term ever
+        passed here or to poly.normal_form, plus one replacement product
+        per distinct vector of application counts, and is freed with the
+        presentation.
 
         Raises DegreeOverflow when a key of terms, or a term of the
         result, has total degree DEGREE_BOUND or more. A key past the
@@ -421,9 +422,6 @@ class TrinomialPresentation:
             factor = tuple((t, c) for t, c in terms.items() if c[0] or c[1])
             self._rule_powers[qs] = factor
         return m, factor, total
-
-    def normal_form(self, p: Poly) -> Poly:
-        return normal_form(p, self.rewrite_rules)
 
     # -- divisor theory --------------------------------------------------
 

@@ -198,17 +198,17 @@ def test_criterion_7_randomized_ring_checks_hold_a_thousand_times():
 
     for _ in range(1000):
         p, q = rand_poly(), rand_poly()
-        assert normal_form(p * q, rules) == normal_form(
-            normal_form(p, rules) * normal_form(q, rules), rules
+        assert normal_form(p * q, P) == normal_form(
+            normal_form(p, P) * normal_form(q, P), P
         )
     for _ in range(1000):
         p, q = rand_poly(), rand_poly()
         lhs = delta.apply(p * q)
         rhs = delta.apply(p) * q + p * delta.apply(q)
-        assert normal_form(lhs - rhs, rules).is_zero()
+        assert normal_form(lhs - rhs, P).is_zero()
     for _ in range(1000):
         p = rand_poly()
-        assert normal_form(p, rules) == stepwise_normal_form(p, rules)
+        assert normal_form(p, P) == stepwise_normal_form(p, rules)
 
 
 def test_criterion_8_inhomogeneous_multiples_decompose_into_nilpotent_parts():

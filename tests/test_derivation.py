@@ -23,7 +23,7 @@ from trilnd.derivation import (
 )
 from trilnd.gaussian import I, gq
 from trilnd.grading import weight_assignment
-from trilnd.poly import Poly, UnknownGenerator, poly_parse, svar, tvar
+from trilnd.poly import Poly, UnknownGenerator, normal_form, poly_parse, svar, tvar
 from trilnd.presentation import TrinomialPresentation, surface, type1
 
 X = tvar(0, 1)
@@ -62,6 +62,23 @@ def test_constructor_rejects_foreign_generators():
         Derivation(S, {X: Poly.generator(svar(1))})
 
 
+def test_foreign_generator_is_rejected_even_when_it_cancels():
+    # on T1_1^2 - T2_1^2 - 1 the rule T2_1^2 -> T1_1^2 - 1 reduces the
+    # image to zero; the foreign S5 must still be named
+    P = type1(((2,), (2,)))
+    image = poly_parse("T2_1^2 - T1_1^2 + 1") * Poly.generator(svar(5))
+    assert normal_form(image, type1(((2,), (2,)), d=5)).is_zero()
+    with pytest.raises(UnknownGenerator, match="^image of T1_1 uses foreign generator S5$"):
+        Derivation(P, {tvar(1, 1): image})
+    with pytest.raises(UnknownGenerator, match="^S5 is not a generator of this presentation$"):
+        normal_form(image, P)
+    d = Derivation(P, {tvar(1, 1): Poly.generator(tvar(2, 1))})
+    with pytest.raises(UnknownGenerator, match="^S5 is not"):
+        d.apply(image)
+    with pytest.raises(UnknownGenerator, match="^S5 is not"):
+        kernel_member(d, image)
+
+
 def test_foreign_generator_named_independently_of_hashing():
     # the first foreign generator in the image's term order is named,
     # whatever order string hashing gives a set of generators
@@ -87,7 +104,7 @@ def test_apply_leibniz_on_products():
     b = poly_parse("T2_1^2 + T0_1")
     left = d.apply(a * b)
     right = d.apply(a) * b + a * d.apply(b)
-    assert left == d.presentation.normal_form(right)
+    assert left == normal_form(right, d.presentation)
 
 
 def test_apply_rejects_foreign_polynomial():
@@ -265,7 +282,7 @@ def test_replica_multiplies_images():
     h = poly_parse("i*T0_1 + T1_1")
     r = replica(d, h)
     for g in d.presentation.generators:
-        assert r.image(g) == d.presentation.normal_form(d.image(g) * h)
+        assert r.image(g) == normal_form(d.image(g) * h, d.presentation)
     with pytest.raises(NotInKernel):
         replica(d, Poly.generator(Z))
 

@@ -12,10 +12,13 @@ from trilnd.poly import (
     DEGREE_BOUND,
     EXPONENT_BITS,
     DegreeOverflow,
+    Poly,
     integer_terms,
+    normal_form,
     pack,
     poly_parse,
     svar,
+    tvar,
     unpack,
 )
 from trilnd.presentation import surface, type1
@@ -154,17 +157,37 @@ def test_the_degree_guard_trips_at_the_first_iterate_past_the_limit(images):
 
 
 def test_cli_reports_a_degree_past_the_bound_as_an_input_error(tmp_path, capsys):
+    # no rule applies to the second image, and Derivation(...) refuses it
+    # with the same report before any check runs
+    one_free = tmp_path / "p.json"
+    one_free.write_text(json.dumps({"type": 1, "blocks": [[2], [3]], "free_vars": 1}))
+    cases = [
+        ("sample_inputs/sphere_cylinder.json", f"S1 = S1^{DEGREE_BOUND}\n"),
+        (str(one_free), "T1_1 = S1^4294967296\n"),
+    ]
     deriv = tmp_path / "d.txt"
-    deriv.write_text(f"S1 = S1^{DEGREE_BOUND}\n")
-    code = main(
-        ["verify", "--presentation", "sample_inputs/sphere_cylinder.json", "--derivation", str(deriv)]
-    )
-    rep = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert rep == {
-        "error": f"a monomial reaches total degree 2^{EXPONENT_BITS}, the bound of the dense form",
-        "kind": "DegreeOverflow",
-    }
+    for presentation, text in cases:
+        deriv.write_text(text)
+        code = main(["verify", "--presentation", presentation, "--derivation", str(deriv)])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert rep == {
+            "error": f"a monomial reaches total degree 2^{EXPONENT_BITS}, the bound of the dense form",
+            "kind": "DegreeOverflow",
+        }
+
+
+def test_degree_bound_holds_at_library_level():
+    # normal_form packs every term, so it and Derivation(...) refuse a
+    # monomial past the bound even where no rule applies
+    P = type1(((2,), (3,)), d=1)
+    huge = Poly.generator(svar(1)) ** DEGREE_BOUND
+    with pytest.raises(DegreeOverflow):
+        normal_form(huge, P)
+    with pytest.raises(DegreeOverflow):
+        Derivation(P, {tvar(1, 1): huge})
+    below = Poly.generator(svar(1)) ** (DEGREE_BOUND - 1)
+    assert normal_form(below, P) is below
 
 
 def test_dense_images_are_keys_of_the_generator_positions():

@@ -10,6 +10,7 @@ from trilnd.poly import (
     UnknownGenerator,
     exact_divide,
     gen_name,
+    normal_form,
     parse_gen_name,
     partial_derivative,
     poly_format,
@@ -59,13 +60,11 @@ def test_monomial_arithmetic():
     m = Monomial({X: 1, Y: 2})
     n = Monomial({Y: 1})
     assert m * n == Monomial({X: 1, Y: 3})
-    assert m**2 == Monomial({X: 2, Y: 4})
     assert n.divides(m)
     assert not m.divides(n)
     assert m / n == Monomial({X: 1, Y: 1})
     with pytest.raises(NotDivisible):
         n / m
-    assert m.divisibility_count(n) == 2
 
 
 def test_poly_collects_terms():
@@ -87,7 +86,7 @@ def test_no_zero_coefficient_survives_a_cancellation():
         (p("T0_1 + T1_1") * p("T0_1 - T1_1"), "T0_1^2 - T1_1^2"),
         (poly_parse("T0_1 - T0_1"), "0"),
         (p("T0_1 + T1_1 + T2_1").substitute({X: p("-T1_1")}), "T2_1"),
-        (S.normal_form(S.relations()[0] + p("T0_1")), "T0_1"),
+        (normal_form(S.relations()[0] + p("T0_1"), S), "T0_1"),
         (delta.apply(p("S1^2 - S2^2")), "0"),
     ]
     for q, expected in cases:
@@ -175,11 +174,11 @@ def test_parse_respects_allowed_alphabet():
 def test_normal_form_on_the_sphere():
     S = surface(2, 2, 2)
     z2 = p("T2_1^2")
-    assert S.normal_form(z2) == p("-T0_1^2 - T1_1^2")
-    assert S.normal_form(p("T2_1^3")) == p("-T2_1*T0_1^2 - T2_1*T1_1^2")
+    assert normal_form(z2, S) == p("-T0_1^2 - T1_1^2")
+    assert normal_form(p("T2_1^3"), S) == p("-T2_1*T0_1^2 - T2_1*T1_1^2")
     # reduced input is untouched
     q = p("T0_1^5 + T2_1*T1_1")
-    assert S.normal_form(q) == q
+    assert normal_form(q, S) == q
 
 
 def test_normal_form_strategies_agree():
@@ -190,10 +189,10 @@ def test_normal_form_strategies_agree():
         p("T2_1^3 + T2_1^2 + T2_1 + 1"),
     ]
     for q in samples:
-        assert S.normal_form(q) == stepwise_normal_form(q, S.rewrite_rules)
+        assert normal_form(q, S) == stepwise_normal_form(q, S.rewrite_rules)
 
 
 def test_normal_form_kills_relations():
     S = surface(2, 2, 4)
     for rel in S.relations():
-        assert S.normal_form(rel).is_zero()
+        assert normal_form(rel, S).is_zero()

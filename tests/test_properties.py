@@ -87,24 +87,33 @@ def polys(presentation, max_terms=4, max_exp=3, scalars=SCALARS):
 @settings(max_examples=250, deadline=None)
 @given(polys(SPHERE), polys(SPHERE))
 def test_normal_form_is_multiplicative(p, q):
-    rules = SPHERE.rewrite_rules
-    lhs = normal_form(p * q, rules)
-    rhs = normal_form(normal_form(p, rules) * normal_form(q, rules), rules)
+    lhs = normal_form(p * q, SPHERE)
+    rhs = normal_form(normal_form(p, SPHERE) * normal_form(q, SPHERE), SPHERE)
     assert lhs == rhs
 
 
 @settings(max_examples=250, deadline=None)
 @given(polys(UNEVEN), polys(UNEVEN))
 def test_normal_form_is_additive(p, q):
-    rules = UNEVEN.rewrite_rules
-    assert normal_form(p + q, rules) == normal_form(p, rules) + normal_form(q, rules)
+    assert normal_form(p + q, UNEVEN) == normal_form(p, UNEVEN) + normal_form(q, UNEVEN)
+
+
+# the only corpus member whose rules have a denominator: its rule scale is 2
+HALVED = next(P for P in CORPUS if P.describe() == "type2[(1),(2),(2),(2)]d0")
 
 
 @settings(max_examples=250, deadline=None)
-@given(polys(UNEVEN, max_exp=4))
-def test_rewrite_strategies_agree(p):
-    rules = UNEVEN.rewrite_rules
-    assert normal_form(p, rules) == stepwise_normal_form(p, rules)
+@given(
+    st.one_of(
+        polys(UNEVEN, max_exp=4).map(lambda p: (UNEVEN, p)),
+        polys(HALVED, max_exp=4, scalars=FRACTIONAL_SCALARS).map(lambda p: (HALVED, p)),
+    )
+)
+def test_rewrite_strategies_agree(sample):
+    # on HALVED the input's own denominators and the rule scale to the
+    # power of up to four rewrites both divide the dense result
+    P, p = sample
+    assert normal_form(p, P) == stepwise_normal_form(p, P.rewrite_rules)
 
 
 @settings(max_examples=250, deadline=None)
@@ -115,7 +124,7 @@ def test_normal_form_returns_an_irreducible_input_itself(data):
     p = data.draw(polys(P, max_exp=4))
     if data.draw(st.booleans()):
         p = stepwise_normal_form(p, rules)
-    nf = normal_form(p, rules)
+    nf = normal_form(p, P)
     assert nf == stepwise_normal_form(p, rules)
     irreducible = not any(lead.divides(m) for m in p.terms for lead in rules)
     assert (nf is p) == irreducible
@@ -135,8 +144,7 @@ def test_derivation_satisfies_leibniz(p, q):
     )
     lhs = delta.apply(p * q)
     rhs = delta.apply(p) * q + p * delta.apply(q)
-    rules = SPHERE.rewrite_rules
-    assert normal_form(lhs - rhs, rules).is_zero()
+    assert normal_form(lhs - rhs, SPHERE).is_zero()
 
 
 # -- the dense form of a derivation agrees with Derivation.apply ---------------
@@ -461,9 +469,8 @@ def test_random_cones_pair_correctly():
 
 def test_relations_reduce_to_zero_everywhere():
     for P in corpus():
-        rules = P.rewrite_rules
         for rel in P.relations():
-            assert normal_form(rel, rules).is_zero()
+            assert normal_form(rel, P).is_zero()
 
 
 def test_relations_homogeneous_everywhere():
