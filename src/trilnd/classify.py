@@ -438,6 +438,8 @@ class _Construction:
 
     def __init__(self, P: TrinomialPresentation, desc: LndDescriptor):
         """Check everything about desc except its parameter (check_param)."""
+        if desc.kind not in ("free", "type1", "t2a", "t2b", "t2c", "t2d"):
+            raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
         self.presentation = P
         self.kind = desc.kind
         if desc.kind == "free":
@@ -484,7 +486,7 @@ class _Construction:
                     raise InadmissibleDescriptor(
                         f"exponent {m} of the first role block must divide both distinguished blocks"
                     )
-        elif desc.kind in ("t2c", "t2d"):
+        else:
             if info.case != "B":
                 raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case B")
             key = (min(B0, B1), max(B0, B1), B2)
@@ -494,8 +496,6 @@ class _Construction:
                 raise InadmissibleDescriptor(
                     f"third block {B2} must be even with chosen exponent 2 for this family"
                 )
-        else:
-            raise InadmissibleDescriptor(f"unknown type 2 descriptor kind {desc.kind!r}")
         self.roles = roles
         self.gens = tuple(tvar(i, cmap[i]) for i in roles)
         self._m = m

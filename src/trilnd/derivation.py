@@ -8,7 +8,7 @@ check (is_well_defined), not an assumption, since the verification
 oracle deliberately produces candidates that can fail it.
 
 Every normal form comes from the presentation's one rewrite engine,
-dense_normal_form, through poly.normal_form for a Poly. Iteration and
+P.engine, through poly.normal_form for a Poly. Iteration and
 zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
 to a nonzero scalar and built per call. Derivation.apply, the Leibniz
@@ -26,8 +26,6 @@ from typing import Mapping, Optional
 from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
 from .poly import (
-    EXPONENT_BITS,
-    EXPONENT_MASK,
     Gen,
     Poly,
     PolyParseError,
@@ -36,7 +34,6 @@ from .poly import (
     dense_leibniz,
     gen_name,
     integer_terms,
-    leibniz_part,
     normal_form,
     parse_gen_name,
     partial_derivative,
@@ -105,13 +102,11 @@ def _reject_foreign(
 class _DenseForm:
     """A derivation over the Gaussian integers, exact up to a nonzero scalar.
 
-    A polynomial is a dict from dense keys (poly.pack), one field per
-    generator in presentation.generators order and the total degree in
-    the top field, to (real, imaginary) int pairs.
-    The images are scaled by one positive integer, the normal form is the
-    presentation's dense_normal_form, and step returns the primitive part
-    of an integer multiple of delta(p) in normal form: the result vanishes
-    exactly when delta(p) does, and has the same monomials.
+    Polynomials are in the dense form of poly.py, over the presentation's
+    generator_index. The images are scaled by one positive integer, the
+    normal form is the presentation engine's, and step returns the
+    primitive part of an integer multiple of delta(p) in normal form: the
+    result vanishes exactly when delta(p) does, and has the same monomials.
     """
 
     __slots__ = ("presentation", "index", "images", "parts")
@@ -122,17 +117,15 @@ class _DenseForm:
         self.index = P.generator_index
         _, dense = integer_terms(delta.images.values(), self.index)
         self.images = dict(zip(delta.images, dense))
-        n = len(self.index)
-        self.parts = tuple(
-            leibniz_part(self.index[g], img.items(), n) for g, img in self.images.items()
-        )
+        self.parts = tuple(P.engine.leibniz_part(g, img.items()) for g, img in self.images.items())
 
     def of(self, p: Poly) -> dict:
         return integer_terms((p,), self.index)[1][0]
 
     def step(self, p: dict) -> dict:
         """delta(p) in normal form, up to a nonzero scalar, as a primitive dense dict."""
-        return primitive_part(self.presentation.dense_normal_form(dense_leibniz(p, self.parts))[0])
+        terms = dense_leibniz(p, self.parts)
+        return primitive_part(self.presentation.engine.dense_normal_form(terms)[0])
 
 
 class Derivation:
@@ -235,7 +228,7 @@ def is_well_defined(delta: Derivation) -> WellDefinedReport:
     """
     P = delta.presentation
     dense = _DenseForm(delta)
-    for idx, rel in enumerate(P.integer_relations):
+    for idx, rel in enumerate(P.engine.relations):
         if dense.step(rel):
             residue = delta.apply(P.relations()[idx])
             return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
@@ -264,21 +257,19 @@ def nilpotency_check(
 
     Iterates live in the dense form, where each is a nonzero scalar
     multiple of the true one: its vanishing, term count and degree are
-    those of the true iterate. The total degree of a term is the top
-    field of its key, and keys order by it first, so the degree of an
-    iterate p is max(p) shifted down.
+    those of the true iterate. Keys order by total degree first, so the
+    degree of an iterate p is that of max(p).
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
     dense = _DenseForm(delta)
+    engine = delta.presentation.engine
     for g in delta.presentation.generators:
         img = dense.images.get(g)
-        shift = EXPONENT_BITS * dense.index[g]
-        if img and all((m >> shift) & EXPONENT_MASK for m in img):
+        if img and engine.every_term_contains(img, g):
             return NilpotencyReport(
                 status="refuted", cap=cap, witness=g, refutation="divisibility"
             )
-    degree_shift = EXPONENT_BITS * len(dense.index)
     worst = 1
     for g in delta.presentation.generators:
         p = dense.images.get(g)
@@ -289,7 +280,7 @@ def nilpotency_check(
                 guard = "cap"
             elif len(p) > term_limit:
                 guard = "term_limit"
-            elif max(p) >> degree_shift > degree_limit:
+            elif engine.degree(max(p)) > degree_limit:
                 guard = "degree_limit"
             if guard is not None:
                 return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)

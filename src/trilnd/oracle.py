@@ -22,7 +22,7 @@ from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
 from .gaussian import GaussianRational, I, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
-from .poly import Monomial, Poly, dense_leibniz, leibniz_part, pack, primitive_part
+from .poly import Monomial, Poly, dense_leibniz, pack, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -184,9 +184,11 @@ def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading
     return by_weight
 
 
-def _check_degree_bound(degree_bound: int) -> None:
+def _check_limits(degree_bound: int, max_unknowns: int) -> None:
     if degree_bound < 0:
         raise InvalidArgument("degree bound must be nonnegative")
+    if max_unknowns < 0:
+        raise InvalidArgument("max_unknowns must be nonnegative")
 
 
 def solution_space(
@@ -204,12 +206,12 @@ def solution_space(
     and a box over _MAX_BOX_MONOMIALS raises BoxTooLarge unbuilt.
     The constraint matrix has one column per unknown and one row per
     relation and monomial of the relation's image. Its entries are the
-    Gaussian integers of dense_normal_form, and all rows of one relation
-    share one scale factor, so they vanish on the same vectors as the
-    exact rows. Column (g_k, m) is the one-image derivation g_k -> m applied
-    to the relation, in normal form.
+    Gaussian integers of the presentation engine's dense_normal_forms,
+    which give all rows of one relation one scale factor, so they vanish
+    on the same vectors as the exact rows. Column (g_k, m) is the
+    one-image derivation g_k -> m applied to the relation, in normal form.
     """
-    _check_degree_bound(degree_bound)
+    _check_limits(degree_bound, max_unknowns)
     grading = weight_assignment(P)
     weight = tuple(weight)
     if len(weight) != grading.rank:
@@ -217,29 +219,25 @@ def solution_space(
     if box is None:
         box = _box_by_weight(P, degree_bound, grading)
     unknowns = []
+    engine = P.engine
     parts = []  # leibniz_part of each unknown's one-image derivation
-    n = len(P.generators)
     for g in P.generators:
         target = tuple(a + b for a, b in zip(grading.weights[g], weight))
         for m, key in box.get(target, ()):
             unknowns.append((g, m))
-            parts.append((leibniz_part(P.generator_index[g], ((key, (1, 0)),), n),))
+            parts.append((engine.leibniz_part(g, ((key, (1, 0)),)),))
     if len(unknowns) > max_unknowns:
         raise BoxTooLarge(
             f"{len(unknowns)} unknowns exceed the limit {max_unknowns}; raise "
             "max_unknowns to search anyway"
         )
-    s = P.integer_rules[0]
     rows = []
-    for rel in P.integer_relations:
-        columns = [P.dense_normal_form(dense_leibniz(rel, part)) for part in parts]
-        # one power of s for every column of this relation keeps the rows exact
-        top = max((t for _, t in columns), default=0)
+    for rel in engine.relations:
+        columns = engine.dense_normal_forms(dense_leibniz(rel, part) for part in parts)
         cells: dict = {}
-        for col, (nf, t) in enumerate(columns):
-            f = s ** (top - t)
-            for mono, (a, b) in nf.items():
-                cells.setdefault(mono, {})[col] = (a * f, b * f)
+        for col, nf in enumerate(columns):
+            for mono, c in nf.items():
+                cells.setdefault(mono, {})[col] = c
         rows.extend(cells.values())
     reduced, pivots = _rref(rows, len(unknowns))
     vectors = _nullspace(reduced, pivots, len(unknowns))
@@ -355,12 +353,13 @@ def oracle_enumerate(
     exact nilpotency verdict (verified, refuted or inconclusive), never a
     guess. The default cap of 16 is three times the largest vanishing
     index any classifier output exhibits at the default degree bound;
-    raise it when hunting slow-dying candidates. A cap below 1 or a
-    negative degree bound raises InvalidArgument before any search.
+    raise it when hunting slow-dying candidates. A cap below 1, a negative
+    degree bound or a negative max_unknowns raises InvalidArgument before
+    any search.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
-    _check_degree_bound(degree_bound)
+    _check_limits(degree_bound, max_unknowns)
     grading = weight_assignment(P)
     by_degree = _classifier_by_degree(P, grading)
     if weights is None:

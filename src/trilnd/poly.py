@@ -12,9 +12,9 @@ Free variables compare by index, smaller k more significant. Under this
 order the highest-index block monomial of each defining relation is the
 lead term.
 
-Normal forms come from one rewrite engine, a presentation's
-dense_normal_form on the packed dense form below; normal_form is its
-entry for a Poly, and stepwise_normal_form the independent reference.
+Normal forms come from one rewrite engine, RewriteEngine, on the packed
+dense form described below; normal_form is its entry for a Poly, and
+stepwise_normal_form the independent reference.
 """
 
 from __future__ import annotations
@@ -404,7 +404,12 @@ def partial_derivative(p: Poly, g: Gen) -> Poly:
 # integer addition and comparing keys compares total degrees first. Valid
 # keys have total degree below DEGREE_BOUND; then every field is in range
 # and no addition carries out of one, so the degree field of a key is
-# checked wherever a key could leave that range.
+# checked wherever a key could leave that range. A dense polynomial is a
+# dict from keys to (real, imaginary) int pairs, a Gaussian-integer
+# multiple of the polynomial it stands for; the Leibniz step and a sum
+# keep cancelled entries as (0, 0). The positions are a presentation's
+# generator_index. Only this module reads the fields of a key; other
+# modules ask a RewriteEngine for a key's degree or generators.
 EXPONENT_BITS = 32
 EXPONENT_MASK = (1 << EXPONENT_BITS) - 1
 DEGREE_BOUND = 1 << EXPONENT_BITS
@@ -420,10 +425,9 @@ def check_degree(degree: int) -> None:
 
 def pack(exps: Iterable[Tuple[Gen, int]], index: Mapping[Gen, int]) -> int:
     """The dense key of the monomial with exponent e at generator g for each
-    (g, e) in exps, over the n = len(index) positions of index (a range(n)
-    makes the positions their own generators). Raises DegreeOverflow when
-    its total degree is DEGREE_BOUND or more, so that no exponent of a
-    returned key overflows its field."""
+    (g, e) in exps, over the positions of index (a range(n) makes the
+    positions their own generators). Raises DegreeOverflow at a total
+    degree of DEGREE_BOUND or more."""
     key = degree = 0
     for g, e in exps:
         key += e << (EXPONENT_BITS * index[g])
@@ -442,15 +446,11 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
 
     Returns (s, dense): s is the least positive integer that clears every
     denominator of every coefficient, and dense lists s * p for each p as
-    a dict from dense keys, with generator g at position index[g], to
-    (real, imaginary) int pairs. Every generator of polys must be in index.
+    a dense polynomial over index, which must hold every generator of polys.
     Raises DegreeOverflow for a monomial of total degree DEGREE_BOUND or more.
     """
     polys = list(polys)
-    s = 1
-    for p in polys:
-        for c in p.terms.values():
-            s = lcm(s, c._abd[2])
+    s = lcm(*[c._abd[2] for p in polys for c in p.terms.values()])
     dense = []
     for p in polys:
         terms = {}
@@ -464,7 +464,7 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
 
 def _add_scaled(acc: dict, m: int, a: int, b: int, terms) -> None:
     """Add (a + bi) * x^m * terms into a dense dict, terms being (key,
-    (re, im)) pairs in integer_terms form. Cancelled entries stay as (0, 0)."""
+    (re, im)) pairs."""
     get = acc.get
     for t, (c, d) in terms:
         key = m + t
@@ -475,22 +475,10 @@ def _add_scaled(acc: dict, m: int, a: int, b: int, terms) -> None:
         acc[key] = (re, im)
 
 
-def leibniz_part(k: int, image, n: int) -> tuple:
-    """(EXPONENT_BITS * k, image / x_k) for the derivation sending generator k
-    of n to image, given as (key, (re, im)) pairs: adding a key m to these
-    keys gives the terms of dx^m/dx_k * image / m[k].
-
-    A term of image without x_k gets a field k of -1 in its shifted key,
-    which borrows from the field above; dense_leibniz only adds it to keys
-    m with m[k] >= 1, and the sum is exact."""
-    unit = (1 << (EXPONENT_BITS * k)) + (1 << (EXPONENT_BITS * n))
-    return EXPONENT_BITS * k, tuple((t - unit, c) for t, c in image)
-
-
 def dense_leibniz(p: dict, parts) -> dict:
-    """The Leibniz rule on a dense dict: the sum over the leibniz_part pairs
-    (shift, shifted) of dp/dx_k * image_k, not reduced. Cancelled entries stay
-    as (0, 0)."""
+    """The Leibniz rule on a dense dict: the sum over the
+    RewriteEngine.leibniz_part pairs (shift, shifted) of dp/dx_k * image_k,
+    not reduced."""
     acc: dict = {}
     get = acc.get
     for m, (a, b) in p.items():
@@ -545,38 +533,169 @@ def exact_divide(p: Poly, divisor) -> Poly:
     return Poly._of(acc)
 
 
+class RewriteEngine:
+    """The rewrite rules and relations of a presentation in the dense form,
+    built once per presentation (TrinomialPresentation.engine).
+
+    scale is the least positive integer that clears every denominator of
+    the replacements; each rule reads scale * lead -> scale * replacement.
+    relations are the relations, all scaled by one positive integer. The
+    reduction of each term is memoized, shared by the oracle, normal_form
+    and every derivation on the presentation: one entry per distinct key
+    of a nonzero term ever reduced, plus one replacement product per
+    distinct vector of application counts, freed with the presentation.
+    """
+
+    def __init__(self, index: Mapping[Gen, int], rules: Mapping[Monomial, Poly], relations):
+        self.index = index
+        self.generators = tuple(index)
+        self._degree_shift = EXPONENT_BITS * len(index)
+        self.scale, replacements = integer_terms(rules.values(), index)
+        # per rule: (shift, exponent) of each lead generator, lead key, replacement
+        self._rules = tuple(
+            (
+                tuple((EXPONENT_BITS * index[g], e) for g, e in lead.pairs),
+                pack(lead.pairs, index),
+                tuple(repl.items()),
+            )
+            for lead, repl in zip(rules, replacements)
+        )
+        self.relations = tuple(integer_terms(relations, index)[1])
+        self._reductions: dict = {}  # key -> _reduce(key)
+        self._powers: dict = {}  # application counts -> product of replacement powers
+
+    def degree(self, key: int) -> int:
+        """The total degree of a key."""
+        return key >> self._degree_shift
+
+    def every_term_contains(self, terms: Iterable[int], g: Gen) -> bool:
+        """Whether every key of terms has a positive exponent of g."""
+        shift = EXPONENT_BITS * self.index[g]
+        return all((m >> shift) & EXPONENT_MASK for m in terms)
+
+    def leibniz_part(self, g: Gen, image) -> tuple:
+        """(EXPONENT_BITS * k, image / x_k) for the derivation sending g, the
+        generator at position k, to image, given as (key, (re, im)) pairs:
+        adding a key m to these keys gives the terms of dx^m/dx_k * image / m[k].
+
+        A term of image without x_k gets a field k of -1 in its shifted key,
+        which borrows from the field above; dense_leibniz only adds it to keys
+        m with m[k] >= 1, and the sum is exact."""
+        shift = EXPONENT_BITS * self.index[g]
+        unit = (1 << shift) + (1 << self._degree_shift)
+        return shift, tuple((t - unit, c) for t, c in image)
+
+    def dense_normal_form(self, terms: dict) -> Tuple[dict, int]:
+        """(nf, top) for a dense polynomial: nf is scale**top times its normal
+        form, with no zero coefficient, and top the most rule applications
+        any term needs. One pass per term suffices because replacements
+        contain no lead.
+
+        Raises DegreeOverflow when a key of terms, or a term of the result,
+        has total degree DEGREE_BOUND or more. A key past the bound is
+        never in the memo, so each is checked on its memo miss, and a
+        cancelled entry is checked where it is skipped.
+        """
+        get, reduce = self._reductions.get, self._reduce
+        pending = []
+        top = 0
+        for m, c in terms.items():
+            if c[0] or c[1]:
+                hit = get(m) or reduce(m)
+                if hit[2] > top:
+                    top = hit[2]
+                pending.append((hit, c))
+            else:
+                check_degree(m >> self._degree_shift)
+        s = self.scale
+        out: dict = {}
+        for (m, factor, total), (a, b) in pending:
+            f = s ** (top - total)
+            _add_scaled(out, m, a * f, b * f, factor)
+        return {m: c for m, c in out.items() if c[0] or c[1]}, top
+
+    def dense_normal_forms(self, polys: Iterable[dict]) -> list:
+        """The normal forms of dense polynomials, all scaled by one power of
+        scale, so that every linear relation among them is exact."""
+        forms = [self.dense_normal_form(p) for p in polys]
+        top = max((t for _, t in forms), default=0)
+        scaled = [(nf, self.scale ** (top - t)) for nf, t in forms]
+        return [nf if f == 1 else {m: (a * f, b * f) for m, (a, b) in nf.items()} for nf, f in scaled]
+
+    def _reduce(self, m: int) -> tuple:
+        """(reduced key, replacement product, number of rule applications)
+        for the term x^m, stored in the memo: scale**total * x^m reduces to
+        x^reduced * product. Raises DegreeOverflow, and stores nothing,
+        unless x^m and every term of x^reduced * product have total degree
+        below DEGREE_BOUND."""
+        shift = self._degree_shift
+        degree = m >> shift
+        check_degree(degree)
+        qs = []
+        for support, _, _ in self._rules:
+            q = DEGREE_BOUND
+            for w, l in support:
+                e = ((m >> w) & EXPONENT_MASK) // l
+                if e < q:
+                    q = e
+                    if not q:
+                        break
+            qs.append(q)
+        qs = tuple(qs)
+        reduced, total = m, sum(qs)
+        if total:
+            for (_, lead, repl), q in zip(self._rules, qs):
+                if q:
+                    reduced -= q * lead
+                    degree += q * ((max(repl)[0] >> shift) - (lead >> shift))
+            check_degree(degree)
+        factor = self._powers.get(qs)
+        if factor is None:
+            terms = {0: (1, 0)}
+            for (_, _, repl), q in zip(self._rules, qs):
+                for _ in range(q):
+                    nxt: dict = {}
+                    for t, (a, b) in terms.items():
+                        _add_scaled(nxt, t, a, b, repl)
+                    terms = nxt
+            factor = self._powers[qs] = tuple((t, c) for t, c in terms.items() if c[0] or c[1])
+        hit = self._reductions[m] = (reduced, factor, total)
+        return hit
+
+
 def normal_form(p: Poly, presentation: TrinomialPresentation) -> Poly:
     """The normal form of p modulo the rewrite rules of a presentation.
 
-    This is the Poly-level entry to the presentation's one rewrite
-    engine, dense_normal_form, and shares its memo of term reductions.
-    When no term of p is divisible by a rule's lead, p is already in
-    normal form and is returned itself, before any dense output is built.
+    This is the Poly-level entry to the presentation's RewriteEngine, and
+    shares its memo of term reductions. When no term of p is divisible by
+    a rule's lead, p is already in normal form and is returned itself,
+    before any dense output is built.
 
     Raises UnknownGenerator for a generator outside the presentation, and
     DegreeOverflow for a term, or a term of its reduction, of total degree
     DEGREE_BOUND or more.
     """
-    index = presentation.generator_index
+    engine = presentation.engine
+    index = engine.index
     try:
         keys = [pack(m.pairs, index) for m in p.terms]
     except KeyError as exc:
         raise UnknownGenerator(
             f"{gen_name(exc.args[0])} is not a generator of this presentation"
         ) from None
-    memo = presentation._dense_reductions
+    get, reduce = engine._reductions.get, engine._reduce
     for key in keys:
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = presentation._dense_reduction(key)
-        if hit[2]:
+        if (get(key) or reduce(key))[2]:
             break
     else:
         return p
-    scale, (terms,) = integer_terms((p,), index)
-    nf, top = presentation.dense_normal_form(terms)
-    scale *= presentation.integer_rules[0] ** top
-    gens = presentation.generators
+    # integer_terms of p, from the keys already packed
+    coefficients = [c._abd for c in p.terms.values()]
+    scale = lcm(*[d for _, _, d in coefficients])
+    terms = {key: (a * (scale // d), b * (scale // d)) for key, (a, b, d) in zip(keys, coefficients)}
+    nf, top = engine.dense_normal_form(terms)
+    scale *= engine.scale**top
+    gens = engine.generators
     out = {}
     for m, (a, b) in nf.items():
         out[Monomial(zip(gens, unpack(m, len(gens))))] = GaussianRational._of(a, b, scale)

@@ -39,16 +39,11 @@ from .gaussian import (
     gq_parse,
 )
 from .poly import (
-    EXPONENT_BITS,
-    EXPONENT_MASK,
     Gen,
     Monomial,
     Poly,
-    _add_scaled,
-    check_degree,
+    RewriteEngine,
     gen_name,
-    integer_terms,
-    pack,
     partial_derivative,
     svar,
     tvar,
@@ -288,12 +283,6 @@ class TrinomialPresentation:
         return self._relations
 
     @cached_property
-    def integer_relations(self) -> Tuple[dict, ...]:
-        """The relations in poly.integer_terms form, all scaled by one
-        positive integer, for dense iteration."""
-        return tuple(integer_terms(self._relations, self.generator_index)[1])
-
-    @cached_property
     def rewrite_rules(self) -> dict:
         """Oriented rules lead -> replacement, anchored at the lowest block(s).
 
@@ -317,111 +306,10 @@ class TrinomialPresentation:
         return rules
 
     @cached_property
-    def integer_rules(self) -> tuple:
-        """rewrite_rules over the Gaussian integers, for dense iteration.
-
-        Returns (s, rules). s is the least positive integer that clears
-        every denominator of the replacements. Each rule is a triple
-        (support, lead, replacement): support lists the (EXPONENT_BITS *
-        position, exponent) pairs of the lead over self.generator_index,
-        lead is its dense key, and replacement is s times the rule's
-        replacement in poly.integer_terms form. So every rule reads
-        s * lead -> replacement.
-        """
-        index = self.generator_index
-        rules = self.rewrite_rules
-        s, replacements = integer_terms(rules.values(), index)
-        supports = [tuple((EXPONENT_BITS * index[g], e) for g, e in lead.pairs) for lead in rules]
-        leads = [pack(lead.pairs, index) for lead in rules]
-        return s, tuple(zip(supports, leads, replacements))
-
-    def dense_normal_form(self, terms: dict) -> Tuple[dict, int]:
-        """The normal form of a polynomial in integer_terms form.
-
-        Returns (nf, top): nf is s**top times the normal form, with no
-        zero coefficient, where s is the scale of integer_rules and top
-        the largest number of rule applications any term needs. So every
-        coefficient stays a Gaussian integer. One pass per term suffices
-        because replacements contain no lead.
-
-        This is the one rewrite engine: poly.normal_form reduces a Poly
-        through it. Each term's reduction (reduced key, product of
-        replacement powers, number of applications) depends only on the
-        rules and is memoized on the presentation, so the oracle,
-        poly.normal_form and every derivation on it share the work. The
-        memo holds one entry per distinct key of a nonzero term ever
-        passed here or to poly.normal_form, plus one replacement product
-        per distinct vector of application counts, and is freed with the
-        presentation.
-
-        Raises DegreeOverflow when a key of terms, or a term of the
-        result, has total degree DEGREE_BOUND or more. A key past the
-        bound is never in the memo, so each is checked on its memo miss,
-        and a cancelled entry is checked where it is skipped.
-        """
-        memo = self._dense_reductions
-        shift = EXPONENT_BITS * len(self.generators)
-        pending = []
-        top = 0
-        for m, c in terms.items():
-            if c[0] or c[1]:
-                hit = memo.get(m)
-                if hit is None:
-                    hit = memo[m] = self._dense_reduction(m)
-                if hit[2] > top:
-                    top = hit[2]
-                pending.append((hit, c))
-            else:
-                check_degree(m >> shift)
-        s = self.integer_rules[0]
-        out: dict = {}
-        for (m, factor, total), (a, b) in pending:
-            f = s ** (top - total)
-            _add_scaled(out, m, a * f, b * f, factor)
-        return {m: c for m, c in out.items() if c[0] or c[1]}, top
-
-    @cached_property
-    def _dense_reductions(self) -> dict:
-        """dense_normal_form's memo: dense key -> _dense_reduction of it."""
-        return {}
-
-    @cached_property
-    def _rule_powers(self) -> dict:
-        """Rule application counts (q_1, ..., q_r) -> the product of the
-        integer replacements to those powers, as (key, (re, im)) pairs."""
-        return {}
-
-    def _dense_reduction(self, m: int) -> tuple:
-        """(reduced key, replacement product, number of rule applications)
-        for the term x^m: s**total * x^m reduces to x^reduced * product.
-        Raises DegreeOverflow unless x^m and every term of x^reduced * product
-        have total degree below DEGREE_BOUND."""
-        shift = EXPONENT_BITS * len(self.generators)
-        degree = m >> shift
-        check_degree(degree)
-        rules = self.integer_rules[1]
-        qs = tuple(
-            min([((m >> w) & EXPONENT_MASK) // l for w, l in support]) for support, _, _ in rules
-        )
-        total = sum(qs)
-        if total:
-            for (_, lead, repl), q in zip(rules, qs):
-                if q:
-                    m -= q * lead
-                    degree += q * ((max(repl) >> shift) - (lead >> shift))
-            check_degree(degree)
-        factor = self._rule_powers.get(qs)
-        if factor is None:
-            terms = {0: (1, 0)}
-            for (_, _, repl), q in zip(rules, qs):
-                for _ in range(q):
-                    nxt: dict = {}
-                    for t, (a, b) in terms.items():
-                        _add_scaled(nxt, t, a, b, repl.items())
-                    terms = nxt
-            factor = tuple((t, c) for t, c in terms.items() if c[0] or c[1])
-            self._rule_powers[qs] = factor
-        return m, factor, total
+    def engine(self) -> RewriteEngine:
+        """The rewrite engine on the dense form (poly.RewriteEngine), which
+        every normal form modulo the relations goes through."""
+        return RewriteEngine(self.generator_index, self.rewrite_rules, self._relations)
 
     # -- divisor theory --------------------------------------------------
 

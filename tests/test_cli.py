@@ -367,6 +367,23 @@ def test_boolean_in_place_of_an_integer_is_an_input_error(tmp_path, capsys, data
             '{"kind": "t2d", "c": [1, 1], "roles": [0, 1, 2], "param": "1"}',
             {"error": "t2d descriptor on a type 1 presentation", "kind": "WrongType"},
         ),
+        # an unknown kind is named as such, before the presentation type or
+        # any other field is looked at
+        (
+            "rigid_type1.json",
+            '{"kind": "foo"}',
+            {"error": "unknown descriptor kind 'foo'", "kind": "InadmissibleDescriptor"},
+        ),
+        (
+            "sphere.json",
+            '{"kind": "foo"}',
+            {"error": "unknown descriptor kind 'foo'", "kind": "InadmissibleDescriptor"},
+        ),
+        (
+            "sphere.json",
+            '{"kind": 3}',
+            {"error": "unknown descriptor kind 3", "kind": "InadmissibleDescriptor"},
+        ),
     ],
 )
 def test_kernel_reports_a_descriptor_fault_as_build_lnd_does(capsys, presentation, descriptor, error):
@@ -491,11 +508,16 @@ def test_oracle_refuses_an_oversized_box_before_building_it(tmp_path, capsys):
     assert "9366819 monomials" in rep["error"]
 
 
-@pytest.mark.parametrize("flags", [("--cap", "0"), ("--bound", "-2")], ids=["cap0", "bound-2"])
+@pytest.mark.parametrize(
+    "flags",
+    [("--cap", "0"), ("--bound", "-2"), ("--max-unknowns", "-1")],
+    ids=["cap0", "bound-2", "max-unknowns-1"],
+)
 @pytest.mark.parametrize("rigid", [True, False], ids=["rigid", "sphere"])
 def test_oracle_rejects_a_cap_below_one_and_a_negative_bound(tmp_path, capsys, flags, rigid):
     # the rigid member's box yields no sample, so only a check made before
-    # any search can see the cap
+    # any search can see the cap; any box has more than -1 unknowns, so only
+    # such a check tells a negative limit from a box that is too large
     if rigid:
         path = write_presentation(tmp_path, {"type": 1, "blocks": [[2], [3], [4], [2]]})
     else:

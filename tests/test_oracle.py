@@ -219,6 +219,11 @@ def test_cap_below_one_and_negative_degree_bound_are_rejected():
         oracle_enumerate(P, degree_bound=-3)
     with pytest.raises(ValueError):
         solution_space(P, (0,), degree_bound=-1)
+    # a negative limit is an invalid argument, not a box that is too large
+    with pytest.raises(ValueError):
+        oracle_enumerate(P, max_unknowns=-1)
+    with pytest.raises(ValueError):
+        solution_space(P, (0,), max_unknowns=-1)
 
 
 def test_contains_checks_the_reduced_constraints():

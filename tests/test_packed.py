@@ -104,9 +104,9 @@ def test_a_cancelled_key_past_the_bound_is_refused():
     n = len(CYLINDER.generators)
     wrapped = DEGREE_BOUND << (EXPONENT_BITS * n)
     with pytest.raises(DegreeOverflow):
-        CYLINDER.dense_normal_form({wrapped: (0, 0)})
+        CYLINDER.engine.dense_normal_form({wrapped: (0, 0)})
     with pytest.raises(DegreeOverflow):
-        CYLINDER.dense_normal_form({wrapped: (1, 0)})
+        CYLINDER.engine.dense_normal_form({wrapped: (1, 0)})
 
 
 def test_a_reduction_past_the_bound_raises_before_it_is_built():
@@ -117,9 +117,9 @@ def test_a_reduction_past_the_bound_raises_before_it_is_built():
     q = DEGREE_BOUND // 4
     key = dense([0, q])
     with pytest.raises(DegreeOverflow):
-        P.dense_normal_form({key: (1, 0)})
-    assert not P._dense_reductions and not P._rule_powers
-    nf, top = P.dense_normal_form({dense([0, 3]): (1, 0)})
+        P.engine.dense_normal_form({key: (1, 0)})
+    assert not P.engine._reductions and not P.engine._powers
+    nf, top = P.engine.dense_normal_form({dense([0, 3]): (1, 0)})
     assert top == 3 and max(nf) >> (EXPONENT_BITS * n) == 15
 
 
