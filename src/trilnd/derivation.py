@@ -11,17 +11,17 @@ Every normal form comes from the presentation's one rewrite engine,
 P.engine, through poly.normal_form for a Poly. Iteration and
 zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
-to a nonzero scalar and built per call. Derivation.apply, the Leibniz
-rule on Poly, produces every polynomial a report shows; it and
-poly.stepwise_normal_form are the references the tests compare the
-dense form with. A refuted nilpotency report is re-checked by
-refutation_holds on the exact images alone.
+to a nonzero scalar and built per call; the oracle keeps its samples in
+that form, and a _DenseView reads one as a Derivation. Derivation.apply,
+the Leibniz rule on Poly, and poly.stepwise_normal_form are the
+references the tests compare the dense form with. A refuted nilpotency
+report is re-checked by refutation_holds on the exact images alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
@@ -103,21 +103,46 @@ class _DenseForm:
     """A derivation over the Gaussian integers, exact up to a nonzero scalar.
 
     Polynomials are in the dense form of poly.py, over the presentation's
-    generator_index. The images are scaled by one positive integer, the
-    normal form is the presentation engine's, and step returns the
-    primitive part of an integer multiple of delta(p) in normal form: the
-    result vanishes exactly when delta(p) does, and has the same monomials.
+    generator_index. The images are nonzero, in normal form and free of
+    zero coefficients, scale times those of the derivation this form
+    stands for, scale being one positive integer. The normal form is the
+    presentation engine's, and step returns the primitive part of an
+    integer multiple of delta(p) in normal form: the result vanishes
+    exactly when delta(p) does, and has the same monomials.
     """
 
-    __slots__ = ("presentation", "index", "images", "parts")
+    __slots__ = ("presentation", "index", "scale", "images", "parts")
 
     def __init__(self, delta: "Derivation"):
-        P = delta.presentation
-        self.presentation = P
-        self.index = P.generator_index
-        _, dense = integer_terms(delta.images.values(), self.index)
-        self.images = dict(zip(delta.images, dense))
-        self.parts = tuple(P.engine.leibniz_part(g, img.items()) for g, img in self.images.items())
+        scale, dense = integer_terms(delta.images.values(), delta.presentation.generator_index)
+        self._set(delta.presentation, dict(zip(delta.images, dense)), scale)
+
+    @classmethod
+    def from_images(cls, presentation: TrinomialPresentation, images: dict, scale: int):
+        """The form with these dense images at this scale; they must be
+        nonzero, in normal form and free of zero coefficients."""
+        out = cls.__new__(cls)
+        out._set(presentation, images, scale)
+        return out
+
+    def _set(self, presentation, images, scale):
+        self.presentation = presentation
+        self.index = presentation.generator_index
+        self.scale = scale
+        self.images = images
+        engine = presentation.engine
+        self.parts = tuple(engine.leibniz_part(g, img.items()) for g, img in images.items())
+
+    def derivation(self) -> "Derivation":
+        """The Derivation this form stands for, a view whose images are
+        built when first read."""
+        out = _DenseView.__new__(_DenseView)
+        out.presentation = self.presentation
+        out._form = self
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.images
 
     def of(self, p: Poly) -> dict:
         return integer_terms((p,), self.index)[1][0]
@@ -220,6 +245,28 @@ class Derivation:
         return f"Derivation({body or '0'})"
 
 
+_IMAGES = Derivation.__dict__["images"]  # the slot
+
+
+class _DenseView(Derivation):
+    """The Derivation of a _DenseForm. Its images are built by the engine
+    from the dense ones when first read, without normalizing them again,
+    so that a sample the oracle never prints never becomes Poly."""
+
+    __slots__ = ("_form",)
+
+    @property
+    def images(self) -> dict:
+        try:
+            return _IMAGES.__get__(self)
+        except AttributeError:
+            form = self._form
+            poly = form.presentation.engine.poly
+            images = {g: poly(img, form.scale) for g, img in form.images.items()}
+            _IMAGES.__set__(self, images)
+            return images
+
+
 def is_well_defined(delta: Derivation) -> WellDefinedReport:
     """Check that every defining relation maps into the relation ideal.
 
@@ -236,7 +283,10 @@ def is_well_defined(delta: Derivation) -> WellDefinedReport:
 
 
 def nilpotency_check(
-    delta: Derivation, cap: int = 64, term_limit: int = 4096, degree_limit: int = 512
+    delta: Union[Derivation, _DenseForm],
+    cap: int = 64,
+    term_limit: int = 4096,
+    degree_limit: int = 512,
 ) -> NilpotencyReport:
     """Decide local nilpotency where an exact test can, else iterate up to cap steps.
 
@@ -258,20 +308,22 @@ def nilpotency_check(
     Iterates live in the dense form, where each is a nonzero scalar
     multiple of the true one: its vanishing, term count and degree are
     those of the true iterate. Keys order by total degree first, so the
-    degree of an iterate p is that of max(p).
+    degree of an iterate p is that of max(p). delta may also be given in
+    that dense form, as the oracle keeps its samples.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
-    dense = _DenseForm(delta)
-    engine = delta.presentation.engine
-    for g in delta.presentation.generators:
+    dense = delta if isinstance(delta, _DenseForm) else _DenseForm(delta)
+    generators = dense.presentation.generators
+    engine = dense.presentation.engine
+    for g in generators:
         img = dense.images.get(g)
         if img and engine.every_term_contains(img, g):
             return NilpotencyReport(
                 status="refuted", cap=cap, witness=g, refutation="divisibility"
             )
     worst = 1
-    for g in delta.presentation.generators:
+    for g in generators:
         p = dense.images.get(g)
         steps = 1
         while p:

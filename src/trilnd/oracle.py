@@ -10,19 +10,30 @@ is computed by fraction-free row reduction over the Gaussian integers,
 with no reference to the classified constructions, which makes it a useful cross-check: every
 classifier output below the degree cap must land inside the span, and
 rigid presentations must yield no certified nilpotent element.
+
+The search runs on the dense form of poly.py end to end. The engine
+enumerates the box as normal-form keys with their weights, an unknown is
+a (generator, key) pair, and the basis vectors and the samples combined
+from them are dense forms at one integer scale per space, which
+nilpotency_check takes as they are. A Derivation is built only as a view:
+SolutionSpace.unknowns when first read, and each Derivation of
+SolutionSpace.basis and OracleWeightEntry.samples builds its images when
+they are first read, as a report prints them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import cached_property
+from operator import add
+from typing import List, NamedTuple, Optional, Tuple
 
 from .classify import enumerate_lnds
-from .derivation import Derivation, NilpotencyReport, nilpotency_check
-from .gaussian import GaussianRational, I, InvalidArgument, ONE, ZERO, gq_format
+from .derivation import Derivation, NilpotencyReport, _DenseForm, nilpotency_check
+from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
-from .poly import Monomial, Poly, dense_leibniz, pack, primitive_part
+from .poly import dense_leibniz, pack, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -34,37 +45,25 @@ _MAX_COMBO_BASIS = 4
 
 # The search box holds every monomial of degree at most the bound in n
 # generators, C(n + bound, n) of them before the rewrite leads are
-# filtered out, and reduced_monomials enumerates all of them at roughly
-# 17 microseconds each (Python 3.11, 2-core x86_64). Past this many the
-# box is refused before it is built: 20,000 is about a third of a second
-# of enumeration, and the largest corpus box at degree bound 4 is 126.
+# filtered out, and the engine enumerates them as keys at about 1
+# microsecond each (0.7-1.2 us per point on the degree-12 boxes of
+# type1[(1,1,1),(1,1,1)] and type1[(2,2,2),(2,2,2)], Python 3.11, 2-core
+# x86_64). Past this many the box is refused before it is built: 20,000
+# is about 20 ms of enumeration, but every unknown it yields also costs a
+# column of the constraint matrix, and the largest corpus box at degree
+# bound 4 is 126.
 _MAX_BOX_MONOMIALS = 20_000
 # More degree shifts than this are refused before any search.
 _MAX_WEIGHTS = 200
 
 
 def reduced_monomials(P: TrinomialPresentation, max_degree: int):
-    """All normal-form monomials of total degree at most max_degree."""
-    gens = P.generators
-    leads = tuple(P.rewrite_rules)
-    out = []
-
-    def rec(idx, remaining, acc):
-        if idx == len(gens):
-            m = Monomial(tuple(acc))
-            if all(not lead.divides(m) for lead in leads):
-                out.append(m)
-            return
-        g = gens[idx]
-        rec(idx + 1, remaining, acc)
-        for e in range(1, remaining + 1):
-            acc.append((g, e))
-            rec(idx + 1, remaining - e, acc)
-            acc.pop()
-
-    rec(0, max_degree, [])
-    out.sort()
-    return out
+    """All normal-form monomials of total degree at most max_degree, in
+    increasing order: the Monomial view of the engine's box of keys."""
+    grading = weight_assignment(P)
+    engine = P.engine
+    weights = [grading.weights[g] for g in P.generators]
+    return [engine.monomial(key) for key, _ in engine.box(max_degree, weights)]
 
 
 def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
@@ -133,26 +132,52 @@ def _nullspace(reduced: List[dict], pivots: List[int], ncols: int) -> List[dict]
     return list(basis.values())
 
 
+class _Box(NamedTuple):
+    """The normal-form keys of a degree box grouped by weight, each list in
+    Monomial order, with the grading that weighs them."""
+
+    grading: Grading
+    keys: dict
+
+
 @dataclass
 class SolutionSpace:
-    """Derivations of one fixed degree, found by linear algebra."""
+    """Derivations of one fixed degree, found by linear algebra.
+
+    The unknowns are (generator, key) columns, and each basis vector is a
+    dense form with its images at one integer scale common to the basis.
+    unknowns, with its monomials, is built when first read, and each basis
+    Derivation is a view of its dense form that builds its images when
+    they are first read.
+    """
 
     presentation: TrinomialPresentation
     weight: Tuple[int, ...]
     degree_bound: int
-    unknowns: List[Tuple]  # (generator, monomial) pairs
     dimension: int
     basis: List[Derivation]
-    _constraints: List[dict] = field(repr=False, default_factory=list)  # reduced rows
+    _columns: List[Tuple] = field(repr=False)  # (generator, key) per unknown
+    _forms: List[_DenseForm] = field(repr=False)  # the basis, dense
+    _constraints: List[dict] = field(repr=False)  # reduced rows
+
+    @cached_property
+    def unknowns(self) -> List[Tuple]:
+        """(generator, monomial) pairs, one per coordinate."""
+        monomial = self.presentation.engine.monomial
+        return [(g, monomial(key)) for g, key in self._columns]
 
     def coordinates_of(self, delta: Derivation):
         """Coefficient vector of a derivation, or None if it uses
         monomials outside the search box."""
-        index = {um: k for k, um in enumerate(self.unknowns)}
-        vec = [ZERO] * len(self.unknowns)
+        column = {gk: k for k, gk in enumerate(self._columns)}
+        index = self.presentation.generator_index
+        vec = [ZERO] * len(column)
         for g, img in delta.images.items():
             for m, c in img.terms.items():
-                k = index.get((g, m))
+                try:
+                    k = column.get((g, pack(m.pairs, index)))
+                except KeyError:  # a generator of another presentation
+                    return None
                 if k is None:
                     return None
                 vec[k] = c
@@ -166,22 +191,21 @@ class SolutionSpace:
         return not any(sum((v * vec[c] for c, v in row.items()), ZERO) for row in self._constraints)
 
 
-def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading) -> dict:
-    """reduced_monomials grouped by weight, each with its dense key over
-    P.generator_index. Raises BoxTooLarge before enumerating a box of more
-    than _MAX_BOX_MONOMIALS monomials."""
-    index = P.generator_index
-    n = len(index)
+def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading) -> _Box:
+    """The engine's box of normal-form keys, grouped by weight. Raises
+    BoxTooLarge before enumerating a box of more than _MAX_BOX_MONOMIALS
+    monomials."""
+    n = len(P.generators)
     size = math.comb(n + degree_bound, n)
     if size > _MAX_BOX_MONOMIALS:
         raise BoxTooLarge(
             f"the degree-{degree_bound} box in {n} generators has {size} monomials, "
             f"over the limit {_MAX_BOX_MONOMIALS}; lower the degree bound"
         )
-    by_weight: dict = {}
-    for m in reduced_monomials(P, degree_bound):
-        by_weight.setdefault(grading.weight_of_monomial(m), []).append((m, pack(m.pairs, index)))
-    return by_weight
+    keys: dict = {}
+    for key, w in P.engine.box(degree_bound, [grading.weights[g] for g in P.generators]):
+        keys.setdefault(w, []).append(key)
+    return _Box(grading, keys)
 
 
 def _check_limits(degree_bound: int, max_unknowns: int) -> None:
@@ -196,14 +220,15 @@ def solution_space(
     weight,
     degree_bound: int = 4,
     max_unknowns: int = 600,
-    box: Optional[dict] = None,
+    box: Optional[_Box] = None,
 ) -> SolutionSpace:
     """Solve for all derivations of the given degree shift whose images
     stay within the degree bound.
 
-    box is the search box grouped by weight, which oracle_enumerate builds
-    once for all the weights it solves; it is built here when omitted,
-    and a box over _MAX_BOX_MONOMIALS raises BoxTooLarge unbuilt.
+    box is the search box grouped by weight, with its grading, which
+    oracle_enumerate builds once for all the weights it solves; it is
+    built here when omitted, and a box over _MAX_BOX_MONOMIALS raises
+    BoxTooLarge unbuilt.
     The constraint matrix has one column per unknown and one row per
     relation and monomial of the relation's image. Its entries are the
     Gaussian integers of the presentation engine's dense_normal_forms,
@@ -212,52 +237,74 @@ def solution_space(
     one-image derivation g_k -> m applied to the relation, in normal form.
     """
     _check_limits(degree_bound, max_unknowns)
-    grading = weight_assignment(P)
+    grading = weight_assignment(P) if box is None else box.grading
     weight = tuple(weight)
     if len(weight) != grading.rank:
         raise InvalidArgument(f"weight must have {grading.rank} components")
     if box is None:
         box = _box_by_weight(P, degree_bound, grading)
-    unknowns = []
-    engine = P.engine
-    parts = []  # leibniz_part of each unknown's one-image derivation
+    columns = []
     for g in P.generators:
-        target = tuple(a + b for a, b in zip(grading.weights[g], weight))
-        for m, key in box.get(target, ()):
-            unknowns.append((g, m))
-            parts.append((engine.leibniz_part(g, ((key, (1, 0)),)),))
-    if len(unknowns) > max_unknowns:
+        target = tuple(map(add, grading.weights[g], weight))
+        columns.extend((g, key) for key in box.keys.get(target, ()))
+    if len(columns) > max_unknowns:
         raise BoxTooLarge(
-            f"{len(unknowns)} unknowns exceed the limit {max_unknowns}; raise "
+            f"{len(columns)} unknowns exceed the limit {max_unknowns}; raise "
             "max_unknowns to search anyway"
         )
+    engine = P.engine
+    # leibniz_part of each unknown's one-image derivation
+    parts = [(engine.leibniz_part(g, ((key, (1, 0)),)),) for g, key in columns]
     rows = []
     for rel in engine.relations:
-        columns = engine.dense_normal_forms(dense_leibniz(rel, part) for part in parts)
         cells: dict = {}
-        for col, nf in enumerate(columns):
+        for col, nf in enumerate(engine.dense_normal_forms(dense_leibniz(rel, part) for part in parts)):
             for mono, c in nf.items():
                 cells.setdefault(mono, {})[col] = c
         rows.extend(cells.values())
-    reduced, pivots = _rref(rows, len(unknowns))
-    vectors = _nullspace(reduced, pivots, len(unknowns))
+    reduced, pivots = _rref(rows, len(columns))
+    vectors = _nullspace(reduced, pivots, len(columns))
+    # one scale for the whole basis, so that sums and twists of basis
+    # vectors are exact on the dense images
+    scale = math.lcm(*[c._abd[2] for vec in vectors for c in vec.values()])
+    forms = []
+    for vec in vectors:
+        images: dict = {}
+        for k in sorted(vec):
+            a, b, d = vec[k]._abd
+            g, key = columns[k]
+            images.setdefault(g, {})[key] = (a * (scale // d), b * (scale // d))
+        forms.append(_DenseForm.from_images(P, images, scale))
     return SolutionSpace(
         presentation=P,
         weight=weight,
         degree_bound=degree_bound,
-        unknowns=unknowns,
-        dimension=len(vectors),
-        basis=[_vector_to_derivation(P, unknowns, vec) for vec in vectors],
+        dimension=len(forms),
+        basis=[form.derivation() for form in forms],
+        _columns=columns,
+        _forms=forms,
         _constraints=reduced,
     )
 
 
-def _vector_to_derivation(P, unknowns, vec: dict) -> Derivation:
-    images: dict = {}
-    for k in sorted(vec):
-        g, m = unknowns[k]
-        images.setdefault(g, []).append((m, vec[k]))
-    return Derivation(P, {g: Poly(items) for g, items in images.items()})
+def _combination(x: _DenseForm, y: _DenseForm, c: Tuple[int, int]) -> _DenseForm:
+    """x + c * y for two dense forms at one scale and a Gaussian integer c,
+    as (real, imaginary), with cancelled terms and images dropped."""
+    ca, cb = c
+    images = {g: dict(img) for g, img in x.images.items()}
+    for g, img in y.images.items():
+        out = images.setdefault(g, {})
+        for key, (a, b) in img.items():
+            re, im = ca * a - cb * b, ca * b + cb * a
+            cur = out.get(key)
+            if cur is not None:
+                re, im = re + cur[0], im + cur[1]
+            if re or im:
+                out[key] = (re, im)
+            else:
+                del out[key]
+    images = {g: img for g, img in images.items() if img}
+    return _DenseForm.from_images(x.presentation, images, x.scale)
 
 
 def _classifier_by_degree(P: TrinomialPresentation, grading):
@@ -355,30 +402,35 @@ def oracle_enumerate(
     index any classifier output exhibits at the default degree bound;
     raise it when hunting slow-dying candidates. A cap below 1, a negative
     degree bound or a negative max_unknowns raises InvalidArgument before
-    any search.
+    any search, and so does a weight listed twice.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
     _check_limits(degree_bound, max_unknowns)
+    if weights is not None:
+        weights = tuple(tuple(w) for w in weights)
+        seen = set()
+        for w in weights:
+            if w in seen:
+                raise InvalidArgument(f"weight {list(w)} is repeated")
+            seen.add(w)
     grading = weight_assignment(P)
     by_degree = _classifier_by_degree(P, grading)
     if weights is None:
         weights = tuple(sorted({grading.zero(), *by_degree}))
-    else:
-        weights = tuple(tuple(w) for w in weights)
     if len(weights) > _MAX_WEIGHTS:
         raise BoxTooLarge(f"{len(weights)} weights exceed the limit {_MAX_WEIGHTS}")
     box = _box_by_weight(P, degree_bound, grading)
     entries = []
     for w in weights:
         space = solution_space(P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, box=box)
-        samples = [(f"basis[{k}]", delta) for k, delta in enumerate(space.basis)]
-        head = space.basis[:_MAX_COMBO_BASIS]
+        samples = [(f"basis[{k}]", form) for k, form in enumerate(space._forms)]
+        head = space._forms[:_MAX_COMBO_BASIS]
         for a in range(len(head)):
             for b in range(a + 1, len(head)):
-                samples.append((f"basis[{a}]+basis[{b}]", head[a] + head[b]))
-                samples.append((f"basis[{a}]-basis[{b}]", head[a] + head[b] * -1))
-                samples.append((f"basis[{a}]+i*basis[{b}]", head[a] + head[b] * I))
+                for sign, c in (("+", (1, 0)), ("-", (-1, 0)), ("+i*", (0, 1))):
+                    name = f"basis[{a}]{sign}basis[{b}]"
+                    samples.append((name, _combination(head[a], head[b], c)))
         members = []
         for inst in by_degree.get(w, ()):
             name = _descriptor_label(inst.descriptor)
@@ -389,17 +441,19 @@ def oracle_enumerate(
         refuted = inconclusive = 0
         for name, delta in samples:
             report = nilpotency_check(delta, cap=cap)
-            checked.append((name, delta, report))
             if report.status == "verified" and not delta.is_zero():
                 nilpotent_found = True
             elif report.status == "refuted":
                 refuted += 1
             elif report.status == "inconclusive":
                 inconclusive += 1
+            if isinstance(delta, _DenseForm):
+                delta = delta.derivation()
+            checked.append((name, delta, report))
         entries.append(
             OracleWeightEntry(
                 weight=w,
-                unknown_count=len(space.unknowns),
+                unknown_count=len(space._columns),
                 dimension=space.dimension,
                 samples=checked,
                 nilpotent_found=nilpotent_found,

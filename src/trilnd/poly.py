@@ -14,7 +14,9 @@ lead term.
 
 Normal forms come from one rewrite engine, RewriteEngine, on the packed
 dense form described below; normal_form is its entry for a Poly, and
-stepwise_normal_form the independent reference.
+stepwise_normal_form the independent reference. The engine also
+enumerates a degree box of normal-form keys (RewriteEngine.box) and turns
+keys and dense polynomials back into Monomial and Poly (monomial, poly).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re as _re
 from collections.abc import Iterable, Mapping
 from math import gcd, lcm
+from operator import add
 from typing import TYPE_CHECKING, Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
@@ -409,7 +412,7 @@ def partial_derivative(p: Poly, g: Gen) -> Poly:
 # multiple of the polynomial it stands for; the Leibniz step and a sum
 # keep cancelled entries as (0, 0). The positions are a presentation's
 # generator_index. Only this module reads the fields of a key; other
-# modules ask a RewriteEngine for a key's degree or generators.
+# modules ask a RewriteEngine for a key's degree, generators or Monomial.
 EXPONENT_BITS = 32
 EXPONENT_MASK = (1 << EXPONENT_BITS) - 1
 DEGREE_BOUND = 1 << EXPONENT_BITS
@@ -548,7 +551,6 @@ class RewriteEngine:
 
     def __init__(self, index: Mapping[Gen, int], rules: Mapping[Monomial, Poly], relations):
         self.index = index
-        self.generators = tuple(index)
         self._degree_shift = EXPONENT_BITS * len(index)
         self.scale, replacements = integer_terms(rules.values(), index)
         # per rule: (shift, exponent) of each lead generator, lead key, replacement
@@ -563,10 +565,83 @@ class RewriteEngine:
         self.relations = tuple(integer_terms(relations, index)[1])
         self._reductions: dict = {}  # key -> _reduce(key)
         self._powers: dict = {}  # application counts -> product of replacement powers
+        self._monomials: dict = {}  # key -> monomial(key)
+        # (generator, shift) of each field, most significant generator first:
+        # the order of a Monomial's pairs, in which lex order on the fields
+        # of two keys is the Monomial order
+        self._fields = tuple(
+            sorted(
+                ((g, EXPONENT_BITS * k) for g, k in index.items()),
+                key=lambda field: gen_significance(field[0]),
+                reverse=True,
+            )
+        )
 
     def degree(self, key: int) -> int:
         """The total degree of a key."""
         return key >> self._degree_shift
+
+    def monomial(self, key: int) -> Monomial:
+        """The Monomial of a key, memoized."""
+        m = self._monomials.get(key)
+        if m is None:
+            m = self._monomials[key] = Monomial._of(
+                tuple((g, e) for g, shift in self._fields if (e := (key >> shift) & EXPONENT_MASK))
+            )
+        return m
+
+    def poly(self, terms: dict, scale: int) -> Poly:
+        """The Poly of which the dense polynomial terms, free of zero
+        coefficients, is scale times."""
+        monomial = self.monomial
+        return Poly._of({monomial(m): GaussianRational._of(a, b, scale) for m, (a, b) in terms.items()})
+
+    def box(self, max_degree: int, weights) -> list:
+        """(key, weight) for every normal-form monomial of total degree at
+        most max_degree, in increasing Monomial order.
+
+        weights holds one weight vector per generator, in generator order;
+        a key's weight, the sum of its generators' vectors with
+        multiplicity, is added up as the enumeration goes. The enumeration
+        runs through the fields most significant first, each exponent
+        upwards, and cuts a branch where the last field of a rule's lead
+        reaches the lead's exponent, since every larger exponent there is
+        divisible by the lead too.
+        """
+        fields = self._fields
+        position = {shift: p for p, (_, shift) in enumerate(fields)}
+        cuts: list = [[] for _ in fields]
+        for support, _, _ in self._rules:
+            cuts[max(position[shift] for shift, _ in support)].append(support)
+        unit = 1 << self._degree_shift
+        steps = [
+            (unit + (1 << shift), weights[self.index[g]], cuts[p])
+            for p, (g, shift) in enumerate(fields)
+        ]
+        out: list = []
+        last = len(steps) - 1
+
+        def walk(p, remaining, key, weight):
+            step, vector, leads = steps[p]
+            while not (
+                leads
+                and any(
+                    all(((key >> shift) & EXPONENT_MASK) >= e for shift, e in lead)
+                    for lead in leads
+                )
+            ):
+                if p == last:
+                    out.append((key, weight))
+                else:
+                    walk(p + 1, remaining, key, weight)
+                if not remaining:
+                    break
+                remaining -= 1
+                key += step
+                weight = tuple(map(add, weight, vector))
+
+        walk(0, max_degree, 0, (0,) * len(weights[0]))
+        return out
 
     def every_term_contains(self, terms: Iterable[int], g: Gen) -> bool:
         """Whether every key of terms has a positive exponent of g."""
@@ -694,12 +769,7 @@ def normal_form(p: Poly, presentation: TrinomialPresentation) -> Poly:
     scale = lcm(*[d for _, _, d in coefficients])
     terms = {key: (a * (scale // d), b * (scale // d)) for key, (a, b, d) in zip(keys, coefficients)}
     nf, top = engine.dense_normal_form(terms)
-    scale *= engine.scale**top
-    gens = engine.generators
-    out = {}
-    for m, (a, b) in nf.items():
-        out[Monomial(zip(gens, unpack(m, len(gens))))] = GaussianRational._of(a, b, scale)
-    return Poly._of(out)
+    return engine.poly(nf, scale * engine.scale**top)
 
 
 def stepwise_normal_form(p: Poly, rules: Mapping[Monomial, Poly]) -> Poly:

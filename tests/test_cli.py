@@ -527,6 +527,16 @@ def test_oracle_rejects_a_cap_below_one_and_a_negative_bound(tmp_path, capsys, f
     assert rep["kind"] == "InvalidArgument"
 
 
+def test_oracle_rejects_a_repeated_weight(capsys):
+    code, rep = run(
+        capsys, "oracle", "--presentation", f"{SAMPLES}/sphere.json",
+        "--weight", "0", "--weight", "0", "--bound", "1",
+    )
+    assert code == 1
+    assert rep["kind"] == "InvalidArgument"
+    assert rep["error"] == "weight [0] is repeated"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,8 +3,8 @@
 The fields of a packed key, the rule scale and the memo of term
 reductions live in poly.RewriteEngine, which a presentation reaches
 through its one attribute `engine`; other modules ask the engine for a
-key's degree or generators. The modules are read as source, without
-importing them.
+key's degree, generators or Monomial. The modules are read as source,
+without importing them.
 """
 
 import ast

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,18 +12,31 @@ from trilnd.derivation import (
     NilpotencyReport,
     _DenseForm,
     is_well_defined,
+    nilpotency_check,
     refutation_holds,
 )
-from trilnd.gaussian import I, gq
+from trilnd.gaussian import ONE, ZERO, I, InvalidArgument, gq
+from trilnd.grading import weight_assignment
 from trilnd.oracle import (
     _MAX_BOX_MONOMIALS,
     BoxTooLarge,
+    _box_by_weight,
     induced_weight_box,
     oracle_enumerate,
+    reduced_monomials,
     solution_space,
 )
-from trilnd.poly import Poly, poly_parse, tvar, unpack
-from trilnd.presentation import surface, type1, type2
+from trilnd.poly import (
+    Monomial,
+    Poly,
+    RewriteEngine,
+    normal_form,
+    pack,
+    poly_parse,
+    tvar,
+    unpack,
+)
+from trilnd.presentation import TrinomialPresentation, surface, type1, type2
 
 X = tvar(0, 1)
 Y = tvar(1, 1)
@@ -113,6 +127,8 @@ def test_box_size_is_checked_before_the_box_is_built(monkeypatch):
         raise AssertionError("the box was enumerated")
 
     monkeypatch.setattr(trilnd.oracle, "reduced_monomials", never)
+    # the box is enumerated as keys, by the engine
+    monkeypatch.setattr(RewriteEngine, "box", never)
     P = type1(((1, 1, 1), (1, 1, 1)))
     # C(6 + 12, 6) = 18,564 monomials fit; C(6 + 13, 6) = 27,132 do not
     assert math.comb(18, 6) <= _MAX_BOX_MONOMIALS < math.comb(19, 6)
@@ -316,3 +332,86 @@ def test_criterion_6_refutes_exactly_the_certified_samples_the_loop_leaves_open(
     # at this commit: 1,899 samples, of which the plain iteration verifies
     # 547 and leaves 1,352 at the cap; divisibility decides 1,044 of those
     assert counts == {"verified": 547, "refuted": 1044, "inconclusive": 308}
+
+
+SAMPLE_INPUTS = sorted((Path(__file__).resolve().parents[1] / "sample_inputs").glob("*.json"))
+
+
+def exponent_vectors(n, bound):
+    """Every exponent vector of length n with total degree at most bound."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(bound + 1):
+        for rest in exponent_vectors(n - 1, bound - e):
+            yield (e,) + rest
+
+
+def test_key_box_matches_brute_force():
+    # every exponent vector up to the bound, minus those a rewrite lead
+    # divides, grouped by weight and sorted in Monomial order
+    presentations = list(corpus())
+    presentations += [TrinomialPresentation.from_json(p.read_text()) for p in SAMPLE_INPUTS]
+    for P in presentations:
+        grading = weight_assignment(P)
+        leads = list(P.rewrite_rules)
+        for bound in range(6):
+            monomials = sorted(
+                m
+                for m in (
+                    Monomial(zip(P.generators, exps))
+                    for exps in exponent_vectors(len(P.generators), bound)
+                )
+                if not any(lead.divides(m) for lead in leads)
+            )
+            want: dict = {}
+            for m in monomials:
+                want.setdefault(grading.weight_of_monomial(m), []).append(
+                    pack(m.pairs, P.generator_index)
+                )
+            box = _box_by_weight(P, bound, grading)
+            assert box.keys == want, (P.describe(), bound)
+            assert reduced_monomials(P, bound) == monomials, (P.describe(), bound)
+
+
+def test_dense_samples_match_their_derivation_views():
+    # each sample is kept dense; its Derivation view must be the named
+    # combination of the basis, in normal form, inside the space, with the
+    # verdict the dense form got
+    for P in corpus():
+        for entry in oracle_enumerate(P, degree_bound=4, cap=16).entries:
+            space = solution_space(P, entry.weight, degree_bound=4)
+            basis = space.basis
+            # the basis of the reduced row echelon form: 1 at its own free
+            # coordinate, the largest of its support, and 0 at the others
+            coordinates = [space.coordinates_of(delta) for delta in basis]
+            free = [max(k for k, c in enumerate(vec) if c) for vec in coordinates]
+            for vec, own in zip(coordinates, free):
+                assert [vec[k] for k in free] == [ONE if k == own else ZERO for k in free]
+            reference = {f"basis[{k}]": delta for k, delta in enumerate(basis)}
+            head = basis[: trilnd.oracle._MAX_COMBO_BASIS]
+            for a in range(len(head)):
+                for b in range(a + 1, len(head)):
+                    reference[f"basis[{a}]+basis[{b}]"] = head[a] + head[b]
+                    reference[f"basis[{a}]-basis[{b}]"] = head[a] + head[b] * -1
+                    reference[f"basis[{a}]+i*basis[{b}]"] = head[a] + head[b] * I
+            names = [name for name, _, _ in entry.samples if not name.startswith("classifier:")]
+            assert names == list(reference)
+            for name, delta, report in entry.samples[: len(names)]:
+                assert delta == reference[name], (P.describe(), name)
+                assert all(normal_form(img, P) == img for img in delta.images.values())
+                assert space.contains(delta)
+                assert nilpotency_check(delta, cap=16) == report, (P.describe(), name)
+
+
+def test_a_repeated_weight_is_rejected_before_any_search(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(trilnd.oracle, "solution_space", never)
+    monkeypatch.setattr(RewriteEngine, "box", never)
+    P = surface(2, 2, 2)
+    with pytest.raises(InvalidArgument, match=r"weight \[0\] is repeated"):
+        oracle_enumerate(P, weights=[(0,), (0,)], degree_bound=1)
+    with pytest.raises(InvalidArgument, match=r"weight \[4\] is repeated"):
+        oracle_enumerate(P, weights=[[4], (0,), (4,)], degree_bound=1)
