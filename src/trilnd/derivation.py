@@ -138,7 +138,7 @@ class _DenseForm:
         built when first read."""
         out = _DenseView.__new__(_DenseView)
         out.presentation = self.presentation
-        out._form = self
+        out._dense = (self.images, self.scale)
         return out
 
     def is_zero(self) -> bool:
@@ -253,16 +253,16 @@ class _DenseView(Derivation):
     from the dense ones when first read, without normalizing them again,
     so that a sample the oracle never prints never becomes Poly."""
 
-    __slots__ = ("_form",)
+    __slots__ = ("_dense",)  # (images, scale) of the form, not its Leibniz parts
 
     @property
     def images(self) -> dict:
         try:
             return _IMAGES.__get__(self)
         except AttributeError:
-            form = self._form
-            poly = form.presentation.engine.poly
-            images = {g: poly(img, form.scale) for g, img in form.images.items()}
+            dense, scale = self._dense
+            poly = self.presentation.engine.poly
+            images = {g: poly(img, scale) for g, img in dense.items()}
             _IMAGES.__set__(self, images)
             return images
 
