@@ -12,10 +12,11 @@ P.engine, through poly.normal_form for a Poly. Iteration and
 zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
 to a nonzero scalar and built per call; the oracle keeps its samples in
-that form, and a _DenseView reads one as a Derivation. Derivation.apply,
-the Leibniz rule on Poly, and poly.stepwise_normal_form are the
-references the tests compare the dense form with. A refuted nilpotency
-report is re-checked by refutation_holds on the exact images alone.
+that form and turns each into a Derivation with _DenseForm.derivation.
+Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
+are the references the tests compare the dense form with. A refuted
+nilpotency report is re-checked by refutation_holds on the exact images
+alone.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ class _DenseForm:
     stands for, scale being one positive integer. The normal form is the
     presentation engine's, and step returns the primitive part of an
     integer multiple of delta(p) in normal form: the result vanishes
-    exactly when delta(p) does, and has the same monomials.
+    exactly when delta(p) does, and has the same monomials. The Leibniz
+    parts of the images are built by the first step, so a form that is
+    never stepped, as a sample refuted by divisibility, never builds them.
     """
 
     __slots__ = ("presentation", "index", "scale", "images", "parts")
@@ -130,15 +133,15 @@ class _DenseForm:
         self.index = presentation.generator_index
         self.scale = scale
         self.images = images
-        engine = presentation.engine
-        self.parts = tuple(engine.leibniz_part(g, img.items()) for g, img in images.items())
+        self.parts = None  # the Leibniz parts, built by the first step
 
     def derivation(self) -> "Derivation":
-        """The Derivation this form stands for, a view whose images are
-        built when first read."""
-        out = _DenseView.__new__(_DenseView)
+        """The Derivation this form stands for. The engine builds its images
+        from the dense ones without normalizing them again."""
+        poly = self.presentation.engine.poly
+        out = Derivation.__new__(Derivation)
         out.presentation = self.presentation
-        out._dense = (self.images, self.scale)
+        out.images = {g: poly(img, self.scale) for g, img in self.images.items()}
         return out
 
     def is_zero(self) -> bool:
@@ -149,7 +152,11 @@ class _DenseForm:
 
     def step(self, p: dict) -> dict:
         """delta(p) in normal form, up to a nonzero scalar, as a primitive dense dict."""
-        terms = dense_leibniz(p, self.parts)
+        parts = self.parts
+        if parts is None:
+            part = self.presentation.engine.leibniz_part
+            parts = self.parts = tuple(part(g, img.items()) for g, img in self.images.items())
+        terms = dense_leibniz(p, parts)
         return primitive_part(self.presentation.engine.dense_normal_form(terms)[0])
 
 
@@ -243,28 +250,6 @@ class Derivation:
             f"{gen_name(g)} -> {poly_format(img)}" for g, img in sorted(self.images.items())
         )
         return f"Derivation({body or '0'})"
-
-
-_IMAGES = Derivation.__dict__["images"]  # the slot
-
-
-class _DenseView(Derivation):
-    """The Derivation of a _DenseForm. Its images are built by the engine
-    from the dense ones when first read, without normalizing them again,
-    so that a sample the oracle never prints never becomes Poly."""
-
-    __slots__ = ("_dense",)  # (images, scale) of the form, not its Leibniz parts
-
-    @property
-    def images(self) -> dict:
-        try:
-            return _IMAGES.__get__(self)
-        except AttributeError:
-            dense, scale = self._dense
-            poly = self.presentation.engine.poly
-            images = {g: poly(img, scale) for g, img in dense.items()}
-            _IMAGES.__set__(self, images)
-            return images
 
 
 def is_well_defined(delta: Derivation) -> WellDefinedReport:

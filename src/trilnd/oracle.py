@@ -15,10 +15,10 @@ The search runs on the dense form of poly.py end to end. The engine
 enumerates the box as normal-form keys with their weights, an unknown is
 a (generator, key) pair, and the basis vectors and the samples combined
 from them are dense forms at one integer scale per space, which
-nilpotency_check takes as they are. A Derivation is built only as a view:
-SolutionSpace.unknowns when first read, and each Derivation of
-SolutionSpace.basis and OracleWeightEntry.samples builds its images when
-they are first read, as a report prints them.
+nilpotency_check takes as they are. The Derivations of SolutionSpace.basis
+and OracleWeightEntry.samples are built from those dense images without
+normalizing them again, and SolutionSpace.unknowns turns its keys into
+monomials when first read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, _DenseForm, nilpotency_check
 from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading, derivation_degree, weight_assignment
-from .poly import dense_leibniz, pack, primitive_part
+from .poly import dense_combination, dense_leibniz, pack, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -60,9 +60,9 @@ _MAX_WEIGHTS = 200
 def reduced_monomials(P: TrinomialPresentation, max_degree: int):
     """All normal-form monomials of total degree at most max_degree, in
     increasing order: the Monomial view of the engine's box of keys."""
-    grading = weight_assignment(P)
     engine = P.engine
-    weights = [grading.weights[g] for g in P.generators]
+    # empty weight vectors: the box is not graded here
+    weights = [()] * len(P.generators)
     return [engine.monomial(key) for key, _ in engine.box(max_degree, weights)]
 
 
@@ -145,10 +145,9 @@ class SolutionSpace:
     """Derivations of one fixed degree, found by linear algebra.
 
     The unknowns are (generator, key) columns, and each basis vector is a
-    dense form with its images at one integer scale common to the basis.
-    unknowns, with its monomials, is built when first read, and each basis
-    Derivation is a view of its dense form that builds its images when
-    they are first read.
+    dense form with its images at one integer scale common to the basis;
+    basis holds the Derivations of those forms. unknowns, with its
+    monomials, is built when first read.
     """
 
     presentation: TrinomialPresentation
@@ -157,7 +156,7 @@ class SolutionSpace:
     dimension: int
     basis: List[Derivation]
     _columns: List[Tuple] = field(repr=False)  # (generator, key) per unknown
-    _forms: List[_DenseForm] = field(repr=False)  # the basis, dense
+    _forms: List[_DenseForm] = field(repr=False, compare=False)  # the basis, dense
     _constraints: List[dict] = field(repr=False)  # reduced rows
 
     @cached_property
@@ -290,20 +289,11 @@ def solution_space(
 def _combination(x: _DenseForm, y: _DenseForm, c: Tuple[int, int]) -> _DenseForm:
     """x + c * y for two dense forms at one scale and a Gaussian integer c,
     as (real, imaginary), with cancelled terms and images dropped."""
-    ca, cb = c
-    images = {g: dict(img) for g, img in x.images.items()}
-    for g, img in y.images.items():
-        out = images.setdefault(g, {})
-        for key, (a, b) in img.items():
-            re, im = ca * a - cb * b, ca * b + cb * a
-            cur = out.get(key)
-            if cur is not None:
-                re, im = re + cur[0], im + cur[1]
-            if re or im:
-                out[key] = (re, im)
-            else:
-                del out[key]
-    images = {g: img for g, img in images.items() if img}
+    images = {}
+    for g in {**x.images, **y.images}:
+        img = dense_combination(x.images.get(g, {}), y.images.get(g, {}), *c)
+        if img:
+            images[g] = img
     return _DenseForm.from_images(x.presentation, images, x.scale)
 
 
@@ -402,7 +392,7 @@ def oracle_enumerate(
     index any classifier output exhibits at the default degree bound;
     raise it when hunting slow-dying candidates. A cap below 1, a negative
     degree bound or a negative max_unknowns raises InvalidArgument before
-    any search, and so does a weight listed twice.
+    any search, and so does a weight listed twice or of the wrong length.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
@@ -415,6 +405,9 @@ def oracle_enumerate(
                 raise InvalidArgument(f"weight {list(w)} is repeated")
             seen.add(w)
     grading = weight_assignment(P)
+    for w in weights or ():
+        if len(w) != grading.rank:
+            raise InvalidArgument(f"weight must have {grading.rank} components")
     by_degree = _classifier_by_degree(P, grading)
     if weights is None:
         weights = tuple(sorted({grading.zero(), *by_degree}))
@@ -424,32 +417,34 @@ def oracle_enumerate(
     entries = []
     for w in weights:
         space = solution_space(P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, box=box)
-        samples = [(f"basis[{k}]", form) for k, form in enumerate(space._forms)]
+        # (name, what nilpotency_check takes, the Derivation if already built)
+        samples = [
+            (f"basis[{k}]", form, delta)
+            for k, (form, delta) in enumerate(zip(space._forms, space.basis))
+        ]
         head = space._forms[:_MAX_COMBO_BASIS]
         for a in range(len(head)):
             for b in range(a + 1, len(head)):
                 for sign, c in (("+", (1, 0)), ("-", (-1, 0)), ("+i*", (0, 1))):
                     name = f"basis[{a}]{sign}basis[{b}]"
-                    samples.append((name, _combination(head[a], head[b], c)))
+                    samples.append((name, _combination(head[a], head[b], c), None))
         members = []
         for inst in by_degree.get(w, ()):
             name = _descriptor_label(inst.descriptor)
             members.append((name, space.contains(inst.derivation)))
-            samples.append((f"classifier:{name}", inst.derivation))
+            samples.append((f"classifier:{name}", inst.derivation, inst.derivation))
         checked = []
         nilpotent_found = False
         refuted = inconclusive = 0
-        for name, delta in samples:
-            report = nilpotency_check(delta, cap=cap)
-            if report.status == "verified" and not delta.is_zero():
+        for name, sample, delta in samples:
+            report = nilpotency_check(sample, cap=cap)
+            if report.status == "verified" and not sample.is_zero():
                 nilpotent_found = True
             elif report.status == "refuted":
                 refuted += 1
             elif report.status == "inconclusive":
                 inconclusive += 1
-            if isinstance(delta, _DenseForm):
-                delta = delta.derivation()
-            checked.append((name, delta, report))
+            checked.append((name, sample.derivation() if delta is None else delta, report))
         entries.append(
             OracleWeightEntry(
                 weight=w,

@@ -478,6 +478,14 @@ def _add_scaled(acc: dict, m: int, a: int, b: int, terms) -> None:
         acc[key] = (re, im)
 
 
+def dense_combination(p: dict, q: dict, a: int, b: int) -> dict:
+    """p + (a + bi) * q for dense dicts free of zero coefficients, with the
+    cancelled entries dropped."""
+    acc = dict(p)
+    _add_scaled(acc, 0, a, b, q.items())
+    return {m: c for m, c in acc.items() if c[0] or c[1]}
+
+
 def dense_leibniz(p: dict, parts) -> dict:
     """The Leibniz rule on a dense dict: the sum over the
     RewriteEngine.leibniz_part pairs (shift, shifted) of dp/dx_k * image_k,

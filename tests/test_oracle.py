@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -54,6 +56,8 @@ def test_solution_space_degree_one_sphere():
         from trilnd.derivation import is_well_defined
 
         assert is_well_defined(delta).ok
+    # spaces solved the same way compare equal
+    assert solution_space(P, (0,), degree_bound=1) == sp
 
 
 def test_solution_space_contains_classifier_output():
@@ -399,12 +403,13 @@ def test_dense_samples_match_their_derivation_views():
             assert names == list(reference)
             for name, delta, report in entry.samples[: len(names)]:
                 assert delta == reference[name], (P.describe(), name)
+                assert type(delta) is Derivation
                 assert all(normal_form(img, P) == img for img in delta.images.values())
                 assert space.contains(delta)
                 assert nilpotency_check(delta, cap=16) == report, (P.describe(), name)
 
 
-def test_a_repeated_weight_is_rejected_before_any_search(monkeypatch):
+def test_a_repeated_or_wrong_length_weight_is_rejected_before_any_search(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("searched")
 
@@ -415,3 +420,15 @@ def test_a_repeated_weight_is_rejected_before_any_search(monkeypatch):
         oracle_enumerate(P, weights=[(0,), (0,)], degree_bound=1)
     with pytest.raises(InvalidArgument, match=r"weight \[4\] is repeated"):
         oracle_enumerate(P, weights=[[4], (0,), (4,)], degree_bound=1)
+    with pytest.raises(InvalidArgument, match="weight must have 1 components"):
+        oracle_enumerate(P, weights=[(0,), (1, 2)], degree_bound=1)
+
+
+def test_oracle_derivations_copy_and_pickle():
+    P = surface(2, 2, 2)
+    (entry,) = oracle_enumerate(P, weights=[(0,)], degree_bound=1).entries
+    space = solution_space(P, (0,), degree_bound=1)
+    for delta in [*space.basis, *(sample for _, sample, _ in entry.samples)]:
+        assert copy.copy(delta) == delta
+        assert copy.deepcopy(delta) == delta
+        assert pickle.loads(pickle.dumps(delta)) == delta
