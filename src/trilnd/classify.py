@@ -34,15 +34,15 @@ from itertools import islice, product
 from math import prod
 from typing import Optional, Tuple
 
-from .derivation import Derivation, is_well_defined
+from .derivation import Derivation, _DenseForm, is_well_defined
 from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
-from .grading import weight_assignment
+from .grading import Weight, derivation_degree, weight_assignment
 from .poly import (
     Gen,
     Monomial,
     NotDivisible,
     Poly,
-    exact_divide,
+    _add_term,
     gen_name,
     partial_derivative,
     poly_format,
@@ -430,17 +430,24 @@ class _Construction:
     from the parameter-free pieces of its formulas, each computed on first
     use.
 
-    This is the one place that reads a descriptor's kind. The samples of
-    a family and the kernels of its descriptors share one construction.
-    Callers keep it for one plan entry at most, never on the presentation,
-    which holds only the block-level pieces.
+    This is the one place that reads a descriptor's kind. A t2b or t2d
+    family is built once, as its coefficients in lambda (coefficients),
+    and every sample is their exact sum. The samples of a family and the
+    kernels of its descriptors share one construction. Callers keep it for
+    one plan entry at most, never on the presentation, which holds only
+    the block-level pieces.
     """
 
-    def __init__(self, P: TrinomialPresentation, desc: LndDescriptor):
-        """Check everything about desc except its parameter (check_param)."""
+    def __init__(self, P: TrinomialPresentation, desc: LndDescriptor, info=None, grading=None):
+        """Check everything about desc except its parameter (check_param).
+
+        info is the class plan's AdmissibleTuple for desc.c, if the caller
+        has it; any other descriptor's tuple is validated here. grading,
+        weight_assignment(P) if the caller has it, serves degree."""
         if desc.kind not in ("free", "type1", "t2a", "t2b", "t2c", "t2d"):
             raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
         self.presentation = P
+        self.grading = grading
         self.kind = desc.kind
         if desc.kind == "free":
             if desc.k is None:
@@ -461,7 +468,8 @@ class _Construction:
                 raise WrongType(f"{desc.kind} descriptor on a type 1 presentation")
             if desc.c is None or desc.roles is None:
                 raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
-        info = _tuple_info(P, desc.c)
+        if info is None or info.c != desc.c:
+            info = _tuple_info(P, desc.c)
         self.cmap = cmap = dict(zip(P.block_numbers, info.c))
         self.moved = frozenset(tvar(i, ci) for i, ci in cmap.items())
         if desc.kind == "type1":
@@ -568,26 +576,25 @@ class _Construction:
 
     @cached_property
     def solve_steps(self) -> tuple:
-        """(T_sc, dB0 * alpha_s, dB1 * beta_s, ds * gamma_s) for every block s
-        outside B0 and B1, with the minors of the relation on (B0, B1, s) and
-        each d the partial of a block power at the chosen variable: the image
-        of T_sc is -(dB0*alpha_s*img0 + dB1*beta_s*img1) / (ds*gamma_s)."""
+        """(T_sc, (a_m, a), (b_m, b), c_m) for every block s outside B0 and
+        B1: the image of T_sc is -(dB0*alpha_s*img0 + dB1*beta_s*img1) /
+        (ds*gamma_s), with the minors of the relation on (B0, B1, s) and each
+        d the partial of a block power at the chosen variable, a single term.
+        So it is (a*a_m*img0 + b*b_m*img1) / c_m, a, b scalars and a_m, b_m,
+        c_m the monomials of dB0, dB1 and ds."""
         P = self.presentation
         B0, B1, _ = self.roles
-        d_b0 = P.block_partial(B0, self.cmap[B0])
-        d_b1 = P.block_partial(B1, self.cmap[B1])
+        (a_m, d_a), = P.block_partial(B0, self.cmap[B0]).terms.items()
+        (b_m, d_b), = P.block_partial(B1, self.cmap[B1]).terms.items()
         steps = []
         for s in P.block_numbers:
             if s in (B0, B1):
                 continue
             alpha_s, beta_s, gamma_s = P.triple_coefficients(B0, B1, s)
+            (c_m, d_c), = P.block_partial(s, self.cmap[s]).terms.items()
+            inverse = (d_c * gamma_s).inverse()
             steps.append(
-                (
-                    tvar(s, self.cmap[s]),
-                    d_b0 * alpha_s,
-                    d_b1 * beta_s,
-                    P.block_partial(s, self.cmap[s]) * gamma_s,
-                )
+                (tvar(s, self.cmap[s]), (a_m, -d_a * alpha_s * inverse), (b_m, -d_b * beta_s * inverse), c_m)
             )
         return tuple(steps)
 
@@ -598,9 +605,13 @@ class _Construction:
         classified formulas; the image of the third role block and of every
         other block is solved from the triple relation through that block,
         an exact division by a monomial. A division failure is a bug and
-        raises ExactDivisionFailed, a broken relation InternalError.
+        raises ExactDivisionFailed, a broken relation InternalError. A
+        family member is the sum of the family's coefficients, checked once
+        per construction.
         """
         self.check_param(param)
+        if self.kind in ("t2b", "t2d"):
+            return self._member(param)
         P = self.presentation
         if self.kind == "free":
             images = dict.fromkeys(self.moved, Poly.constant(1))
@@ -613,53 +624,121 @@ class _Construction:
                 for i in P.block_numbers
             }
         else:
-            images = self._type2_images(param)
-        delta = Derivation(P, images)
-        report = is_well_defined(delta)
+            t_a, t_b, _ = self.gens
+            pieces = self.image_pieces
+            if self.kind == "t2a":
+                images = self._solved({t_a: pieces[0]})
+            else:
+                images = self._solved({t_a: pieces[0] * (param * self.roots[0]), t_b: pieces[1]})
+        return self._checked(images, f"type {P.kind} construction")
+
+    def _checked(self, images: dict, what: str) -> Derivation:
+        """The derivation with these nonzero images, packed once into the
+        dense form that checks it against every relation; InternalError,
+        naming what, for a broken relation. Images with a term outside
+        normal form are normalized by Derivation first."""
+        P = self.presentation
+        form = _DenseForm.of_normal_images(P, images)
+        if form is None:
+            delta = form = Derivation(P, images)
+        else:
+            delta = Derivation._of(P, images)
+        report = is_well_defined(form)
         if not report.ok:
-            raise InternalError(f"type {P.kind} construction broke relation {report.relation_index}")
+            raise InternalError(f"{what} broke relation {report.relation_index}")
         return delta
 
-    def _type2_images(self, param) -> dict:
-        roots = self.roots
+    @cached_property
+    def coefficients(self) -> Tuple[Derivation, ...]:
+        """D_0, D_1 of a t2b family and D_0, D_1, D_2 of a t2d family: the
+        member at lambda is the sum of lambda^j * D_j.
+
+        A relation's image is linear in the derivation, so it vanishes at
+        every lambda exactly when it vanishes under every D_j: each D_j is
+        checked once, and that check covers the whole family.
+        NeedsNormalization when the roots are missing in Q(i).
+        """
         t_a, t_b, _ = self.gens
         pieces = self.image_pieces
-        images = {}
-        if self.kind == "t2a":
-            images[t_a] = pieces[0]
-        elif self.kind == "t2b":
-            images[t_a] = pieces[0]
-            images[t_b] = pieces[1] * param
-        elif self.kind == "t2c":
-            images[t_a] = pieces[0] * (param * roots[0])
-            images[t_b] = pieces[1]
-        else:  # t2d
+        if self.kind == "t2b":
+            heads = ({t_a: pieces[0]}, {t_b: pieces[1]})
+        else:
+            # t_a -> 2*lambda*sb*ab + (1+lambda^2)*i*sc*ac,
+            # t_b -> -2*lambda/sb*ba + (1-lambda^2)*sc/sb*bc
             ab, ac, ba, bc = pieces
-            sb, sc = roots
-            lam = param
-            one_plus = (ONE + lam * lam) * I
-            one_minus = ONE - lam * lam
-            images[t_a] = ab * (lam * 2 * sb) + ac * (one_plus * sc)
-            images[t_b] = ba * (-2 * lam / sb) + bc * (one_minus * sc / sb)
-        img0 = images.get(t_a, Poly.zero())
-        img1 = images.get(t_b, Poly.zero())
-        for t_s, a_s, b_s, c_s in self.solve_steps:
-            numerator = -(a_s * img0 + b_s * img1)
-            try:
-                solved = exact_divide(numerator, c_s)
-            except NotDivisible as exc:
-                raise ExactDivisionFailed(
-                    f"solving the image of block {t_s[1]} failed: {exc}"
-                ) from exc
+            sb, sc = self.roots
+            heads = (
+                {t_a: ac * (I * sc), t_b: bc * (sc / sb)},
+                {t_a: ab * (2 * sb), t_b: ba * (gq(-2) / sb)},
+                {t_a: ac * (I * sc), t_b: bc * (-sc / sb)},
+            )
+        return tuple(
+            self._checked(self._solved(head), f"the lambda^{j} coefficient of the {self.kind} family")
+            for j, head in enumerate(heads)
+        )
+
+    @cached_property
+    def degree(self) -> Optional[Weight]:
+        """The degree of every member of a t2b or t2d family under
+        weight_assignment, read once off its coefficients, which must share
+        it; None for every other kind."""
+        if self.kind not in ("t2b", "t2d"):
+            return None
+        grading = self.grading or weight_assignment(self.presentation)
+        degrees = {derivation_degree(delta, grading) for delta in self.coefficients}
+        if len(degrees) != 1:
+            raise InternalError(f"the coefficients of the {self.kind} family differ in degree")
+        return degrees.pop()
+
+    def _member(self, param) -> Derivation:
+        """The family member at param, the sum of param^j * D_j. A sum of
+        normal forms is a normal form, and the relations hold by linearity,
+        so the result is neither normalized nor checked again."""
+        images = {}
+        power = ONE
+        for delta in self.coefficients:
+            if not power:
+                break
+            for g, img in delta.images.items():
+                terms = images.setdefault(g, {})
+                for m, c in img.terms.items():
+                    _add_term(terms, m, c if power is ONE else c * power)
+            power = power * param
+        return Derivation._of(
+            self.presentation, {g: Poly._of(terms) for g, terms in images.items() if terms}
+        )
+
+    def _solved(self, images: dict) -> dict:
+        """images, which hold the distinguished images, extended by the
+        nonzero image of every other chosen variable."""
+        t_a, t_b, _ = self.gens
+        img0, img1 = images.get(t_a), images.get(t_b)
+        for t_s, (a_m, a), (b_m, b), c_m in self.solve_steps:
+            numerator = {}
+            for img, m_k, scalar in ((img0, a_m, a), (img1, b_m, b)):
+                if img and scalar:
+                    for m, c in img.terms.items():
+                        _add_term(numerator, m * m_k, c * scalar)
+            solved = {}
+            for m, c in numerator.items():
+                try:
+                    solved[m / c_m] = c
+                except NotDivisible:
+                    raise ExactDivisionFailed(
+                        f"solving the image of block {t_s[1]} failed: term {m} is not divisible by {c_m}"
+                    ) from None
             if solved:
-                images[t_s] = solved
+                images[t_s] = Poly._of(solved)
         return images
 
     def kernel(self, param=None) -> list:
         """Generators of the kernel at param: every generator the derivation
-        does not move, then kernel_extra's generator if any."""
+        does not move, then kernel_extra's generator if any. A family member
+        moves the generators whose image at param is nonzero; at an
+        exceptional param that leaves out some chosen variable."""
         extra = self.kernel_extra(param)
-        gens = [Poly.generator(g) for g in self.presentation.generators if g not in self.moved]
+        moved = self._member(param).images if self.kind in ("t2b", "t2d") else self.moved
+        gens = [Poly.generator(g) for g in self.presentation.generators if g not in moved]
         return gens if extra is None else [*gens, extra]
 
     def kernel_extra(self, param) -> Optional[Poly]:
@@ -869,18 +948,30 @@ def makar_limanov(P: TrinomialPresentation) -> MakarLimanovReport:
 
 @dataclass(frozen=True)
 class LndInstance:
+    """One built class. degree is the degree of a family member, read once
+    per family (_Construction.degree); None where it is not known yet."""
+
     descriptor: LndDescriptor
     derivation: Optional[Derivation]
     error: Optional[str] = None
     orbit: Optional[TupleOrbit] = None
+    degree: Optional[Weight] = None
 
     def relabelled(self, c, sigma) -> "LndInstance":
         """This representative's instance carried onto orbit member c, where
-        sigma = orbit.swap(c); the instance itself when sigma is empty."""
+        sigma = orbit.swap(c); the instance itself when sigma is empty.
+        sigma moves generator weights, so the degree is dropped."""
         if not sigma:
             return self
         delta = None if self.derivation is None else self.derivation.relabelled(sigma)
-        return replace(self, descriptor=replace(self.descriptor, c=c), derivation=delta)
+        return replace(self, descriptor=replace(self.descriptor, c=c), derivation=delta, degree=None)
+
+    def degree_in(self, grading) -> Weight:
+        """The degree of the nonzero derivation under grading, which must be
+        weight_assignment of its presentation."""
+        if self.degree is not None:
+            return self.degree
+        return derivation_degree(self.derivation, grading)
 
 
 def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
@@ -897,8 +988,11 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
     """
     lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
     built = []
+    grading = None
     for entry in class_plan(P):
-        builds = _EntryBuilds(P, entry.orbit)
+        if entry.family is not None and grading is None:
+            grading = weight_assignment(P)
+        builds = _EntryBuilds(P, entry, grading)
         instances = [builds.instance(desc) for _, desc in entry.descriptors]
         if entry.family is not None:
             family = builds.construction(entry.family)
@@ -918,14 +1012,17 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
 
 
 class _EntryBuilds:
-    """Builds for the descriptors of one plan entry, sharing one
-    _Construction per (kind, k, roles): the two t2c classes, the samples of
-    a family and each descriptor's kernel reuse its pieces. Made per entry
-    and dropped with it."""
+    """Builds for the descriptors of one plan entry, at its representative,
+    sharing one _Construction per (kind, k, roles): the two t2c classes,
+    the samples of a family and each descriptor's kernel reuse its pieces,
+    and every construction reuses the entry's AdmissibleTuple and the
+    caller's grading. Made per entry and dropped with it."""
 
-    def __init__(self, P: TrinomialPresentation, orbit: Optional[TupleOrbit]):
+    def __init__(self, P: TrinomialPresentation, entry: PlannedClass, grading=None):
         self.presentation = P
-        self.orbit = orbit
+        self.orbit = entry.orbit
+        self.info = entry.info
+        self.grading = grading
         self._constructions = {}
 
     def construction(self, desc: LndDescriptor) -> _Construction:
@@ -933,16 +1030,18 @@ class _EntryBuilds:
         key = (desc.kind, desc.k, desc.roles)
         construction = self._constructions.get(key)
         if construction is None:
-            construction = self._constructions[key] = _Construction(self.presentation, desc)
+            construction = _Construction(self.presentation, desc, self.info, self.grading)
+            self._constructions[key] = construction
         return construction
 
     def instance(self, desc: LndDescriptor) -> LndInstance:
         """desc built, or with the NeedsNormalization its build raised as error."""
+        construction = self.construction(desc)
         try:
-            delta = self.construction(desc).build(desc.param)
+            delta = construction.build(desc.param)
         except NeedsNormalization as exc:
             return LndInstance(desc, None, f"NeedsNormalization: {exc}", self.orbit)
-        return LndInstance(desc, delta, orbit=self.orbit)
+        return LndInstance(desc, delta, orbit=self.orbit, degree=construction.degree)
 
 
 @dataclass
@@ -1002,13 +1101,14 @@ def _concrete_formula(label, inst: LndInstance, extra, kernel, sigma):
     return entry
 
 
-def _family_formula(builds: _EntryBuilds, family: LndDescriptor, sigma):
-    """A formulas entry for a parameter family: its kernel pattern in
-    lambda, or the error when that needs a root missing in Q(i). family
-    carries the tuple of the orbit member whose swap is sigma."""
+def _family_formula(builds: _EntryBuilds, family: LndDescriptor, c, sigma):
+    """A formulas entry for a parameter family, family at the entry's
+    representative: its kernel pattern in lambda, carried onto orbit member
+    c whose swap is sigma, or the error when that needs a root missing in
+    Q(i)."""
     entry = {
         "label": "b:lambda_family" if family.kind == "t2b" else "delta_lambda",
-        "descriptor": {**family.to_dict(), "param": "formal"},
+        "descriptor": {**replace(family, c=c).to_dict(), "param": "formal"},
     }
     try:
         entry["kernel_pattern"] = builds.construction(family).kernel_pattern(sigma)
@@ -1021,7 +1121,7 @@ def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
     """Build one plan entry at its representative; return fmt(c, sigma),
     the report entry of orbit member c (None for a free variable) with
     sigma = orbit.swap(c), naming the orbit when one is passed."""
-    builds = _EntryBuilds(P, entry.orbit)
+    builds = _EntryBuilds(P, entry)
     concrete = []
     for label, desc in entry.descriptors:
         inst = builds.instance(desc)
@@ -1050,7 +1150,7 @@ def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
             for label, inst, extra in concrete
         ]
         if entry.family is not None:
-            formulas.append(_family_formula(builds, replace(entry.family, c=c), sigma))
+            formulas.append(_family_formula(builds, entry.family, c, sigma))
         out.update(count=entry.count, formulas=formulas, kernel=kernel)
         return out
 

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import (
     InadmissibleDescriptor,
@@ -83,9 +84,64 @@ _INPUT_ERRORS = (
 )
 
 
+def json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for the values a report
+    holds: dicts with str keys, lists and tuples, str, int, bool and None.
+    Anything else raises TypeError. newline is the line break and
+    indentation of obj's own level.
+
+    The stdlib's encoder leaves its C implementation when given an indent;
+    this one keeps the stdlib's C string escape, and writes each string
+    or int member of a container in the container's own loop.
+    """
+    cls = type(obj)
+    if cls is str:
+        return _quote(obj)
+    if cls is dict or cls is list or cls is tuple:
+        if not obj:
+            return "{}" if cls is dict else "[]"
+        inner = newline + "  "
+        parts = []
+        append = parts.append
+        if cls is dict:
+            for key, value in obj.items():
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                kind = type(value)
+                if kind is str:
+                    append(f"{_quote(key)}: {_quote(value)}")
+                elif kind is int:
+                    append(f"{_quote(key)}: {int.__repr__(value)}")
+                else:
+                    append(f"{_quote(key)}: {json_text(value, inner)}")
+            opening, closing = "{", "}"
+        else:
+            for value in obj:
+                kind = type(value)
+                if kind is str:
+                    append(_quote(value))
+                elif kind is int:
+                    append(int.__repr__(value))
+                else:
+                    append(json_text(value, inner))
+            opening, closing = "[", "]"
+        return opening + inner + ("," + inner).join(parts) + newline + closing
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
     # flush here, so that a closed stdout fails inside main
-    print(json.dumps(obj, indent=2), flush=True)
+    print(json_text(obj), flush=True)
 
 
 def _read_text(path: str) -> str:
@@ -138,10 +194,7 @@ def _descriptor_from_json(text: str) -> LndDescriptor:
     )
 
 
-def _degree_info(delta, grading):
-    if delta.is_zero():
-        return None
-    degree = derivation_degree(delta, grading)
+def _degree_info(degree, grading):
     return {"degree": list(degree), "degree_label": grading.format_weight(degree)}
 
 
@@ -167,9 +220,8 @@ def cmd_lnds(args) -> int:
             record["error"] = inst.error
         else:
             record["images"] = inst.derivation.image_strings()
-            info = _degree_info(inst.derivation, grading)
-            if info:
-                record.update(info)
+            if not inst.derivation.is_zero():
+                record.update(_degree_info(inst.degree_in(grading), grading))
         records.append(record)
     out = {"presentation": P.to_input_dict(), "count": len(records)}
     if not args.expand:
@@ -213,7 +265,7 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFICATION
     grading = weight_assignment(P)
     try:
-        info = _degree_info(delta, grading)
+        info = None if delta.is_zero() else _degree_info(derivation_degree(delta, grading), grading)
     except NonHomogeneous as exc:
         out["homogeneous"] = False
         out["witness"] = str(exc)

@@ -128,6 +128,15 @@ class _DenseForm:
         out._set(presentation, images, scale)
         return out
 
+    @classmethod
+    def of_normal_images(cls, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
+        """The form of the derivation with these nonzero Poly images, packed
+        once, or None when some term is not in normal form."""
+        scale, dense = integer_terms(images.values(), presentation.generator_index)
+        if not presentation.engine.in_normal_form(key for terms in dense for key in terms):
+            return None
+        return cls.from_images(presentation, dict(zip(images, dense)), scale)
+
     def _set(self, presentation, images, scale):
         self.presentation = presentation
         self.index = presentation.generator_index
@@ -139,10 +148,9 @@ class _DenseForm:
         """The Derivation this form stands for. The engine builds its images
         from the dense ones without normalizing them again."""
         poly = self.presentation.engine.poly
-        out = Derivation.__new__(Derivation)
-        out.presentation = self.presentation
-        out.images = {g: poly(img, self.scale) for g, img in self.images.items()}
-        return out
+        return Derivation._of(
+            self.presentation, {g: poly(img, self.scale) for g, img in self.images.items()}
+        )
 
     def is_zero(self) -> bool:
         return not self.images
@@ -180,6 +188,15 @@ class Derivation:
         self.presentation = presentation
         self.images = stored
 
+    @staticmethod
+    def _of(presentation: TrinomialPresentation, images: dict) -> "Derivation":
+        """Wrap images that are nonzero and already in normal form, without
+        copying or checking them."""
+        out = Derivation.__new__(Derivation)
+        out.presentation = presentation
+        out.images = images
+        return out
+
     def image(self, g: Gen) -> Poly:
         return self.images.get(g, Poly.zero())
 
@@ -202,10 +219,10 @@ class Derivation:
         it maps normal forms to normal forms: the images are not normalized
         again. The caller checks the relations.
         """
-        out = Derivation.__new__(Derivation)
-        out.presentation = self.presentation
-        out.images = {sigma.get(g, g): img.relabel(sigma) for g, img in self.images.items()}
-        return out
+        return Derivation._of(
+            self.presentation,
+            {sigma.get(g, g): img.relabel(sigma) for g, img in self.images.items()},
+        )
 
     def __eq__(self, other):
         return (
@@ -252,17 +269,18 @@ class Derivation:
         return f"Derivation({body or '0'})"
 
 
-def is_well_defined(delta: Derivation) -> WellDefinedReport:
+def is_well_defined(delta: Union[Derivation, _DenseForm]) -> WellDefinedReport:
     """Check that every defining relation maps into the relation ideal.
 
-    The zero test runs on the dense form; a broken relation's residue is
-    recomputed exactly with Derivation.apply.
+    The zero test runs on the dense form, which delta may already be; a
+    broken relation's residue is recomputed exactly with Derivation.apply.
     """
     P = delta.presentation
-    dense = _DenseForm(delta)
+    dense = delta if isinstance(delta, _DenseForm) else _DenseForm(delta)
     for idx, rel in enumerate(P.engine.relations):
         if dense.step(rel):
-            residue = delta.apply(P.relations()[idx])
+            exact = delta.derivation() if delta is dense else delta
+            residue = exact.apply(P.relations()[idx])
             return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
     return WellDefinedReport(ok=True)
 

@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, _DenseForm, nilpotency_check
 from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
-from .grading import Grading, derivation_degree, weight_assignment
+from .grading import Grading, weight_assignment
 from .poly import dense_combination, dense_leibniz, pack, primitive_part
 from .presentation import TrinomialPresentation
 
@@ -303,7 +303,7 @@ def _classifier_by_degree(P: TrinomialPresentation, grading):
     for inst in enumerate_lnds(P):
         if inst.derivation is None or inst.derivation.is_zero():
             continue
-        deg = derivation_degree(inst.derivation, grading)
+        deg = inst.degree_in(grading)
         by_degree.setdefault(deg, []).append(inst)
     return by_degree
 

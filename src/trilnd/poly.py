@@ -97,7 +97,7 @@ def _items(data):
 class Monomial:
     """An immutable sparse exponent vector, hashable and totally ordered."""
 
-    __slots__ = ("_pairs", "_key", "_hash")
+    __slots__ = ("_pairs", "_key", "_hash", "_text")
 
     def __init__(self, exps: Union[Mapping[Gen, int], Iterable[Tuple[Gen, int]]] = ()):
         items = _items(exps)
@@ -120,12 +120,13 @@ class Monomial:
         self._hash = hash(pairs)
 
     @staticmethod
-    def _of(pairs: tuple) -> "Monomial":
+    def _of(pairs: tuple, key: tuple = None) -> "Monomial":
         """Wrap (generator, exponent) pairs that are already merged, nonzero
-        and in decreasing significance, without checking."""
+        and in decreasing significance, without checking; key, when given,
+        is their sort key, (gen_significance(g), e) per pair."""
         out = Monomial.__new__(Monomial)
         out._pairs = pairs
-        out._key = tuple((gen_significance(g), e) for g, e in pairs)
+        out._key = tuple((gen_significance(g), e) for g, e in pairs) if key is None else key
         out._hash = hash(pairs)
         return out
 
@@ -149,12 +150,7 @@ class Monomial:
         return not self._pairs
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other._pairs:
-            return self
-        d = dict(self._pairs)
-        for g, e in other._pairs:
-            d[g] = d.get(g, 0) + e
-        return Monomial(d)
+        return _merge(self, other, 1)
 
     def relabel(self, sigma: Mapping[Gen, Gen]) -> "Monomial":
         """Each generator g replaced by sigma.get(g, g); sigma must be one to one.
@@ -169,12 +165,7 @@ class Monomial:
         return all(other_map.get(g, 0) >= e for g, e in self._pairs)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        d = dict(self._pairs)
-        for g, e in other._pairs:
-            d[g] = d.get(g, 0) - e
-            if d[g] < 0:
-                raise NotDivisible(f"{self} not divisible by {other}")
-        return Monomial(d)
+        return _merge(self, other, -1)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._pairs == other._pairs
@@ -195,18 +186,69 @@ class Monomial:
         return self._key >= other._key
 
     def __str__(self):
+        try:
+            return self._text  # set by the first call
+        except AttributeError:
+            pass
         if not self._pairs:
-            return "1"
-        out = []
-        for g, e in self._pairs:
-            out.append(gen_name(g) if e == 1 else f"{gen_name(g)}^{e}")
-        return "*".join(out)
+            text = "1"
+        else:
+            text = "*".join(
+                gen_name(g) if e == 1 else f"{gen_name(g)}^{e}" for g, e in self._pairs
+            )
+        self._text = text
+        return text
 
     def __repr__(self):
         return f"Monomial({self})"
 
 
 MONO_ONE = Monomial()
+
+
+def _merge(a: Monomial, b: Monomial, sign: int) -> Monomial:
+    """a * b for sign 1, a / b for sign -1: one merge of the two pair
+    tuples, both in decreasing significance. Raises NotDivisible when a
+    quotient would have a negative exponent."""
+    bp = b._pairs
+    if not bp:
+        return a
+    ap = a._pairs
+    ak, bk = a._key, b._key
+    na, nb = len(ap), len(bp)
+    pairs = []
+    keys = []
+    i = j = 0
+    while i < na and j < nb:
+        sa, sb = ak[i][0], bk[j][0]
+        if sa > sb:
+            pairs.append(ap[i])
+            keys.append(ak[i])
+            i += 1
+            continue
+        if sa < sb:
+            if sign < 0:
+                break
+            pairs.append(bp[j])
+            keys.append(bk[j])
+        else:
+            e = ap[i][1] + sign * bp[j][1]
+            if e < 0:
+                break
+            if e:
+                pairs.append((ap[i][0], e))
+                keys.append((sa, e))
+            i += 1
+        j += 1
+    if j < nb:
+        if sign < 0:
+            raise NotDivisible(f"{a} not divisible by {b}")
+        pairs.extend(bp[j:])
+        keys.extend(bk[j:])
+    elif i < na:
+        pairs.extend(ap[i:])
+        keys.extend(ak[i:])
+    return Monomial._of(tuple(pairs), tuple(keys))
 
 
 def _add_term(acc: dict, m: Monomial, c: GaussianRational) -> None:
@@ -536,11 +578,13 @@ def exact_divide(p: Poly, divisor) -> Poly:
         raise TypeError("divisor must be a Monomial or single-term Poly")
     if not dc:
         raise ZeroDivisionError("division by zero term")
+    inverse = dc.inverse()
     acc: dict = {}
     for m, c in p.terms.items():
-        if not dm.divides(m):
-            raise NotDivisible(f"term {m} of {p} is not divisible by {dm}")
-        acc[m / dm] = c / dc
+        try:
+            acc[m / dm] = c * inverse
+        except NotDivisible:
+            raise NotDivisible(f"term {m} of {p} is not divisible by {dm}") from None
     return Poly._of(acc)
 
 
@@ -650,6 +694,12 @@ class RewriteEngine:
 
         walk(0, max_degree, 0, (0,) * len(weights[0]))
         return out
+
+    def in_normal_form(self, keys: Iterable[int]) -> bool:
+        """Whether no key is divisible by a rule's lead, each looked up in
+        (or added to) the memo of term reductions."""
+        get, reduce = self._reductions.get, self._reduce
+        return not any((get(key) or reduce(key))[2] for key in keys)
 
     def every_term_contains(self, terms: Iterable[int], g: Gen) -> bool:
         """Whether every key of terms has a positive exponent of g."""
@@ -766,11 +816,7 @@ def normal_form(p: Poly, presentation: TrinomialPresentation) -> Poly:
         raise UnknownGenerator(
             f"{gen_name(exc.args[0])} is not a generator of this presentation"
         ) from None
-    get, reduce = engine._reductions.get, engine._reduce
-    for key in keys:
-        if (get(key) or reduce(key))[2]:
-            break
-    else:
+    if engine.in_normal_form(keys):
         return p
     # integer_terms of p, from the keys already packed
     coefficients = [c._abd for c in p.terms.values()]
@@ -816,9 +862,9 @@ def poly_format(p: Poly) -> str:
         needs_paren = ("+" in cs[1:]) or ("-" in cs[1:])
         if m.is_one():
             body = f"({cs})" if needs_paren else cs
-        elif c == ONE:
+        elif cs == "1":
             body = str(m)
-        elif c == -ONE:
+        elif cs == "-1":
             body = f"-{m}"
         elif needs_paren:
             body = f"({cs})*{m}"
