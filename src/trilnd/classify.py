@@ -470,13 +470,14 @@ class _Construction:
                 raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
         if info is None or info.c != desc.c:
             info = _tuple_info(P, desc.c)
-        self.cmap = cmap = dict(zip(P.block_numbers, info.c))
+        blocks = P.block_numbers
+        self.cmap = cmap = dict(zip(blocks, info.c))
         self.moved = frozenset(tvar(i, ci) for i, ci in cmap.items())
         if desc.kind == "type1":
             return
         roles = tuple(desc.roles)
         if len(roles) != 3 or len(set(roles)) != 3 or any(
-            not _is_int(i) or i not in P.block_numbers for i in roles
+            not _is_int(i) or i not in blocks for i in roles
         ):
             raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
         B0, B1, B2 = roles

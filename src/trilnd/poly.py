@@ -156,6 +156,8 @@ class Monomial:
         """Each generator g replaced by sigma.get(g, g); sigma must be one to one.
 
         Pairs of generators sigma leaves alone are shared with self."""
+        if not sigma:
+            return self
         pairs = [(sigma[pair[0]], pair[1]) if pair[0] in sigma else pair for pair in self._pairs]
         pairs.sort(key=lambda it: gen_significance(it[0]), reverse=True)
         return Monomial._of(tuple(pairs))
@@ -399,6 +401,8 @@ class Poly:
 
     def relabel(self, sigma: Mapping[Gen, Gen]) -> "Poly":
         """Each generator g replaced by sigma.get(g, g); sigma must be one to one."""
+        if not sigma:
+            return self
         return Poly._of({m.relabel(sigma): c for m, c in self._terms.items()})
 
     def __eq__(self, other):
