@@ -425,6 +425,66 @@ def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
     return root
 
 
+def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[AdmissibleTuple]:
+    """The AdmissibleTuple of a descriptor's tuple (None for a free
+    variable), after checking everything about desc but its parameter;
+    raises the input error that names what is wrong."""
+    if desc.kind not in ("free", "type1", "t2a", "t2b", "t2c", "t2d"):
+        raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
+    if desc.kind == "free":
+        if desc.k is None:
+            raise InadmissibleDescriptor("free descriptor needs an index k")
+        if not _is_int(desc.k) or not 1 <= desc.k <= P.d:
+            raise NoSuchFreeVariable(
+                f"presentation has {P.d} free variables, asked for {desc.k}"
+            )
+        return None
+    if desc.kind == "type1":
+        if desc.c is None:
+            raise InadmissibleDescriptor("type1 descriptor needs a tuple")
+        if P.kind != 1:
+            raise WrongType("type1 descriptor on a type 2 presentation")
+    else:
+        if P.kind != 2:
+            raise WrongType(f"{desc.kind} descriptor on a type 1 presentation")
+        if desc.c is None or desc.roles is None:
+            raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
+    info = _tuple_info(P, desc.c)
+    if desc.kind == "type1":
+        return info
+    cmap = dict(zip(P.block_numbers, info.c))
+    roles = tuple(desc.roles)
+    if len(roles) != 3 or len(set(roles)) != 3 or any(
+        not _is_int(i) or i not in P.block_numbers for i in roles
+    ):
+        raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
+    B0, B1, B2 = roles
+    if desc.kind in ("t2a", "t2b"):
+        if info.case != "A":
+            raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case A")
+        if (B0, B1) not in info.labelings:
+            raise InadmissibleDescriptor(f"({B0},{B1}) is not a valid labeling for this tuple")
+        if P.exponents(B2)[cmap[B2] - 1] != 1:
+            raise InadmissibleDescriptor(f"third role block {B2} must have exponent 1 at the tuple")
+        if desc.kind == "t2b":
+            m = P.exponents(B0)[cmap[B0] - 1]
+            if any(e % m for i in (B0, B1) for e in P.exponents(i)):
+                raise InadmissibleDescriptor(
+                    f"exponent {m} of the first role block must divide both distinguished blocks"
+                )
+    else:
+        if info.case != "B":
+            raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case B")
+        key = (min(B0, B1), max(B0, B1), B2)
+        if key not in info.labelings:
+            raise InadmissibleDescriptor(f"({B0},{B1},{B2}) is not a valid labeling for this tuple")
+        if desc.kind == "t2d" and not _case_b_pair_ok(P, B2, cmap[B2]):
+            raise InadmissibleDescriptor(
+                f"third block {B2} must be even with chosen exponent 2 for this family"
+            )
+    return info
+
+
 class _Construction:
     """A validated descriptor of any kind: its derivation and its kernel,
     from the parameter-free pieces of its formulas, each computed on first
@@ -439,75 +499,28 @@ class _Construction:
     """
 
     def __init__(self, P: TrinomialPresentation, desc: LndDescriptor, info=None, grading=None):
-        """Check everything about desc except its parameter (check_param).
+        """A construction of desc; its parameter is checked by check_param.
 
-        info is the class plan's AdmissibleTuple for desc.c, if the caller
-        has it; any other descriptor's tuple is validated here. grading,
-        weight_assignment(P) if the caller has it, serves degree."""
-        if desc.kind not in ("free", "type1", "t2a", "t2b", "t2c", "t2d"):
-            raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
+        info is the class plan's AdmissibleTuple for desc.c when the plan
+        made desc, which is then not validated again; any other descriptor
+        is (_validated). grading, weight_assignment(P) if the caller has
+        it, serves degree."""
+        if info is None or info.c != desc.c:
+            info = _validated(P, desc)
         self.presentation = P
         self.grading = grading
         self.kind = desc.kind
         if desc.kind == "free":
-            if desc.k is None:
-                raise InadmissibleDescriptor("free descriptor needs an index k")
-            if not _is_int(desc.k) or not 1 <= desc.k <= P.d:
-                raise NoSuchFreeVariable(
-                    f"presentation has {P.d} free variables, asked for {desc.k}"
-                )
             self.moved = frozenset({svar(desc.k)})
             return
-        if desc.kind == "type1":
-            if desc.c is None:
-                raise InadmissibleDescriptor("type1 descriptor needs a tuple")
-            if P.kind != 1:
-                raise WrongType("type1 descriptor on a type 2 presentation")
-        else:
-            if P.kind != 2:
-                raise WrongType(f"{desc.kind} descriptor on a type 1 presentation")
-            if desc.c is None or desc.roles is None:
-                raise InadmissibleDescriptor("descriptor needs a tuple and role blocks")
-        if info is None or info.c != desc.c:
-            info = _tuple_info(P, desc.c)
-        blocks = P.block_numbers
-        self.cmap = cmap = dict(zip(blocks, info.c))
+        self.cmap = cmap = dict(zip(P.block_numbers, info.c))
         self.moved = frozenset(tvar(i, ci) for i, ci in cmap.items())
         if desc.kind == "type1":
             return
-        roles = tuple(desc.roles)
-        if len(roles) != 3 or len(set(roles)) != 3 or any(
-            not _is_int(i) or i not in blocks for i in roles
-        ):
-            raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
-        B0, B1, B2 = roles
-        m = 2
-        if desc.kind in ("t2a", "t2b"):
-            if info.case != "A":
-                raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case A")
-            if (B0, B1) not in info.labelings:
-                raise InadmissibleDescriptor(f"({B0},{B1}) is not a valid labeling for this tuple")
-            if P.exponents(B2)[cmap[B2] - 1] != 1:
-                raise InadmissibleDescriptor(f"third role block {B2} must have exponent 1 at the tuple")
-            if desc.kind == "t2b":
-                m = P.exponents(B0)[cmap[B0] - 1]
-                if any(e % m for i in (B0, B1) for e in P.exponents(i)):
-                    raise InadmissibleDescriptor(
-                        f"exponent {m} of the first role block must divide both distinguished blocks"
-                    )
-        else:
-            if info.case != "B":
-                raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case B")
-            key = (min(B0, B1), max(B0, B1), B2)
-            if key not in info.labelings:
-                raise InadmissibleDescriptor(f"({B0},{B1},{B2}) is not a valid labeling for this tuple")
-            if desc.kind == "t2d" and not _case_b_pair_ok(P, B2, cmap[B2]):
-                raise InadmissibleDescriptor(
-                    f"third block {B2} must be even with chosen exponent 2 for this family"
-                )
-        self.roles = roles
+        self.roles = roles = tuple(desc.roles)
         self.gens = tuple(tvar(i, cmap[i]) for i in roles)
-        self._m = m
+        # t2b: T_B0 and T_B1 are m-th powers, m the chosen exponent of B0
+        self._m = P.exponents(roles[0])[cmap[roles[0]] - 1] if desc.kind == "t2b" else 2
 
     def param_fault(self, param) -> Optional[str]:
         """Why param does not suit this kind, or None when it does."""

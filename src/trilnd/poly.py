@@ -439,11 +439,11 @@ def _add_product(acc: dict, p: Poly, q: Poly) -> None:
 
 def partial_derivative(p: Poly, g: Gen) -> Poly:
     acc: dict = {}
+    unit = Monomial._of(((g, 1),))
     for m, c in p.terms.items():
         e = m.exponent(g)
         if e:
-            dm = Monomial(tuple((gg, ee - 1 if gg == g else ee) for gg, ee in m.pairs))
-            _add_term(acc, dm, c * e)
+            _add_term(acc, m / unit, c * e)
     return Poly._of(acc)
 
 
