@@ -11,8 +11,10 @@ Every normal form comes from the presentation's one rewrite engine,
 P.engine, through poly.normal_form for a Poly. Iteration and
 zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
-to a nonzero scalar and built per call; the oracle keeps its samples in
-that form and turns each into a Derivation with _DenseForm.derivation.
+to a nonzero scalar and built per call, unless the caller has one: the
+oracle keeps its samples in that form and turns each into a Derivation
+with _DenseForm.derivation, and the classifier packs each build once
+(_DenseForm.of_normal_images) and checks that form.
 Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
 are the references the tests compare the dense form with. A refuted
 nilpotency report is re-checked by refutation_holds on the exact images

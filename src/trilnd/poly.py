@@ -97,7 +97,7 @@ def _items(data):
 class Monomial:
     """An immutable sparse exponent vector, hashable and totally ordered."""
 
-    __slots__ = ("_pairs", "_key", "_hash", "_text")
+    __slots__ = ("_pairs", "_key", "_hash")
 
     def __init__(self, exps: Union[Mapping[Gen, int], Iterable[Tuple[Gen, int]]] = ()):
         items = _items(exps)
@@ -188,18 +188,12 @@ class Monomial:
         return self._key >= other._key
 
     def __str__(self):
-        try:
-            return self._text  # set by the first call
-        except AttributeError:
-            pass
         if not self._pairs:
-            text = "1"
-        else:
-            text = "*".join(
-                gen_name(g) if e == 1 else f"{gen_name(g)}^{e}" for g, e in self._pairs
-            )
-        self._text = text
-        return text
+            return "1"
+        out = []
+        for g, e in self._pairs:
+            out.append(gen_name(g) if e == 1 else f"{gen_name(g)}^{e}")
+        return "*".join(out)
 
     def __repr__(self):
         return f"Monomial({self})"
