@@ -607,9 +607,8 @@ class _Construction:
             alpha_s, beta_s, gamma_s = P.triple_coefficients(B0, B1, s)
             (c_m, d_c), = P.block_partial(s, self.cmap[s]).terms.items()
             inverse = (d_c * gamma_s).inverse()
-            steps.append(
-                (tvar(s, self.cmap[s]), (a_m, -d_a * alpha_s * inverse), (b_m, -d_b * beta_s * inverse), c_m)
-            )
+            a, b = -d_a * alpha_s * inverse, -d_b * beta_s * inverse
+            steps.append((tvar(s, self.cmap[s]), (a_m, a), (b_m, b), c_m))
         return tuple(steps)
 
     def build(self, param=None) -> Derivation:
@@ -687,7 +686,9 @@ class _Construction:
                 {t_a: ac * (I * sc), t_b: bc * (-sc / sb)},
             )
         return tuple(
-            self._checked(self._solved(head), f"the lambda^{j} coefficient of the {self.kind} family")
+            self._checked(
+                self._solved(head), f"the lambda^{j} coefficient of the {self.kind} family"
+            )
             for j, head in enumerate(heads)
         )
 
@@ -739,7 +740,8 @@ class _Construction:
                     solved[m / c_m] = c
                 except NotDivisible:
                     raise ExactDivisionFailed(
-                        f"solving the image of block {t_s[1]} failed: term {m} is not divisible by {c_m}"
+                        f"solving the image of block {t_s[1]} failed: "
+                        f"term {m} is not divisible by {c_m}"
                     ) from None
             if solved:
                 images[t_s] = Poly._of(solved)
@@ -978,7 +980,8 @@ class LndInstance:
         if not sigma:
             return self
         delta = None if self.derivation is None else self.derivation.relabelled(sigma)
-        return replace(self, descriptor=replace(self.descriptor, c=c), derivation=delta, degree=None)
+        descriptor = replace(self.descriptor, c=c)
+        return replace(self, descriptor=descriptor, derivation=delta, degree=None)
 
     def degree_in(self, grading) -> Weight:
         """The degree of the nonzero derivation under grading, which must be

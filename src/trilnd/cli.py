@@ -265,7 +265,9 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFICATION
     grading = weight_assignment(P)
     try:
-        info = None if delta.is_zero() else _degree_info(derivation_degree(delta, grading), grading)
+        info = None
+        if not delta.is_zero():
+            info = _degree_info(derivation_degree(delta, grading), grading)
     except NonHomogeneous as exc:
         out["homogeneous"] = False
         out["witness"] = str(exc)

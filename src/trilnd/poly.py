@@ -576,13 +576,11 @@ def exact_divide(p: Poly, divisor) -> Poly:
         raise TypeError("divisor must be a Monomial or single-term Poly")
     if not dc:
         raise ZeroDivisionError("division by zero term")
-    inverse = dc.inverse()
     acc: dict = {}
     for m, c in p.terms.items():
-        try:
-            acc[m / dm] = c * inverse
-        except NotDivisible:
-            raise NotDivisible(f"term {m} of {p} is not divisible by {dm}") from None
+        if not dm.divides(m):
+            raise NotDivisible(f"term {m} of {p} is not divisible by {dm}")
+        acc[m / dm] = c / dc
     return Poly._of(acc)
 
 

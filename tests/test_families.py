@@ -26,7 +26,7 @@ from trilnd.corpus import corpus
 from trilnd.derivation import Derivation, kernel_member
 from trilnd.gaussian import ONE, I, InternalError, gq
 from trilnd.grading import derivation_degree, weight_assignment
-from trilnd.poly import Poly, exact_divide, poly_format, poly_parse, tvar
+from trilnd.poly import Poly, exact_divide, poly_parse, svar, tvar
 from trilnd.presentation import type2
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -67,21 +67,21 @@ def direct_member(P, desc: LndDescriptor) -> Derivation:
     return Derivation(P, images)
 
 
-def corpus_families():
-    return [
-        (P, entry.family)
-        for P in corpus()
-        for entry in class_plan(P)
-        if entry.family is not None
-    ]
+FAMILIES = [
+    (P, entry.family) for P in corpus() for entry in class_plan(P) if entry.family is not None
+]
 
 
 def test_the_corpus_has_both_kinds_of_family():
-    kinds = [family.kind for _, family in corpus_families()]
+    kinds = [family.kind for _, family in FAMILIES]
     assert kinds.count("t2b") == 9 and kinds.count("t2d") == 8
 
 
-@pytest.mark.parametrize("P, family", corpus_families(), ids=lambda x: str(x))
+@pytest.mark.parametrize(
+    "P, family",
+    FAMILIES,
+    ids=[f"{P.describe()}-{f.kind}-{''.join(map(str, f.roles))}" for P, f in FAMILIES],
+)
 def test_every_sample_is_the_per_lambda_build(P, family):
     lambdas = DEFAULT_LAMBDAS + EXTRA_LAMBDAS
     grading = weight_assignment(P)
@@ -186,7 +186,6 @@ def test_plan_descriptors_reuse_the_plan_tuple(monkeypatch):
 def test_a_build_outside_normal_form_is_normalized_before_its_check():
     P = next(P for P in corpus() if P.describe() == "type2[(2),(2),(2)]d1")
     construction = _Construction(P, LndDescriptor("free", k=1))
-    lead = poly_parse("T2_1^2")
-    delta = construction._checked({("S", 1): lead}, "test")
-    assert delta.image(("S", 1)) != lead
-    assert poly_format(delta.image(("S", 1))) == poly_format(Derivation(P, {("S", 1): lead}).image(("S", 1)))
+    lead = poly_parse("T2_1^2")  # the lead of the rule of block 2
+    delta = construction._checked({svar(1): lead}, "test")
+    assert delta.image(svar(1)) == Derivation(P, {svar(1): lead}).image(svar(1)) != lead
