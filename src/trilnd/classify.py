@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 from .derivation import Derivation, _DenseForm, is_well_defined
 from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
-from .grading import Weight, derivation_degree, weight_assignment
+from .grading import Weight, derivation_degree
 from .poly import (
     Gen,
     Monomial,
@@ -278,19 +278,18 @@ def admissible_tuples(P: TrinomialPresentation):
     return [replace(info, c=c) for info, c, _ in expand_orbits(pairs)]
 
 
-def _case_a_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
-    """Witness (B0, B1) for the divisibility condition, or None.
+def _divides_both(P: TrinomialPresentation, cmap: dict, i1: int, i2: int) -> bool:
+    """Whether the chosen exponent of block i1 divides every exponent of
+    blocks i1 and i2: the condition for a t2b family on labeling (i1, i2)."""
+    m = P.exponents(i1)[cmap[i1] - 1]
+    return all(e % m == 0 for i in (i1, i2) for e in P.exponents(i))
 
-    The class family becomes infinite when for some ordered labeling
-    (B0, B1) the chosen exponent m of B0 divides every exponent in both
-    distinguished blocks.
-    """
+
+def _case_a_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
+    """Witness (B0, B1) for the divisibility condition (_divides_both),
+    or None: the class family becomes infinite on such a labeling."""
     cmap = dict(zip(P.block_numbers, info.c))
-    for i1, i2 in info.labelings:
-        m = P.exponents(i1)[cmap[i1] - 1]
-        if all(e % m == 0 for i in (i1, i2) for e in P.exponents(i)):
-            return (i1, i2)
-    return None
+    return next((lab for lab in info.labelings if _divides_both(P, cmap, *lab)), None)
 
 
 def _roots_exist(P: TrinomialPresentation, lab, need_gamma: bool) -> bool:
@@ -425,12 +424,23 @@ def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
     return root
 
 
+# the fields each descriptor kind reads besides its kind
+_FIELDS = {"free": ("k",), "type1": ("c",), "t2a": ("c", "roles")}
+_FIELDS.update(dict.fromkeys(("t2b", "t2c", "t2d"), ("c", "roles", "param")))
+
+
 def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[AdmissibleTuple]:
     """The AdmissibleTuple of a descriptor's tuple (None for a free
-    variable), after checking everything about desc but its parameter;
-    raises the input error that names what is wrong."""
-    if desc.kind not in ("free", "type1", "t2a", "t2b", "t2c", "t2d"):
+    variable), after checking everything about desc but its parameter's
+    value; raises the input error that names what is wrong."""
+    if desc.kind not in _FIELDS:
         raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
+    fields = _FIELDS[desc.kind]
+    stray = [
+        f for f in ("k", "c", "roles", "param") if f not in fields and getattr(desc, f) is not None
+    ]
+    if stray:
+        raise InadmissibleDescriptor(f"a {desc.kind} descriptor takes no {', '.join(stray)}")
     if desc.kind == "free":
         if desc.k is None:
             raise InadmissibleDescriptor("free descriptor needs an index k")
@@ -466,12 +476,11 @@ def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[Admiss
             raise InadmissibleDescriptor(f"({B0},{B1}) is not a valid labeling for this tuple")
         if P.exponents(B2)[cmap[B2] - 1] != 1:
             raise InadmissibleDescriptor(f"third role block {B2} must have exponent 1 at the tuple")
-        if desc.kind == "t2b":
-            m = P.exponents(B0)[cmap[B0] - 1]
-            if any(e % m for i in (B0, B1) for e in P.exponents(i)):
-                raise InadmissibleDescriptor(
-                    f"exponent {m} of the first role block must divide both distinguished blocks"
-                )
+        if desc.kind == "t2b" and not _divides_both(P, cmap, B0, B1):
+            raise InadmissibleDescriptor(
+                f"exponent {P.exponents(B0)[cmap[B0] - 1]} of the first role block must "
+                "divide both distinguished blocks"
+            )
     else:
         if info.case != "B":
             raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case B")
@@ -490,25 +499,24 @@ class _Construction:
     from the parameter-free pieces of its formulas, each computed on first
     use.
 
-    This is the one place that reads a descriptor's kind. A t2b or t2d
-    family is built once, as its coefficients in lambda (coefficients),
-    and every sample is their exact sum. The samples of a family and the
-    kernels of its descriptors share one construction. Callers keep it for
+    This is the one place that reads a descriptor's kind. Every kind is
+    built once, as its coefficients in the parameter (coefficients), each
+    checked against every relation, and every derivation it describes is
+    their exact sum. The samples of a family, the two t2c classes and the
+    kernels of the descriptors share one construction. Callers keep it for
     one plan entry at most, never on the presentation, which holds only
     the block-level pieces.
     """
 
-    def __init__(self, P: TrinomialPresentation, desc: LndDescriptor, info=None, grading=None):
+    def __init__(self, P: TrinomialPresentation, desc: LndDescriptor, info=None):
         """A construction of desc; its parameter is checked by check_param.
 
         info is the class plan's AdmissibleTuple for desc.c when the plan
         made desc, which is then not validated again; any other descriptor
-        is (_validated). grading, weight_assignment(P) if the caller has
-        it, serves degree."""
+        is (_validated)."""
         if info is None or info.c != desc.c:
             info = _validated(P, desc)
         self.presentation = P
-        self.grading = grading
         self.kind = desc.kind
         if desc.kind == "free":
             self.moved = frozenset({svar(desc.k)})
@@ -612,103 +620,14 @@ class _Construction:
         return tuple(steps)
 
     def build(self, param=None) -> Derivation:
-        """The derivation at param, self-checked against every relation.
-
-        A type 2 derivation gets its two distinguished images from the
-        classified formulas; the image of the third role block and of every
-        other block is solved from the triple relation through that block,
-        an exact division by a monomial. A division failure is a bug and
-        raises ExactDivisionFailed, a broken relation InternalError. A
-        family member is the sum of the family's coefficients, checked once
-        per construction.
-        """
+        """The derivation at param: coefficients[0] for a kind with one
+        coefficient, else the exact sum of param^j * D_j. A sum of normal
+        forms is a normal form, and the relations hold by linearity, so the
+        sum is neither normalized nor checked again."""
         self.check_param(param)
-        if self.kind in ("t2b", "t2d"):
-            return self._member(param)
-        P = self.presentation
-        if self.kind == "free":
-            images = dict.fromkeys(self.moved, Poly.constant(1))
-        elif self.kind == "type1":
-            # each chosen variable maps to the product of the other blocks' partials
-            images = {
-                tvar(i, self.cmap[i]): _partials_product(
-                    P, self.cmap, (k for k in P.block_numbers if k != i)
-                )
-                for i in P.block_numbers
-            }
-        else:
-            t_a, t_b, _ = self.gens
-            pieces = self.image_pieces
-            if self.kind == "t2a":
-                images = self._solved({t_a: pieces[0]})
-            else:
-                images = self._solved({t_a: pieces[0] * (param * self.roots[0]), t_b: pieces[1]})
-        return self._checked(images, f"type {P.kind} construction")
-
-    def _checked(self, images: dict, what: str) -> Derivation:
-        """The derivation with these nonzero images, packed once into the
-        dense form that checks it against every relation; InternalError,
-        naming what, for a broken relation. Images with a term outside
-        normal form are normalized by Derivation first."""
-        P = self.presentation
-        form = _DenseForm.of_normal_images(P, images)
-        if form is None:
-            delta = form = Derivation(P, images)
-        else:
-            delta = Derivation._of(P, images)
-        report = is_well_defined(form)
-        if not report.ok:
-            raise InternalError(f"{what} broke relation {report.relation_index}")
-        return delta
-
-    @cached_property
-    def coefficients(self) -> Tuple[Derivation, ...]:
-        """D_0, D_1 of a t2b family and D_0, D_1, D_2 of a t2d family: the
-        member at lambda is the sum of lambda^j * D_j.
-
-        A relation's image is linear in the derivation, so it vanishes at
-        every lambda exactly when it vanishes under every D_j: each D_j is
-        checked once, and that check covers the whole family.
-        NeedsNormalization when the roots are missing in Q(i).
-        """
-        t_a, t_b, _ = self.gens
-        pieces = self.image_pieces
-        if self.kind == "t2b":
-            heads = ({t_a: pieces[0]}, {t_b: pieces[1]})
-        else:
-            # t_a -> 2*lambda*sb*ab + (1+lambda^2)*i*sc*ac,
-            # t_b -> -2*lambda/sb*ba + (1-lambda^2)*sc/sb*bc
-            ab, ac, ba, bc = pieces
-            sb, sc = self.roots
-            heads = (
-                {t_a: ac * (I * sc), t_b: bc * (sc / sb)},
-                {t_a: ab * (2 * sb), t_b: ba * (gq(-2) / sb)},
-                {t_a: ac * (I * sc), t_b: bc * (-sc / sb)},
-            )
-        return tuple(
-            self._checked(
-                self._solved(head), f"the lambda^{j} coefficient of the {self.kind} family"
-            )
-            for j, head in enumerate(heads)
-        )
-
-    @cached_property
-    def degree(self) -> Optional[Weight]:
-        """The degree of every member of a t2b or t2d family under
-        weight_assignment, read once off its coefficients, which must share
-        it; None for every other kind."""
-        if self.kind not in ("t2b", "t2d"):
-            return None
-        grading = self.grading or weight_assignment(self.presentation)
-        degrees = {derivation_degree(delta, grading) for delta in self.coefficients}
-        if len(degrees) != 1:
-            raise InternalError(f"the coefficients of the {self.kind} family differ in degree")
-        return degrees.pop()
-
-    def _member(self, param) -> Derivation:
-        """The family member at param, the sum of param^j * D_j. A sum of
-        normal forms is a normal form, and the relations hold by linearity,
-        so the result is neither normalized nor checked again."""
+        first, *rest = self.coefficients
+        if not rest:
+            return first
         images = {}
         power = ONE
         for delta in self.coefficients:
@@ -722,6 +641,83 @@ class _Construction:
         return Derivation._of(
             self.presentation, {g: Poly._of(terms) for g, terms in images.items() if terms}
         )
+
+    @cached_property
+    def coefficients(self) -> Tuple[Derivation, ...]:
+        """D_0, ..., D_k, the derivation at param being the sum of
+        param^j * D_j: one for free, type1 and t2a, two for t2b and t2c,
+        three for t2d. A type 2 D_j sets its distinguished images by the
+        classified formulas and solves the rest (_solved). A relation's
+        image is linear in the derivation, so checking each D_j once
+        (_checked) covers every param. NeedsNormalization, before any
+        check, when the roots are missing in Q(i)."""
+        P = self.presentation
+        if self.kind == "free":
+            terms = (dict.fromkeys(self.moved, Poly.constant(1)),)
+        elif self.kind == "type1":
+            # each chosen variable maps to the product of the other blocks' partials
+            terms = ({
+                tvar(i, self.cmap[i]): _partials_product(
+                    P, self.cmap, (k for k in P.block_numbers if k != i)
+                )
+                for i in P.block_numbers
+            },)
+        else:
+            t_a, t_b, _ = self.gens
+            pieces = self.image_pieces
+            if self.kind == "t2a":
+                heads = ({t_a: pieces[0]},)
+            elif self.kind == "t2b":
+                heads = ({t_a: pieces[0]}, {t_b: pieces[1]})
+            elif self.kind == "t2c":
+                # t_a -> mu*sb*A, t_b -> B
+                heads = ({t_b: pieces[1]}, {t_a: pieces[0] * self.roots[0]})
+            else:
+                # t_a -> 2*lambda*sb*ab + (1+lambda^2)*i*sc*ac,
+                # t_b -> -2*lambda/sb*ba + (1-lambda^2)*sc/sb*bc
+                ab, ac, ba, bc = pieces
+                sb, sc = self.roots
+                heads = (
+                    {t_a: ac * (I * sc), t_b: bc * (sc / sb)},
+                    {t_a: ab * (2 * sb), t_b: ba * (gq(-2) / sb)},
+                    {t_a: ac * (I * sc), t_b: bc * (-sc / sb)},
+                )
+            terms = tuple(self._solved(head) for head in heads)
+        if len(terms) == 1:
+            return (self._checked(terms[0], f"type {P.kind} construction"),)
+        return tuple(
+            self._checked(images, f"the coefficient D{j} of the {self.kind} construction")
+            for j, images in enumerate(terms)
+        )
+
+    def _checked(self, images: dict, what: str) -> Derivation:
+        """The derivation with these nonzero images, packed once into the
+        dense form that checks it against every relation; InternalError,
+        naming what, for a broken relation or a term outside normal form,
+        which no formula makes: a block enters an image as T_i^{l_i}/T_ic
+        or as a root of T_i^{l_i} times a partial, and the solved block
+        cancels."""
+        P = self.presentation
+        form = _DenseForm.of_normal_images(P, images)
+        if form is None:
+            raise InternalError(f"{what} has a term outside normal form")
+        report = is_well_defined(form)
+        if not report.ok:
+            raise InternalError(f"{what} broke relation {report.relation_index}")
+        return Derivation._of(P, images)
+
+    @cached_property
+    def degree(self) -> Optional[Weight]:
+        """The degree in P.grading of every member of a t2b or t2d family,
+        read once off its coefficients, which must share it; None for
+        every other kind."""
+        if self.kind not in ("t2b", "t2d"):
+            return None
+        grading = self.presentation.grading
+        degrees = {derivation_degree(delta, grading) for delta in self.coefficients}
+        if len(degrees) != 1:
+            raise InternalError(f"the coefficients of the {self.kind} family differ in degree")
+        return degrees.pop()
 
     def _solved(self, images: dict) -> dict:
         """images, which hold the distinguished images, extended by the
@@ -753,7 +749,7 @@ class _Construction:
         moves the generators whose image at param is nonzero; at an
         exceptional param that leaves out some chosen variable."""
         extra = self.kernel_extra(param)
-        moved = self._member(param).images if self.kind in ("t2b", "t2d") else self.moved
+        moved = self.build(param).images if self.kind in ("t2b", "t2d") else self.moved
         gens = [Poly.generator(g) for g in self.presentation.generators if g not in moved]
         return gens if extra is None else [*gens, extra]
 
@@ -983,12 +979,12 @@ class LndInstance:
         descriptor = replace(self.descriptor, c=c)
         return replace(self, descriptor=descriptor, derivation=delta, degree=None)
 
-    def degree_in(self, grading) -> Weight:
-        """The degree of the nonzero derivation under grading, which must be
-        weight_assignment of its presentation."""
+    def degree_shift(self) -> Weight:
+        """The degree of the nonzero derivation in its presentation's
+        grading: the family's degree when known, else read off the images."""
         if self.degree is not None:
             return self.degree
-        return derivation_degree(self.derivation, grading)
+        return derivation_degree(self.derivation, self.derivation.presentation.grading)
 
 
 def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
@@ -1005,11 +1001,8 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
     """
     lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
     built = []
-    grading = None
     for entry in class_plan(P):
-        if entry.family is not None and grading is None:
-            grading = weight_assignment(P)
-        builds = _EntryBuilds(P, entry, grading)
+        builds = _EntryBuilds(P, entry)
         instances = [builds.instance(desc) for _, desc in entry.descriptors]
         if entry.family is not None:
             family = builds.construction(entry.family)
@@ -1032,14 +1025,13 @@ class _EntryBuilds:
     """Builds for the descriptors of one plan entry, at its representative,
     sharing one _Construction per (kind, k, roles): the two t2c classes,
     the samples of a family and each descriptor's kernel reuse its pieces,
-    and every construction reuses the entry's AdmissibleTuple and the
-    caller's grading. Made per entry and dropped with it."""
+    and every construction reuses the entry's AdmissibleTuple. Made per
+    entry and dropped with it."""
 
-    def __init__(self, P: TrinomialPresentation, entry: PlannedClass, grading=None):
+    def __init__(self, P: TrinomialPresentation, entry: PlannedClass):
         self.presentation = P
         self.orbit = entry.orbit
         self.info = entry.info
-        self.grading = grading
         self._constructions = {}
 
     def construction(self, desc: LndDescriptor) -> _Construction:
@@ -1047,7 +1039,7 @@ class _EntryBuilds:
         key = (desc.kind, desc.k, desc.roles)
         construction = self._constructions.get(key)
         if construction is None:
-            construction = _Construction(self.presentation, desc, self.info, self.grading)
+            construction = _Construction(self.presentation, desc, self.info)
             self._constructions[key] = construction
         return construction
 
@@ -1074,7 +1066,7 @@ class LndClassReport:
     expanded_count: Optional[int] = None  # set unless classes lists every tuple
 
     def to_dict(self):
-        grading = weight_assignment(self.presentation)
+        grading = self.presentation.grading
         out = {
             "presentation": self.presentation.to_input_dict(),
             "dimension": self.dimension,

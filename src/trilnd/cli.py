@@ -39,7 +39,7 @@ from .derivation import (
     nilpotency_check,
 )
 from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_parse
-from .grading import NonHomogeneous, derivation_degree, weight_assignment
+from .grading import NonHomogeneous, derivation_degree
 from .oracle import BoxTooLarge, oracle_enumerate
 from .poly import (
     DegreeOverflow,
@@ -206,7 +206,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_lnds(args) -> int:
     P = TrinomialPresentation.from_json(_read_text(args.presentation))
-    grading = weight_assignment(P)
     records = []
     expanded_count = 0
     # the instances are dropped with the loop, before the report is encoded
@@ -221,7 +220,7 @@ def cmd_lnds(args) -> int:
         else:
             record["images"] = inst.derivation.image_strings()
             if not inst.derivation.is_zero():
-                record.update(_degree_info(inst.degree_in(grading), grading))
+                record.update(_degree_info(inst.degree_shift(), P.grading))
         records.append(record)
     out = {"presentation": P.to_input_dict(), "count": len(records)}
     if not args.expand:
@@ -263,11 +262,10 @@ def cmd_verify(args) -> int:
         out["verified"] = False
         _emit(out)
         return EXIT_VERIFICATION
-    grading = weight_assignment(P)
     try:
         info = None
         if not delta.is_zero():
-            info = _degree_info(derivation_degree(delta, grading), grading)
+            info = _degree_info(derivation_degree(delta, P.grading), P.grading)
     except NonHomogeneous as exc:
         out["homogeneous"] = False
         out["witness"] = str(exc)

@@ -42,7 +42,6 @@ class ZeroDerivation(ValueError):
 
 @dataclass(frozen=True)
 class Grading:
-    presentation: TrinomialPresentation
     basis_labels: Tuple[str, ...]
     weights: Mapping[Gen, Weight]
 
@@ -82,7 +81,7 @@ class Grading:
 
 
 def weight_assignment(P: TrinomialPresentation) -> Grading:
-    """Build the canonical grading of a presentation."""
+    """Build the canonical grading of a presentation; P.grading holds it."""
     labels = []
     if P.kind == 2:
         labels.append("e")
@@ -125,7 +124,7 @@ def weight_assignment(P: TrinomialPresentation) -> Grading:
         vec = [0] * rank
         vec[free_positions[k]] = 1
         weights[svar(k)] = tuple(vec)
-    return Grading(presentation=P, basis_labels=tuple(labels), weights=weights)
+    return Grading(basis_labels=tuple(labels), weights=weights)
 
 
 def weight_of(p: Poly, grading: Grading) -> Weight:

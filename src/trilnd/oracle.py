@@ -27,12 +27,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, _DenseForm, nilpotency_check
 from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
-from .grading import Grading, weight_assignment
+from .grading import Grading
 from .poly import dense_combination, dense_leibniz, pack, primitive_part
 from .presentation import TrinomialPresentation
 
@@ -132,14 +132,6 @@ def _nullspace(reduced: List[dict], pivots: List[int], ncols: int) -> List[dict]
     return list(basis.values())
 
 
-class _Box(NamedTuple):
-    """The normal-form keys of a degree box grouped by weight, each list in
-    Monomial order, with the grading that weighs them."""
-
-    grading: Grading
-    keys: dict
-
-
 @dataclass
 class SolutionSpace:
     """Derivations of one fixed degree, found by linear algebra.
@@ -190,10 +182,10 @@ class SolutionSpace:
         return not any(sum((v * vec[c] for c, v in row.items()), ZERO) for row in self._constraints)
 
 
-def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading) -> _Box:
-    """The engine's box of normal-form keys, grouped by weight. Raises
-    BoxTooLarge before enumerating a box of more than _MAX_BOX_MONOMIALS
-    monomials."""
+def _box_by_weight(P: TrinomialPresentation, degree_bound: int) -> dict:
+    """The engine's box of normal-form keys, grouped by weight in
+    P.grading, each list in Monomial order. Raises BoxTooLarge before
+    enumerating a box of more than _MAX_BOX_MONOMIALS monomials."""
     n = len(P.generators)
     size = math.comb(n + degree_bound, n)
     if size > _MAX_BOX_MONOMIALS:
@@ -202,9 +194,10 @@ def _box_by_weight(P: TrinomialPresentation, degree_bound: int, grading: Grading
             f"over the limit {_MAX_BOX_MONOMIALS}; lower the degree bound"
         )
     keys: dict = {}
-    for key, w in P.engine.box(degree_bound, [grading.weights[g] for g in P.generators]):
+    weights = P.grading.weights
+    for key, w in P.engine.box(degree_bound, [weights[g] for g in P.generators]):
         keys.setdefault(w, []).append(key)
-    return _Box(grading, keys)
+    return keys
 
 
 def _check_limits(degree_bound: int, max_unknowns: int) -> None:
@@ -219,12 +212,12 @@ def solution_space(
     weight,
     degree_bound: int = 4,
     max_unknowns: int = 600,
-    box: Optional[_Box] = None,
+    box: Optional[dict] = None,
 ) -> SolutionSpace:
     """Solve for all derivations of the given degree shift whose images
     stay within the degree bound.
 
-    box is the search box grouped by weight, with its grading, which
+    box is the search box grouped by weight (_box_by_weight), which
     oracle_enumerate builds once for all the weights it solves; it is
     built here when omitted, and a box over _MAX_BOX_MONOMIALS raises
     BoxTooLarge unbuilt.
@@ -236,16 +229,16 @@ def solution_space(
     one-image derivation g_k -> m applied to the relation, in normal form.
     """
     _check_limits(degree_bound, max_unknowns)
-    grading = weight_assignment(P) if box is None else box.grading
+    grading = P.grading
     weight = tuple(weight)
     if len(weight) != grading.rank:
         raise InvalidArgument(f"weight must have {grading.rank} components")
     if box is None:
-        box = _box_by_weight(P, degree_bound, grading)
+        box = _box_by_weight(P, degree_bound)
     columns = []
     for g in P.generators:
         target = tuple(map(add, grading.weights[g], weight))
-        columns.extend((g, key) for key in box.keys.get(target, ()))
+        columns.extend((g, key) for key in box.get(target, ()))
     if len(columns) > max_unknowns:
         raise BoxTooLarge(
             f"{len(columns)} unknowns exceed the limit {max_unknowns}; raise "
@@ -297,21 +290,19 @@ def _combination(x: _DenseForm, y: _DenseForm, c: Tuple[int, int]) -> _DenseForm
     return _DenseForm.from_images(x.presentation, images, x.scale)
 
 
-def _classifier_by_degree(P: TrinomialPresentation, grading):
+def _classifier_by_degree(P: TrinomialPresentation):
     """The classifier's nonzero outputs, grouped by degree shift."""
     by_degree: dict = {}
     for inst in enumerate_lnds(P):
         if inst.derivation is None or inst.derivation.is_zero():
             continue
-        deg = inst.degree_in(grading)
-        by_degree.setdefault(deg, []).append(inst)
+        by_degree.setdefault(inst.degree_shift(), []).append(inst)
     return by_degree
 
 
 def induced_weight_box(P: TrinomialPresentation):
     """The degree shifts realized by the classifier, plus zero."""
-    grading = weight_assignment(P)
-    return tuple(sorted({grading.zero(), *_classifier_by_degree(P, grading)}))
+    return tuple(sorted({P.grading.zero(), *_classifier_by_degree(P)}))
 
 
 @dataclass
@@ -363,7 +354,7 @@ class OracleReport:
         return any(e.nilpotent_found for e in self.entries)
 
     def to_dict(self):
-        grading = weight_assignment(self.presentation)
+        grading = self.presentation.grading
         return {
             "presentation": self.presentation.to_input_dict(),
             "degree_bound": self.degree_bound,
@@ -404,16 +395,16 @@ def oracle_enumerate(
             if w in seen:
                 raise InvalidArgument(f"weight {list(w)} is repeated")
             seen.add(w)
-    grading = weight_assignment(P)
+    grading = P.grading
     for w in weights or ():
         if len(w) != grading.rank:
             raise InvalidArgument(f"weight must have {grading.rank} components")
-    by_degree = _classifier_by_degree(P, grading)
+    by_degree = _classifier_by_degree(P)
     if weights is None:
         weights = tuple(sorted({grading.zero(), *by_degree}))
     if len(weights) > _MAX_WEIGHTS:
         raise BoxTooLarge(f"{len(weights)} weights exceed the limit {_MAX_WEIGHTS}")
-    box = _box_by_weight(P, degree_bound, grading)
+    box = _box_by_weight(P, degree_bound)
     entries = []
     for w in weights:
         space = solution_space(P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, box=box)

@@ -311,6 +311,14 @@ class TrinomialPresentation:
         every normal form modulo the relations goes through."""
         return RewriteEngine(self.generator_index, self.rewrite_rules, self._relations)
 
+    @cached_property
+    def grading(self):
+        """The canonical fine grading (grading.weight_assignment), which
+        every degree and weight of this presentation is read in."""
+        from .grading import weight_assignment  # grading imports this module
+
+        return weight_assignment(self)
+
     # -- divisor theory --------------------------------------------------
 
     def _check_factoriality_hypothesis(self):

@@ -567,7 +567,7 @@ def test_presentation_keeps_only_block_level_pieces():
     assert set(P.__dict__) <= {
         "kind", "blocks", "constants", "d", "anchors",
         "generators", "generator_set", "generator_index", "_relations", "rewrite_rules",
-        "engine", "_block_memo",
+        "engine", "grading", "_block_memo",
     }
     gc.collect()
     per_tuple = (classify._Construction, classify._EntryBuilds)

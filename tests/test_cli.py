@@ -118,6 +118,52 @@ def test_kernel_rejects_bad_descriptor(capsys):
     assert rep["kind"] == "InadmissibleDescriptor"
 
 
+T2_LINE = {"type": 2, "blocks": [[1], [1], [2]]}
+
+
+@pytest.mark.parametrize(
+    "presentation, descriptor, stray",
+    [
+        ("sphere_cylinder.json", {"kind": "free", "k": 1}, {"param": "7"}),
+        (
+            "type1_semirigid.json",
+            {"kind": "type1", "c": [1, 1]},
+            {"roles": [1, 2, 3], "param": "5", "k": 9},
+        ),
+        (T2_LINE, {"kind": "t2a", "c": [1, 1, 1], "roles": [0, 2, 1]}, {"param": "1"}),
+        (T2_LINE, {"kind": "t2b", "c": [1, 1, 1], "roles": [0, 2, 1], "param": "2"}, {"k": 1}),
+        (
+            "sphere.json",
+            {"kind": "t2c", "c": [1, 1, 1], "roles": [0, 1, 2], "param": "i"},
+            {"k": 1},
+        ),
+        (
+            "sphere.json",
+            {"kind": "t2d", "c": [1, 1, 1], "roles": [0, 1, 2], "param": "1"},
+            {"k": 2},
+        ),
+    ],
+    ids=["free", "type1", "t2a", "t2b", "t2c", "t2d"],
+)
+def test_kernel_rejects_a_field_its_kind_does_not_use(
+    capsys, tmp_path, presentation, descriptor, stray
+):
+    """k belongs to free only, c to every other kind, roles to the t2
+    kinds and param to t2b, t2c and t2d. The descriptor builds without the
+    stray fields and exits 1 with them, naming them in field order."""
+    if isinstance(presentation, dict):
+        path = write_presentation(tmp_path, presentation)
+    else:
+        path = f"{SAMPLES}/{presentation}"
+    argv = ("kernel", "--presentation", path, "--descriptor")
+    code, rep = run(capsys, *argv, json.dumps(descriptor))
+    assert code == 0 and rep["descriptor"] == descriptor
+    code, rep = run(capsys, *argv, json.dumps({**descriptor, **stray}))
+    names = ", ".join(name for name in ("k", "c", "roles", "param") if name in stray)
+    error = f"a {descriptor['kind']} descriptor takes no {names}"
+    assert (code, rep) == (1, {"error": error, "kind": "InadmissibleDescriptor"})
+
+
 def test_verify_good_derivation(tmp_path, capsys):
     deriv = tmp_path / "d0.txt"
     deriv.write_text(

@@ -1,10 +1,12 @@
-"""Only trilnd/poly.py knows the packed dense form.
+"""Only trilnd/poly.py knows the packed dense form, and only
+trilnd/presentation.py builds the grading.
 
 The fields of a packed key, the rule scale and the memo of term
 reductions live in poly.RewriteEngine, which a presentation reaches
 through its one attribute `engine`; other modules ask the engine for a
-key's degree, generators or Monomial. The modules are read as source,
-without importing them.
+key's degree, generators or Monomial. Likewise the grading is the cached
+attribute `grading` of a presentation, and every other module reads it
+there. The modules are read as source, without importing them.
 """
 
 import ast
@@ -93,3 +95,15 @@ def test_the_presentation_reaches_the_engine_through_one_attribute():
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "presentation"
     }
     assert reads == {"engine"}
+
+
+def test_only_the_presentation_builds_the_grading():
+    callers = {
+        name
+        for name, tree in modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "weight_assignment" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"presentation.py"}
+    assert isinstance(TrinomialPresentation.__dict__["grading"], cached_property)

@@ -1,9 +1,10 @@
-"""Parameter families built once, over their coefficients in lambda.
+"""Every construction built once, over its coefficients in the parameter.
 
-A t2b family is D0 + lambda*D1 and a t2d family D0 + lambda*D1 +
-lambda^2*D2. Each D_j is checked once against every relation, and every
-sample is their exact sum. The reference below is the per-lambda formula
-that built each sample from scratch, kept here to compare with.
+A t2b family is D0 + lambda*D1, a t2d family D0 + lambda*D1 +
+lambda^2*D2, and the t2c classes D0 + mu*D1 at mu = i and -i. Each D_j
+is checked once against every relation, and every derivation is their
+exact sum. The reference below is the per-parameter formula that built
+each one from scratch, kept here to compare with.
 """
 
 import json
@@ -27,15 +28,15 @@ from trilnd.derivation import Derivation, kernel_member
 from trilnd.gaussian import ONE, I, InternalError, gq
 from trilnd.grading import derivation_degree, weight_assignment
 from trilnd.poly import Poly, exact_divide, poly_parse, svar, tvar
-from trilnd.presentation import type2
+from trilnd.presentation import TrinomialPresentation, type2
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 EXTRA_LAMBDAS = (gq(3), gq(1, -2), gq(-1) / 2)
 
 
 def direct_member(P, desc: LndDescriptor) -> Derivation:
-    """The family member at desc.param from the per-lambda formula: the two
-    distinguished images evaluated at lambda, every other chosen variable
+    """The derivation at desc.param from the per-parameter formula: the two
+    distinguished images evaluated at it, every other chosen variable
     solved from the triple relation through its block by exact division,
     and every image normalized."""
     construction = _Construction(P, desc)
@@ -44,6 +45,8 @@ def direct_member(P, desc: LndDescriptor) -> Derivation:
     lam = desc.param
     if desc.kind == "t2b":
         images = {t_a: pieces[0], t_b: pieces[1] * lam}
+    elif desc.kind == "t2c":
+        images = {t_a: pieces[0] * (lam * construction.roots[0]), t_b: pieces[1]}
     else:
         ab, ac, ba, bc = pieces
         sb, sc = construction.roots
@@ -183,9 +186,41 @@ def test_plan_descriptors_reuse_the_plan_tuple(monkeypatch):
     assert len(calls) == 3 * candidates + 1
 
 
-def test_a_build_outside_normal_form_is_normalized_before_its_check():
+# every corpus t2c class has the root sb = 1; these have sb = 2, i, 1 and 3/2
+RESCALED = [
+    type2(((2,), (2,), (2,)), constants=((1, 0), (0, 1), (1, 4))),
+    type2(((2, 4), (2,), (2, 2)), constants=((1, 0), (0, 1), (1, -1))),
+    type2(((2,), (2,), (2,), (1, 1)), constants=((1, 0), (0, 1), (4, 9), (1, 2))),
+]
+T2C_CLASSES = [
+    (P, desc)
+    for P in [
+        *corpus(),
+        *(TrinomialPresentation.from_json(path.read_text()) for path in sorted(SAMPLES.glob("*.json"))),
+        *RESCALED,
+    ]
+    for entry in class_plan(P)
+    for _, desc in entry.descriptors
+    if desc.kind == "t2c"
+]
+
+
+def test_every_t2c_class_is_the_direct_formula():
+    """At mu = i and -i, the sum D0 + mu*D1 equals the formula that set
+    both distinguished images at mu and solved the rest."""
+    assert len(T2C_CLASSES) == 42
+    assert {desc.param for _, desc in T2C_CLASSES} == {I, -I}
+    assert {_Construction(P, desc).roots for P, desc in T2C_CLASSES} == {
+        (gq(1),), (gq(2),), (I,), (gq(3) / 2,)
+    }
+    for P, desc in T2C_CLASSES:
+        assert build_lnd(P, desc).images == direct_member(P, desc).images, (P.describe(), desc)
+
+
+def test_a_build_outside_normal_form_is_an_internal_error():
     P = next(P for P in corpus() if P.describe() == "type2[(2),(2),(2)]d1")
     construction = _Construction(P, LndDescriptor("free", k=1))
     lead = poly_parse("T2_1^2")  # the lead of the rule of block 2
-    delta = construction._checked({svar(1): lead}, "test")
-    assert delta.image(svar(1)) == Derivation(P, {svar(1): lead}).image(svar(1)) != lead
+    assert Derivation(P, {svar(1): lead}).image(svar(1)) != lead
+    with pytest.raises(InternalError, match="test has a term outside normal form"):
+        construction._checked({svar(1): lead}, "test")

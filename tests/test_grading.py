@@ -1,5 +1,14 @@
+import contextlib
+import io
+import json
+import sys
+
 import pytest
 
+import trilnd.grading
+from trilnd.classify import class_plan
+from trilnd.cli import main
+from trilnd.corpus import corpus, unnormalized_member
 from trilnd.derivation import Derivation
 from trilnd.gaussian import I, gq
 from trilnd.grading import (
@@ -12,7 +21,7 @@ from trilnd.grading import (
     weight_of,
 )
 from trilnd.poly import Poly, poly_parse, svar, tvar
-from trilnd.presentation import surface, type1, type2
+from trilnd.presentation import TrinomialPresentation, surface, type1, type2
 
 
 def test_rank_matches_block_structure():
@@ -137,3 +146,37 @@ def test_format_weight():
     assert g.format_weight((1, 0, 0)) == "e"
     assert g.format_weight((2, -1, 0)) == "2e-e0_2"
     assert g.format_weight((0, 1, 3)) == "e0_2+3e1"
+
+
+def test_the_presentation_caches_its_grading():
+    for P in [*corpus(), unnormalized_member()]:
+        grading = P.grading
+        assert P.grading is grading
+        fresh = weight_assignment(P)
+        assert grading.basis_labels == fresh.basis_labels
+        assert grading.weights == fresh.weights
+
+
+@pytest.mark.parametrize("command", ["analyze", "lnds", "oracle"])
+def test_each_command_builds_the_grading_once(monkeypatch, tmp_path, command):
+    """On a presentation with a t2b family, whose samples carry the
+    family's degree and whose report prints the grading."""
+    data = {"type": 2, "blocks": [[1], [1], [2]]}
+    P = TrinomialPresentation.from_input_dict(data)
+    assert any(e.family is not None and e.family.kind == "t2b" for e in class_plan(P))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    calls = []
+    original = trilnd.grading.weight_assignment
+
+    def counted(P):
+        calls.append(P)
+        return original(P)
+
+    # every binding, so that a module importing the name is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trilnd") and vars(module).get("weight_assignment") is original:
+            monkeypatch.setattr(module, "weight_assignment", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--presentation", str(path)]) == 0
+    assert len(calls) == 1

@@ -219,7 +219,7 @@ def test_orbit_readers_see_every_member(P):
             continue
         delta = build_lnd(cold(P), inst.descriptor)
         reference.setdefault(derivation_degree(delta, grading), []).append(inst.descriptor)
-    by_degree = _classifier_by_degree(P, grading)
+    by_degree = _classifier_by_degree(P)
     assert {d: [i.descriptor for i in insts] for d, insts in by_degree.items()} == reference
     assert induced_weight_box(P) == tuple(sorted({grading.zero(), *reference}))
 
