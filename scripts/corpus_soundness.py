@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Sweep the built-in corpus and verify every emitted derivation.
 
-For each presentation: materialize one derivation per class, check
-well-definedness, homogeneity, nilpotency, and kernel membership of the
-recorded invariants. Prints one line per member and a final tally.
+For each presentation of corpus() and rescaled_members(): materialize
+one derivation per class, check well-definedness, homogeneity,
+nilpotency, and kernel membership of the recorded invariants. A failed
+self-check of the enumeration (an InternalError) or an inhomogeneous
+derivation counts as a failure of its member, as a broken check does.
+Prints one line per member and a final tally.
 """
 
 import argparse
@@ -13,16 +16,20 @@ import time
 sys.path.insert(0, "src")
 
 from trilnd.classify import enumerate_lnds, kernel_generators
-from trilnd.corpus import corpus
+from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check
-from trilnd.grading import derivation_degree, weight_assignment
+from trilnd.gaussian import InternalError
+from trilnd.grading import NonHomogeneous, derivation_degree
 
 
 def check_member(P, cap: int):
-    grading = weight_assignment(P)
     count = 0
     problems = []
-    for inst in enumerate_lnds(P):
+    try:
+        instances = enumerate_lnds(P)
+    except InternalError as exc:
+        return 0, [f"enumeration failed a self-check: {exc}"]
+    for inst in instances:
         if inst.error is not None:
             problems.append(f"enumeration error: {inst.error}")
             continue
@@ -33,7 +40,11 @@ def check_member(P, cap: int):
             problems.append(f"relation {report.relation_index} broken")
             continue
         if not delta.is_zero():
-            derivation_degree(delta, grading)
+            try:
+                derivation_degree(delta, P.grading)
+            except NonHomogeneous as exc:
+                problems.append(f"not homogeneous for {inst.descriptor.to_dict()}: {exc}")
+                continue
         nil = nilpotency_check(delta, cap=cap)
         if not nil.verified:
             problems.append(f"nilpotency {nil.status} for {inst.descriptor.to_dict()}")
@@ -51,8 +62,9 @@ def main() -> int:
 
     total = 0
     failures = 0
+    members = (*corpus(), *rescaled_members())
     started = time.monotonic()
-    for P in corpus():
+    for P in members:
         count, problems = check_member(P, args.cap)
         total += count
         mark = "ok" if not problems else "FAIL"
@@ -61,7 +73,7 @@ def main() -> int:
             failures += 1
             print(f"    {msg}")
     elapsed = time.monotonic() - started
-    print(f"\n{total} derivations over {len(corpus())} members "
+    print(f"\n{total} derivations over {len(members)} members "
           f"in {elapsed:.1f} s, {failures} failures")
     return 1 if failures else 0
 

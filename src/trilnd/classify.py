@@ -736,7 +736,7 @@ class _Construction:
                     solved[m / c_m] = c
                 except NotDivisible:
                     raise ExactDivisionFailed(
-                        f"solving the image of block {t_s[1]} failed: "
+                        f"solving the image of {gen_name(t_s)} failed: "
                         f"term {m} is not divisible by {c_m}"
                     ) from None
             if solved:

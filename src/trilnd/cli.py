@@ -7,8 +7,8 @@ broken, the derivation is not homogeneous, or nilpotency is refuted),
 3 when nilpotency testing ends inconclusive (a guard such as the
 iteration cap tripped), 4 when a self-check fails (an InternalError, a
 bug), 141 (128 + SIGPIPE) when the reader of stdout goes away. Exits 1
-and 4 print {"error", "kind"}; any other exception is a bug and
-propagates with its traceback.
+and 4 print {"error", "kind"}. Any other exception is a bug too: it
+exits 4 and prints its traceback to stderr as well.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .classify import (
     NeedsNormalization,
     NoSuchFreeVariable,
     WrongType,
-    build_lnd,
+    _Construction,
     class_report,
     enumerate_lnds,
-    kernel_generators,
 )
 from .derivation import (
     DerivationFormatError,
@@ -233,7 +232,9 @@ def cmd_lnds(args) -> int:
 def cmd_kernel(args) -> int:
     P = TrinomialPresentation.from_json(_read_text(args.presentation))
     desc = _descriptor_from_json(args.descriptor)
-    gens = kernel_generators(P, desc)
+    # one construction gives both the kernel and the derivation
+    construction = _Construction(P, desc)
+    gens = construction.kernel(desc.param)
     out = {
         "presentation": P.to_input_dict(),
         "descriptor": desc.to_dict(),
@@ -241,7 +242,7 @@ def cmd_kernel(args) -> int:
     }
     if args.member is not None:
         member = poly_parse(args.member, allowed=P.generators)
-        delta = build_lnd(P, desc)
+        delta = construction.build(desc.param)
         out["member"] = {
             "poly": poly_format(member),
             "in_kernel": kernel_member(delta, member),
@@ -425,7 +426,13 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return EXIT_INPUT
-    except InternalError as exc:
+    except Exception as exc:
+        if not isinstance(exc, InternalError):
+            # a bug no self-check caught: its traceback goes to stderr.
+            # Imported here so that no command loads traceback at start-up.
+            import traceback
+
+            traceback.print_exc()
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return EXIT_INTERNAL
 

@@ -103,6 +103,19 @@ def unnormalized_member() -> TrinomialPresentation:
 
 
 @lru_cache(maxsize=1)
+def rescaled_members():
+    """Type 2 presentations whose t2c and t2d roots are not all 1 (sb = 2,
+    i and 3/2), kept outside corpus(): every corpus member uses the
+    standard columns, where sb = sc = 1, so the corpus alone cannot see a
+    formula that drops or misplaces a root."""
+    return (
+        type2(((2,), (2,), (2,)), constants=((1, 0), (0, 1), (1, 4))),
+        type2(((2, 4), (2,), (2, 2)), constants=((1, 0), (0, 1), (1, -1))),
+        type2(((2,), (2,), (2,), (1, 1)), constants=((1, 0), (0, 1), (4, 9), (1, 2))),
+    )
+
+
+@lru_cache(maxsize=1)
 def corpus():
     """The full fixed corpus, type 1 entries first."""
     members = [type1(blocks, d=d) for blocks, d in _TYPE1]

@@ -265,9 +265,8 @@ class Derivation:
         return Derivation(self.presentation, merged)
 
     def __repr__(self):
-        body = ", ".join(
-            f"{gen_name(g)} -> {poly_format(img)}" for g, img in sorted(self.images.items())
-        )
+        images = sorted(self.images.items(), reverse=True)
+        body = ", ".join(f"{gen_name(g)} -> {poly_format(img)}" for g, img in images)
         return f"Derivation({body or '0'})"
 
 

@@ -1,16 +1,17 @@
 """Sparse multivariate polynomials over Q(i) on trinomial generator alphabets.
 
-Generators are plain tuples: ("T", i, j) is variable j of block i and
-("S", k) is the k-th free variable. A Monomial is an immutable sparse
-exponent map, a Poly maps monomials to nonzero GaussianRational
-coefficients.
+A Monomial is an immutable sparse exponent map, a Poly maps monomials
+to nonzero GaussianRational coefficients.
 
 The monomial order used everywhere is block order: any T beats any S,
 higher block index beats lower, and inside one block the variable with
-the smaller j is the more significant one (plain lexicographic reading).
-Free variables compare by index, smaller k more significant. Under this
-order the highest-index block monomial of each defining relation is the
-lead term.
+the smaller j is the more significant one. Free variables compare by
+index, smaller k more significant. Under this order the highest-index
+block monomial of each defining relation is the lead term. A generator
+is the tuple it sorts by, T_ij = (1, i, ~j) and S_k = (0, ~k), so plain
+tuple order on generators and on a Monomial's pairs is this order; ~j =
+-j-1, not -j, as CPython hashes -1 and -2 alike. Only tvar, svar,
+gen_name and parse_gen_name build or read a generator's fields.
 
 Normal forms come from one rewrite engine, RewriteEngine, on the packed
 dense form described below; normal_form is its entry for a Poly, and
@@ -52,17 +53,20 @@ class DegreeOverflow(ValueError):
 
 
 def tvar(i: int, j: int) -> Gen:
-    return ("T", i, j)
+    """T_ij as its sort key (1, i, ~j). Not -j: as hash(-1) == hash(-2), T_i1
+    and T_i2 (and S1, S2) would hash alike in every dict and set."""
+    return (1, i, ~j)
 
 
 def svar(k: int) -> Gen:
-    return ("S", k)
+    """S_k as its sort key (0, ~k); see tvar."""
+    return (0, ~k)
 
 
 def gen_name(g: Gen) -> str:
-    if g[0] == "T":
-        return f"T{g[1]}_{g[2]}"
-    return f"S{g[1]}"
+    if g[0]:
+        return f"T{g[1]}_{~g[2]}"
+    return f"S{~g[1]}"
 
 
 _GEN_RE = _re.compile(r"^(?:T(\d+)_(\d+)|S(\d+))$")
@@ -75,13 +79,6 @@ def parse_gen_name(name: str) -> Gen:
     if m.group(1) is not None:
         return tvar(int(m.group(1)), int(m.group(2)))
     return svar(int(m.group(3)))
-
-
-def gen_significance(g: Gen):
-    """Sort key, larger means more significant in the monomial order."""
-    if g[0] == "T":
-        return (1, g[1], -g[2])
-    return (0, -g[1])
 
 
 def _items(data):
@@ -97,36 +94,26 @@ def _items(data):
 class Monomial:
     """An immutable sparse exponent vector, hashable and totally ordered."""
 
-    __slots__ = ("_pairs", "_key", "_hash")
+    __slots__ = ("_pairs", "_hash")
 
     def __init__(self, exps: Union[Mapping[Gen, int], Iterable[Tuple[Gen, int]]] = ()):
-        items = _items(exps)
         merged: dict = {}
-        for g, e in items:
+        for g, e in _items(exps):
             if e:
                 merged[g] = merged.get(g, 0) + e
         for g, e in merged.items():
             if e < 0:
                 raise ValueError(f"negative exponent for {gen_name(g)}")
-        pairs = tuple(
-            sorted(
-                ((g, e) for g, e in merged.items() if e),
-                key=lambda it: gen_significance(it[0]),
-                reverse=True,
-            )
-        )
+        pairs = tuple(sorted(((g, e) for g, e in merged.items() if e), reverse=True))
         self._pairs = pairs
-        self._key = tuple((gen_significance(g), e) for g, e in pairs)
         self._hash = hash(pairs)
 
     @staticmethod
-    def _of(pairs: tuple, key: tuple = None) -> "Monomial":
+    def _of(pairs: tuple) -> "Monomial":
         """Wrap (generator, exponent) pairs that are already merged, nonzero
-        and in decreasing significance, without checking; key, when given,
-        is their sort key, (gen_significance(g), e) per pair."""
+        and in decreasing generator order, without checking."""
         out = Monomial.__new__(Monomial)
         out._pairs = pairs
-        out._key = tuple((gen_significance(g), e) for g, e in pairs) if key is None else key
         out._hash = hash(pairs)
         return out
 
@@ -159,7 +146,7 @@ class Monomial:
         if not sigma:
             return self
         pairs = [(sigma[pair[0]], pair[1]) if pair[0] in sigma else pair for pair in self._pairs]
-        pairs.sort(key=lambda it: gen_significance(it[0]), reverse=True)
+        pairs.sort(reverse=True)
         return Monomial._of(tuple(pairs))
 
     def divides(self, other: "Monomial") -> bool:
@@ -176,16 +163,16 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial"):
-        return self._key < other._key
+        return self._pairs < other._pairs
 
     def __le__(self, other: "Monomial"):
-        return self._key <= other._key
+        return self._pairs <= other._pairs
 
     def __gt__(self, other: "Monomial"):
-        return self._key > other._key
+        return self._pairs > other._pairs
 
     def __ge__(self, other: "Monomial"):
-        return self._key >= other._key
+        return self._pairs >= other._pairs
 
     def __str__(self):
         if not self._pairs:
@@ -204,47 +191,40 @@ MONO_ONE = Monomial()
 
 def _merge(a: Monomial, b: Monomial, sign: int) -> Monomial:
     """a * b for sign 1, a / b for sign -1: one merge of the two pair
-    tuples, both in decreasing significance. Raises NotDivisible when a
-    quotient would have a negative exponent."""
+    tuples, both in decreasing generator order. Raises NotDivisible when
+    a quotient would have a negative exponent."""
     bp = b._pairs
     if not bp:
         return a
     ap = a._pairs
-    ak, bk = a._key, b._key
     na, nb = len(ap), len(bp)
     pairs = []
-    keys = []
     i = j = 0
     while i < na and j < nb:
-        sa, sb = ak[i][0], bk[j][0]
-        if sa > sb:
+        ga, gb = ap[i][0], bp[j][0]
+        if ga > gb:
             pairs.append(ap[i])
-            keys.append(ak[i])
             i += 1
             continue
-        if sa < sb:
+        if ga < gb:
             if sign < 0:
                 break
             pairs.append(bp[j])
-            keys.append(bk[j])
         else:
             e = ap[i][1] + sign * bp[j][1]
             if e < 0:
                 break
             if e:
-                pairs.append((ap[i][0], e))
-                keys.append((sa, e))
+                pairs.append((ga, e))
             i += 1
         j += 1
     if j < nb:
         if sign < 0:
             raise NotDivisible(f"{a} not divisible by {b}")
         pairs.extend(bp[j:])
-        keys.extend(bk[j:])
     elif i < na:
         pairs.extend(ap[i:])
-        keys.extend(ak[i:])
-    return Monomial._of(tuple(pairs), tuple(keys))
+    return Monomial._of(tuple(pairs))
 
 
 def _add_term(acc: dict, m: Monomial, c: GaussianRational) -> None:
@@ -617,13 +597,7 @@ class RewriteEngine:
         # (generator, shift) of each field, most significant generator first:
         # the order of a Monomial's pairs, in which lex order on the fields
         # of two keys is the Monomial order
-        self._fields = tuple(
-            sorted(
-                ((g, EXPONENT_BITS * k) for g, k in index.items()),
-                key=lambda field: gen_significance(field[0]),
-                reverse=True,
-            )
-        )
+        self._fields = tuple(sorted(((g, EXPONENT_BITS * k) for g, k in index.items()), reverse=True))
 
     def degree(self, key: int) -> int:
         """The total degree of a key."""

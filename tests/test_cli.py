@@ -529,9 +529,9 @@ def test_failed_exact_division_is_not_reported_as_invalid_input(monkeypatch, cap
         raise trilnd.NotDivisible("T0_1 is not divisible by T1_1")
 
     monkeypatch.setattr(trilnd.cli, "class_report", divide)
-    with pytest.raises(trilnd.NotDivisible):
-        main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"])
-    assert capsys.readouterr().out == ""
+    code, rep = run(capsys, "analyze", "--presentation", f"{SAMPLES}/sphere.json")
+    assert code == 4
+    assert rep == {"error": "T0_1 is not divisible by T1_1", "kind": "NotDivisible"}
 
 
 def test_cli_import_leaves_sympy_unloaded():
@@ -606,10 +606,13 @@ def test_documented_input_errors_exit_one(tmp_path, capsys, argv):
 
 
 def test_an_undocumented_value_error_is_not_reported_as_invalid_input(monkeypatch, capsys):
+    """Any exception outside the documented ones is a bug: exit 4, the
+    error object on stdout and the traceback on stderr."""
     def broken(*args):
         raise ValueError("an internal slip")
 
     monkeypatch.setattr(trilnd.cli, "class_report", broken)
-    with pytest.raises(ValueError, match="an internal slip"):
-        main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"])
-    assert capsys.readouterr().out == ""
+    assert main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "an internal slip", "kind": "ValueError"}
+    assert "Traceback" in captured.err and "an internal slip" in captured.err

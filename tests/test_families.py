@@ -23,11 +23,11 @@ from trilnd.classify import (
     kernel_generators,
 )
 from trilnd.cli import main
-from trilnd.corpus import corpus
+from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import Derivation, kernel_member
 from trilnd.gaussian import ONE, I, InternalError, gq
 from trilnd.grading import derivation_degree, weight_assignment
-from trilnd.poly import Poly, exact_divide, poly_parse, svar, tvar
+from trilnd.poly import Poly, exact_divide, poly_format, poly_parse, svar, tvar
 from trilnd.presentation import TrinomialPresentation, type2
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -172,6 +172,30 @@ def test_lnds_checks_each_class_once_and_no_sample(monkeypatch, capsys, tmp_path
     assert len(checks) == len(concrete) + coefficients
 
 
+def test_kernel_with_a_member_builds_one_construction(monkeypatch, capsys):
+    """trilnd kernel --member checks each coefficient of the family once
+    and prints what kernel_generators, build_lnd and kernel_member give."""
+    path = SAMPLES / "sphere.json"
+    P = TrinomialPresentation.from_json(path.read_text())
+    desc = LndDescriptor("t2d", c=(1, 1, 1), roles=(0, 1, 2), param=gq(2))
+    (extra,) = kernel_generators(P, desc)
+    expected = {
+        "presentation": P.to_input_dict(),
+        "descriptor": desc.to_dict(),
+        "kernel": [poly_format(extra)],
+        "member": {
+            "poly": poly_format(extra),
+            "in_kernel": kernel_member(build_lnd(P, desc), extra),
+        },
+    }
+    assert expected["member"]["in_kernel"] is True
+    checks = counted(monkeypatch, "is_well_defined")
+    argv = ["kernel", "--presentation", str(path), "--descriptor", json.dumps(desc.to_dict())]
+    assert main([*argv, "--member", poly_format(extra)]) == 0
+    assert len(checks) == 3  # D0, D1 and D2 of the t2d family
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+
 def test_plan_descriptors_reuse_the_plan_tuple(monkeypatch):
     """The plan classifies each candidate orbit once; its descriptors are
     not classified again, a user's descriptor is."""
@@ -186,18 +210,13 @@ def test_plan_descriptors_reuse_the_plan_tuple(monkeypatch):
     assert len(calls) == 3 * candidates + 1
 
 
-# every corpus t2c class has the root sb = 1; these have sb = 2, i, 1 and 3/2
-RESCALED = [
-    type2(((2,), (2,), (2,)), constants=((1, 0), (0, 1), (1, 4))),
-    type2(((2, 4), (2,), (2, 2)), constants=((1, 0), (0, 1), (1, -1))),
-    type2(((2,), (2,), (2,), (1, 1)), constants=((1, 0), (0, 1), (4, 9), (1, 2))),
-]
+# every corpus t2c class has the root sb = 1; the rescaled members have sb = 2, i, 1 and 3/2
 T2C_CLASSES = [
     (P, desc)
     for P in [
         *corpus(),
         *(TrinomialPresentation.from_json(path.read_text()) for path in sorted(SAMPLES.glob("*.json"))),
-        *RESCALED,
+        *rescaled_members(),
     ]
     for entry in class_plan(P)
     for _, desc in entry.descriptors

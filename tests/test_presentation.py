@@ -7,7 +7,7 @@ import pytest
 
 from trilnd.corpus import corpus
 from trilnd.gaussian import gq
-from trilnd.poly import Poly, partial_derivative, poly_parse, svar, tvar
+from trilnd.poly import Poly, gen_name, partial_derivative, poly_parse, svar, tvar
 from trilnd.presentation import (
     AssumptionViolated,
     BadShape,
@@ -175,14 +175,15 @@ def test_block_power_helpers():
 
 def test_block_partial_is_the_partial_of_the_block_power():
     for P in corpus():
-        for g in P.generators:
-            if g[0] != "T":
-                continue
-            _, i, j = g
-            fresh = partial_derivative(P.block_power(i), tvar(i, j))
-            assert P.block_partial(i, j) == fresh, (P.describe(), g)
-            assert len(fresh.terms) == 1
-            assert P.block_partial(i, j) is P.block_partial(i, j)
+        checked = set()
+        for i in P.block_numbers:
+            for j in range(1, P.block_size(i) + 1):
+                fresh = partial_derivative(P.block_power(i), tvar(i, j))
+                assert P.block_partial(i, j) == fresh, (P.describe(), i, j)
+                assert len(fresh.terms) == 1
+                assert P.block_partial(i, j) is P.block_partial(i, j)
+                checked.add(tvar(i, j))
+        assert checked == {g for g in P.generators if gen_name(g).startswith("T")}
 
 
 def test_memoized_minors_are_the_fresh_minors():
