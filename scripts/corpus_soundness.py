@@ -3,7 +3,11 @@
 
 For each presentation of corpus() and rescaled_members(): materialize
 one derivation per class, check well-definedness, homogeneity,
-nilpotency, and kernel membership of the recorded invariants. A failed
+nilpotency, and kernel membership of the recorded invariants. Each
+derivation delta also gets a replica h * delta, with h = (1 + k1 + k2) *
+k_last built from its kernel generators, which must read the same
+nilpotency status and index as delta: h lies in the kernel, so
+(h * delta)^n = h^n * delta^n on every generator. A failed
 self-check of the enumeration (an InternalError) or an inhomogeneous
 derivation counts as a failure of its member, as a broken check does.
 Prints one line per member and a final tally.
@@ -17,7 +21,7 @@ sys.path.insert(0, "src")
 
 from trilnd.classify import enumerate_lnds, kernel_generators
 from trilnd.corpus import corpus, rescaled_members
-from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check
+from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check, replica
 from trilnd.gaussian import InternalError
 from trilnd.grading import NonHomogeneous, derivation_degree
 
@@ -48,9 +52,18 @@ def check_member(P, cap: int):
         nil = nilpotency_check(delta, cap=cap)
         if not nil.verified:
             problems.append(f"nilpotency {nil.status} for {inst.descriptor.to_dict()}")
-        for g in kernel_generators(P, inst.descriptor):
-            if not kernel_member(delta, g):
-                problems.append(f"kernel generator {g} not annihilated")
+        kernel = kernel_generators(P, inst.descriptor)
+        stray = [g for g in kernel if not kernel_member(delta, g)]
+        problems.extend(f"kernel generator {g} not annihilated" for g in stray)
+        if stray:
+            continue
+        h = (1 + sum(kernel[:2])) * (kernel[-1] if kernel else 1)
+        twin = nilpotency_check(replica(delta, h), cap=cap)
+        if (twin.status, twin.index) != (nil.status, nil.index):
+            problems.append(
+                f"replica by {h} reads {twin.status} {twin.index}, "
+                f"not {nil.status} {nil.index}, for {inst.descriptor.to_dict()}"
+            )
     return count, problems
 
 
@@ -73,7 +86,7 @@ def main() -> int:
             failures += 1
             print(f"    {msg}")
     elapsed = time.monotonic() - started
-    print(f"\n{total} derivations over {len(members)} members "
+    print(f"\n{total} derivations and {total} replicas over {len(members)} members "
           f"in {elapsed:.1f} s, {failures} failures")
     return 1 if failures else 0
 

@@ -305,10 +305,7 @@ def _preferred_case_b_labeling(P: TrinomialPresentation, info: AdmissibleTuple):
     Labelings are interchangeable mathematically, but only some may be
     buildable without extending the field, so those are preferred.
     """
-    for lab in info.labelings:
-        if _roots_exist(P, lab, need_gamma=False):
-            return lab
-    return info.labelings[0]
+    return next((lab for lab in info.labelings if _roots_exist(P, lab, False)), info.labelings[0])
 
 
 def _case_b_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
@@ -318,7 +315,7 @@ def _case_b_infinite(P: TrinomialPresentation, info: AdmissibleTuple):
     if not qualifying:
         return None
     for lab in qualifying:
-        if _roots_exist(P, lab, need_gamma=True):
+        if _roots_exist(P, lab, True):
             return lab
     return qualifying[0]
 
@@ -838,12 +835,12 @@ def is_rigid(P: TrinomialPresentation) -> RigidityReport:
 def _rigidity(first: Optional[PlannedClass]) -> RigidityReport:
     """Rigidity read off the first entry of the class plan."""
     if first is None:
-        return RigidityReport(rigid=True, reason="no free variables and no admissible tuple")
+        return RigidityReport(True, "no free variables and no admissible tuple")
     if first.info is None:
         reason = "free variables always carry derivations"
     else:
         reason = f"admissible tuple {first.info.c} exists"
-    return RigidityReport(rigid=False, reason=reason, witness=first.descriptors[0][1])
+    return RigidityReport(False, reason, first.descriptors[0][1])
 
 
 @dataclass(frozen=True)
@@ -859,8 +856,11 @@ def is_semirigid(P: TrinomialPresentation) -> SemirigidityReport:
     """Semirigid means all nonzero derivations share one kernel.
 
     Holds when the algebra is rigid; when there is a single free
-    variable over a rigid base; or (type 1 only) when the
-    Makar-Limanov computation applies.
+    variable over a rigid base; (type 1 only) when the Makar-Limanov
+    computation applies; or when the algebra has dimension one, where
+    the kernel of every nonzero locally nilpotent derivation is the
+    algebraic closure of k in A (Freudenburg, Algebraic Theory of
+    Locally Nilpotent Derivations, Ch. 1).
     """
     ml_computed = P.kind == 1 and makar_limanov(P).status == "computed"
     return _semirigidity(P, list(islice(class_plan(P), 2)), ml_computed)
@@ -878,7 +878,9 @@ def _semirigidity(P: TrinomialPresentation, plan: list, ml_computed: bool) -> Se
         return SemirigidityReport(True, "single_free_variable_over_rigid_base")
     if ml_computed:
         return SemirigidityReport(True, "makar_limanov")
-    return SemirigidityReport(False, None)
+    if P.dimension() == 1:
+        return SemirigidityReport(True, "dimension_one")
+    return SemirigidityReport(False)
 
 
 @dataclass(frozen=True)
@@ -1187,9 +1189,7 @@ def class_report(P: TrinomialPresentation, expand=False) -> LndClassReport:
     if P.kind == 1:
         ml = makar_limanov(P)
     else:
-        ml = MakarLimanovReport(
-            status="not_computed", reason="computed for type 1 presentations only"
-        )
+        ml = MakarLimanovReport("not_computed", "computed for type 1 presentations only")
     plan = list(class_plan(P))
     formatters = [(entry.orbit, _class_formatter(P, entry)) for entry in plan]
     expanded_count = None

@@ -32,6 +32,7 @@ from .classify import (
 )
 from .derivation import (
     DerivationFormatError,
+    _DenseForm,
     derivation_from_text,
     is_well_defined,
     kernel_member,
@@ -255,7 +256,8 @@ def cmd_verify(args) -> int:
     P = TrinomialPresentation.from_json(_read_text(args.presentation))
     delta = derivation_from_text(P, _read_text(args.derivation))
     out = {"presentation": P.to_input_dict()}
-    report = is_well_defined(delta)
+    form = _DenseForm(delta)  # packed once for both checks
+    report = is_well_defined(form)
     out["well_defined"] = report.ok
     if not report.ok:
         out["relation_index"] = report.relation_index
@@ -276,7 +278,7 @@ def cmd_verify(args) -> int:
     out["homogeneous"] = True
     if info:
         out.update(info)
-    nil = nilpotency_check(delta, cap=args.cap)
+    nil = nilpotency_check(form, cap=args.cap)
     out["nilpotency"] = {
         "status": nil.status,
         "cap": nil.cap,

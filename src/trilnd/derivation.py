@@ -18,7 +18,11 @@ with _DenseForm.derivation, and the classifier packs each build once
 Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
 are the references the tests compare the dense form with. A refuted
 nilpotency report is re-checked by refutation_holds on the exact images
-alone.
+alone. A form that passed the relation check, or that the oracle built
+from a solution of the relation rows, is marked well_defined, and only
+such a form reaches the degree-function certificate of nilpotency_check
+(_degree_index), which strips each iterate's monomial content and adds
+up the index from the generators' own.
 """
 
 from __future__ import annotations
@@ -114,20 +118,26 @@ class _DenseForm:
     exactly when delta(p) does, and has the same monomials. The Leibniz
     parts of the images are built by the first step, so a form that is
     never stepped, as a sample refuted by divisibility, never builds them.
+    well_defined is True once the form is known to map every relation
+    into the relation ideal: it passed broken_relation, or it was built
+    from a solution of the relation rows (the oracle's samples).
     """
 
-    __slots__ = ("presentation", "index", "scale", "images", "parts")
+    __slots__ = ("presentation", "index", "scale", "images", "parts", "well_defined")
 
     def __init__(self, delta: "Derivation"):
         scale, dense = integer_terms(delta.images.values(), delta.presentation.generator_index)
         self._set(delta.presentation, dict(zip(delta.images, dense)), scale)
 
     @classmethod
-    def from_images(cls, presentation: TrinomialPresentation, images: dict, scale: int):
+    def from_images(
+        cls, presentation: TrinomialPresentation, images: dict, scale: int, well_defined=False
+    ):
         """The form with these dense images at this scale; they must be
         nonzero, in normal form and free of zero coefficients."""
         out = cls.__new__(cls)
         out._set(presentation, images, scale)
+        out.well_defined = well_defined
         return out
 
     @classmethod
@@ -145,6 +155,7 @@ class _DenseForm:
         self.scale = scale
         self.images = images
         self.parts = None  # the Leibniz parts, built by the first step
+        self.well_defined = False
 
     def derivation(self) -> "Derivation":
         """The Derivation this form stands for. The engine builds its images
@@ -168,6 +179,15 @@ class _DenseForm:
             parts = self.parts = tuple(part(g, img.items()) for g, img in self.images.items())
         terms = dense_leibniz(p, parts)
         return primitive_part(self.presentation.engine.dense_normal_form(terms)[0])
+
+    def broken_relation(self) -> Optional[int]:
+        """The index of the first relation whose image is not zero in normal
+        form, or None, which also marks the form well defined."""
+        for idx, rel in enumerate(self.presentation.engine.relations):
+            if self.step(rel):
+                return idx
+        self.well_defined = True
+        return None
 
 
 class Derivation:
@@ -273,17 +293,17 @@ class Derivation:
 def is_well_defined(delta: Union[Derivation, _DenseForm]) -> WellDefinedReport:
     """Check that every defining relation maps into the relation ideal.
 
-    The zero test runs on the dense form, which delta may already be; a
-    broken relation's residue is recomputed exactly with Derivation.apply.
+    The zero test runs on the dense form, which delta may already be, and
+    marks that form well defined when it passes; a broken relation's
+    residue is recomputed exactly with Derivation.apply.
     """
-    P = delta.presentation
     dense = delta if isinstance(delta, _DenseForm) else _DenseForm(delta)
-    for idx, rel in enumerate(P.engine.relations):
-        if dense.step(rel):
-            exact = delta.derivation() if delta is dense else delta
-            residue = exact.apply(P.relations()[idx])
-            return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
-    return WellDefinedReport(ok=True)
+    idx = dense.broken_relation()
+    if idx is None:
+        return WellDefinedReport(ok=True)
+    exact = delta.derivation() if delta is dense else delta
+    residue = exact.apply(delta.presentation.relations()[idx])
+    return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
 
 
 def nilpotency_check(
@@ -309,6 +329,15 @@ def nilpotency_check(
     when an iterate balloons past any plausible vanishing trajectory.
     An inconclusive report names the guard that tripped.
 
+    Between the two, a delta known to map every relation into the
+    relation ideal (a dense form marked well_defined, else checked with
+    broken_relation) is first given to the degree-function certificate,
+    _degree_index. When that verifies, its index is the one the loop
+    below would report, and it also verifies a delta whose plain iterates
+    pass a size guard while their monomial-free parts stay within it.
+    When it gives up, the loop runs unchanged, so every refuted and
+    inconclusive report comes from the loop and the scan.
+
     Iterates live in the dense form, where each is a nonzero scalar
     multiple of the true one: its vanishing, term count and degree are
     those of the true iterate. Keys order by total degree first, so the
@@ -326,6 +355,10 @@ def nilpotency_check(
             return NilpotencyReport(
                 status="refuted", cap=cap, witness=g, refutation="divisibility"
             )
+    if dense.well_defined or dense.broken_relation() is None:
+        index = _degree_index(dense, cap, term_limit, degree_limit)
+        if index is not None:
+            return NilpotencyReport(status="verified", cap=cap, index=index)
     worst = 1
     for g in generators:
         p = dense.images.get(g)
@@ -344,6 +377,68 @@ def nilpotency_check(
             steps += 1
         worst = max(worst, steps)
     return NilpotencyReport(status="verified", cap=cap, index=worst)
+
+
+def _degree_index(
+    dense: _DenseForm, cap: int, term_limit: int, degree_limit: int
+) -> Optional[int]:
+    """The nilpotency index of a well-defined dense form, read off the
+    degree function of delta, or None where this certificate gives up.
+
+    Let nu = index - 1 on the nilpotent elements of A. In a domain of
+    characteristic 0, as A is (see refutation_holds), and for a
+    derivation of A, nu(fg) = nu(f) + nu(g) for nilpotent f and g,
+    because delta^(a+b)(fg) = C(a+b, a) * delta^a(f) * delta^b(g) is not
+    zero for a = nu(f), b = nu(g), and every higher power kills fg. So
+    each iterate p of a generator is split as mu * q, mu the greatest
+    monomial dividing every term of p, and nu(p) is the sum of e * nu(x)
+    over the powers x^e in mu, plus nu(q): 0 when q is a constant or
+    delta(q) = 0, else 1 + nu(delta(q)). Only q is stepped, so a
+    monomial factor of an iterate, such as the monomial part of h in the
+    iterates h^n * delta^n(g) of a replica, is never carried into the
+    next step. nu of a generator is computed when first needed and kept
+    for the rest of the check, so the recursion is at most as deep as
+    there are generators.
+
+    Gives up when a generator's nu is needed while its own chain is still
+    open (a cycle), when some index would exceed cap, or when a stripped
+    iterate q passes term_limit or degree_limit.
+    """
+    engine = dense.presentation.engine
+    images = dense.images
+    nu = {g: 0 for g in dense.presentation.generators if g not in images}
+    started = set()  # chains begun; those not yet in nu are open
+
+    def degree(g):
+        if g in started:
+            return None
+        started.add(g)
+        p = images[g]
+        total = 0
+        while p:
+            total += 1
+            pairs, q = engine.content(p)
+            for x, e in pairs:
+                v = nu.get(x)
+                if v is None:
+                    v = degree(x)
+                    if v is None:
+                        return None
+                total += e * v
+            if total >= cap:
+                return None
+            if len(q) == 1:  # a constant, once stripped
+                break
+            if len(q) > term_limit or engine.degree(max(q)) > degree_limit:
+                return None
+            p = dense.step(q)
+        nu[g] = total
+        return total
+
+    for g in images:
+        if g not in nu and degree(g) is None:
+            return None
+    return max(nu.values()) + 1
 
 
 def refutation_holds(delta: Derivation, report: NilpotencyReport) -> bool:

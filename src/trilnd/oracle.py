@@ -15,10 +15,12 @@ The search runs on the dense form of poly.py end to end. The engine
 enumerates the box as normal-form keys with their weights, an unknown is
 a (generator, key) pair, and the basis vectors and the samples combined
 from them are dense forms at one integer scale per space, which
-nilpotency_check takes as they are. The Derivations of SolutionSpace.basis
-and OracleWeightEntry.samples are built from those dense images without
-normalizing them again, and SolutionSpace.unknowns turns its keys into
-monomials when first read.
+nilpotency_check takes as they are. They solve every relation row, so
+they are marked well defined and go to its degree-function certificate
+unchecked, as does each classifier output that lies in the span. The
+Derivations of SolutionSpace.basis and OracleWeightEntry.samples are
+built from those dense images without normalizing them again, and
+SolutionSpace.unknowns turns its keys into monomials when first read.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def solution_space(
             a, b, d = vec[k]._abd
             g, key = columns[k]
             images.setdefault(g, {})[key] = (a * (scale // d), b * (scale // d))
-        forms.append(_DenseForm.from_images(P, images, scale))
+        forms.append(_DenseForm.from_images(P, images, scale, well_defined=True))
     return SolutionSpace(
         presentation=P,
         weight=weight,
@@ -281,13 +283,16 @@ def solution_space(
 
 def _combination(x: _DenseForm, y: _DenseForm, c: Tuple[int, int]) -> _DenseForm:
     """x + c * y for two dense forms at one scale and a Gaussian integer c,
-    as (real, imaginary), with cancelled terms and images dropped."""
+    as (real, imaginary), with cancelled terms and images dropped. The
+    relation images are linear in the derivation, so the sum is well
+    defined when both terms are."""
     images = {}
     for g in {**x.images, **y.images}:
         img = dense_combination(x.images.get(g, {}), y.images.get(g, {}), *c)
         if img:
             images[g] = img
-    return _DenseForm.from_images(x.presentation, images, x.scale)
+    well_defined = x.well_defined and y.well_defined
+    return _DenseForm.from_images(x.presentation, images, x.scale, well_defined)
 
 
 def _classifier_by_degree(P: TrinomialPresentation):
@@ -422,8 +427,11 @@ def oracle_enumerate(
         members = []
         for inst in by_degree.get(w, ()):
             name = _descriptor_label(inst.descriptor)
-            members.append((name, space.contains(inst.derivation)))
-            samples.append((f"classifier:{name}", inst.derivation, inst.derivation))
+            form = _DenseForm(inst.derivation)
+            # in the span, it solves every relation row as the basis does
+            form.well_defined = space.contains(inst.derivation)
+            members.append((name, form.well_defined))
+            samples.append((f"classifier:{name}", form, inst.derivation))
         checked = []
         nilpotent_found = False
         refuted = inconclusive = 0

@@ -676,6 +676,25 @@ class RewriteEngine:
         shift = EXPONENT_BITS * self.index[g]
         return all((m >> shift) & EXPONENT_MASK for m in terms)
 
+    def content(self, terms: dict) -> tuple:
+        """(pairs, quotient) for a nonzero dense dict: pairs lists (generator,
+        exponent) of the greatest monomial dividing every key, most
+        significant generator first, and quotient is terms divided by it."""
+        keys = iter(terms)
+        first = next(keys)
+        found = [(g, s, e) for g, s in self._fields if (e := (first >> s) & EXPONENT_MASK)]
+        if len(terms) == 1:
+            return tuple((g, e) for g, _, e in found), {0: terms[first]}
+        for key in keys:
+            if not found:
+                break
+            found = [(g, s, m) for g, s, e in found if (m := min(e, (key >> s) & EXPONENT_MASK))]
+        if not found:
+            return (), terms
+        common = sum(e << s for _, s, e in found)
+        common += sum(e for *_, e in found) << self._degree_shift
+        return tuple((g, e) for g, _, e in found), {key - common: c for key, c in terms.items()}
+
     def leibniz_part(self, g: Gen, image) -> tuple:
         """(EXPONENT_BITS * k, image / x_k) for the derivation sending g, the
         generator at position k, to image, given as (key, (re, im)) pairs:

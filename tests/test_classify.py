@@ -334,6 +334,22 @@ def test_semirigid_clauses():
     assert not is_semirigid(type1(((2, 3), (2, 5)), d=2)).semirigid
 
 
+@pytest.mark.parametrize(
+    "blocks, clause",
+    [
+        (((1,), (1,)), "dimension_one"),
+        (((1,), (1,), (1,)), "dimension_one"),
+        (((2,), (1,)), "makar_limanov"),
+    ],
+)
+def test_lines_are_semirigid(blocks, clause):
+    # each algebra is k[x]: every nonzero LND has kernel k
+    P = type1(blocks)
+    assert P.dimension() == 1
+    assert is_semirigid(P) == class_report(P).semirigidity
+    assert is_semirigid(P).semirigid and is_semirigid(P).clause == clause
+
+
 def test_makar_limanov_computed():
     ml = makar_limanov(type1(((3,), (1, 2))))
     assert ml.status == "computed"

@@ -252,6 +252,18 @@ def test_verify_inconclusive_names_the_guard(tmp_path, capsys):
     assert rep["verified"] is False
 
 
+def test_verify_strips_a_power_past_the_degree_guard(tmp_path, capsys):
+    # the plain iterate S2^600 passes the degree guard (512); stripped of
+    # its monomial content it is a constant, so delta(S1) dies at once
+    presentation = write_presentation(tmp_path, {"type": 1, "blocks": [[2], [3]], "free_vars": 2})
+    deriv = tmp_path / "power.txt"
+    deriv.write_text("S1 = S2^600\n")
+    code, rep = run(capsys, "verify", "--presentation", presentation, "--derivation", str(deriv))
+    assert code == 0
+    assert rep["nilpotency"] == {"status": "verified", "cap": 64, "index": 2, "witness": None}
+    assert rep["verified"] is True
+
+
 def test_oracle_sphere(capsys):
     code, rep = run(
         capsys,

@@ -264,6 +264,19 @@ def test_term_limit_trips_on_the_first_iterate_above_it():
     assert nilpotency_check(grower, cap=5, term_limit=6).guard == "cap"
 
 
+def test_a_cycle_of_free_images_stays_inconclusive():
+    # delta(S1) = S2 and delta(S2) = S1 is well defined, and each chain of
+    # the degree-function certificate needs the other: it gives up, and the
+    # loop reports the cap on S1 as before
+    P = type1(((2,), (3,)), d=2)
+    S1, S2 = svar(1), svar(2)
+    delta = Derivation(P, {S1: Poly.generator(S2), S2: Poly.generator(S1)})
+    assert is_well_defined(delta).ok
+    assert nilpotency_check(delta) == NilpotencyReport(
+        status="inconclusive", cap=64, witness=S1, guard="cap"
+    )
+
+
 def test_nilpotency_cap_validation():
     with pytest.raises(ValueError):
         nilpotency_check(delta_zero(2), cap=0)

@@ -432,3 +432,21 @@ def test_oracle_derivations_copy_and_pickle():
         assert copy.copy(delta) == delta
         assert copy.deepcopy(delta) == delta
         assert pickle.loads(pickle.dumps(delta)) == delta
+
+
+def test_every_sample_marked_well_defined_is_well_defined(monkeypatch):
+    # the oracle hands nilpotency_check its samples as dense forms marked
+    # well defined, which skips the relation check before the certificate
+    marked = []
+    check = trilnd.oracle.nilpotency_check
+
+    def spy(sample, cap):
+        if isinstance(sample, _DenseForm) and sample.well_defined:
+            marked.append(sample)
+        return check(sample, cap=cap)
+
+    monkeypatch.setattr(trilnd.oracle, "nilpotency_check", spy)
+    for P in corpus():
+        oracle_enumerate(P, degree_bound=3)
+    assert len(marked) > 1000
+    assert all(is_well_defined(form.derivation()).ok for form in marked)

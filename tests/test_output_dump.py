@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_SHA256 = "5c5c7345967ac70bc48afc97dcbc7e95b7ea70c351bbfac129a459fa9162efed"
+OUTPUT_SHA256 = "2c983db9ad03bfb0da31380adbafa53214b60fdbd89b938f167a2db48830f24b"
 
 
 def test_output_dump_matches_the_pinned_digest():

@@ -12,7 +12,9 @@ from trilnd.poly import (
     DEGREE_BOUND,
     EXPONENT_BITS,
     DegreeOverflow,
+    Monomial,
     Poly,
+    exact_divide,
     integer_terms,
     normal_form,
     pack,
@@ -201,3 +203,26 @@ def test_dense_images_are_keys_of_the_generator_positions():
     }
     assert {unpack(key, n): c for key, c in image.items()} == want
     assert all(key >> (EXPONENT_BITS * n) == sum(unpack(key, n)) for key in image)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3*T0_1^2*S2",  # a single term is its own content
+        "-i",  # a constant has none
+        "T0_1 + S2^2 - 1",  # content-free
+        "T0_1^2*S1*S2 - 2*T0_1*S2^3 + i*T0_1^3*S2",
+        "S1^5*S2 + S1^2*S2^4",
+    ],
+)
+def test_content_is_the_least_exponent_of_each_generator(text):
+    p = poly_parse(text)
+    engine = CYLINDER.engine
+    terms = integer_terms([p], CYLINDER.generator_index)[1][0]
+    pairs, quotient = engine.content(terms)
+    least = {g: min(m.exponent(g) for m in p.terms) for g in CYLINDER.generators}
+    assert dict(pairs) == {g: e for g, e in least.items() if e}
+    assert [g for g, _ in pairs] == sorted(dict(pairs), reverse=True)
+    mu = Monomial(pairs)
+    want = integer_terms([exact_divide(p, mu)], CYLINDER.generator_index)[1][0]
+    assert quotient == want

@@ -27,7 +27,7 @@ from trilnd.classify import (
     kernel_generators,
 )
 from trilnd.cli import _descriptor_from_json, main
-from trilnd.corpus import corpus
+from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import (
     Derivation,
     _DenseForm,
@@ -37,6 +37,7 @@ from trilnd.derivation import (
     kernel_member,
     nilpotency_check,
     refutation_holds,
+    replica,
 )
 from trilnd.gaussian import I, ONE, ZERO, GaussianRational, gq
 from trilnd.grading import weight_assignment, weight_of
@@ -249,9 +250,51 @@ def test_nilpotency_check_matches_an_apply_loop(delta, cap, term_limit, degree_l
         # a map that is no derivation of A may still die under it
         if is_well_defined(delta):
             assert want[0] != "verified"
+    elif report.verified and want[3] in ("term_limit", "degree_limit"):
+        # the degree-function certificate verifies a derivation of A whose
+        # plain iterates pass a size guard; without the guards the loop agrees
+        assert is_well_defined(delta).ok
+        assert apply_loop(delta, cap, 10**9, 10**9) == ("verified", report.index, None, None)
     else:
         assert report.refutation is None
         assert (report.status, report.index, report.witness, report.guard) == want
+
+
+@functools.cache
+def kernel_pool():
+    """(delta, its kernel generators) for every nonzero classifier output on
+    the corpus and the rescaled members whose kernel list is not empty; the
+    lists hold kernel_extra's polynomial for t2b, t2c and t2d."""
+    out = []
+    for P in (*CORPUS, *rescaled_members()):
+        for inst in enumerate_lnds(P):
+            if inst.derivation is not None and not inst.derivation.is_zero():
+                kernel = kernel_generators(P, inst.descriptor)
+                if kernel:
+                    out.append((inst.derivation, tuple(kernel)))
+    return out
+
+
+@st.composite
+def replicas(draw):
+    """A classifier output delta and h, a nonconstant product of one or two
+    sums of its kernel generators, with a scalar."""
+    delta, kernel = draw(st.sampled_from(kernel_pool()))
+    h = Poly.constant(draw(FRACTIONAL_SCALARS))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        summands = draw(st.lists(st.sampled_from(kernel), min_size=1, max_size=2))
+        h = h * sum(summands, Poly.constant(draw(st.sampled_from([0, 1]))))
+    return delta, h
+
+
+@settings(max_examples=100, deadline=None)
+@given(replicas())
+def test_replicas_verify_with_the_index_of_their_derivation(case):
+    delta, h = case
+    twin = replica(delta, h)
+    report = nilpotency_check(twin)
+    assert report.verified and report.index == nilpotency_check(delta).index
+    assert apply_loop(twin, report.cap, 10**9, 10**9) == ("verified", report.index, None, None)
 
 
 @st.composite
