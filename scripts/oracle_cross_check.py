@@ -5,9 +5,13 @@ For every corpus member (each fits the default degree-4 search box, which
 tests/test_corpus.py checks), solve for homogeneous
 derivations degree by degree and test samples for nilpotency. A member
 the classifier calls rigid must produce no locally nilpotent solution,
-and vice versa. Disagreements are printed and counted. Each line also
-counts the member's samples by nilpotency verdict (verified, refuted,
-inconclusive), and the last line sums them.
+and vice versa. Every refuted sample's certificate is re-checked from
+its exact images with refutation_holds, which shares no code with the
+walk that found it, and a certificate that fails counts as a mismatch.
+Disagreements are printed and counted. Each line also counts the
+member's samples by nilpotency verdict (verified, refuted, inconclusive),
+the refuted ones split by refutation (divisibility, degree_cycle), and
+the last line sums them.
 """
 
 import argparse
@@ -18,9 +22,10 @@ sys.path.insert(0, "src")
 
 from trilnd.classify import is_rigid
 from trilnd.corpus import corpus
+from trilnd.derivation import refutation_holds
 from trilnd.oracle import BoxTooLarge, oracle_enumerate
 
-VERDICTS = ("verified", "refuted", "inconclusive")
+VERDICTS = ("verified", "refuted", "divisibility", "degree_cycle", "inconclusive")
 
 
 def format_counts(counts):
@@ -38,6 +43,7 @@ def main() -> int:
 
     mismatches = []
     skipped = 0
+    unchecked = 0
     totals = dict.fromkeys(VERDICTS, 0)
     started = time.monotonic()
     for P in corpus():
@@ -55,21 +61,30 @@ def main() -> int:
             continue
         found = report.nilpotent_found
         counts = dict.fromkeys(VERDICTS, 0)
+        failed = []
         for entry in report.entries:
-            for _, _, nil in entry.samples:
+            for name, delta, nil in entry.samples:
                 counts[nil.status] += 1
+                if nil.status == "refuted":
+                    counts[nil.refutation] += 1
+                    if not refutation_holds(delta, nil):
+                        failed.append(name)
         for verdict, n in counts.items():
             totals[verdict] += n
-        agree = rigid != found
+        agree = rigid != found and not failed
         mark = "agree" if agree else "MISMATCH"
         print(f"{P.describe():40s} rigid={rigid!s:5s} oracle_found={found!s:5s} "
               f"{format_counts(counts)}  {mark}")
+        if failed:
+            unchecked += len(failed)
+            print(f"  refutations that do not re-check: {', '.join(failed)}")
         if not agree:
             mismatches.append(P.describe())
     elapsed = time.monotonic() - started
     print(f"\n{len(corpus()) - skipped} members checked in {elapsed:.1f} s, "
           f"{skipped} skipped, {len(mismatches)} mismatches")
-    print(f"samples: {format_counts(totals)}")
+    print(f"samples: {format_counts(totals)}; "
+          f"{totals['refuted']} refutations re-checked, {unchecked} failed")
     for name in mismatches:
         print(f"  {name}")
     return 1 if mismatches else 0

@@ -3,12 +3,12 @@
 Every command reads a presentation from a JSON file and writes a JSON
 report to stdout. Exit codes: 0 on success, 1 on invalid input or
 exceeded search limits, 2 when a verification fails (a relation is
-broken, the derivation is not homogeneous, or nilpotency is refuted),
-3 when nilpotency testing ends inconclusive (a guard such as the
-iteration cap tripped), 4 when a self-check fails (an InternalError, a
-bug), 141 (128 + SIGPIPE) when the reader of stdout goes away. Exits 1
-and 4 print {"error", "kind"}. Any other exception is a bug too: it
-exits 4 and prints its traceback to stderr as well.
+broken, the derivation is not homogeneous, or nilpotency is refuted by
+divisibility or a degree cycle), 3 when nilpotency ends inconclusive (a
+guard such as the cap tripped), 4 when a self-check fails (an
+InternalError, a bug), 141 (128 + SIGPIPE) when the reader of stdout
+goes away. Exits 1 and 4 print {"error", "kind"}. Any other exception
+is a bug too: it exits 4 and prints its traceback to stderr as well.
 """
 
 from __future__ import annotations

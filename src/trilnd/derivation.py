@@ -16,13 +16,14 @@ oracle keeps its samples in that form and turns each into a Derivation
 with _DenseForm.derivation, and the classifier packs each build once
 (_DenseForm.of_normal_images) and checks that form.
 Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
-are the references the tests compare the dense form with. A refuted
-nilpotency report is re-checked by refutation_holds on the exact images
-alone. A form that passed the relation check, or that the oracle built
-from a solution of the relation rows, is marked well_defined, and only
-such a form reaches the degree-function certificate of nilpotency_check
-(_degree_index), which strips each iterate's monomial content and adds
-up the index from the generators' own.
+are the references the tests compare the dense form with. A form that
+passed the relation check, or that the oracle built from a solution of
+the relation rows, is marked well_defined; nilpotency_check checks any
+other form first. It decides in one walk over the degree function of
+delta: it strips each iterate's monomial content, adds up the index from
+the generators' own, and refutes by divisibility or by a cycle of
+generators whose chains need each other. refutation_holds re-checks a
+refutation on the exact images alone, with Derivation.apply.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
 from .poly import (
     Gen,
+    Monomial,
     Poly,
     PolyParseError,
     UnknownGenerator,
     _add_product,
     dense_leibniz,
+    exact_divide,
     gen_name,
     integer_terms,
     normal_form,
@@ -71,12 +74,13 @@ class WellDefinedReport:
 
 @dataclass(frozen=True)
 class NilpotencyReport:
-    status: str  # "verified" | "refuted" | "inconclusive"
+    status: str  # "verified" | "refuted" | "inconclusive" | "not_applicable"
     cap: int
     index: Optional[int] = None
     witness: Optional[Gen] = None
     guard: Optional[str] = None  # "cap" | "term_limit" | "degree_limit" when inconclusive
-    refutation: Optional[str] = None  # "divisibility" when refuted
+    refutation: Optional[str] = None  # "divisibility" | "degree_cycle" when refuted
+    cycle: Optional[tuple] = None  # (from, step, to, exponent) edges of a degree_cycle
 
     @property
     def verified(self) -> bool:
@@ -85,12 +89,17 @@ class NilpotencyReport:
     def evidence(self) -> dict:
         """What decided the verdict, for JSON reports: the witness generator
         (None when verified), plus the guard of an inconclusive report or
-        the refutation of a refuted one."""
+        the refutation of a refuted one, with the edges of a cycle."""
         out = {"witness": None if self.witness is None else gen_name(self.witness)}
         if self.status == "inconclusive":
             out["guard"] = self.guard
         elif self.status == "refuted":
             out["refutation"] = self.refutation
+            if self.cycle:
+                out["cycle"] = [
+                    {"from": gen_name(a), "step": k, "to": gen_name(b), "exponent": e}
+                    for a, k, b, e in self.cycle
+                ]
         return out
 
 
@@ -312,141 +321,111 @@ def nilpotency_check(
     term_limit: int = 4096,
     degree_limit: int = 512,
 ) -> NilpotencyReport:
-    """Decide local nilpotency where an exact test can, else iterate up to cap steps.
+    """Decide local nilpotency in one walk over the degree function of delta.
 
-    Refuted(witness g) means delta(g) is nonzero and every term of its
-    normal form contains g (refutation "divisibility"); such a delta is
-    not a locally nilpotent derivation of the algebra A, and
-    refutation_holds re-checks that on the exact images. Every image is
-    scanned before any generator is iterated, so a refutable generator is
-    found even when an earlier one would run to the cap.
+    Let nu = index - 1 on the nilpotent elements of A. For a derivation
+    of A, a domain of characteristic 0 (see refutation_holds), nu(fg) =
+    nu(f) + nu(g) for nilpotent f and g: delta^(a+b)(fg) = C(a+b, a) *
+    delta^a(f) * delta^b(g) is not zero for a = nu(f), b = nu(g), and
+    every higher power kills fg. So the chain of a generator g splits
+    each iterate p_k as mu_k * q_k, mu_k the greatest monomial dividing
+    every term, and steps only q_k: p_1 = delta(g), p_(k+1) = delta(q_k).
+    nu(g) is k plus the sum of e * nu(x) over the powers x^e in mu_1, ...,
+    mu_k, for the first k with q_k constant or delta(q_k) = 0. A replica
+    h * delta sheds the monomial part of h at every step. The nu of a
+    generator is computed when first needed, on an explicit stack of
+    open chains, and kept. The walk answers:
 
-    Verified(m) means delta^m kills every generator and m is minimal.
-    Since the generators generate, that certifies local nilpotency of
-    the whole derivation. Hitting the cap is reported as inconclusive,
-    never as failure: weight reasons can make a non-nilpotent candidate
-    cycle forever. The size guards likewise bail out as inconclusive
-    when an iterate balloons past any plausible vanishing trajectory.
-    An inconclusive report names the guard that tripped.
+    * not_applicable: delta is not marked well_defined and breaks a relation;
+    * refuted, "divisibility": the first generator, in generator order,
+      in the content mu_1 of its own image;
+    * refuted, "degree_cycle": a generator x needed while its own chain
+      is open. An edge g -> x at step k, x^e in mu_k, gives nu(g) >= k +
+      e * nu(x) > nu(x), so no LND has a cycle of edges. The witness is
+      x; cycle lists the edges (from, step, to, exponent) from x to x;
+    * inconclusive: a running nu reaches cap, or the stack grows deeper
+      than cap (nu of the outermost chain is at least the depth), guard
+      "cap"; or a stripped q_k passes term_limit or degree_limit. The
+      witness is the outermost chain's generator, the first in
+      generator order whose nu is not known yet;
+    * verified(m), m = max nu + 1: m is minimal with delta^m killing
+      every generator, which certifies local nilpotency.
 
-    Between the two, a delta known to map every relation into the
-    relation ideal (a dense form marked well_defined, else checked with
-    broken_relation) is first given to the degree-function certificate,
-    _degree_index. When that verifies, its index is the one the loop
-    below would report, and it also verifies a delta whose plain iterates
-    pass a size guard while their monomial-free parts stay within it.
-    When it gives up, the loop runs unchanged, so every refuted and
-    inconclusive report comes from the loop and the scan.
-
-    Iterates live in the dense form, where each is a nonzero scalar
-    multiple of the true one: its vanishing, term count and degree are
-    those of the true iterate. Keys order by total degree first, so the
-    degree of an iterate p is that of max(p). delta may also be given in
-    that dense form, as the oracle keeps its samples.
+    Iterates live in the dense form, each a nonzero scalar multiple of the
+    true one, so content, term count and degree (of max(q)) are exact.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
     dense = delta if isinstance(delta, _DenseForm) else _DenseForm(delta)
+    if not dense.well_defined and dense.broken_relation() is not None:
+        return NilpotencyReport("not_applicable", cap)
+    engine = dense.presentation.engine
     generators = dense.presentation.generators
-    engine = dense.presentation.engine
+    firsts = {}  # (content pairs, stripped image) of each image: step 1
     for g in generators:
-        img = dense.images.get(g)
-        if img and engine.every_term_contains(img, g):
-            return NilpotencyReport(
-                status="refuted", cap=cap, witness=g, refutation="divisibility"
-            )
-    if dense.well_defined or dense.broken_relation() is None:
-        index = _degree_index(dense, cap, term_limit, degree_limit)
-        if index is not None:
-            return NilpotencyReport(status="verified", cap=cap, index=index)
-    worst = 1
-    for g in generators:
-        p = dense.images.get(g)
-        steps = 1
-        while p:
+        if g in dense.images:
+            pairs, _ = firsts[g] = engine.content(dense.images[g])
+            if any(x == g for x, _ in pairs):
+                return NilpotencyReport("refuted", cap, witness=g, refutation="divisibility")
+    nu = {g: 0 for g in generators if g not in firsts}
+    started = set()  # chains begun; those not yet in nu are on the stack
+    for root in generators:
+        if root in nu:
+            continue
+        started.add(root)
+        # open chains, outermost first: [generator, step k, running nu,
+        # pairs of mu_k, q_k, index of the first pair not yet added]
+        stack = [[root, 1, 1, *firsts[root], 0]]
+        while stack:
+            frame = stack[-1]
+            g, k, total, pairs, q, i = frame
+            while i < len(pairs) and pairs[i][0] in nu:
+                total += pairs[i][1] * nu[pairs[i][0]]
+                i += 1
             guard = None
-            if steps >= cap:
+            if i < len(pairs):
+                frame[2], frame[5] = total, i
+                x = pairs[i][0]
+                if x in started:
+                    j = next(n for n, f in enumerate(stack) if f[0] == x)
+                    edges = tuple((f[0], f[1], *f[3][f[5]]) for f in stack[j:])
+                    return NilpotencyReport(
+                        "refuted", cap, witness=x, refutation="degree_cycle", cycle=edges
+                    )
+                if len(stack) < cap:
+                    started.add(x)
+                    stack.append([x, 1, 1, *firsts[x], 0])
+                    continue
                 guard = "cap"
-            elif len(p) > term_limit:
-                guard = "term_limit"
-            elif engine.degree(max(p)) > degree_limit:
-                guard = "degree_limit"
+            elif total >= cap:
+                guard = "cap"
+            elif len(q) > 1:  # else a constant, once stripped
+                if len(q) > term_limit:
+                    guard = "term_limit"
+                elif engine.degree(max(q)) > degree_limit:
+                    guard = "degree_limit"
+                else:
+                    p = dense.step(q)
+                    if p:
+                        frame[1:] = k + 1, total + 1, *engine.content(p), 0
+                        continue
             if guard is not None:
-                return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)
-            p = dense.step(p)
-            steps += 1
-        worst = max(worst, steps)
-    return NilpotencyReport(status="verified", cap=cap, index=worst)
-
-
-def _degree_index(
-    dense: _DenseForm, cap: int, term_limit: int, degree_limit: int
-) -> Optional[int]:
-    """The nilpotency index of a well-defined dense form, read off the
-    degree function of delta, or None where this certificate gives up.
-
-    Let nu = index - 1 on the nilpotent elements of A. In a domain of
-    characteristic 0, as A is (see refutation_holds), and for a
-    derivation of A, nu(fg) = nu(f) + nu(g) for nilpotent f and g,
-    because delta^(a+b)(fg) = C(a+b, a) * delta^a(f) * delta^b(g) is not
-    zero for a = nu(f), b = nu(g), and every higher power kills fg. So
-    each iterate p of a generator is split as mu * q, mu the greatest
-    monomial dividing every term of p, and nu(p) is the sum of e * nu(x)
-    over the powers x^e in mu, plus nu(q): 0 when q is a constant or
-    delta(q) = 0, else 1 + nu(delta(q)). Only q is stepped, so a
-    monomial factor of an iterate, such as the monomial part of h in the
-    iterates h^n * delta^n(g) of a replica, is never carried into the
-    next step. nu of a generator is computed when first needed and kept
-    for the rest of the check, so the recursion is at most as deep as
-    there are generators.
-
-    Gives up when a generator's nu is needed while its own chain is still
-    open (a cycle), when some index would exceed cap, or when a stripped
-    iterate q passes term_limit or degree_limit.
-    """
-    engine = dense.presentation.engine
-    images = dense.images
-    nu = {g: 0 for g in dense.presentation.generators if g not in images}
-    started = set()  # chains begun; those not yet in nu are open
-
-    def degree(g):
-        if g in started:
-            return None
-        started.add(g)
-        p = images[g]
-        total = 0
-        while p:
-            total += 1
-            pairs, q = engine.content(p)
-            for x, e in pairs:
-                v = nu.get(x)
-                if v is None:
-                    v = degree(x)
-                    if v is None:
-                        return None
-                total += e * v
-            if total >= cap:
-                return None
-            if len(q) == 1:  # a constant, once stripped
-                break
-            if len(q) > term_limit or engine.degree(max(q)) > degree_limit:
-                return None
-            p = dense.step(q)
-        nu[g] = total
-        return total
-
-    for g in images:
-        if g not in nu and degree(g) is None:
-            return None
-    return max(nu.values()) + 1
+                return NilpotencyReport("inconclusive", cap, witness=root, guard=guard)
+            nu[g] = total
+            stack.pop()
+    return NilpotencyReport("verified", cap, index=max(nu.values()) + 1)
 
 
 def refutation_holds(delta: Derivation, report: NilpotencyReport) -> bool:
     """Re-check a refuted report from the exact images alone.
 
     The divisibility certificate holds when delta(witness) is nonzero and
-    every monomial of it contains the witness. It then refutes local
-    nilpotency, because:
+    every monomial of it contains the witness. A degree_cycle holds when
+    its edges close into a cycle from the witness back to it, and each
+    edge (g, k, x, e) replays g's chain of nilpotency_check on Poly, with
+    Derivation.apply and exact_divide: p_1, ..., p_k are nonzero, q_1,
+    ..., q_(k-1) are not constant, and x^e divides the content of p_k.
+    Either refutes local nilpotency, because:
 
     * normal forms are canonical (the rewrite leads are pairwise coprime,
       so the rules are a Groebner basis), hence a nonzero normal form is
@@ -459,17 +438,42 @@ def refutation_holds(delta: Derivation, report: NilpotencyReport) -> bool:
       rational T-varieties of complexity one", Math. Nachr. 290 (2017));
     * a locally nilpotent derivation D of a domain with f | D(f) has
       D(f) = 0 (Freudenburg, Algebraic Theory of Locally Nilpotent
-      Derivations, Ch. 1), and here delta(g) is not 0.
+      Derivations, Ch. 1), and here delta(g) is not 0;
+    * for an LND of a domain of characteristic 0, each edge gives
+      nu(g) > nu(x) (see nilpotency_check), which no cycle satisfies.
 
     So a refuted delta is not a locally nilpotent derivation of A; when
     delta is not well defined it is no derivation of A at all, and the
     statement holds trivially.
     """
-    if report.status != "refuted" or report.refutation != "divisibility":
+    if report.status != "refuted":
         return False
     g = report.witness
-    image = delta.image(g)
-    return bool(image) and all(m.exponent(g) >= 1 for m in image.terms)
+    if report.refutation == "divisibility":
+        image = delta.image(g)
+        return bool(image) and all(m.exponent(g) >= 1 for m in image.terms)
+    edges = report.cycle
+    if report.refutation != "degree_cycle" or not edges or edges[0][0] != g:
+        return False
+    closed = all(a[2] == b[0] for a, b in zip(edges, edges[1:] + edges[:1]))
+    return closed and all(_edge_holds(delta, *edge) for edge in edges)
+
+
+def _edge_holds(delta: Derivation, g: Gen, step: int, x: Gen, e: int) -> bool:
+    """Whether x^e, e >= 1, divides the content of p_step in g's chain."""
+    p = delta.image(g)
+    for k in range(1, step + 1):
+        if not p:
+            return False
+        first = next(iter(p.terms)).variables()
+        content = Monomial({y: min(m.exponent(y) for m in p.terms) for y in first})
+        if k == step:
+            return e >= 1 and content.exponent(x) >= e
+        q = exact_divide(p, content)
+        if q.degree() == 0:
+            return False
+        p = delta.apply(q)
+    return False
 
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:

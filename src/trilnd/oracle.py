@@ -16,8 +16,8 @@ enumerates the box as normal-form keys with their weights, an unknown is
 a (generator, key) pair, and the basis vectors and the samples combined
 from them are dense forms at one integer scale per space, which
 nilpotency_check takes as they are. They solve every relation row, so
-they are marked well defined and go to its degree-function certificate
-unchecked, as does each classifier output that lies in the span. The
+they are marked well defined and its walk skips the relation check, as
+it does for each classifier output that lies in the span. The
 Derivations of SolutionSpace.basis and OracleWeightEntry.samples are
 built from those dense images without normalizing them again, and
 SolutionSpace.unknowns turns its keys into monomials when first read.

@@ -671,20 +671,15 @@ class RewriteEngine:
         get, reduce = self._reductions.get, self._reduce
         return not any((get(key) or reduce(key))[2] for key in keys)
 
-    def every_term_contains(self, terms: Iterable[int], g: Gen) -> bool:
-        """Whether every key of terms has a positive exponent of g."""
-        shift = EXPONENT_BITS * self.index[g]
-        return all((m >> shift) & EXPONENT_MASK for m in terms)
-
     def content(self, terms: dict) -> tuple:
         """(pairs, quotient) for a nonzero dense dict: pairs lists (generator,
         exponent) of the greatest monomial dividing every key, most
         significant generator first, and quotient is terms divided by it."""
         keys = iter(terms)
         first = next(keys)
-        found = [(g, s, e) for g, s in self._fields if (e := (first >> s) & EXPONENT_MASK)]
         if len(terms) == 1:
-            return tuple((g, e) for g, _, e in found), {0: terms[first]}
+            return self.monomial(first).pairs, {0: terms[first]}
+        found = [(g, s, e) for g, s in self._fields if (e := (first >> s) & EXPONENT_MASK)]
         for key in keys:
             if not found:
                 break

@@ -227,8 +227,8 @@ def test_verify_refutes_euler(tmp_path, capsys):
 
 
 def test_verify_inconclusive_names_the_guard(tmp_path, capsys):
-    # a rotation of the sphere: no image is divisible by its generator, and
-    # the iterates of T0_1 cycle through +-T0_1 and +-T1_1
+    # a rotation of the sphere: no image is divisible by its generator, but
+    # the chains of T0_1 and T1_1 need each other, a degree cycle
     deriv = tmp_path / "rotation.txt"
     deriv.write_text("T0_1 = -T1_1\nT1_1 = T0_1\n")
     code, rep = run(
@@ -241,12 +241,32 @@ def test_verify_inconclusive_names_the_guard(tmp_path, capsys):
         "--cap",
         "8",
     )
+    assert code == 2
+    assert rep["nilpotency"] == {
+        "status": "refuted",
+        "cap": 8,
+        "index": None,
+        "witness": "T0_1",
+        "refutation": "degree_cycle",
+        "cycle": [
+            {"from": "T0_1", "step": 1, "to": "T1_1", "exponent": 1},
+            {"from": "T1_1", "step": 1, "to": "T0_1", "exponent": 1},
+        ],
+    }
+    assert rep["verified"] is False
+    # every iterate of T1_1 is T1_1 + 1, which has no monomial factor: the
+    # walk runs to the cap
+    presentation = write_presentation(tmp_path, {"type": 1, "blocks": [[1], [1]]})
+    deriv.write_text("T1_1 = T1_1 + 1\nT2_1 = T1_1 + 1\n")
+    code, rep = run(
+        capsys, "verify", "--presentation", presentation, "--derivation", str(deriv), "--cap", "8"
+    )
     assert code == 3
     assert rep["nilpotency"] == {
         "status": "inconclusive",
         "cap": 8,
         "index": None,
-        "witness": "T0_1",
+        "witness": "T1_1",
         "guard": "cap",
     }
     assert rep["verified"] is False

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -154,9 +155,17 @@ def test_nilpotency_verified_with_index():
 
 def free_grower(extra=""):
     """S1 -> S2^2, S2 -> S1 on free variables: no image is divisible by its
-    generator, and the iterates of S1 have degrees 2, 2, 3, 3, 4, 4, ..."""
+    generator, but each chain needs the other's, a degree cycle."""
     P = type1(((2,), (3,)), d=3)
     return derivation_from_text(P, "S1 = S2^2\nS2 = S1\n" + extra)
+
+
+def plain_grower(extra=""):
+    """S1 -> S1^2 + S2, S2 -> 1 on free variables, well defined: no iterate
+    of S1 has a monomial factor, so nilpotency_check steps the plain
+    iterates, of degrees 2, 3, 4, ... and 2, 3, 4, 5, 7, 8, 10, ... terms."""
+    P = type1(((2,), (3,)), d=3)
+    return derivation_from_text(P, "S1 = S1^2 + S2\nS2 = 1\n" + extra)
 
 
 def test_nilpotency_refutes_euler_by_divisibility():
@@ -173,15 +182,15 @@ def test_nilpotency_refutes_euler_by_divisibility():
 
 
 def test_nilpotency_size_guard_bails_out():
-    assert nilpotency_check(free_grower(), cap=64, degree_limit=10) == NilpotencyReport(
+    assert nilpotency_check(plain_grower(), cap=64, degree_limit=10) == NilpotencyReport(
         status="inconclusive", cap=64, witness=svar(1), guard="degree_limit"
     )
-    # delta^k(T0_1) = k! * T0_1^(k+1) grows without bound too, but the
+    # delta^k(S1) = k! * S1^(k+1) grows without bound too, but the
     # divisibility test decides it before any guard can trip
-    grower = Derivation(surface(2, 2, 2), {X: poly_parse("T0_1^2")})
-    report = nilpotency_check(grower, cap=64, degree_limit=10)
+    grower = Derivation(type1(((2,), (3,)), d=1), {svar(1): poly_parse("S1^2")})
+    report = nilpotency_check(grower, cap=64, degree_limit=1)
     assert report == NilpotencyReport(
-        status="refuted", cap=64, witness=X, refutation="divisibility"
+        status="refuted", cap=64, witness=svar(1), refutation="divisibility"
     )
     assert refutation_holds(grower, report)
 
@@ -189,10 +198,10 @@ def test_nilpotency_size_guard_bails_out():
 def test_refutation_scans_every_generator_before_iterating():
     # S1 alone would run to the cap; S3 -> S3^2 is refutable, and is found
     # although S1 comes first
-    assert nilpotency_check(free_grower(), cap=20) == NilpotencyReport(
+    assert nilpotency_check(plain_grower(), cap=20) == NilpotencyReport(
         status="inconclusive", cap=20, witness=svar(1), guard="cap"
     )
-    delta = free_grower("S3 = S3^2\n")
+    delta = plain_grower("S3 = S3^2\n")
     report = nilpotency_check(delta, cap=20)
     assert report == NilpotencyReport(
         status="refuted", cap=20, witness=svar(3), refutation="divisibility"
@@ -226,9 +235,9 @@ def test_refutation_holds_rejects_other_reports():
     euler_x = Derivation(surface(2, 2, 2), {X: Poly.generator(X)})
     forged = NilpotencyReport(status="refuted", cap=64, witness=Y, refutation="divisibility")
     assert not refutation_holds(euler_x, forged)
-    inconclusive = nilpotency_check(free_grower(), cap=5)
+    inconclusive = nilpotency_check(plain_grower(), cap=5)
     assert inconclusive.guard == "cap"
-    assert not refutation_holds(free_grower(), inconclusive)
+    assert not refutation_holds(plain_grower(), inconclusive)
 
 
 def test_index_equal_to_the_cap_is_verified():
@@ -242,39 +251,122 @@ def test_index_equal_to_the_cap_is_verified():
 
 
 def test_degree_limit_trips_on_the_first_iterate_above_it():
-    # the k-th iterate of S1 has degree (k + 3) // 2: the first of degree 6
-    # is the ninth, so a cap of 9 stops one step before the guard would
-    grower = free_grower()
-    assert nilpotency_check(grower, cap=10, degree_limit=5) == NilpotencyReport(
-        status="inconclusive", cap=10, witness=svar(1), guard="degree_limit"
+    # the k-th iterate of S1 has degree k + 1: the first of degree 6 is the
+    # fifth, so a cap of 5 stops one step before the guard would
+    grower = plain_grower()
+    assert nilpotency_check(grower, cap=6, degree_limit=5) == NilpotencyReport(
+        status="inconclusive", cap=6, witness=svar(1), guard="degree_limit"
     )
-    assert nilpotency_check(grower, cap=9, degree_limit=5).guard == "cap"
-    assert nilpotency_check(grower, cap=10, degree_limit=6).guard == "cap"
+    assert nilpotency_check(grower, cap=5, degree_limit=5).guard == "cap"
+    assert nilpotency_check(grower, cap=6, degree_limit=6).guard == "cap"
 
 
 def test_term_limit_trips_on_the_first_iterate_above_it():
-    # the iterates of S1 have 2, 3, 5, 6, 9, ... terms: the fourth is the
+    # the iterates of S1 have 2, 3, 4, 5, 7, ... terms: the fifth is the
     # first with more than five
-    P = type1(((2,), (3,)), d=2)
-    grower = derivation_from_text(P, "S1 = S1^2 + S2\nS2 = S1\n")
-    assert nilpotency_check(grower, cap=5, term_limit=5) == NilpotencyReport(
-        status="inconclusive", cap=5, witness=svar(1), guard="term_limit"
+    grower = plain_grower()
+    assert nilpotency_check(grower, cap=6, term_limit=5) == NilpotencyReport(
+        status="inconclusive", cap=6, witness=svar(1), guard="term_limit"
     )
-    assert nilpotency_check(grower, cap=4, term_limit=5).guard == "cap"
-    assert nilpotency_check(grower, cap=5, term_limit=6).guard == "cap"
+    assert nilpotency_check(grower, cap=5, term_limit=5).guard == "cap"
+    assert nilpotency_check(grower, cap=6, term_limit=7).guard == "cap"
 
 
-def test_a_cycle_of_free_images_stays_inconclusive():
-    # delta(S1) = S2 and delta(S2) = S1 is well defined, and each chain of
-    # the degree-function certificate needs the other: it gives up, and the
-    # loop reports the cap on S1 as before
+def test_a_cycle_of_free_images_is_refuted():
+    # delta(S1) = S2 and delta(S2) = S1 is well defined, and each chain
+    # needs the other at its first step: nu(S1) > nu(S2) > nu(S1)
     P = type1(((2,), (3,)), d=2)
     S1, S2 = svar(1), svar(2)
     delta = Derivation(P, {S1: Poly.generator(S2), S2: Poly.generator(S1)})
     assert is_well_defined(delta).ok
-    assert nilpotency_check(delta) == NilpotencyReport(
-        status="inconclusive", cap=64, witness=S1, guard="cap"
+    report = nilpotency_check(delta)
+    assert report == NilpotencyReport(
+        status="refuted",
+        cap=64,
+        witness=S1,
+        refutation="degree_cycle",
+        cycle=((S1, 1, S2, 1), (S2, 1, S1, 1)),
     )
+    assert refutation_holds(delta, report)
+    # free_grower's S1 needs S2^2, S2 needs S1, whatever the cap
+    for cap in (2, 5, 64):
+        report = nilpotency_check(free_grower(), cap=cap)
+        assert report.cycle == ((S1, 1, S2, 2), (S2, 1, S1, 1))
+        assert refutation_holds(free_grower(), report)
+
+
+def test_a_self_loop_past_the_first_step_is_refuted():
+    # delta(S1) = S1^2 + S2 has no monomial factor, but delta of it is
+    # S1 * (2*S1^2 + 2*S2 + 1): S1's chain needs S1 at its second step
+    P = type1(((2,), (3,)), d=2)
+    delta = derivation_from_text(P, "S1 = S1^2 + S2\nS2 = S1\n")
+    report = nilpotency_check(delta, cap=5)
+    assert report == NilpotencyReport(
+        status="refuted",
+        cap=5,
+        witness=svar(1),
+        refutation="degree_cycle",
+        cycle=((svar(1), 2, svar(1), 1),),
+    )
+    assert refutation_holds(delta, report)
+
+
+def test_a_long_chain_is_walked_without_recursion():
+    # S_k -> S_(k+1), S_1200 -> 1: nu(S_k) = 1201 - k, so S1's chain is
+    # 1,200 generators deep
+    n = 1200
+    P = type1(((2,), (3,)), d=n)
+    text = "".join(f"S{k} = S{k + 1}\n" for k in range(1, n)) + f"S{n} = 1\n"
+    delta = derivation_from_text(P, text)
+    assert nilpotency_check(delta) == NilpotencyReport(
+        status="inconclusive", cap=64, witness=svar(1), guard="cap"
+    )
+    assert nilpotency_check(delta, cap=2000) == NilpotencyReport(
+        status="verified", cap=2000, index=n + 1
+    )
+
+
+def test_refutation_holds_rejects_forged_cycles():
+    P = type1(((2,), (3,)), d=2)
+    S1, S2 = svar(1), svar(2)
+    delta = derivation_from_text(P, "S1 = S2^2\nS2 = S1\n")
+    report = nilpotency_check(delta)
+    assert report.cycle == ((S1, 1, S2, 2), (S2, 1, S1, 1))
+    assert refutation_holds(delta, report)
+
+    def forged(cycle, witness=S1):
+        return NilpotencyReport(
+            status="refuted", cap=64, witness=witness, refutation="degree_cycle", cycle=cycle
+        )
+
+    # a smaller exponent still bounds nu(S1) below, so it still refutes
+    assert refutation_holds(delta, forged(((S1, 1, S2, 1), (S2, 1, S1, 1))))
+    for cycle in (
+        ((S1, 2, S2, 2), (S2, 1, S1, 1)),  # wrong step: S2^2 strips to 1
+        ((S1, 1, S2, 3), (S2, 1, S1, 1)),  # wrong exponent
+        ((S1, 1, S2, 2), (S2, 1, S2, 1)),  # wrong target
+        ((S1, 1, S2, 2), (S2, 1, S1, 0)),  # no power
+        ((S1, 1, S2, 2),),  # an open path
+        ((S2, 1, S1, 1), (S1, 1, S2, 2)),  # a cycle, but not from the witness
+        (),
+    ):
+        assert not refutation_holds(delta, forged(cycle)), cycle
+    assert not refutation_holds(delta, replace(report, refutation="divisibility"))
+    assert not refutation_holds(delta, replace(report, status="inconclusive"))
+    # an LND has no cycle, whatever the edges
+    d = delta_zero(3)
+    for cycle in (((X, 1, Y, 1), (Y, 1, X, 1)), ((X, 1, X, 1),), ((X, 2, Z, 1), (Z, 1, X, 1))):
+        assert not refutation_holds(d, forged(cycle, witness=cycle[0][0])), cycle
+
+
+def test_a_map_that_is_not_well_defined_reads_not_applicable():
+    # T0_1 -> 1 on the sphere breaks the relation, and T0_1 -> T0_1 would be
+    # refuted by divisibility on a derivation of A
+    S = surface(2, 2, 2)
+    for text in ("T0_1 = 1\n", "T0_1 = T0_1\n"):
+        delta = derivation_from_text(S, text)
+        assert not is_well_defined(delta).ok
+        assert nilpotency_check(delta, cap=8) == NilpotencyReport(status="not_applicable", cap=8)
 
 
 def test_nilpotency_cap_validation():

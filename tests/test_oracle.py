@@ -42,6 +42,7 @@ from trilnd.presentation import TrinomialPresentation, surface, type1, type2
 
 X = tvar(0, 1)
 Y = tvar(1, 1)
+Z = tvar(2, 1)
 
 
 def test_solution_space_degree_one_sphere():
@@ -169,19 +170,23 @@ def test_report_serialization():
     verified = [s for s in entry["samples"] if s["nilpotency"] == "verified"]
     assert verified
     assert all(s["index"] is not None and s["witness"] is None for s in verified)
-    # 31 samples: 12 verified, 10 refuted by divisibility, 9 at the cap
+    # 31 samples: 12 verified, 10 refuted by divisibility, 9 by a cycle
     assert len(entry["samples"]) == 31
     assert len(verified) == 12
-    assert entry["refuted_samples"] == 10
-    assert entry["inconclusive_samples"] == 9
+    assert entry["refuted_samples"] == 19
+    assert entry["inconclusive_samples"] == 0
     by_name = {s["name"]: s for s in entry["samples"]}
     assert by_name["basis[0]"] == {
         "name": "basis[0]",
         "images": {"T0_1": "-T1_1", "T1_1": "T0_1"},
-        "nilpotency": "inconclusive",
+        "nilpotency": "refuted",
         "index": None,
         "witness": "T0_1",
-        "guard": "cap",
+        "refutation": "degree_cycle",
+        "cycle": [
+            {"from": "T0_1", "step": 1, "to": "T1_1", "exponent": 1},
+            {"from": "T1_1", "step": 1, "to": "T0_1", "exponent": 1},
+        ],
     }
     assert by_name["basis[3]"] == {
         "name": "basis[3]",
@@ -206,11 +211,21 @@ def test_combination_sampling_finds_hidden_lnd():
     rep = oracle_enumerate(surface(2, 2, 2), degree_bound=1)
     (entry,) = rep.entries
     basis = {name: report for name, _, report in entry.samples[: entry.dimension]}
-    # the three rotations run to the cap; the Euler derivation is refuted
+    # each of the three rotations swaps two generators, a degree cycle; the
+    # Euler derivation is refuted by divisibility
+    def cycle(a, b):
+        return NilpotencyReport(
+            status="refuted",
+            cap=16,
+            witness=a,
+            refutation="degree_cycle",
+            cycle=((a, 1, b, 1), (b, 1, a, 1)),
+        )
+
     assert basis == {
-        "basis[0]": NilpotencyReport(status="inconclusive", cap=16, witness=X, guard="cap"),
-        "basis[1]": NilpotencyReport(status="inconclusive", cap=16, witness=X, guard="cap"),
-        "basis[2]": NilpotencyReport(status="inconclusive", cap=16, witness=Y, guard="cap"),
+        "basis[0]": cycle(X, Y),
+        "basis[1]": cycle(X, Z),
+        "basis[2]": cycle(Y, Z),
         "basis[3]": NilpotencyReport(
             status="refuted", cap=16, witness=X, refutation="divisibility"
         ),
@@ -307,15 +322,21 @@ def reference_loop(delta, cap):
 
 def test_criterion_6_refutes_exactly_the_certified_samples_the_loop_leaves_open():
     # the samples of the rigidity cross-check (degree bound 4, cap 16): a
-    # sample is refuted exactly when the plain iteration does not verify it
-    # and some generator certifies divisibility; every other verdict,
-    # index, witness and guard is the plain iteration's
-    counts = {"verified": 0, "refuted": 0, "inconclusive": 0}
+    # sample is refuted by divisibility exactly when the plain iteration
+    # does not verify it and some generator certifies divisibility; a
+    # degree cycle is re-checked and the plain iteration does not verify
+    # it either; every other verdict, index, witness and guard is the
+    # plain iteration's
+    counts = {"verified": 0, "divisibility": 0, "degree_cycle": 0, "inconclusive": 0}
     for P in corpus():
         for entry in oracle_enumerate(P, degree_bound=4, cap=16).entries:
             for name, delta, report in entry.samples:
-                counts[report.status] += 1
+                counts[report.refutation or report.status] += 1
                 reference = reference_loop(delta, cap=16)
+                if report.refutation == "degree_cycle":
+                    assert refutation_holds(delta, report), (P.describe(), name)
+                    assert not reference.verified, (P.describe(), name)
+                    continue
                 certified = [
                     g
                     for g in P.generators
@@ -335,7 +356,8 @@ def test_criterion_6_refutes_exactly_the_certified_samples_the_loop_leaves_open(
                     assert report == reference, (P.describe(), name)
     # at this commit: 1,899 samples, of which the plain iteration verifies
     # 547 and leaves 1,352 at the cap; divisibility decides 1,044 of those
-    assert counts == {"verified": 547, "refuted": 1044, "inconclusive": 308}
+    # and a degree cycle 257
+    assert counts == {"verified": 547, "divisibility": 1044, "degree_cycle": 257, "inconclusive": 51}
 
 
 SAMPLE_INPUTS = sorted((Path(__file__).resolve().parents[1] / "sample_inputs").glob("*.json"))

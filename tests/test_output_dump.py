@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_SHA256 = "2c983db9ad03bfb0da31380adbafa53214b60fdbd89b938f167a2db48830f24b"
+OUTPUT_SHA256 = "23c2edfcf584283d21bc207e000db57f3e44a689fd63441783419a160cd581a6"
 
 
 def test_output_dump_matches_the_pinned_digest():

@@ -88,10 +88,11 @@ def test_integer_terms_refuses_a_monomial_past_the_bound():
 
 
 def test_a_step_past_the_bound_raises():
-    # every image is a valid key; the first step from S2^(2^32 - 1) has
-    # degree 2^32, which Leibniz makes and the normal form refuses
+    # every image is a valid key, and none has a monomial factor; the first
+    # step from S2^(2^32 - 1) + 1 has degree 2^32, which Leibniz makes and
+    # the normal form refuses
     top = DEGREE_BOUND - 1
-    delta = Derivation(CYLINDER, {S1: poly_parse(f"S2^{top}"), S2: poly_parse("S1^2")})
+    delta = Derivation(CYLINDER, {S1: poly_parse(f"S2^{top} + 1"), S2: poly_parse("S1^2 + 1")})
     with pytest.raises(DegreeOverflow):
         nilpotency_check(delta, degree_limit=DEGREE_BOUND)
     with pytest.raises(DegreeOverflow):
@@ -134,11 +135,13 @@ def apply_degrees(delta, g, steps):
     return out
 
 
+# no iterate of S1 has a monomial factor, so nilpotency_check steps the
+# plain iterates, of degrees 2, 3, 4, ... and 3, 5, 7, ...
 @pytest.mark.parametrize(
     "images",
     [
-        {S1: "S2^2", S2: "S1^2"},
-        {S1: "S2^3 + T0_1", S2: "S1^2 - 2*T1_1"},
+        {S1: "S1^2 + S2", S2: "1"},
+        {S1: "S1^3 + S2 + T0_1", S2: "2*S1 + 1"},
     ],
 )
 def test_the_degree_guard_trips_at_the_first_iterate_past_the_limit(images):
