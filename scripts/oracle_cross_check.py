@@ -11,7 +11,9 @@ walk that found it, and a certificate that fails counts as a mismatch.
 Disagreements are printed and counted. Each line also counts the
 member's samples by nilpotency verdict (verified, refuted, inconclusive),
 the refuted ones split by refutation (divisibility, degree_cycle), and
-the last line sums them.
+a summary line sums them. The rescaled members (corpus.rescaled_members,
+whose t2c and t2d roots are not all 1) follow on lines of their own,
+with their own sums, so that the corpus counts stay comparable.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import time
 sys.path.insert(0, "src")
 
 from trilnd.classify import is_rigid
-from trilnd.corpus import corpus
+from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import refutation_holds
 from trilnd.oracle import BoxTooLarge, oracle_enumerate
 
@@ -32,21 +34,11 @@ def format_counts(counts):
     return " ".join(f"{verdict}={counts[verdict]:<4d}" for verdict in VERDICTS).rstrip()
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bound", type=int, default=4,
-                    help="image degree bound for the search (default 4)")
-    ap.add_argument("--cap", type=int, default=16,
-                    help="nilpotency cap inside the search (default 16)")
-    ap.add_argument("--max-unknowns", type=int, default=600)
-    args = ap.parse_args()
-
-    mismatches = []
-    skipped = 0
-    unchecked = 0
-    totals = dict.fromkeys(VERDICTS, 0)
-    started = time.monotonic()
-    for P in corpus():
+def sweep(members, args, totals, mismatches):
+    """Check each member, print its line, and add to totals and
+    mismatches; returns (skipped, unchecked)."""
+    skipped = unchecked = 0
+    for P in members:
         rigid = is_rigid(P).rigid
         try:
             report = oracle_enumerate(
@@ -80,11 +72,38 @@ def main() -> int:
             print(f"  refutations that do not re-check: {', '.join(failed)}")
         if not agree:
             mismatches.append(P.describe())
+    return skipped, unchecked
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--bound", type=int, default=4,
+                    help="image degree bound for the search (default 4)")
+    ap.add_argument("--cap", type=int, default=16,
+                    help="nilpotency cap inside the search (default 16)")
+    ap.add_argument("--max-unknowns", type=int, default=600)
+    args = ap.parse_args()
+
+    mismatches = []
+    totals = dict.fromkeys(VERDICTS, 0)
+    started = time.monotonic()
+    skipped, unchecked = sweep(corpus(), args, totals, mismatches)
     elapsed = time.monotonic() - started
     print(f"\n{len(corpus()) - skipped} members checked in {elapsed:.1f} s, "
           f"{skipped} skipped, {len(mismatches)} mismatches")
     print(f"samples: {format_counts(totals)}; "
           f"{totals['refuted']} refutations re-checked, {unchecked} failed")
+
+    print("\nrescaled members:")
+    corpus_mismatches = len(mismatches)
+    rescaled = dict.fromkeys(VERDICTS, 0)
+    started = time.monotonic()
+    skipped, unchecked = sweep(rescaled_members(), args, rescaled, mismatches)
+    elapsed = time.monotonic() - started
+    print(f"{len(rescaled_members()) - skipped} rescaled members checked in {elapsed:.1f} s, "
+          f"{skipped} skipped, {len(mismatches) - corpus_mismatches} mismatches")
+    print(f"rescaled samples: {format_counts(rescaled)}; "
+          f"{rescaled['refuted']} refutations re-checked, {unchecked} failed")
     for name in mismatches:
         print(f"  {name}")
     return 1 if mismatches else 0

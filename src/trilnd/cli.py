@@ -33,13 +33,12 @@ from .classify import (
 from .derivation import (
     DerivationFormatError,
     _DenseForm,
-    derivation_from_text,
     is_well_defined,
     kernel_member,
     nilpotency_check,
 )
 from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_parse
-from .grading import NonHomogeneous, derivation_degree
+from .grading import NonHomogeneous, dense_degree
 from .oracle import BoxTooLarge, oracle_enumerate
 from .poly import (
     DegreeOverflow,
@@ -254,9 +253,10 @@ def cmd_kernel(args) -> int:
 
 def cmd_verify(args) -> int:
     P = TrinomialPresentation.from_json(_read_text(args.presentation))
-    delta = derivation_from_text(P, _read_text(args.derivation))
+    # every check runs on the packed form; Poly images are built only for
+    # a residue or a NonHomogeneous message
+    form = _DenseForm.from_text(P, _read_text(args.derivation))
     out = {"presentation": P.to_input_dict()}
-    form = _DenseForm(delta)  # packed once for both checks
     report = is_well_defined(form)
     out["well_defined"] = report.ok
     if not report.ok:
@@ -267,8 +267,8 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFICATION
     try:
         info = None
-        if not delta.is_zero():
-            info = _degree_info(derivation_degree(delta, P.grading), P.grading)
+        if not form.is_zero():
+            info = _degree_info(dense_degree(form, P.grading), P.grading)
     except NonHomogeneous as exc:
         out["homogeneous"] = False
         out["witness"] = str(exc)

@@ -13,8 +13,10 @@ zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
 to a nonzero scalar and built per call, unless the caller has one: the
 oracle keeps its samples in that form and turns each into a Derivation
-with _DenseForm.derivation, and the classifier packs each build once
-(_DenseForm.of_normal_images) and checks that form.
+with _DenseForm.derivation, the classifier packs each build once
+(_DenseForm.of_normal_images) and checks that form, and derivation text
+is read straight into it (_DenseForm.from_text), which `trilnd verify`
+checks from end to end.
 Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
 are the references the tests compare the dense form with. A form that
 passed the relation check, or that the oracle built from a solution of
@@ -34,21 +36,25 @@ from typing import Mapping, Optional, Union
 from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
 from .poly import (
+    DegreeOverflow,
     Gen,
     Monomial,
     Poly,
     PolyParseError,
     UnknownGenerator,
     _add_product,
+    _add_term,
     dense_leibniz,
+    dense_terms,
     exact_divide,
     gen_name,
     integer_terms,
     normal_form,
+    pack,
     parse_gen_name,
     partial_derivative,
     poly_format,
-    poly_parse,
+    poly_terms,
     primitive_part,
 )
 from .presentation import TrinomialPresentation
@@ -157,6 +163,73 @@ class _DenseForm:
         if not presentation.engine.in_normal_form(key for terms in dense for key in terms):
             return None
         return cls.from_images(presentation, dict(zip(images, dense)), scale)
+
+    @classmethod
+    def from_text(cls, presentation: TrinomialPresentation, text: str):
+        """The form of the derivation in the derivation file format (see
+        derivation_from_text), each term packed as it is read. Repeated
+        terms merge in first-seen order, as in poly_parse, and an image is
+        normalized only when a key is not in normal form, as normal_form
+        decides, so the images, their term order and every error are
+        those of Derivation(presentation, {g: poly_parse(rhs)}), except
+        that each error raised by a line names the line."""
+        index = presentation.generator_index
+        known = presentation.generator_set
+        images: dict = {}
+        factors: dict = {}  # poly_terms' memo, shared by the lines
+        overflow = False
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, eq, rhs = line.partition("=")
+            if not eq:
+                raise DerivationFormatError(f"line {lineno}: expected 'generator = polynomial'")
+            name = name.strip()
+            try:
+                g = parse_gen_name(name)
+            except UnknownGenerator as exc:
+                raise DerivationFormatError(f"line {lineno}: {exc}") from None
+            if g not in known:
+                raise UnknownGenerator(
+                    f"line {lineno}: {name} is not a generator of this presentation"
+                )
+            if g in images:
+                raise DerivationFormatError(f"line {lineno}: duplicate image for {name}")
+            try:
+                terms = poly_terms(rhs, known, factors)
+            except PolyParseError as exc:
+                raise DerivationFormatError(f"line {lineno}: {exc}") from None
+            except UnknownGenerator as exc:
+                raise UnknownGenerator(f"line {lineno}: {exc}") from None
+            acc = images[g] = {}
+            for sign, pairs, (a, b, d) in terms:
+                if a or b:
+                    try:
+                        key = pack(pairs, index)
+                    except DegreeOverflow:  # raised below, unless it cancels
+                        key, overflow = Monomial(pairs), True
+                    _add_term(acc, key, GaussianRational._of(sign * a, sign * b, d))
+        if overflow:
+            for terms in images.values():
+                for key in terms:
+                    if isinstance(key, Monomial):
+                        pack(key.pairs, index)  # raises DegreeOverflow
+        scale, dense = dense_terms(images.values())
+        engine = presentation.engine
+        normal = []  # (generator, image, top) as dense_normal_form gives them
+        for g, terms in zip(images, dense):
+            top = 0
+            if not engine.in_normal_form(terms):
+                terms, top = engine.dense_normal_form(terms)
+            if terms:
+                normal.append((g, terms, top))
+        top = max((t for _, _, t in normal), default=0)
+        images = {}
+        for g, terms, t in normal:  # all at one scale, as dense_normal_forms does
+            f = engine.scale ** (top - t)
+            images[g] = terms if f == 1 else {m: (a * f, b * f) for m, (a, b) in terms.items()}
+        return cls.from_images(presentation, images, scale * engine.scale**top)
 
     def _set(self, presentation, images, scale):
         self.presentation = presentation
@@ -361,21 +434,20 @@ def nilpotency_check(
         return NilpotencyReport("not_applicable", cap)
     engine = dense.presentation.engine
     generators = dense.presentation.generators
-    firsts = {}  # (content pairs, stripped image) of each image: step 1
+    images = dense.images
     for g in generators:
-        if g in dense.images:
-            pairs, _ = firsts[g] = engine.content(dense.images[g])
-            if any(x == g for x, _ in pairs):
-                return NilpotencyReport("refuted", cap, witness=g, refutation="divisibility")
-    nu = {g: 0 for g in generators if g not in firsts}
+        if g in images and engine.divides_every_key(g, images[g]):
+            return NilpotencyReport("refuted", cap, witness=g, refutation="divisibility")
+    nu = {g: 0 for g in generators if g not in images}
     started = set()  # chains begun; those not yet in nu are on the stack
     for root in generators:
         if root in nu:
             continue
         started.add(root)
         # open chains, outermost first: [generator, step k, running nu,
-        # pairs of mu_k, q_k, index of the first pair not yet added]
-        stack = [[root, 1, 1, *firsts[root], 0]]
+        # pairs of mu_k, q_k, index of the first pair not yet added]; step
+        # 1 is the content of the image, taken when the chain opens
+        stack = [[root, 1, 1, *engine.content(images[root]), 0]]
         while stack:
             frame = stack[-1]
             g, k, total, pairs, q, i = frame
@@ -394,7 +466,7 @@ def nilpotency_check(
                     )
                 if len(stack) < cap:
                     started.add(x)
-                    stack.append([x, 1, 1, *firsts[x], 0])
+                    stack.append([x, 1, 1, *engine.content(images[x]), 0])
                     continue
                 guard = "cap"
             elif total >= cap:
@@ -531,30 +603,10 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
     """Parse the derivation file format.
 
     Blank lines and '#' comments are allowed; each other line must read
-    'generator = polynomial'. Listing a generator twice is an error;
-    unlisted generators map to zero.
+    'generator = polynomial', the polynomial in poly.poly_terms' grammar.
+    Listing a generator twice is an error; unlisted generators map to
+    zero. Every error raised by a line names the line. The text is read
+    into the dense form (_DenseForm.from_text), and the Derivation built
+    from it.
     """
-    images = {}
-    known = set(P.generators)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, eq, rhs = line.partition("=")
-        if not eq:
-            raise DerivationFormatError(f"line {lineno}: expected 'generator = polynomial'")
-        try:
-            g = parse_gen_name(name.strip())
-        except UnknownGenerator as exc:
-            raise DerivationFormatError(f"line {lineno}: {exc}") from None
-        if g not in known:
-            raise UnknownGenerator(
-                f"line {lineno}: {name.strip()} is not a generator of this presentation"
-            )
-        if g in images:
-            raise DerivationFormatError(f"line {lineno}: duplicate image for {name.strip()}")
-        try:
-            images[g] = poly_parse(rhs.strip(), allowed=known)
-        except PolyParseError as exc:
-            raise DerivationFormatError(f"line {lineno}: {exc}") from None
-    return Derivation(P, images)
+    return _DenseForm.from_text(P, text).derivation()

@@ -235,43 +235,34 @@ ONE = gq(1)
 I = gq(0, 1)
 UNITS = (ONE, I, -ONE, -I)
 
-_RAT = r"\d+(?:/[1-9]\d*)?"
-_PURE_REAL = _re.compile(rf"^[+-]?{_RAT}$")
-_PURE_IMAG = _re.compile(rf"^([+-]?)({_RAT})?i$")
-_FULL = _re.compile(rf"^([+-]?{_RAT})([+-])({_RAT})?i$")
-
-
-def _rat(text: str):
-    """(numerator, denominator) in lowest terms of a literal matching _RAT."""
-    num, _, den = text.partition("/")
-    p, q = int(num), int(den or 1)
-    g = gcd(p, q)
-    return p // g, q // g
+# an optional real part, which a sign or the end must follow, then an
+# optional imaginary part: numerator, denominator, sign, numerator,
+# denominator; the digits are ASCII only
+_SCALAR = _re.compile(
+    r"(?:([+-]?[0-9]+)(?:/([1-9][0-9]*))?(?=[+-]|$))?(?:([+-]?)(?:([0-9]+)(?:/([1-9][0-9]*))?)?i)?"
+)
 
 
 def gq_parse(text: str) -> GaussianRational:
     """Parse a scalar literal like '3', '-2/5', 'i', '-i', '1/2+2/3i', '1-i'.
 
-    The grammar is strict: no interior whitespace, denominators positive,
-    the imaginary unit is a trailing 'i'.
+    The grammar is strict: ASCII digits, no interior whitespace,
+    denominators positive, the imaginary unit is a trailing 'i'.
     """
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar")
-    if _PURE_REAL.match(s):
-        p, q = _rat(s)
-        return _make(p, 0, q)
-    m = _PURE_IMAG.match(s)
-    if m:
-        sign, mag = m.group(1), m.group(2)
-        r, t = _rat(mag) if mag else (1, 1)
-        return _make(0, -r if sign == "-" else r, t)
-    m = _FULL.match(s)
-    if m:
-        p, q = _rat(m.group(1))
-        r, t = _rat(m.group(3)) if m.group(3) else (1, 1)
-        return _make(*_over_lcm(p, q, -r if m.group(2) == "-" else r, t))
-    raise ScalarParseError(f"bad scalar literal: {text!r}")
+    m = _SCALAR.fullmatch(s)
+    if m is None:
+        raise ScalarParseError(f"bad scalar literal: {text!r}")
+    num, den, sign, inum, iden = m.groups()
+    a = int(num) if num else 0
+    q = int(den) if den else 1
+    if sign is None:
+        return GaussianRational._of(a, 0, q)
+    b = int(inum) if inum else 1
+    t = int(iden) if iden else 1
+    return GaussianRational._of(a * t, -b * q if sign == "-" else b * q, q * t)
 
 
 def _rat_str(n: int, d: int) -> str:

@@ -15,7 +15,9 @@ compare lexicographically in that basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
+from operator import sub
 from typing import Mapping, Tuple
 
 from .poly import Gen, Monomial, Poly, gen_name, svar, tvar
@@ -52,12 +54,19 @@ class Grading:
     def zero(self) -> Weight:
         return (0,) * self.rank
 
+    @cached_property
+    def sparse(self) -> dict:
+        """Each generator's weight as the (basis index, value) pairs of its
+        nonzero components: a block variable has at most its block's
+        size of them, plus one for type 2."""
+        return {g: tuple((k, c) for k, c in enumerate(w) if c) for g, w in self.weights.items()}
+
     def weight_of_monomial(self, m: Monomial) -> Weight:
         total = [0] * self.rank
+        sparse = self.sparse
         for g, e in m.pairs:
-            w = self.weights[g]
-            for idx, comp in enumerate(w):
-                total[idx] += comp * e
+            for k, c in sparse[g]:
+                total[k] += c * e
         return tuple(total)
 
     def format_weight(self, w: Weight) -> str:
@@ -81,49 +90,36 @@ class Grading:
 
 
 def weight_assignment(P: TrinomialPresentation) -> Grading:
-    """Build the canonical grading of a presentation; P.grading holds it."""
-    labels = []
-    if P.kind == 2:
-        labels.append("e")
-    block_positions = {}
-    for i in P.block_numbers:
-        b = P.anchor(i)
-        for j in range(1, P.block_size(i) + 1):
-            if j == b:
-                continue
-            block_positions[(i, j)] = len(labels)
-            labels.append(f"e{i}_{j}")
-    free_positions = {}
-    for k in range(1, P.d + 1):
-        free_positions[k] = len(labels)
-        labels.append(f"e{k}")
-    rank = len(labels)
+    """Build the canonical grading of a presentation; P.grading holds it.
 
-    weights = {}
-    for i in P.block_numbers:
-        exps = P.exponents(i)
-        b = P.anchor(i)
-        for j in range(1, len(exps) + 1):
-            vec = [0] * rank
+    In block i with exponents l and anchor b, T_ij for j != b gets
+    prod(l) / l_j on its own basis vector, and T_ib gets -prod(l) / l_b
+    on each of the block's vectors, plus, for type 2, the product of the
+    other blocks' anchor exponents on e; S_k gets its own vector.
+    """
+    labels = ["e"] if P.kind == 2 else []
+    blocks = [(i, exps, P.anchor(i)) for i, exps in zip(P.block_numbers, P.blocks)]
+    anchors = prod(exps[b - 1] for _, exps, b in blocks)
+    entries = {}  # generator -> (basis index, value) of each nonzero component
+    for i, exps, b in blocks:
+        first = len(labels)
+        labels += [f"e{i}_{j}" for j in range(1, len(exps) + 1) if j != b]
+        total = prod(exps)
+        for j, e in enumerate(exps, start=1):
             if j != b:
-                scale = prod(e for idx, e in enumerate(exps, start=1) if idx != j)
-                vec[block_positions[(i, j)]] = scale
-            else:
-                if P.kind == 2:
-                    vec[0] = prod(
-                        P.exponents(p)[P.anchor(p) - 1]
-                        for p in P.block_numbers
-                        if p != i
-                    )
-                off_scale = prod(e for idx, e in enumerate(exps, start=1) if idx != b)
-                for jj in range(1, len(exps) + 1):
-                    if jj != b:
-                        vec[block_positions[(i, jj)]] = -off_scale
-            weights[tvar(i, j)] = tuple(vec)
+                entries[tvar(i, j)] = ((first + j - 1 - (j > b), total // e),)
+                continue
+            own = ((0, anchors // e),) if P.kind == 2 else ()
+            entries[tvar(i, j)] = own + tuple((k, -total // e) for k in range(first, len(labels)))
     for k in range(1, P.d + 1):
-        vec = [0] * rank
-        vec[free_positions[k]] = 1
-        weights[svar(k)] = tuple(vec)
+        entries[svar(k)] = ((len(labels), 1),)
+        labels.append(f"e{k}")
+    weights = {}
+    for g, pairs in entries.items():
+        vec = [0] * len(labels)
+        for k, c in pairs:
+            vec[k] = c
+        weights[g] = tuple(vec)
     return Grading(basis_labels=tuple(labels), weights=weights)
 
 
@@ -131,17 +127,22 @@ def weight_of(p: Poly, grading: Grading) -> Weight:
     """The common weight of all terms; NonHomogeneous otherwise."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no weight")
-    seen = None
-    witness_first = None
-    for m in p.terms:
-        w = grading.weight_of_monomial(m)
+    return _common_weight(p.terms, grading.weight_of_monomial)
+
+
+def _common_weight(terms, weigh, monomial=None) -> Weight:
+    """The weight weigh(t) of every term t, in order; NonHomogeneous names
+    the first term and the first other one, monomial(t) if given."""
+    seen = first = None
+    for t in terms:
+        w = weigh(t)
         if seen is None:
-            seen = w
-            witness_first = m
+            seen, first = w, t
         elif w != seen:
+            a, b = (first, t) if monomial is None else (monomial(first), monomial(t))
             raise NonHomogeneous(
-                f"mixed weights: {witness_first} has {seen}, {m} has {w}",
-                witnesses=((witness_first, seen), (m, w)),
+                f"mixed weights: {a} has {seen}, {b} has {w}",
+                witnesses=((a, seen), (b, w)),
             )
     return seen
 
@@ -161,11 +162,28 @@ def derivation_degree(delta, grading: Grading) -> Weight:
     A Derivation stores only nonzero images; the zero derivation has no
     degree and raises ZeroDerivation, a ValueError.
     """
+    images = ((g, img.terms) for g, img in delta.images.items())
+    return _degree(images, grading, grading.weight_of_monomial)
+
+
+def dense_degree(form, grading: Grading) -> Weight:
+    """derivation_degree of a dense form (derivation._DenseForm), each
+    term's weight read off its packed key through the presentation's
+    engine. NonHomogeneous reads as derivation_degree's would: its terms
+    become Monomials only when raised."""
+    engine = form.presentation.engine
+    sparse, rank = grading.sparse, grading.rank
+    return _degree(
+        form.images.items(), grading, lambda key: engine.weight(key, sparse, rank), engine.monomial
+    )
+
+
+def _degree(images, grading: Grading, weigh, monomial=None) -> Weight:
+    """The common shift over (generator, nonzero terms) pairs; see
+    _common_weight for weigh and monomial."""
     degree = None
-    for g, img in delta.images.items():
-        w_img = weight_of(img, grading)
-        w_gen = grading.weights[g]
-        shift = tuple(a - b for a, b in zip(w_img, w_gen))
+    for g, terms in images:
+        shift = tuple(map(sub, _common_weight(terms, weigh, monomial), grading.weights[g]))
         if degree is None:
             degree = shift
         elif shift != degree:

@@ -69,7 +69,7 @@ def gen_name(g: Gen) -> str:
     return f"S{~g[1]}"
 
 
-_GEN_RE = _re.compile(r"^(?:T(\d+)_(\d+)|S(\d+))$")
+_GEN_RE = _re.compile(r"^(?:T([0-9]+)_([0-9]+)|S([0-9]+))$")
 
 
 def parse_gen_name(name: str) -> Gen:
@@ -472,15 +472,22 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
     a dense polynomial over index, which must hold every generator of polys.
     Raises DegreeOverflow for a monomial of total degree DEGREE_BOUND or more.
     """
+    return dense_terms([{pack(m.pairs, index): c for m, c in p.terms.items()} for p in polys])
+
+
+def dense_terms(polys: Iterable[Mapping]):
+    """integer_terms of polynomials given as dicts from keys to nonzero
+    GaussianRational coefficients: (s, dense), dense keeping each dict's
+    key order."""
     polys = list(polys)
-    s = lcm(*[c._abd[2] for p in polys for c in p.terms.values()])
+    s = lcm(*[c._abd[2] for p in polys for c in p.values()])
     dense = []
     for p in polys:
         terms = {}
-        for m, c in p.terms.items():
+        for key, c in p.items():
             a, b, d = c._abd
             k = s // d
-            terms[pack(m.pairs, index)] = (a * k, b * k)
+            terms[key] = (a * k, b * k)
         dense.append(terms)
     return s, dense
 
@@ -566,31 +573,44 @@ def exact_divide(p: Poly, divisor) -> Poly:
 
 class RewriteEngine:
     """The rewrite rules and relations of a presentation in the dense form,
-    built once per presentation (TrinomialPresentation.engine).
+    built once per presentation (TrinomialPresentation.engine) from the
+    exponent rows and constants, and the only build of them: the Poly
+    rules and relations of the presentation are views of this engine
+    (poly_rules, poly_relations).
 
     scale is the least positive integer that clears every denominator of
     the replacements; each rule reads scale * lead -> scale * replacement.
-    relations are the relations, all scaled by one positive integer. The
-    reduction of each term is memoized, shared by the oracle, normal_form
-    and every derivation on the presentation: one entry per distinct key
-    of a nonzero term ever reduced, plus one replacement product per
-    distinct vector of application counts, freed with the presentation.
+    relations are the relations, all scaled by the least positive integer
+    that clears their denominators. The reduction of each term is
+    memoized, shared by the oracle, normal_form and every derivation on
+    the presentation: one entry per distinct key of a nonzero term ever
+    reduced, plus one replacement product per distinct vector of
+    application counts, freed with the presentation.
     """
 
-    def __init__(self, index: Mapping[Gen, int], rules: Mapping[Monomial, Poly], relations):
+    def __init__(self, index: Mapping[Gen, int], rules, relations):
+        """rules lists (lead, replacement) and relations lists polynomials,
+        a lead being the (generator, exponent) pairs of a monomial, most
+        significant generator first, and a polynomial the (pairs, nonzero
+        GaussianRational) of its terms, of pairwise distinct monomials."""
         self.index = index
         self._degree_shift = EXPONENT_BITS * len(index)
-        self.scale, replacements = integer_terms(rules.values(), index)
+
+        def packed(poly):
+            return {pack(pairs, index): c for pairs, c in poly}
+
+        self.scale, replacements = dense_terms(packed(repl) for _, repl in rules)
         # per rule: (shift, exponent) of each lead generator, lead key, replacement
         self._rules = tuple(
             (
-                tuple((EXPONENT_BITS * index[g], e) for g, e in lead.pairs),
-                pack(lead.pairs, index),
+                tuple((EXPONENT_BITS * index[g], e) for g, e in lead),
+                pack(lead, index),
                 tuple(repl.items()),
             )
-            for lead, repl in zip(rules, replacements)
+            for (lead, _), repl in zip(rules, replacements)
         )
-        self.relations = tuple(integer_terms(relations, index)[1])
+        self._relation_scale, relations = dense_terms(map(packed, relations))
+        self.relations = tuple(relations)
         self._reductions: dict = {}  # key -> _reduce(key)
         self._powers: dict = {}  # application counts -> product of replacement powers
         self._monomials: dict = {}  # key -> monomial(key)
@@ -598,6 +618,15 @@ class RewriteEngine:
         # the order of a Monomial's pairs, in which lex order on the fields
         # of two keys is the Monomial order
         self._fields = tuple(sorted(((g, EXPONENT_BITS * k) for g, k in index.items()), reverse=True))
+
+    def poly_rules(self) -> dict:
+        """The rules as Poly: lead Monomial -> replacement."""
+        poly, scale = self.poly, self.scale
+        return {self.monomial(lead): poly(dict(repl), scale) for _, lead, repl in self._rules}
+
+    def poly_relations(self) -> tuple:
+        """The relations as Poly, exact: each dense one over its scale."""
+        return tuple(self.poly(rel, self._relation_scale) for rel in self.relations)
 
     def degree(self, key: int) -> int:
         """The total degree of a key."""
@@ -689,6 +718,22 @@ class RewriteEngine:
         common = sum(e << s for _, s, e in found)
         common += sum(e for *_, e in found) << self._degree_shift
         return tuple((g, e) for g, _, e in found), {key - common: c for key, c in terms.items()}
+
+    def divides_every_key(self, g: Gen, terms: dict) -> bool:
+        """Whether the generator g divides every key of a dense dict."""
+        shift = EXPONENT_BITS * self.index[g]
+        return all((key >> shift) & EXPONENT_MASK for key in terms)
+
+    def weight(self, key: int, sparse: Mapping[Gen, tuple], rank: int) -> tuple:
+        """The weight of length rank of a key, sparse giving each
+        generator's weight as (basis index, value) pairs (Grading.sparse)."""
+        total = [0] * rank
+        for g, shift in self._fields:
+            e = (key >> shift) & EXPONENT_MASK
+            if e:
+                for k, c in sparse[g]:
+                    total[k] += c * e
+        return tuple(total)
 
     def leibniz_part(self, g: Gen, image) -> tuple:
         """(EXPONENT_BITS * k, image / x_k) for the derivation sending g, the
@@ -864,99 +909,130 @@ def poly_format(p: Poly) -> str:
 
 
 def poly_parse(text: str, allowed: Iterable[Gen] = None) -> Poly:
-    """Parse polynomial text: terms joined by + or -, factors by '*'.
+    """Parse polynomial text, the grammar of poly_terms. Repeated terms
+    merge in first-seen order, and terms that cancel are dropped.
 
-    A factor is a parenthesized scalar, a bare scalar, or a generator
-    name with an optional ^exponent. Whitespace is free between tokens.
     When ``allowed`` is given, generator names outside it raise
     UnknownGenerator.
     """
     allowed_set = set(allowed) if allowed is not None else None
-    s = text.strip()
-    if not s:
-        raise PolyParseError("empty polynomial text")
     acc: dict = {}
-    for sign, chunk in _split_terms(s):
-        m, c = _parse_term(chunk, allowed_set)
-        if c:
-            _add_term(acc, m, c * sign)
+    for sign, pairs, (a, b, d) in poly_terms(text, allowed_set):
+        if a or b:
+            _add_term(acc, Monomial(pairs), GaussianRational._of(sign * a, sign * b, d))
     return Poly._of(acc)
 
 
-def _split_terms(s: str):
-    terms = []
-    depth = 0
-    sign = 1
-    current = []
-    i = 0
-    # leading sign
-    while i < len(s) and s[i] in "+- \t":
+# the signs at which a term can end, and the parentheses that nest them;
+# a group without inner parentheses is one mark, as its signs never end
+# a term and it leaves the depth as it was
+_TERM_MARKS = _re.compile(r"\([^()]*\)|[()+-]")
+# what follows a generator's '^': an optionally signed run of ASCII digits
+_EXPONENT_RE = _re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def poly_terms(text: str, allowed=None, factors: dict = None) -> list:
+    """The terms of polynomial text: terms joined by + or -, factors by '*'.
+
+    A factor is a parenthesized scalar, a bare scalar (gaussian.gq_parse),
+    or a generator name (parse_gen_name) with an optional ^exponent, an
+    optionally signed run of ASCII digits that is not negative.
+    Whitespace is free between tokens, and a sign right after '*', '^' or
+    '/' belongs to the factor. The whole text is split into terms before
+    any term is read.
+
+    Returns (sign, pairs, scalar) per term, in text order: sign is 1 or
+    -1, pairs lists (generator, exponent) per generator factor, unmerged,
+    and scalar is the triple (a, b, d) of the product of the scalar
+    factors, in lowest terms. Raises PolyParseError for malformed text,
+    and UnknownGenerator for a bad generator name or, when allowed is
+    given, a generator outside it. factors, when given, memoizes the
+    reading of each factor text, over every call with the same allowed.
+    """
+    s = text.strip()
+    if not s:
+        raise PolyParseError("empty polynomial text")
+    sign, i, n = 1, 0, len(s)
+    while i < n and s[i] in "+- \t":
         if s[i] == "-":
             sign = -sign
         i += 1
-    while i < len(s):
-        ch = s[i]
+    chunks = []
+    start = i
+    depth = 0
+    for mark in _TERM_MARKS.finditer(s, i):
+        ch = mark.group()
+        if len(ch) > 1:
+            continue
         if ch == "(":
             depth += 1
-            current.append(ch)
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise PolyParseError("unbalanced parentheses")
-            current.append(ch)
-        elif ch in "+-" and depth == 0:
-            prev = "".join(current).rstrip()
+        elif not depth:
+            prev = s[start : mark.start()].rstrip()
             if prev and prev[-1] in "*^/":
-                current.append(ch)
-            else:
-                if not prev:
-                    raise PolyParseError("empty term")
-                terms.append((sign, prev))
-                sign = 1 if ch == "+" else -1
-                current = []
-        else:
-            current.append(ch)
-        i += 1
+                continue
+            if not prev:
+                raise PolyParseError("empty term")
+            chunks.append((sign, prev))
+            sign = 1 if ch == "+" else -1
+            start = mark.end()
     if depth:
         raise PolyParseError("unbalanced parentheses")
-    last = "".join(current).strip()
+    last = s[start:].strip()
     if not last:
         raise PolyParseError("dangling sign")
-    terms.append((sign, last))
-    return terms
+    chunks.append((sign, last))
+    if factors is None:
+        factors = {}  # factor text -> _factor(text, allowed)
+    out = []
+    for sign, chunk in chunks:
+        a, b, d = 1, 0, 1
+        pairs = []
+        for f in chunk.split("*"):
+            f = f.strip()
+            factor = factors.get(f)
+            if factor is None:
+                if not f:
+                    raise PolyParseError(f"empty factor in {chunk!r}")
+                factor = factors[f] = _factor(f, allowed)
+            if len(factor) == 2:
+                pairs.append(factor)
+            else:
+                c, e, k = factor
+                a, b, d = a * c - b * e, a * e + b * c, d * k
+        if d != 1:
+            g = gcd(a, b, d)
+            a, b, d = a // g, b // g, d // g
+        out.append((sign, pairs, (a, b, d)))
+    return out
 
 
-def _parse_term(chunk: str, allowed_set):
-    """The monomial and the coefficient of one term."""
-    factors = [f.strip() for f in chunk.split("*")]
-    coeff = ONE
-    exps: dict = {}
-    for f in factors:
-        if not f:
-            raise PolyParseError(f"empty factor in {chunk!r}")
-        if f.startswith("("):
-            if not f.endswith(")"):
-                raise PolyParseError(f"bad parenthesized scalar {f!r}")
-            coeff = coeff * gq_parse(f[1:-1])
-            continue
-        if f[0] in "0123456789i" or f[0] in "+-":
-            try:
-                coeff = coeff * gq_parse(f)
-            except ScalarParseError as exc:
-                raise PolyParseError(str(exc)) from None
-            continue
+def _factor(f: str, allowed) -> tuple:
+    """A nonempty stripped factor: a scalar as its triple (a, b, d), a
+    generator as (generator, exponent)."""
+    scalar = f
+    if f[0] == "(":
+        if not f.endswith(")"):
+            raise PolyParseError(f"bad parenthesized scalar {f!r}")
+        scalar = f[1:-1]
+    elif f[0] not in "0123456789i+-":
         name, _, exp_text = f.partition("^")
-        g = parse_gen_name(name.strip())
-        if allowed_set is not None and g not in allowed_set:
-            raise UnknownGenerator(f"generator {name.strip()} not in this presentation")
-        if exp_text:
-            try:
-                e = int(exp_text)
-            except ValueError:
-                raise PolyParseError(f"bad exponent in {f!r}") from None
-            if e < 0:
-                raise PolyParseError("negative exponent")
-        else:
-            e = 1
-        exps[g] = exps.get(g, 0) + e
-    return Monomial(exps), coeff
+        name = name.strip()
+        g = parse_gen_name(name)
+        if allowed is not None and g not in allowed:
+            raise UnknownGenerator(f"generator {name} not in this presentation")
+        if not exp_text:
+            return g, 1
+        if not _EXPONENT_RE.fullmatch(exp_text):
+            raise PolyParseError(f"bad exponent in {f!r}")
+        e = int(exp_text)
+        if e < 0:
+            raise PolyParseError("negative exponent")
+        return g, e
+    try:
+        return gq_parse(scalar)._abd
+    except ScalarParseError as exc:
+        raise PolyParseError(str(exc)) from None

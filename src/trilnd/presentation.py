@@ -267,49 +267,50 @@ class TrinomialPresentation:
 
     @cached_property
     def _relations(self) -> Tuple[Poly, ...]:
-        rels = []
-        if self.kind == 1:
-            for i in range(1, self.r):
-                const = self.constant(i + 1) - self.constant(i)
-                rels.append(
-                    self.block_power(i) - self.block_power(i + 1) - Poly.constant(const)
-                )
-        else:
-            for i in range(0, self.r - 1):
-                rels.append(self.triple_relation(i, i + 1, i + 2))
-        return tuple(rels)
+        return self.engine.poly_relations()
 
     def relations(self) -> Tuple[Poly, ...]:
         return self._relations
 
     @cached_property
     def rewrite_rules(self) -> dict:
-        """Oriented rules lead -> replacement, anchored at the lowest block(s).
-
-        For j >= 2 the rule rewrites T_j^{l_j} to a combination of
-        T_{r0}^{l_{r0}} (and for type 2 also T_1^{l_1}) plus a constant,
-        so replacements never contain a lead and one pass per term
-        normalizes.
-        """
-        rules = {}
-        for j in range(2, self.r + 1):
-            lead = self.block_power(j).lead_monomial()
-            if self.kind == 1:
-                const = self.constant(j) - self.constant(1)
-                rules[lead] = self.block_power(1) - Poly.constant(const)
-            else:
-                alpha, beta, gamma = self.triple_coefficients(0, 1, j)
-                rules[lead] = (
-                    self.block_power(0) * (-alpha / gamma)
-                    + self.block_power(1) * (-beta / gamma)
-                )
-        return rules
+        """Oriented rules lead -> replacement, the Poly view of the engine's."""
+        return self.engine.poly_rules()
 
     @cached_property
     def engine(self) -> RewriteEngine:
         """The rewrite engine on the dense form (poly.RewriteEngine), which
-        every normal form modulo the relations goes through."""
-        return RewriteEngine(self.generator_index, self.rewrite_rules, self._relations)
+        every normal form modulo the relations goes through, built from the
+        exponent rows and the constants.
+
+        For j >= 2 the rule rewrites T_j^{l_j} to a combination of
+        T_{r0}^{l_{r0}} (and for type 2 also T_1^{l_1}) plus a constant,
+        so replacements never contain a lead and one pass per term
+        normalizes. The relations are, for type 1, T_i^{l_i} -
+        T_{i+1}^{l_{i+1}} - (a_{i+1} - a_i), and for type 2 the
+        triple_relation of each three consecutive blocks.
+        """
+        power = {
+            i: tuple((tvar(i, j), e) for j, e in enumerate(exps, start=1))
+            for i, exps in zip(self.block_numbers, self.blocks)
+        }
+        a = self.constant
+        if self.kind == 1:
+            rules = [(power[j], ((power[1], ONE), ((), a(1) - a(j)))) for j in range(2, self.r + 1)]
+            relations = [
+                ((power[i], ONE), (power[i + 1], -ONE), ((), a(i) - a(i + 1)))
+                for i in range(1, self.r)
+            ]
+        else:
+            rules = []
+            for j in range(2, self.r + 1):
+                alpha, beta, gamma = self.triple_coefficients(0, 1, j)
+                rules.append((power[j], ((power[0], -alpha / gamma), (power[1], -beta / gamma))))
+            relations = []
+            for i in range(self.r - 1):
+                coefficients = self.triple_coefficients(i, i + 1, i + 2)
+                relations.append(tuple(zip((power[i], power[i + 1], power[i + 2]), coefficients)))
+        return RewriteEngine(self.generator_index, rules, relations)
 
     @cached_property
     def grading(self):
