@@ -15,7 +15,9 @@ unnormalized_member(). For each it writes:
   lnds --lambdas "0,1,i,2-3i", each with and without --expand, and
   normalize, and of verify --cap 16 on every derivation that
   enumerate_lnds materializes;
-* kernel_generators for every descriptor that enumerate_lnds builds;
+* kernel_generators for every descriptor that enumerate_lnds builds,
+  and stdout and exit code of the CLI command kernel on that descriptor,
+  with --member its first kernel generator when it has one;
 * oracle_enumerate(degree_bound=3, cap=4).to_dict() for members with
   n + d <= 4.
 
@@ -89,6 +91,9 @@ def dump_member(label, path, P, write):
             lambda: [poly_format(g) for g in kernel_generators(P, inst.descriptor)]
         )
         write(f"--- kernel_generators {desc}: {kernel}\n")
+        member = ["--member", kernel[0]] if isinstance(kernel, list) and kernel else []
+        text, code = run_cli(["kernel", "--presentation", path, "--descriptor", desc, *member])
+        write(f"--- kernel {desc} {' '.join(member)}: exit {code}\n{text}")
     if P.n + P.d <= 4:
         report = attempt(lambda: oracle_enumerate(P, degree_bound=3, cap=4).to_dict())
         write(f"--- oracle_enumerate: {json.dumps(report)}\n")

@@ -11,12 +11,14 @@ Every normal form comes from the presentation's one rewrite engine,
 P.engine, through poly.normal_form for a Poly. Iteration and
 zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
-to a nonzero scalar and built per call, unless the caller has one: the
-oracle keeps its samples in that form and turns each into a Derivation
-with _DenseForm.derivation, the classifier packs each build once
-(_DenseForm.of_normal_images) and checks that form, and derivation text
-is read straight into it (_DenseForm.from_text), which `trilnd verify`
-checks from end to end.
+to a nonzero scalar. It has one constructor, _DenseForm(presentation,
+images, scale), and one converter from a Derivation, _DenseForm.of, which
+packs with poly.integer_terms, the one scaler. The oracle builds its
+samples with the constructor and turns each back with
+_DenseForm.derivation, the classifier checks each build through
+_DenseForm.of_normal_images, and derivation text is read straight into
+the form (_DenseForm.from_text) through engine.dense_normal_forms, the
+one normalizer, which `trilnd verify` checks from end to end.
 Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
 are the references the tests compare the dense form with. A form that
 passed the relation check, or that the oracle built from a solution of
@@ -138,41 +140,37 @@ class _DenseForm:
     from a solution of the relation rows (the oracle's samples).
     """
 
-    __slots__ = ("presentation", "index", "scale", "images", "parts", "well_defined")
+    __slots__ = ("presentation", "scale", "images", "parts", "well_defined")
 
-    def __init__(self, delta: "Derivation"):
-        scale, dense = integer_terms(delta.images.values(), delta.presentation.generator_index)
-        self._set(delta.presentation, dict(zip(delta.images, dense)), scale)
+    def __init__(self, presentation: TrinomialPresentation, images, scale, well_defined=False):
+        self.presentation = presentation
+        self.images = images
+        self.scale = scale
+        self.parts = None  # the Leibniz parts, built by the first step
+        self.well_defined = well_defined
 
     @classmethod
-    def from_images(
-        cls, presentation: TrinomialPresentation, images: dict, scale: int, well_defined=False
-    ):
-        """The form with these dense images at this scale; they must be
-        nonzero, in normal form and free of zero coefficients."""
-        out = cls.__new__(cls)
-        out._set(presentation, images, scale)
-        out.well_defined = well_defined
-        return out
+    def of(cls, delta: "Derivation"):
+        """The form of a Derivation, its images packed as they are."""
+        scale, dense = integer_terms(delta.images.values(), delta.presentation.generator_index)
+        return cls(delta.presentation, dict(zip(delta.images, dense)), scale)
 
     @classmethod
     def of_normal_images(cls, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
-        """The form of the derivation with these nonzero Poly images, packed
-        once, or None when some term is not in normal form."""
-        scale, dense = integer_terms(images.values(), presentation.generator_index)
-        if not presentation.engine.in_normal_form(key for terms in dense for key in terms):
-            return None
-        return cls.from_images(presentation, dict(zip(images, dense)), scale)
+        """The form of these nonzero Poly images, or None when a term is not in normal form."""
+        form = cls.of(Derivation._of(presentation, images))
+        keys = (key for terms in form.images.values() for key in terms)
+        return form if presentation.engine.in_normal_form(keys) else None
 
     @classmethod
     def from_text(cls, presentation: TrinomialPresentation, text: str):
         """The form of the derivation in the derivation file format (see
         derivation_from_text), each term packed as it is read. Repeated
-        terms merge in first-seen order, as in poly_parse, and an image is
-        normalized only when a key is not in normal form, as normal_form
-        decides, so the images, their term order and every error are
-        those of Derivation(presentation, {g: poly_parse(rhs)}), except
-        that each error raised by a line names the line."""
+        terms merge in first-seen order, as in poly_parse, and
+        engine.dense_normal_forms keeps an image in normal form as it is,
+        so the images, their term order and every error are those of
+        Derivation(presentation, {g: poly_parse(rhs)}), except that each
+        error raised by a line names the line."""
         index = presentation.generator_index
         known = presentation.generator_set
         images: dict = {}
@@ -216,28 +214,9 @@ class _DenseForm:
                     if isinstance(key, Monomial):
                         pack(key.pairs, index)  # raises DegreeOverflow
         scale, dense = dense_terms(images.values())
-        engine = presentation.engine
-        normal = []  # (generator, image, top) as dense_normal_form gives them
-        for g, terms in zip(images, dense):
-            top = 0
-            if not engine.in_normal_form(terms):
-                terms, top = engine.dense_normal_form(terms)
-            if terms:
-                normal.append((g, terms, top))
-        top = max((t for _, _, t in normal), default=0)
-        images = {}
-        for g, terms, t in normal:  # all at one scale, as dense_normal_forms does
-            f = engine.scale ** (top - t)
-            images[g] = terms if f == 1 else {m: (a * f, b * f) for m, (a, b) in terms.items()}
-        return cls.from_images(presentation, images, scale * engine.scale**top)
-
-    def _set(self, presentation, images, scale):
-        self.presentation = presentation
-        self.index = presentation.generator_index
-        self.scale = scale
-        self.images = images
-        self.parts = None  # the Leibniz parts, built by the first step
-        self.well_defined = False
+        forms, top = presentation.engine.dense_normal_forms(dense)
+        images = {g: terms for g, terms in zip(images, forms) if terms}
+        return cls(presentation, images, scale * presentation.engine.scale**top)
 
     def derivation(self) -> "Derivation":
         """The Derivation this form stands for. The engine builds its images
@@ -249,9 +228,6 @@ class _DenseForm:
 
     def is_zero(self) -> bool:
         return not self.images
-
-    def of(self, p: Poly) -> dict:
-        return integer_terms((p,), self.index)[1][0]
 
     def step(self, p: dict) -> dict:
         """delta(p) in normal form, up to a nonzero scalar, as a primitive dense dict."""
@@ -379,7 +355,7 @@ def is_well_defined(delta: Union[Derivation, _DenseForm]) -> WellDefinedReport:
     marks that form well defined when it passes; a broken relation's
     residue is recomputed exactly with Derivation.apply.
     """
-    dense = delta if isinstance(delta, _DenseForm) else _DenseForm(delta)
+    dense = delta if isinstance(delta, _DenseForm) else _DenseForm.of(delta)
     idx = dense.broken_relation()
     if idx is None:
         return WellDefinedReport(ok=True)
@@ -429,7 +405,7 @@ def nilpotency_check(
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
-    dense = delta if isinstance(delta, _DenseForm) else _DenseForm(delta)
+    dense = delta if isinstance(delta, _DenseForm) else _DenseForm.of(delta)
     if not dense.well_defined and dense.broken_relation() is not None:
         return NilpotencyReport("not_applicable", cap)
     engine = dense.presentation.engine
@@ -550,8 +526,8 @@ def _edge_holds(delta: Derivation, g: Gen, step: int, x: Gen, e: int) -> bool:
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:
     _reject_foreign(p, delta.presentation.generator_set)
-    dense = _DenseForm(delta)
-    return not dense.step(dense.of(p))
+    (terms,) = integer_terms((p,), delta.presentation.generator_index)[1]
+    return not _DenseForm.of(delta).step(terms)
 
 
 def replica(delta: Derivation, h: Poly) -> Derivation:

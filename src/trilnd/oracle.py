@@ -35,7 +35,7 @@ from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, _DenseForm, nilpotency_check
 from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading
-from .poly import dense_combination, dense_leibniz, pack, primitive_part
+from .poly import dense_combination, dense_leibniz, dense_terms, pack, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -252,7 +252,8 @@ def solution_space(
     rows = []
     for rel in engine.relations:
         cells: dict = {}
-        for col, nf in enumerate(engine.dense_normal_forms(dense_leibniz(rel, part) for part in parts)):
+        forms, _ = engine.dense_normal_forms(dense_leibniz(rel, part) for part in parts)
+        for col, nf in enumerate(forms):
             for mono, c in nf.items():
                 cells.setdefault(mono, {})[col] = c
         rows.extend(cells.values())
@@ -260,15 +261,14 @@ def solution_space(
     vectors = _nullspace(reduced, pivots, len(columns))
     # one scale for the whole basis, so that sums and twists of basis
     # vectors are exact on the dense images
-    scale = math.lcm(*[c._abd[2] for vec in vectors for c in vec.values()])
+    scale, vectors = dense_terms(vectors)
     forms = []
     for vec in vectors:
         images: dict = {}
         for k in sorted(vec):
-            a, b, d = vec[k]._abd
             g, key = columns[k]
-            images.setdefault(g, {})[key] = (a * (scale // d), b * (scale // d))
-        forms.append(_DenseForm.from_images(P, images, scale, well_defined=True))
+            images.setdefault(g, {})[key] = vec[k]
+        forms.append(_DenseForm(P, images, scale, well_defined=True))
     return SolutionSpace(
         presentation=P,
         weight=weight,
@@ -292,7 +292,7 @@ def _combination(x: _DenseForm, y: _DenseForm, c: Tuple[int, int]) -> _DenseForm
         if img:
             images[g] = img
     well_defined = x.well_defined and y.well_defined
-    return _DenseForm.from_images(x.presentation, images, x.scale, well_defined)
+    return _DenseForm(x.presentation, images, x.scale, well_defined)
 
 
 def _classifier_by_degree(P: TrinomialPresentation):
@@ -427,7 +427,7 @@ def oracle_enumerate(
         members = []
         for inst in by_degree.get(w, ()):
             name = _descriptor_label(inst.descriptor)
-            form = _DenseForm(inst.derivation)
+            form = _DenseForm.of(inst.derivation)
             # in the span, it solves every relation row as the basis does
             form.well_defined = space.contains(inst.derivation)
             members.append((name, form.well_defined))

@@ -15,9 +15,11 @@ gen_name and parse_gen_name build or read a generator's fields.
 
 Normal forms come from one rewrite engine, RewriteEngine, on the packed
 dense form described below; normal_form is its entry for a Poly, and
-stepwise_normal_form the independent reference. The engine also
-enumerates a degree box of normal-form keys (RewriteEngine.box) and turns
-keys and dense polynomials back into Monomial and Poly (monomial, poly).
+stepwise_normal_form the independent reference. dense_terms is the one
+scaler to Gaussian integers, RewriteEngine.dense_normal_forms the one
+normalizer to one power of the rule scale. The engine also enumerates a
+degree box of normal-form keys (RewriteEngine.box) and turns keys and
+dense polynomials back into Monomial and Poly (monomial, poly).
 """
 
 from __future__ import annotations
@@ -478,7 +480,7 @@ def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
 def dense_terms(polys: Iterable[Mapping]):
     """integer_terms of polynomials given as dicts from keys to nonzero
     GaussianRational coefficients: (s, dense), dense keeping each dict's
-    key order."""
+    key order; the only code that takes an lcm of coefficient denominators."""
     polys = list(polys)
     s = lcm(*[c._abd[2] for p in polys for c in p.values()])
     dense = []
@@ -751,7 +753,8 @@ class RewriteEngine:
         """(nf, top) for a dense polynomial: nf is scale**top times its normal
         form, with no zero coefficient, and top the most rule applications
         any term needs. One pass per term suffices because replacements
-        contain no lead.
+        contain no lead. When no rule applies, nf is the nonzero terms in
+        their own order (terms itself, if none cancelled) and top is 0.
 
         Raises DegreeOverflow when a key of terms, or a term of the result,
         has total degree DEGREE_BOUND or more. A key past the bound is
@@ -769,6 +772,9 @@ class RewriteEngine:
                 pending.append((hit, c))
             else:
                 check_degree(m >> self._degree_shift)
+        if not top:  # no rule applies: the nonzero terms are the normal form
+            nonzero = len(pending) == len(terms)
+            return (terms if nonzero else {m: c for m, c in terms.items() if c[0] or c[1]}), 0
         s = self.scale
         out: dict = {}
         for (m, factor, total), (a, b) in pending:
@@ -776,13 +782,15 @@ class RewriteEngine:
             _add_scaled(out, m, a * f, b * f, factor)
         return {m: c for m, c in out.items() if c[0] or c[1]}, top
 
-    def dense_normal_forms(self, polys: Iterable[dict]) -> list:
-        """The normal forms of dense polynomials, all scaled by one power of
-        scale, so that every linear relation among them is exact."""
+    def dense_normal_forms(self, polys: Iterable[dict]) -> Tuple[list, int]:
+        """(forms, top): scale**top times the normal form of each dense
+        polynomial, so that every linear relation among them is exact; the
+        only code that brings normal forms to one power of scale."""
         forms = [self.dense_normal_form(p) for p in polys]
         top = max((t for _, t in forms), default=0)
         scaled = [(nf, self.scale ** (top - t)) for nf, t in forms]
-        return [nf if f == 1 else {m: (a * f, b * f) for m, (a, b) in nf.items()} for nf, f in scaled]
+        forms = [nf if f == 1 else {m: (a * f, b * f) for m, (a, b) in nf.items()} for nf, f in scaled]
+        return forms, top
 
     def _reduce(self, m: int) -> tuple:
         """(reduced key, replacement product, number of rule applications)
@@ -838,19 +846,15 @@ def normal_form(p: Poly, presentation: TrinomialPresentation) -> Poly:
     DEGREE_BOUND or more.
     """
     engine = presentation.engine
-    index = engine.index
     try:
-        keys = [pack(m.pairs, index) for m in p.terms]
+        keys = [pack(m.pairs, engine.index) for m in p.terms]
     except KeyError as exc:
         raise UnknownGenerator(
             f"{gen_name(exc.args[0])} is not a generator of this presentation"
         ) from None
     if engine.in_normal_form(keys):
         return p
-    # integer_terms of p, from the keys already packed
-    coefficients = [c._abd for c in p.terms.values()]
-    scale = lcm(*[d for _, _, d in coefficients])
-    terms = {key: (a * (scale // d), b * (scale // d)) for key, (a, b, d) in zip(keys, coefficients)}
+    scale, (terms,) = dense_terms((dict(zip(keys, p.terms.values())),))
     nf, top = engine.dense_normal_form(terms)
     return engine.poly(nf, scale * engine.scale**top)
 
@@ -1019,12 +1023,12 @@ def _factor(f: str, allowed) -> tuple:
             raise PolyParseError(f"bad parenthesized scalar {f!r}")
         scalar = f[1:-1]
     elif f[0] not in "0123456789i+-":
-        name, _, exp_text = f.partition("^")
+        name, caret, exp_text = f.partition("^")
         name = name.strip()
         g = parse_gen_name(name)
         if allowed is not None and g not in allowed:
             raise UnknownGenerator(f"generator {name} not in this presentation")
-        if not exp_text:
+        if not caret:
             return g, 1
         if not _EXPONENT_RE.fullmatch(exp_text):
             raise PolyParseError(f"bad exponent in {f!r}")

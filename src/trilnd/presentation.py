@@ -135,13 +135,13 @@ class TrinomialPresentation:
                     raise BadShape("type 2 constants must be pairs of scalars")
                 if not col[0] and not col[1]:
                     raise DependentColumns("zero column")
-            for idx, a in enumerate(self.constants):
-                for b in self.constants[idx + 1 :]:
-                    if not _det2(a, b):
-                        raise DependentColumns(
-                            f"columns ({gq_format(a[0])},{gq_format(a[1])}) and "
-                            f"({gq_format(b[0])},{gq_format(b[1])}) are proportional"
-                        )
+            for (p, q), minor in self._minors.items():
+                if p < q and not minor:
+                    a, b = self.constants[p], self.constants[q]
+                    raise DependentColumns(
+                        f"columns ({gq_format(a[0])},{gq_format(a[1])}) and "
+                        f"({gq_format(b[0])},{gq_format(b[1])}) are proportional"
+                    )
         if self.anchors is not None:
             if len(self.anchors) != len(self.blocks):
                 raise BadShape("anchors must give one index per block")
@@ -204,11 +204,21 @@ class TrinomialPresentation:
         return {g: k for k, g in enumerate(self.generators)}
 
     @cached_property
+    def _minors(self) -> dict:
+        """The minor _det2 of the columns of blocks p and q (type 2) for each
+        ordered pair p != q, computed once per pair, when validation reads it."""
+        minors = {}
+        for p, a in enumerate(self.constants):
+            for q in range(p + 1, len(self.constants)):
+                minors[p, q] = minor = _det2(a, self.constants[q])
+                minors[q, p] = -minor
+        return minors
+
+    @cached_property
     def _block_memo(self) -> dict:
         """Memo of the block-level pieces, filled on first use: keys
-        ("minors", p, q, s) for triple_coefficients, ("power", i, divisor)
-        for block_power_divided and ("partial", i, j) for block_partial.
-        It holds at most r^3 minors, n partials and a few powers per block,
+        ("power", i, divisor) for block_power_divided and ("partial", i, j)
+        for block_partial. It holds n partials and a few powers per block,
         and nothing that depends on a tuple or a derivation."""
         return {}
 
@@ -250,12 +260,7 @@ class TrinomialPresentation:
         """Minor coefficients (alpha, beta, gamma) of the relation on blocks p, q, s."""
         if self.kind != 2:
             raise AssumptionViolated("triple coefficients only exist for type 2")
-        key = ("minors", p, q, s)
-        hit = self._block_memo.get(key)
-        if hit is None:
-            ap, aq, as_ = self.constant(p), self.constant(q), self.constant(s)
-            hit = self._block_memo[key] = (_det2(aq, as_), -_det2(ap, as_), _det2(ap, aq))
-        return hit
+        return self._minors[q, s], self._minors[s, p], self._minors[p, q]
 
     def triple_relation(self, p: int, q: int, s: int) -> Poly:
         alpha, beta, gamma = self.triple_coefficients(p, q, s)

@@ -26,6 +26,10 @@ from .poly import Poly, tvar
 from .presentation import TrinomialPresentation, _ext_gcd, surface
 
 
+# x, y, z: the generators T0_1, T1_1, T2_1 of a surface presentation
+_XYZ = tuple(Poly.generator(tvar(i, 1)) for i in range(3))
+
+
 class RootOutOfRange(ValueError):
     """Asked to materialize a family member with an index below 1."""
 
@@ -249,9 +253,7 @@ def toric_derivation(gamma: int, ray_index: int, p: int) -> ToricDerivation:
         uv_images[name] = _format_uvz(coeff, exps)
         uv_data[name] = (coeff, exps)
     P = surface(2, 2, gamma)
-    x = Poly.generator(tvar(0, 1))
-    y = Poly.generator(tvar(1, 1))
-    z = Poly.generator(tvar(2, 1))
+    x, y, z = _XYZ
     u_poly = x * I - y
     v_poly = x * I + y
     def realize(data):
@@ -316,9 +318,7 @@ def case_b_pair(gamma: int):
     delta_0 kills i*x + y, delta_infinity kills i*x - y.
     """
     P = surface(2, 2, gamma)
-    x = Poly.generator(tvar(0, 1))
-    y = Poly.generator(tvar(1, 1))
-    z = Poly.generator(tvar(2, 1))
+    x, y, z = _XYZ
     zpow = z ** (gamma - 1)
     delta_0 = _surface_delta(
         P,
@@ -338,9 +338,7 @@ def case_b_pair(gamma: int):
 def case_c_family(lam: GaussianRational) -> Derivation:
     """The parameter family member on x^2 + y^2 + z^2."""
     P = surface(2, 2, 2)
-    x = Poly.generator(tvar(0, 1))
-    y = Poly.generator(tvar(1, 1))
-    z = Poly.generator(tvar(2, 1))
+    x, y, z = _XYZ
     one_plus = (ONE + lam * lam) * I
     one_minus = ONE - lam * lam
     return _surface_delta(
@@ -354,9 +352,7 @@ def case_c_family(lam: GaussianRational) -> Derivation:
 def case_c_limit() -> Derivation:
     """The limit member of the family on x^2 + y^2 + z^2."""
     P = surface(2, 2, 2)
-    x = Poly.generator(tvar(0, 1))
-    y = Poly.generator(tvar(1, 1))
-    z = Poly.generator(tvar(2, 1))
+    x, y, z = _XYZ
     return _surface_delta(P, z * -I, z, x * I - y)
 
 
@@ -375,8 +371,7 @@ def weighted_plane_lnds(a: int, b: int, lambdas=None):
         ("partial_x", {"x": Poly.constant(1), "y": Poly.zero()}),
         ("partial_y", {"x": Poly.zero(), "y": Poly.constant(1)}),
     ]
-    xg = Poly.generator(tvar(0, 1))
-    yg = Poly.generator(tvar(1, 1))
+    xg, yg, _ = _XYZ
     if a == 1:
         for lam in lams:
             out.append(
@@ -429,13 +424,12 @@ def _case_a_lifted(P, alpha, beta, gamma, lams):
     p, q = exps[others[0]], exps[others[1]]
     g = gcd(p, q)
     plane = weighted_plane_lnds(p // g, q // g, lams)
-    gens = [Poly.generator(tvar(i, 1)) for i in range(3)]
     out = []
     for name, images in plane:
-        dx = images["x"].substitute({tvar(0, 1): gens[others[0]], tvar(1, 1): gens[others[1]]})
-        dy = images["y"].substitute({tvar(0, 1): gens[others[0]], tvar(1, 1): gens[others[1]]})
+        dx = images["x"].substitute({tvar(0, 1): _XYZ[others[0]], tvar(1, 1): _XYZ[others[1]]})
+        dy = images["y"].substitute({tvar(0, 1): _XYZ[others[0]], tvar(1, 1): _XYZ[others[1]]})
         dsolved = -(
-            gens[others[0]] ** (p - 1) * dx * p + gens[others[1]] ** (q - 1) * dy * q
+            _XYZ[others[0]] ** (p - 1) * dx * p + _XYZ[others[1]] ** (q - 1) * dy * q
         )
         image_map = {
             tvar(others[0], 1): dx,

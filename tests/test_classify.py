@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 from pathlib import Path
 
@@ -573,17 +574,16 @@ def test_presentation_keeps_only_block_level_pieces():
     blocks = set(P.block_numbers)
     for key in P._block_memo:
         tag, *args = key
-        if tag == "minors":
-            assert set(args) <= blocks and len(set(args)) == 3
-        elif tag == "power":
+        if tag == "power":
             assert args[0] in blocks and all(e % args[1] == 0 for e in P.exponents(args[0]))
         else:
             assert tag == "partial" and 1 <= args[1] <= P.block_size(args[0])
     assert len(P._block_memo) <= P.n + P.r**3
+    assert P._minors.keys() == set(itertools.permutations(blocks, 2))
     assert set(P.__dict__) <= {
         "kind", "blocks", "constants", "d", "anchors",
         "generators", "generator_set", "generator_index", "_relations", "rewrite_rules",
-        "engine", "grading", "_block_memo",
+        "engine", "grading", "_block_memo", "_minors",
     }
     gc.collect()
     per_tuple = (classify._Construction, classify._EntryBuilds)

@@ -1,0 +1,171 @@
+"""One way into the packed form.
+
+A _DenseForm is built by its one constructor, or from a Derivation by
+its one converter _DenseForm.of; coefficients reach the Gaussian
+integers through poly.dense_terms, and normal forms reach one power of
+the rule scale through RewriteEngine.dense_normal_forms. Every path into
+the form must meet its invariant: nonzero images, keys in normal form,
+no zero coefficient, a positive integer scale, and the Derivation it
+stands for equal to an independent reference.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trilnd.classify import enumerate_lnds
+from trilnd.corpus import corpus
+from trilnd.derivation import Derivation, _DenseForm, derivation_to_text
+from trilnd.gaussian import I, gq
+from trilnd.oracle import _combination, _nullspace, induced_weight_box, solution_space
+from trilnd.poly import Monomial, Poly, gen_name, integer_terms, normal_form, poly_format
+from trilnd.presentation import type1, type2
+
+SCALARS = (gq(1), -I, gq(Fraction(1, 2)), gq(Fraction(-2, 3)), gq(2, 1), gq(Fraction(1, 3), -2))
+# presentations whose rules have denominators (engine.scale 2, 6 and 3),
+# then corpus members, whose rules have none
+HALVES = type1(((1, 2), (2,)), constants=(gq(0), gq(Fraction(1, 2))))
+SIXTHS = type1(((2,), (2,), (2,)), constants=(gq(0), gq(Fraction(1, 2)), gq(Fraction(1, 3))))
+THIRDS = type2(((2,), (2,), (3,)), constants=((gq(1), gq(0)), (gq(0), gq(3)), (gq(2), gq(1))))
+PRESENTATIONS = (HALVES, SIXTHS, THIRDS, *corpus()[:6])
+
+
+def assert_invariant(form, reference):
+    P = form.presentation
+    assert type(form.scale) is int and form.scale > 0
+    for g, image in form.images.items():
+        assert g in P.generator_set and image
+        assert all(type(a) is int and type(b) is int and (a or b) for a, b in image.values())
+        assert P.engine.in_normal_form(image)
+    assert form.derivation() == reference
+
+
+def classifier_outputs(P):
+    return [
+        inst.derivation
+        for inst in enumerate_lnds(P)
+        if inst.derivation is not None and not inst.derivation.is_zero()
+    ]
+
+
+@st.composite
+def raw_images(draw, P, max_exp=4):
+    """Images with fractional coefficients, often outside normal form."""
+    n = len(P.generators)
+    exponents = st.lists(st.integers(0, max_exp), min_size=n, max_size=n)
+    term = st.tuples(st.sampled_from(SCALARS), exponents)
+    images = {}
+    for g in draw(st.lists(st.sampled_from(P.generators), unique=True, max_size=3)):
+        images[g] = Poly()
+        for c, exps in draw(st.lists(term, max_size=4)):
+            images[g] += Poly.monomial(Monomial(zip(P.generators, exps)), c)
+    return images
+
+
+def test_the_engines_here_have_denominators():
+    assert [P.engine.scale for P in (HALVES, SIXTHS, THIRDS)] == [2, 6, 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_converter_and_the_text_reader_meet_the_invariant(data):
+    P = data.draw(st.sampled_from(PRESENTATIONS))
+    raw = data.draw(raw_images(P))
+    reference = Derivation(P, raw)
+    assert_invariant(_DenseForm.of(reference), reference)
+    assert_invariant(_DenseForm.from_text(P, derivation_to_text(reference)), reference)
+    # the images as drawn, terms outside normal form included
+    text = "".join(f"{gen_name(g)} = {poly_format(img)}\n" for g, img in raw.items() if img)
+    assert_invariant(_DenseForm.from_text(P, text), reference)
+
+
+@pytest.mark.parametrize("P", [HALVES, *corpus()[:8]], ids=lambda P: P.describe())
+def test_the_classifier_check_meets_the_invariant(P):
+    for delta in classifier_outputs(P):
+        for c in SCALARS[:3]:
+            scaled = delta * c
+            assert_invariant(_DenseForm.of_normal_images(P, scaled.images), scaled)
+    lead = next(iter(P.rewrite_rules))
+    assert _DenseForm.of_normal_images(P, {P.generators[0]: Poly.monomial(lead)}) is None
+
+
+def reference_basis(space):
+    """The basis from the reduced rows in exact arithmetic, by _nullspace
+    over the rows' pivots (the first column of each), as Derivations."""
+    reduced = space._constraints
+    vectors = _nullspace(reduced, [min(row) for row in reduced], len(space.unknowns))
+    out = []
+    for vec in vectors:
+        images = {}
+        for k, c in vec.items():
+            g, m = space.unknowns[k]
+            images[g] = images.get(g, Poly()) + Poly.monomial(m, c)
+        out.append(Derivation(space.presentation, images))
+    return out
+
+
+def test_the_oracle_basis_and_its_combinations_meet_the_invariant():
+    combinations = 0
+    for P in PRESENTATIONS:
+        for w in induced_weight_box(P):
+            space = solution_space(P, w, degree_bound=3)
+            reference = reference_basis(space)
+            assert len(space._forms) == len(reference)
+            for form, delta in zip(space._forms, reference):
+                assert form.well_defined
+                assert_invariant(form, delta)
+            forms = space._forms[:3]
+            for a in range(len(forms)):
+                for b in range(a + 1, len(forms)):
+                    for c in ((1, 0), (-1, 0), (0, 1)):
+                        x, y = reference[a], reference[b]
+                        assert_invariant(_combination(forms[a], forms[b], c), x + y * gq(*c))
+                        combinations += 1
+    assert combinations
+
+
+# -- the one normalizer --------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dense_normal_forms_share_one_power_of_the_scale(data):
+    P = data.draw(st.sampled_from(PRESENTATIONS))
+    engine = P.engine
+    polys = list(data.draw(raw_images(P)).values())
+    # inputs that need no rule, and one with a cancelled entry
+    polys += [normal_form(p, P) for p in data.draw(raw_images(P)).values()]
+    s, dense = integer_terms(polys, P.generator_index)
+    box = engine.box(1, [()] * len(P.generators))
+    spare = [key for key, _ in box if dense and key not in dense[-1]]
+    if spare and data.draw(st.booleans()):
+        dense[-1] = {**dense[-1], data.draw(st.sampled_from(spare)): (0, 0)}
+    forms, top = engine.dense_normal_forms(dense)
+    assert len(forms) == len(polys)
+    f = engine.scale**top
+    for p, terms, form in zip(polys, dense, forms):
+        assert all(a or b for a, b in form.values())
+        assert engine.poly(form, s * f) == normal_form(p, P)
+        nonzero = [key for key, (a, b) in terms.items() if a or b]
+        if engine.in_normal_form(nonzero):
+            assert list(form) == nonzero
+            assert all(form[key] == (terms[key][0] * f, terms[key][1] * f) for key in nonzero)
+
+
+def test_inputs_of_different_tops_are_brought_to_the_highest():
+    P = type1(((2,), (3,)), constants=(gq(0), gq(Fraction(1, 2))))
+    engine = P.engine
+    assert engine.scale == 2
+    t1, t2 = P.generators
+    lead = Poly.generator(t2) ** 3
+    polys = [Poly.generator(t1) * gq(Fraction(1, 3)), lead * lead + Poly.generator(t2), lead]
+    s, dense = integer_terms(polys, P.generator_index)
+    (normal,), _ = engine.dense_normal_forms(dense[:1])
+    assert normal is dense[0]
+    forms, top = engine.dense_normal_forms(dense)
+    assert top == 2
+    for p, form in zip(polys, forms):
+        assert engine.poly(form, s * engine.scale**top) == normal_form(p, P)
+    assert forms[0] == {key: (4 * a, 4 * b) for key, (a, b) in dense[0].items()}

@@ -107,3 +107,21 @@ def test_only_the_presentation_builds_the_grading():
     }
     assert callers == {"presentation.py"}
     assert isinstance(TrinomialPresentation.__dict__["grading"], cached_property)
+
+
+def test_only_dense_terms_takes_an_lcm():
+    """poly.dense_terms is the one scaler of coefficient denominators; the
+    only other lcm is gaussian.py's, which puts one scalar over one
+    denominator."""
+    callers = set()
+    for name, tree in modules().items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers |= {
+                    (name, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and "lcm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                }
+    assert {name for name, _ in callers} <= {"poly.py", "gaussian.py"}
+    assert {func for name, func in callers if name == "poly.py"} == {"dense_terms"}

@@ -298,8 +298,8 @@ def test_contains_checks_the_reduced_constraints():
 def reference_loop(delta, cap):
     """nilpotency_check without the divisibility refutation: the dense
     iteration alone, with the default size guards."""
-    dense = _DenseForm(delta)
-    n = len(dense.index)
+    dense = _DenseForm.of(delta)
+    n = len(delta.presentation.generators)
     worst = 1
     for g in delta.presentation.generators:
         p = dense.images.get(g)

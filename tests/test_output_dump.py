@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_SHA256 = "23c2edfcf584283d21bc207e000db57f3e44a689fd63441783419a160cd581a6"
+OUTPUT_SHA256 = "49e3e552771c96ff15049985b06caa935b848228c97577d76488e4cb9c880b47"
 
 
 def test_output_dump_matches_the_pinned_digest():

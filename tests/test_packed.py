@@ -197,7 +197,7 @@ def test_degree_bound_holds_at_library_level():
 
 def test_dense_images_are_keys_of_the_generator_positions():
     delta = Derivation(CYLINDER, {S1: poly_parse("3*T0_1^2*S2 - i")})
-    form = _DenseForm(delta)
+    form = _DenseForm.of(delta)
     n = len(CYLINDER.generators)
     image = form.images[S1]
     want = {

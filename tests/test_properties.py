@@ -202,8 +202,8 @@ def test_dense_step_is_apply_up_to_a_scalar(data):
     delta = data.draw(corpus_derivations())
     P = delta.presentation
     p = data.draw(polys(P, scalars=FRACTIONAL_SCALARS))
-    dense = _DenseForm(delta)
-    got = dense.step(dense.of(p))
+    _, (terms,) = integer_terms([p], P.generator_index)
+    got = _DenseForm.of(delta).step(terms)
     exact = delta.apply(p)
     _, (want,) = integer_terms([exact], P.generator_index)
     assert got.keys() == want.keys()

@@ -6,8 +6,8 @@ The reference below is the reader they replaced, a character scanner and
 a factor splitter feeding Derivation(P, images) and normal_form, kept
 here with two marked departures: errors raised on a right-hand side name
 their line, and a parenthesized scalar fails with the bare scalar's
-kind. A third, ASCII-only digits, is what the reference reports as
-Coerced instead of reading.
+kind. Two more, ASCII-only digits and an exponent after every '^', are
+what the reference reports as Coerced instead of reading.
 """
 
 import json
@@ -156,7 +156,7 @@ def ref_parse_term(chunk, allowed_set):
             except ScalarParseError as exc:
                 raise PolyParseError(str(exc)) from None
             continue
-        name, _, exp_text = f.partition("^")
+        name, caret, exp_text = f.partition("^")
         g = ref_gen(name.strip())
         if allowed_set is not None and g not in allowed_set:
             raise UnknownGenerator(f"generator {name.strip()} not in this presentation")
@@ -170,6 +170,8 @@ def ref_parse_term(chunk, allowed_set):
             _ascii_only(exp_text.strip())
             if e < 0:
                 raise PolyParseError("negative exponent")
+        elif caret:  # departure: an empty exponent was read as 1
+            raise Coerced(f)
         else:
             e = 1
         exps[g] = exps.get(g, 0) + e
@@ -399,6 +401,7 @@ def test_poly_parse_reads_as_the_reference(data):
         "T0_1 = T1_1 * -2 + T1_1^-0 - T1_1*+3",  # signs that belong to a factor
         "T0_1 = 2/-3*T1_1",
         "T0_1 = -(1+i)*((2))",
+        "T0_1 = T1_1^*2",  # an empty exponent, which the reference coerces
     ],
 )
 def test_edge_texts_read_as_the_reference(text):
@@ -470,6 +473,30 @@ def test_verify_rejects_with_exit_one(tmp_path, capsys, text):
     code = main(["verify", "--presentation", str(SAMPLES / "sphere.json"), "--derivation", str(path)])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["error"].startswith("line ")
+
+
+@pytest.mark.parametrize(
+    "text, factor", [("T1_1^", "T1_1^"), ("T1_1^*2", "T1_1^"), ("T1_1 ^ ", "T1_1 ^")]
+)
+def test_an_empty_exponent_is_refused(text, factor):
+    with pytest.raises(PolyParseError) as exc:
+        poly_parse(text)
+    assert str(exc.value) == f"bad exponent in {factor!r}"
+
+
+def test_a_signed_zero_exponent_still_reads():
+    assert poly_parse("T1_1^-0 + T1_1^+0") == poly_parse("2")
+
+
+def test_verify_refuses_an_empty_exponent(tmp_path, capsys):
+    presentation = tmp_path / "p.json"
+    presentation.write_text(json.dumps({"type": 1, "blocks": [[1], [1]]}))
+    derivation = tmp_path / "d.txt"
+    derivation.write_text("T1_1 = T2_1^\n")
+    code = main(["verify", "--presentation", str(presentation), "--derivation", str(derivation)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report == {"error": "line 1: bad exponent in 'T2_1^'", "kind": "DerivationFormatError"}
 
 
 # -- the engine's Poly views ---------------------------------------------------
