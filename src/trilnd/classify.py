@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from math import prod
 from typing import Optional, Tuple
 
-from .derivation import Derivation, _DenseForm, is_well_defined
+from .derivation import Derivation, is_well_defined
 from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
 from .grading import Weight, derivation_degree
 from .poly import (
@@ -274,7 +274,7 @@ def expand_orbits(pairs):
 
 def admissible_tuples(P: TrinomialPresentation):
     """All admissible tuples in lexicographic order."""
-    pairs = ((orbit, info) for info, orbit in tuple_orbits(P))
+    pairs = ((entry.orbit, entry.info) for entry in P.plan if entry.orbit is not None)
     return [replace(info, c=c) for info, c, _ in expand_orbits(pairs)]
 
 
@@ -345,9 +345,9 @@ def class_plan(P: TrinomialPresentation):
     per orbit of admissible tuples, in the order of the representatives.
 
     This is the only place that picks role blocks and decides between
-    ExactlyTwo and InfiniteFamily; class_report, enumerate_lnds,
-    is_rigid and is_semirigid all read it. It is lazy, but the first
-    tuple entry costs the whole tuple_orbits list. The first tuple entry's
+    ExactlyTwo and InfiniteFamily. The presentation keeps the plan as
+    P.plan, which class_report, enumerate_lnds, admissible_tuples,
+    is_rigid and is_semirigid all read. The first tuple entry's
     representative is the lexicographically first admissible tuple, and
     an orbit exists exactly when a tuple does.
     """
@@ -471,8 +471,6 @@ def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[Admiss
             raise InadmissibleDescriptor(f"tuple is case {info.case}, descriptor wants case A")
         if (B0, B1) not in info.labelings:
             raise InadmissibleDescriptor(f"({B0},{B1}) is not a valid labeling for this tuple")
-        if P.exponents(B2)[cmap[B2] - 1] != 1:
-            raise InadmissibleDescriptor(f"third role block {B2} must have exponent 1 at the tuple")
         if desc.kind == "t2b" and not _divides_both(P, cmap, B0, B1):
             raise InadmissibleDescriptor(
                 f"exponent {P.exponents(B0)[cmap[B0] - 1]} of the first role block must "
@@ -502,7 +500,7 @@ class _Construction:
     their exact sum. The samples of a family, the two t2c classes and the
     kernels of the descriptors share one construction. Callers keep it for
     one plan entry at most, never on the presentation, which holds only
-    the block-level pieces.
+    the block-level pieces and the plan.
     """
 
     def __init__(self, P: TrinomialPresentation, desc: LndDescriptor, info=None):
@@ -688,20 +686,19 @@ class _Construction:
         )
 
     def _checked(self, images: dict, what: str) -> Derivation:
-        """The derivation with these nonzero images, packed once into the
-        dense form that checks it against every relation; InternalError,
-        naming what, for a broken relation or a term outside normal form,
-        which no formula makes: a block enters an image as T_i^{l_i}/T_ic
-        or as a root of T_i^{l_i} times a partial, and the solved block
-        cancels."""
+        """The derivation with these nonzero images, whose kept dense form
+        is checked against every relation; InternalError, naming what, for
+        a term outside normal form or a broken relation, which no formula
+        makes: a block enters an image as T_i^{l_i}/T_ic or as a root of
+        T_i^{l_i} times a partial, and the solved block cancels."""
         P = self.presentation
-        form = _DenseForm.of_normal_images(P, images)
-        if form is None:
+        delta = Derivation._of(P, images)
+        if not all(map(P.engine.in_normal_form, delta.dense().images.values())):
             raise InternalError(f"{what} has a term outside normal form")
-        report = is_well_defined(form)
+        report = is_well_defined(delta)
         if not report.ok:
             raise InternalError(f"{what} broke relation {report.relation_index}")
-        return Derivation._of(P, images)
+        return delta
 
     @cached_property
     def degree(self) -> Optional[Weight]:
@@ -828,14 +825,11 @@ class RigidityReport:
 
 
 def is_rigid(P: TrinomialPresentation) -> RigidityReport:
-    """Rigid means: no nonzero graded locally nilpotent derivation at all."""
-    return _rigidity(next(class_plan(P), None))
-
-
-def _rigidity(first: Optional[PlannedClass]) -> RigidityReport:
-    """Rigidity read off the first entry of the class plan."""
-    if first is None:
+    """Rigid means: no nonzero graded locally nilpotent derivation at all.
+    Read off the first entry of the class plan."""
+    if not P.plan:
         return RigidityReport(True, "no free variables and no admissible tuple")
+    first = P.plan[0]
     if first.info is None:
         reason = "free variables always carry derivations"
     else:
@@ -860,23 +854,15 @@ def is_semirigid(P: TrinomialPresentation) -> SemirigidityReport:
     computation applies; or when the algebra has dimension one, where
     the kernel of every nonzero locally nilpotent derivation is the
     algebraic closure of k in A (Freudenburg, Algebraic Theory of
-    Locally Nilpotent Derivations, Ch. 1).
+    Locally Nilpotent Derivations, Ch. 1). Admissible tuples do not
+    depend on the free variables, so the base without them is rigid
+    exactly when the class plan has no tuple entry.
     """
-    ml_computed = P.kind == 1 and makar_limanov(P).status == "computed"
-    return _semirigidity(P, list(islice(class_plan(P), 2)), ml_computed)
-
-
-def _semirigidity(P: TrinomialPresentation, plan: list, ml_computed: bool) -> SemirigidityReport:
-    """Semirigidity from the class plan, or at least its first two entries.
-
-    Admissible tuples do not depend on the free variables, so the base
-    without them is rigid exactly when the plan has no tuple entry.
-    """
-    if not plan:
+    if not P.plan:
         return SemirigidityReport(True, "rigid")
-    if P.d == 1 and len(plan) == 1:
+    if P.d == 1 and len(P.plan) == 1:
         return SemirigidityReport(True, "single_free_variable_over_rigid_base")
-    if ml_computed:
+    if P.kind == 1 and makar_limanov(P).status == "computed":
         return SemirigidityReport(True, "makar_limanov")
     if P.dimension() == 1:
         return SemirigidityReport(True, "dimension_one")
@@ -1003,7 +989,7 @@ def enumerate_lnds(P: TrinomialPresentation, lambdas=None, expand=True):
     """
     lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
     built = []
-    for entry in class_plan(P):
+    for entry in P.plan:
         builds = _EntryBuilds(P, entry)
         instances = [builds.instance(desc) for _, desc in entry.descriptors]
         if entry.family is not None:
@@ -1190,8 +1176,7 @@ def class_report(P: TrinomialPresentation, expand=False) -> LndClassReport:
         ml = makar_limanov(P)
     else:
         ml = MakarLimanovReport("not_computed", "computed for type 1 presentations only")
-    plan = list(class_plan(P))
-    formatters = [(entry.orbit, _class_formatter(P, entry)) for entry in plan]
+    formatters = [(entry.orbit, _class_formatter(P, entry)) for entry in P.plan]
     expanded_count = None
     if expand:
         classes = [fmt(c, sigma) for fmt, c, sigma in expand_orbits(formatters)]
@@ -1206,8 +1191,8 @@ def class_report(P: TrinomialPresentation, expand=False) -> LndClassReport:
         dimension=P.dimension(),
         factorial=factorial,
         factorial_note=note,
-        rigidity=_rigidity(plan[0] if plan else None),
-        semirigidity=_semirigidity(P, plan, ml.status == "computed"),
+        rigidity=is_rigid(P),
+        semirigidity=is_semirigid(P),
         ml=ml,
         classes=classes,
         expanded_count=expanded_count,

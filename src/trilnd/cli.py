@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "defaults to the classifier-induced box",
     )
     p.add_argument("--bound", type=int, default=4, help="image degree bound")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=int, default=64, help="nilpotency iteration cap (default 64)")
     p.add_argument("--max-unknowns", type=int, default=600, dest="max_unknowns")
     p.set_defaults(func=cmd_oracle)
 

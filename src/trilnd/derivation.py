@@ -12,13 +12,12 @@ P.engine, through poly.normal_form for a Poly. Iteration and
 zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
 dense form of the derivation over the Gaussian integers that is exact up
 to a nonzero scalar. It has one constructor, _DenseForm(presentation,
-images, scale), and one converter from a Derivation, _DenseForm.of, which
-packs with poly.integer_terms, the one scaler. The oracle builds its
-samples with the constructor and turns each back with
-_DenseForm.derivation, the classifier checks each build through
-_DenseForm.of_normal_images, and derivation text is read straight into
-the form (_DenseForm.from_text) through engine.dense_normal_forms, the
-one normalizer, which `trilnd verify` checks from end to end.
+images, scale), and a Derivation keeps its form: the one accessor,
+Derivation.dense, packs the images with poly.integer_terms, the one
+scaler, on first use, and the Derivation of a form (_DenseForm.derivation)
+starts with that form. Derivation text is read straight into the form
+(_DenseForm.from_text) through engine.dense_normal_forms, the one
+normalizer, which `trilnd verify` checks from end to end.
 Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
 are the references the tests compare the dense form with. A form that
 passed the relation check, or that the oracle built from a solution of
@@ -150,19 +149,6 @@ class _DenseForm:
         self.well_defined = well_defined
 
     @classmethod
-    def of(cls, delta: "Derivation"):
-        """The form of a Derivation, its images packed as they are."""
-        scale, dense = integer_terms(delta.images.values(), delta.presentation.generator_index)
-        return cls(delta.presentation, dict(zip(delta.images, dense)), scale)
-
-    @classmethod
-    def of_normal_images(cls, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
-        """The form of these nonzero Poly images, or None when a term is not in normal form."""
-        form = cls.of(Derivation._of(presentation, images))
-        keys = (key for terms in form.images.values() for key in terms)
-        return form if presentation.engine.in_normal_form(keys) else None
-
-    @classmethod
     def from_text(cls, presentation: TrinomialPresentation, text: str):
         """The form of the derivation in the derivation file format (see
         derivation_from_text), each term packed as it is read. Repeated
@@ -219,12 +205,11 @@ class _DenseForm:
         return cls(presentation, images, scale * presentation.engine.scale**top)
 
     def derivation(self) -> "Derivation":
-        """The Derivation this form stands for. The engine builds its images
-        from the dense ones without normalizing them again."""
+        """The Derivation this form stands for, keeping this form; the engine
+        builds its images from the dense ones without normalizing them again."""
         poly = self.presentation.engine.poly
-        return Derivation._of(
-            self.presentation, {g: poly(img, self.scale) for g, img in self.images.items()}
-        )
+        images = {g: poly(img, self.scale) for g, img in self.images.items()}
+        return Derivation._of(self.presentation, images, self)
 
     def is_zero(self) -> bool:
         return not self.images
@@ -249,9 +234,11 @@ class _DenseForm:
 
 
 class Derivation:
-    """Images are normalized on construction; zero images are dropped."""
+    """Images are normalized on construction, zero images are dropped, and
+    the images never change after it: so dense() keeps the packed form it
+    builds, and equality and hashing read the images only."""
 
-    __slots__ = ("presentation", "images")
+    __slots__ = ("presentation", "images", "_form")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
         known = presentation.generator_set
@@ -267,15 +254,25 @@ class Derivation:
                 stored[g] = reduced
         self.presentation = presentation
         self.images = stored
+        self._form = None
 
     @staticmethod
-    def _of(presentation: TrinomialPresentation, images: dict) -> "Derivation":
-        """Wrap images that are nonzero and already in normal form, without
-        copying or checking them."""
+    def _of(presentation: TrinomialPresentation, images: dict, form=None) -> "Derivation":
+        """Wrap images that are nonzero and already in normal form, and the
+        form they were packed into if any, without copying or checking them."""
         out = Derivation.__new__(Derivation)
         out.presentation = presentation
         out.images = images
+        out._form = form
         return out
+
+    def dense(self) -> _DenseForm:
+        """The packed form (_DenseForm) of this derivation: its images packed
+        as they are with poly.integer_terms on the first call, then kept."""
+        if self._form is None:
+            scale, dense = integer_terms(self.images.values(), self.presentation.generator_index)
+            self._form = _DenseForm(self.presentation, dict(zip(self.images, dense)), scale)
+        return self._form
 
     def image(self, g: Gen) -> Poly:
         return self.images.get(g, Poly.zero())
@@ -351,11 +348,11 @@ class Derivation:
 def is_well_defined(delta: Union[Derivation, _DenseForm]) -> WellDefinedReport:
     """Check that every defining relation maps into the relation ideal.
 
-    The zero test runs on the dense form, which delta may already be, and
+    The zero test runs on the dense form, which delta is or keeps, and
     marks that form well defined when it passes; a broken relation's
     residue is recomputed exactly with Derivation.apply.
     """
-    dense = delta if isinstance(delta, _DenseForm) else _DenseForm.of(delta)
+    dense = delta if isinstance(delta, _DenseForm) else delta.dense()
     idx = dense.broken_relation()
     if idx is None:
         return WellDefinedReport(ok=True)
@@ -405,7 +402,7 @@ def nilpotency_check(
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
-    dense = delta if isinstance(delta, _DenseForm) else _DenseForm.of(delta)
+    dense = delta if isinstance(delta, _DenseForm) else delta.dense()
     if not dense.well_defined and dense.broken_relation() is not None:
         return NilpotencyReport("not_applicable", cap)
     engine = dense.presentation.engine
@@ -527,7 +524,7 @@ def _edge_holds(delta: Derivation, g: Gen, step: int, x: Gen, e: int) -> bool:
 def kernel_member(delta: Derivation, p: Poly) -> bool:
     _reject_foreign(p, delta.presentation.generator_set)
     (terms,) = integer_terms((p,), delta.presentation.generator_index)[1]
-    return not _DenseForm.of(delta).step(terms)
+    return not delta.dense().step(terms)
 
 
 def replica(delta: Derivation, h: Poly) -> Derivation:

@@ -14,13 +14,13 @@ rigid presentations must yield no certified nilpotent element.
 The search runs on the dense form of poly.py end to end. The engine
 enumerates the box as normal-form keys with their weights, an unknown is
 a (generator, key) pair, and the basis vectors and the samples combined
-from them are dense forms at one integer scale per space, which
-nilpotency_check takes as they are. They solve every relation row, so
-they are marked well defined and its walk skips the relation check, as
-it does for each classifier output that lies in the span. The
-Derivations of SolutionSpace.basis and OracleWeightEntry.samples are
-built from those dense images without normalizing them again, and
-SolutionSpace.unknowns turns its keys into monomials when first read.
+from them are dense forms at one integer scale per space. Every sample
+is a Derivation that keeps its dense form (Derivation.dense), built from
+it without normalizing the images again for the basis and combinations.
+These solve every relation row, so their forms are marked well defined
+and nilpotency_check skips the relation check, as it does for each
+classifier output that lies in the span. SolutionSpace.unknowns turns
+its keys into monomials when first read.
 """
 
 from __future__ import annotations
@@ -139,9 +139,8 @@ class SolutionSpace:
     """Derivations of one fixed degree, found by linear algebra.
 
     The unknowns are (generator, key) columns, and each basis vector is a
-    dense form with its images at one integer scale common to the basis;
-    basis holds the Derivations of those forms. unknowns, with its
-    monomials, is built when first read.
+    Derivation that keeps its dense form, at one integer scale common to
+    the basis. unknowns, with its monomials, is built when first read.
     """
 
     presentation: TrinomialPresentation
@@ -150,7 +149,6 @@ class SolutionSpace:
     dimension: int
     basis: List[Derivation]
     _columns: List[Tuple] = field(repr=False)  # (generator, key) per unknown
-    _forms: List[_DenseForm] = field(repr=False, compare=False)  # the basis, dense
     _constraints: List[dict] = field(repr=False)  # reduced rows
 
     @cached_property
@@ -262,21 +260,20 @@ def solution_space(
     # one scale for the whole basis, so that sums and twists of basis
     # vectors are exact on the dense images
     scale, vectors = dense_terms(vectors)
-    forms = []
+    basis = []
     for vec in vectors:
         images: dict = {}
         for k in sorted(vec):
             g, key = columns[k]
             images.setdefault(g, {})[key] = vec[k]
-        forms.append(_DenseForm(P, images, scale, well_defined=True))
+        basis.append(_DenseForm(P, images, scale, well_defined=True).derivation())
     return SolutionSpace(
         presentation=P,
         weight=weight,
         degree_bound=degree_bound,
-        dimension=len(forms),
-        basis=[form.derivation() for form in forms],
+        dimension=len(basis),
+        basis=basis,
         _columns=columns,
-        _forms=forms,
         _constraints=reduced,
     )
 
@@ -413,37 +410,34 @@ def oracle_enumerate(
     entries = []
     for w in weights:
         space = solution_space(P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, box=box)
-        # (name, what nilpotency_check takes, the Derivation if already built)
-        samples = [
-            (f"basis[{k}]", form, delta)
-            for k, (form, delta) in enumerate(zip(space._forms, space.basis))
-        ]
-        head = space._forms[:_MAX_COMBO_BASIS]
+        samples = [(f"basis[{k}]", delta) for k, delta in enumerate(space.basis)]
+        head = [delta.dense() for delta in space.basis[:_MAX_COMBO_BASIS]]
         for a in range(len(head)):
             for b in range(a + 1, len(head)):
                 for sign, c in (("+", (1, 0)), ("-", (-1, 0)), ("+i*", (0, 1))):
                     name = f"basis[{a}]{sign}basis[{b}]"
-                    samples.append((name, _combination(head[a], head[b], c), None))
+                    samples.append((name, _combination(head[a], head[b], c).derivation()))
         members = []
         for inst in by_degree.get(w, ()):
             name = _descriptor_label(inst.descriptor)
-            form = _DenseForm.of(inst.derivation)
+            delta = inst.derivation
+            in_span = space.contains(delta)
             # in the span, it solves every relation row as the basis does
-            form.well_defined = space.contains(inst.derivation)
-            members.append((name, form.well_defined))
-            samples.append((f"classifier:{name}", form, inst.derivation))
+            delta.dense().well_defined |= in_span
+            members.append((name, in_span))
+            samples.append((f"classifier:{name}", delta))
         checked = []
         nilpotent_found = False
         refuted = inconclusive = 0
-        for name, sample, delta in samples:
-            report = nilpotency_check(sample, cap=cap)
-            if report.status == "verified" and not sample.is_zero():
+        for name, delta in samples:
+            report = nilpotency_check(delta, cap=cap)
+            if report.status == "verified" and not delta.is_zero():
                 nilpotent_found = True
             elif report.status == "refuted":
                 refuted += 1
             elif report.status == "inconclusive":
                 inconclusive += 1
-            checked.append((name, sample.derivation() if delta is None else delta, report))
+            checked.append((name, delta, report))
         entries.append(
             OracleWeightEntry(
                 weight=w,

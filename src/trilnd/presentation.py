@@ -260,6 +260,8 @@ class TrinomialPresentation:
         """Minor coefficients (alpha, beta, gamma) of the relation on blocks p, q, s."""
         if self.kind != 2:
             raise AssumptionViolated("triple coefficients only exist for type 2")
+        if len({p, q, s}) != 3 or not all(i in self.block_numbers for i in (p, q, s)):
+            raise AssumptionViolated(f"{p}, {q}, {s} are not three distinct blocks of 0..{self.r}")
         return self._minors[q, s], self._minors[s, p], self._minors[p, q]
 
     def triple_relation(self, p: int, q: int, s: int) -> Poly:
@@ -324,6 +326,14 @@ class TrinomialPresentation:
         from .grading import weight_assignment  # grading imports this module
 
         return weight_assignment(self)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The class plan (classify.class_plan) that every classification
+        reads: descriptors and tuple orbits per entry, never a construction."""
+        from .classify import class_plan  # classify imports this module
+
+        return tuple(class_plan(self))
 
     # -- divisor theory --------------------------------------------------
 

@@ -31,7 +31,7 @@ from trilnd.corpus import corpus, unnormalized_member
 from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check
 from trilnd.gaussian import I, gq
 from trilnd.grading import derivation_degree, weight_assignment
-from trilnd.oracle import induced_weight_box
+from trilnd.oracle import induced_weight_box, oracle_enumerate
 from trilnd.poly import Poly, poly_parse, svar, tvar
 from trilnd.presentation import TrinomialPresentation, surface, type1, type2
 
@@ -410,6 +410,7 @@ def test_enumerate_carries_normalization_errors():
     ids=["d0", "d1"],
 )
 def test_class_report_classifies_once(monkeypatch, P, clause):
+    # every reader of the class plan shares the one P.plan
     calls = []
     tuple_orbits = classify.tuple_orbits
 
@@ -424,6 +425,10 @@ def test_class_report_classifies_once(monkeypatch, P, clause):
     assert report.semirigidity.clause == clause
     assert report.rigidity == is_rigid(P)
     assert report.semirigidity == is_semirigid(P)
+    enumerate_lnds(P)
+    admissible_tuples(P)
+    oracle_enumerate(P, degree_bound=2)
+    assert len(calls) == 1
 
 
 def test_class_report_surface():
@@ -561,7 +566,7 @@ def test_report_kernels_match_kernel_generators():
 def test_presentation_keeps_only_block_level_pieces():
     """After a type 2 report and enumeration with several tuples and t2b
     families, the presentation holds block pieces only, at most n + r^3 of
-    them, and no per-tuple context is left alive."""
+    them, besides its class plan, and no per-tuple context is left alive."""
     P = type2(((2,), (4,), (1, 1, 1), (1, 1)))
     plan = [
         entry
@@ -583,7 +588,7 @@ def test_presentation_keeps_only_block_level_pieces():
     assert set(P.__dict__) <= {
         "kind", "blocks", "constants", "d", "anchors",
         "generators", "generator_set", "generator_index", "_relations", "rewrite_rules",
-        "engine", "grading", "_block_memo", "_minors",
+        "engine", "grading", "plan", "_block_memo", "_minors",
     }
     gc.collect()
     per_tuple = (classify._Construction, classify._EntryBuilds)

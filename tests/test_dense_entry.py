@@ -1,12 +1,14 @@
 """One way into the packed form.
 
-A _DenseForm is built by its one constructor, or from a Derivation by
-its one converter _DenseForm.of; coefficients reach the Gaussian
-integers through poly.dense_terms, and normal forms reach one power of
-the rule scale through RewriteEngine.dense_normal_forms. Every path into
-the form must meet its invariant: nonzero images, keys in normal form,
-no zero coefficient, a positive integer scale, and the Derivation it
-stands for equal to an independent reference.
+A _DenseForm is built by its one constructor, and a Derivation keeps
+one: Derivation.dense packs the images on first use, and the Derivation
+of a form starts with it. Coefficients reach the Gaussian integers
+through poly.dense_terms, and normal forms reach one power of the rule
+scale through RewriteEngine.dense_normal_forms. Every kept form must
+meet its invariant: nonzero images, keys in normal form, no zero
+coefficient, a positive integer scale, and the Derivation it stands for
+equal to an independent reference. A derivation is packed at most once,
+and its relations are checked at most once.
 """
 
 from fractions import Fraction
@@ -15,11 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trilnd.classify import enumerate_lnds
+from trilnd.classify import NeedsNormalization, _Construction, enumerate_lnds, kernel_generators
 from trilnd.corpus import corpus
-from trilnd.derivation import Derivation, _DenseForm, derivation_to_text
-from trilnd.gaussian import I, gq
-from trilnd.oracle import _combination, _nullspace, induced_weight_box, solution_space
+from trilnd.derivation import (
+    Derivation,
+    _DenseForm,
+    derivation_from_text,
+    derivation_to_text,
+    is_well_defined,
+    kernel_member,
+    nilpotency_check,
+)
+from trilnd.gaussian import I, InternalError, gq
+from trilnd.oracle import (
+    _combination,
+    _nullspace,
+    induced_weight_box,
+    oracle_enumerate,
+    solution_space,
+)
 from trilnd.poly import Monomial, Poly, gen_name, integer_terms, normal_form, poly_format
 from trilnd.presentation import type1, type2
 
@@ -74,8 +90,11 @@ def test_the_converter_and_the_text_reader_meet_the_invariant(data):
     P = data.draw(st.sampled_from(PRESENTATIONS))
     raw = data.draw(raw_images(P))
     reference = Derivation(P, raw)
-    assert_invariant(_DenseForm.of(reference), reference)
-    assert_invariant(_DenseForm.from_text(P, derivation_to_text(reference)), reference)
+    assert_invariant(reference.dense(), reference)
+    assert reference.dense() is reference.dense()
+    text = derivation_to_text(reference)
+    assert_invariant(_DenseForm.from_text(P, text), reference)
+    assert_invariant(derivation_from_text(P, text).dense(), reference)
     # the images as drawn, terms outside normal form included
     text = "".join(f"{gen_name(g)} = {poly_format(img)}\n" for g, img in raw.items() if img)
     assert_invariant(_DenseForm.from_text(P, text), reference)
@@ -83,12 +102,33 @@ def test_the_converter_and_the_text_reader_meet_the_invariant(data):
 
 @pytest.mark.parametrize("P", [HALVES, *corpus()[:8]], ids=lambda P: P.describe())
 def test_the_classifier_check_meets_the_invariant(P):
+    # every coefficient D_j of every plan descriptor keeps the form that
+    # _checked marked well defined
+    for entry in P.plan:
+        descriptors = [desc for _, desc in entry.descriptors]
+        if entry.family is not None:
+            descriptors.append(entry.family)
+        for desc in descriptors:
+            try:
+                coefficients = _Construction(P, desc, entry.info).coefficients
+            except NeedsNormalization:
+                continue
+            for delta in coefficients:
+                assert delta.dense().well_defined
+                assert_invariant(delta.dense(), delta)
     for delta in classifier_outputs(P):
+        assert_invariant(delta.dense(), delta)
         for c in SCALARS[:3]:
             scaled = delta * c
-            assert_invariant(_DenseForm.of_normal_images(P, scaled.images), scaled)
+            assert_invariant(scaled.dense(), scaled)
+
+
+@pytest.mark.parametrize("P", [HALVES, THIRDS], ids=lambda P: P.describe())
+def test_the_classifier_check_refuses_a_term_outside_normal_form(P):
     lead = next(iter(P.rewrite_rules))
-    assert _DenseForm.of_normal_images(P, {P.generators[0]: Poly.monomial(lead)}) is None
+    construction = _Construction(P, P.plan[0].descriptors[0][1])
+    with pytest.raises(InternalError, match="outside normal form"):
+        construction._checked({P.generators[0]: Poly.monomial(lead)}, "an image")
 
 
 def reference_basis(space):
@@ -112,18 +152,67 @@ def test_the_oracle_basis_and_its_combinations_meet_the_invariant():
         for w in induced_weight_box(P):
             space = solution_space(P, w, degree_bound=3)
             reference = reference_basis(space)
-            assert len(space._forms) == len(reference)
-            for form, delta in zip(space._forms, reference):
+            assert len(space.basis) == len(reference)
+            forms = [delta.dense() for delta in space.basis]
+            for form, delta in zip(forms, reference):
                 assert form.well_defined
                 assert_invariant(form, delta)
-            forms = space._forms[:3]
-            for a in range(len(forms)):
-                for b in range(a + 1, len(forms)):
+            for a in range(min(3, len(forms))):
+                for b in range(a + 1, min(3, len(forms))):
                     for c in ((1, 0), (-1, 0), (0, 1)):
                         x, y = reference[a], reference[b]
-                        assert_invariant(_combination(forms[a], forms[b], c), x + y * gq(*c))
+                        combination = _combination(forms[a], forms[b], c)
+                        assert combination.derivation().dense() is combination
+                        assert_invariant(combination, x + y * gq(*c))
                         combinations += 1
+        # every sample the oracle checks, classifier outputs included
+        for entry in oracle_enumerate(P, degree_bound=3).entries:
+            for _, delta, _ in entry.samples:
+                assert_invariant(delta.dense(), Derivation(P, delta.images))
     assert combinations
+
+
+def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
+    packs, checks = [], []
+    init, broken_relation = _DenseForm.__init__, _DenseForm.broken_relation
+
+    def counted_init(form, *args, **kwargs):
+        packs.append(form)
+        init(form, *args, **kwargs)
+
+    def counted_check(form):
+        checks.append(form)
+        return broken_relation(form)
+
+    monkeypatch.setattr(_DenseForm, "__init__", counted_init)
+    monkeypatch.setattr(_DenseForm, "broken_relation", counted_check)
+    chains = representatives = 0
+    for P in corpus():
+        built = [
+            (inst, kernel_generators(P, inst.descriptor))
+            for expand in (True, False)
+            for inst in enumerate_lnds(P, expand=expand)
+            if inst.derivation is not None
+        ]
+        for inst, kernel in built:
+            delta = inst.derivation
+            packs.clear()
+            checks.clear()
+            # a representative built from one checked coefficient keeps
+            # the form _checked packed and marked well defined
+            if inst.orbit is None or inst.descriptor.c == inst.orbit.representative:
+                if inst.descriptor.kind in ("free", "type1", "t2a"):
+                    assert nilpotency_check(delta).verified
+                    assert all(kernel_member(delta, g) for g in kernel)
+                    assert packs == checks == []
+                    representatives += 1
+                    continue
+            assert is_well_defined(delta).ok
+            assert nilpotency_check(delta).verified
+            assert all(kernel_member(delta, g) for g in kernel)
+            assert len(packs) <= 1 and len(checks) <= 1
+            chains += 1
+    assert chains and representatives
 
 
 # -- the one normalizer --------------------------------------------------------

@@ -8,6 +8,7 @@ each one from scratch, kept here to compare with.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -197,17 +198,18 @@ def test_kernel_with_a_member_builds_one_construction(monkeypatch, capsys):
 
 
 def test_plan_descriptors_reuse_the_plan_tuple(monkeypatch):
-    """The plan classifies each candidate orbit once; its descriptors are
-    not classified again, a user's descriptor is."""
+    """The plan classifies each candidate orbit once, one candidate per
+    choice of a distinct exponent in each block, and is kept on the
+    presentation; its descriptors are not classified again, a user's
+    descriptor is."""
     P = type2(WIDE["blocks"], d=WIDE["free_vars"])
     calls = counted(monkeypatch, "_tuple_info")
-    trilnd.classify.tuple_orbits(P)
-    candidates = len(calls)
+    candidates = math.prod(len(set(P.exponents(i))) for i in P.block_numbers)
     enumerate_lnds(P)
     trilnd.classify.class_report(P)
-    assert len(calls) == 3 * candidates
+    assert len(calls) == candidates
     kernel_generators(P, LndDescriptor("t2a", c=(1, 1, 1), roles=(0, 1, 2)))
-    assert len(calls) == 3 * candidates + 1
+    assert len(calls) == candidates + 1
 
 
 # every corpus t2c class has the root sb = 1; the rescaled members have sb = 2, i, 1 and 3/2

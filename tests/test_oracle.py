@@ -12,7 +12,6 @@ from trilnd.corpus import corpus
 from trilnd.derivation import (
     Derivation,
     NilpotencyReport,
-    _DenseForm,
     is_well_defined,
     nilpotency_check,
     refutation_holds,
@@ -298,7 +297,7 @@ def test_contains_checks_the_reduced_constraints():
 def reference_loop(delta, cap):
     """nilpotency_check without the divisibility refutation: the dense
     iteration alone, with the default size guards."""
-    dense = _DenseForm.of(delta)
+    dense = delta.dense()
     n = len(delta.presentation.generators)
     worst = 1
     for g in delta.presentation.generators:
@@ -450,20 +449,25 @@ def test_oracle_derivations_copy_and_pickle():
     P = surface(2, 2, 2)
     (entry,) = oracle_enumerate(P, weights=[(0,)], degree_bound=1).entries
     space = solution_space(P, (0,), degree_bound=1)
-    for delta in [*space.basis, *(sample for _, sample, _ in entry.samples)]:
+    # a classifier output whose kept form is checked and stepped
+    output = enumerate_lnds(P, expand=False)[0].derivation
+    assert nilpotency_check(output).verified
+    for delta in [*space.basis, *(sample for _, sample, _ in entry.samples), output]:
         assert copy.copy(delta) == delta
         assert copy.deepcopy(delta) == delta
         assert pickle.loads(pickle.dumps(delta)) == delta
+    assert pickle.loads(pickle.dumps(output)).dense().well_defined
 
 
 def test_every_sample_marked_well_defined_is_well_defined(monkeypatch):
-    # the oracle hands nilpotency_check its samples as dense forms marked
-    # well defined, which skips the relation check before the certificate
+    # the oracle hands nilpotency_check Derivations whose kept dense forms
+    # are marked well defined, which skips the relation check before the
+    # certificate; a fresh Derivation of the same images is checked here
     marked = []
     check = trilnd.oracle.nilpotency_check
 
     def spy(sample, cap):
-        if isinstance(sample, _DenseForm) and sample.well_defined:
+        if sample.dense().well_defined:
             marked.append(sample)
         return check(sample, cap=cap)
 
@@ -471,4 +475,4 @@ def test_every_sample_marked_well_defined_is_well_defined(monkeypatch):
     for P in corpus():
         oracle_enumerate(P, degree_bound=3)
     assert len(marked) > 1000
-    assert all(is_well_defined(form.derivation()).ok for form in marked)
+    assert all(is_well_defined(Derivation(d.presentation, d.images)).ok for d in marked)

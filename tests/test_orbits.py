@@ -12,16 +12,19 @@ import io
 import json
 import random
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 from trilnd import classify
 from trilnd.classify import (
+    InadmissibleDescriptor,
     InadmissibleTuple,
+    LndDescriptor,
     NeedsNormalization,
     _tuple_info,
+    admissible_tuples,
     build_lnd,
     class_plan,
     enumerate_lnds,
@@ -32,7 +35,7 @@ from trilnd.classify import (
 )
 from trilnd.cli import _descriptor_from_json, main
 from trilnd.corpus import corpus, unnormalized_member
-from trilnd.gaussian import InternalError
+from trilnd.gaussian import InternalError, gq
 from trilnd.grading import derivation_degree, weight_assignment
 from trilnd.oracle import _classifier_by_degree, induced_weight_box
 from trilnd.poly import Poly, poly_format, tvar
@@ -83,6 +86,42 @@ def wide_classify_presentations(tmp_path, seed=3001):
         TrinomialPresentation.from_json(Path(item.files["presentation"]).read_text())
         for item in items
     ]
+
+
+def test_case_a_role_triples_are_accepted_by_their_labeling(tmp_path):
+    """A t2a or t2b descriptor on a case-A tuple is refused exactly when
+    its first two role blocks are not a labeling, or, for t2b, when the
+    first block's exponent does not divide both: the third block lies
+    outside Big, so its exponent at the tuple is always 1."""
+    members = [*corpus(), *wide_classify_presentations(tmp_path)]
+    labeled = 0
+    for P in members:
+        for info in admissible_tuples(P) if P.kind == 2 else ():
+            if info.case != "A":
+                continue
+            exponent = {i: P.exponents(i)[ci - 1] for i, ci in zip(P.block_numbers, info.c)}
+            for B0, B1, B2 in permutations(P.block_numbers, 3):
+                fault = {}
+                if (B0, B1) not in info.labelings:
+                    refusal = f"({B0},{B1}) is not a valid labeling for this tuple"
+                    fault = dict.fromkeys(("t2a", "t2b"), refusal)
+                else:
+                    assert exponent[B2] == 1
+                    labeled += 1
+                    if any(e % exponent[B0] for i in (B0, B1) for e in P.exponents(i)):
+                        fault["t2b"] = (
+                            f"exponent {exponent[B0]} of the first role block must "
+                            "divide both distinguished blocks"
+                        )
+                for kind, param in (("t2a", None), ("t2b", gq(1))):
+                    desc = LndDescriptor(kind, c=info.c, roles=(B0, B1, B2), param=param)
+                    if kind not in fault:
+                        assert kernel_generators(P, desc)
+                        continue
+                    with pytest.raises(InadmissibleDescriptor) as refused:
+                        kernel_generators(P, desc)
+                    assert str(refused.value) == fault[kind]
+    assert labeled > 1000
 
 
 def expansion_inputs(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trilnd.cli import main
-from trilnd.derivation import Derivation, _DenseForm, kernel_member, nilpotency_check
+from trilnd.derivation import Derivation, kernel_member, nilpotency_check
 from trilnd.poly import (
     DEGREE_BOUND,
     EXPONENT_BITS,
@@ -197,7 +197,7 @@ def test_degree_bound_holds_at_library_level():
 
 def test_dense_images_are_keys_of_the_generator_positions():
     delta = Derivation(CYLINDER, {S1: poly_parse("3*T0_1^2*S2 - i")})
-    form = _DenseForm.of(delta)
+    form = delta.dense()
     n = len(CYLINDER.generators)
     image = form.images[S1]
     want = {

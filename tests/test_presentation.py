@@ -173,6 +173,19 @@ def test_triple_coefficients_minor_identity():
         type1(((2,), (3,))).triple_coefficients(1, 2, 2)
 
 
+@pytest.mark.parametrize("blocks", [(0, 0, 1), (0, 1, 3), (-1, 0, 1), (2, 1, 2)])
+def test_triple_coefficients_need_three_distinct_blocks(blocks):
+    P = type2(((2,), (2,), (3,)))
+    named = ", ".join(map(str, blocks))
+    with pytest.raises(AssumptionViolated, match=f"^{named} are not three distinct blocks of 0..2$"):
+        P.triple_coefficients(*blocks)
+    with pytest.raises(AssumptionViolated):
+        P.triple_relation(*blocks)
+    # three distinct blocks in any order are fine
+    alpha, beta, gamma = P.triple_coefficients(0, 1, 2)
+    assert P.triple_coefficients(1, 2, 0) == (beta, gamma, alpha)
+
+
 def test_block_power_helpers():
     P = type1(((2, 4), (3,)))
     assert P.block_power(1) == poly_parse("T1_1^2*T1_2^4")

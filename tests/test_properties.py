@@ -31,7 +31,6 @@ from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import (
     Derivation,
     NilpotencyReport,
-    _DenseForm,
     derivation_from_text,
     derivation_to_text,
     is_well_defined,
@@ -203,7 +202,7 @@ def test_dense_step_is_apply_up_to_a_scalar(data):
     P = delta.presentation
     p = data.draw(polys(P, scalars=FRACTIONAL_SCALARS))
     _, (terms,) = integer_terms([p], P.generator_index)
-    got = _DenseForm.of(delta).step(terms)
+    got = delta.dense().step(terms)
     exact = delta.apply(p)
     _, (want,) = integer_terms([exact], P.generator_index)
     assert got.keys() == want.keys()
