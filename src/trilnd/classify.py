@@ -686,14 +686,14 @@ class _Construction:
         )
 
     def _checked(self, images: dict, what: str) -> Derivation:
-        """The derivation with these nonzero images, whose kept dense form
-        is checked against every relation; InternalError, naming what, for
+        """The derivation with these nonzero images, whose packed view is
+        checked against every relation; InternalError, naming what, for
         a term outside normal form or a broken relation, which no formula
         makes: a block enters an image as T_i^{l_i}/T_ic or as a root of
         T_i^{l_i} times a partial, and the solved block cancels."""
         P = self.presentation
         delta = Derivation._of(P, images)
-        if not all(map(P.engine.in_normal_form, delta.dense().images.values())):
+        if not all(map(P.engine.in_normal_form, delta.packed()[0].values())):
             raise InternalError(f"{what} has a term outside normal form")
         report = is_well_defined(delta)
         if not report.ok:

@@ -32,13 +32,13 @@ from .classify import (
 )
 from .derivation import (
     DerivationFormatError,
-    _DenseForm,
+    derivation_from_text,
     is_well_defined,
     kernel_member,
     nilpotency_check,
 )
-from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_parse
-from .grading import NonHomogeneous, dense_degree
+from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_format, gq_parse
+from .grading import NonHomogeneous, derivation_degree
 from .oracle import BoxTooLarge, oracle_enumerate
 from .poly import (
     DegreeOverflow,
@@ -152,9 +152,20 @@ def _read_text(path: str) -> str:
 
 
 def _parse_lambdas(text):
+    """The --lambdas samples. Each entry is read first, then an empty
+    entry, a list of none and a value listed twice raise InvalidArgument."""
     if text is None:
         return None
-    return tuple(gq_parse(chunk.strip()) for chunk in text.split(",") if chunk.strip())
+    chunks = [chunk.strip() for chunk in text.split(",")]
+    lams = [gq_parse(chunk) for chunk in chunks if chunk]
+    if not lams:
+        raise InvalidArgument("--lambdas lists no sample")
+    if "" in chunks:
+        raise InvalidArgument(f"--lambdas has an empty entry: {text!r}")
+    for k, lam in enumerate(lams):
+        if lam in lams[:k]:
+            raise InvalidArgument(f"--lambdas lists {gq_format(lam)} twice")
+    return tuple(lams)
 
 
 def _descriptor_from_json(text: str) -> LndDescriptor:
@@ -253,11 +264,11 @@ def cmd_kernel(args) -> int:
 
 def cmd_verify(args) -> int:
     P = TrinomialPresentation.from_json(_read_text(args.presentation))
-    # every check runs on the packed form; Poly images are built only for
-    # a residue or a NonHomogeneous message
-    form = _DenseForm.from_text(P, _read_text(args.derivation))
+    # every check runs on the packed view; Poly images are built only for
+    # a residue
+    delta = derivation_from_text(P, _read_text(args.derivation))
     out = {"presentation": P.to_input_dict()}
-    report = is_well_defined(form)
+    report = is_well_defined(delta)
     out["well_defined"] = report.ok
     if not report.ok:
         out["relation_index"] = report.relation_index
@@ -267,8 +278,8 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFICATION
     try:
         info = None
-        if not form.is_zero():
-            info = _degree_info(dense_degree(form, P.grading), P.grading)
+        if not delta.is_zero():
+            info = _degree_info(derivation_degree(delta, P.grading), P.grading)
     except NonHomogeneous as exc:
         out["homogeneous"] = False
         out["witness"] = str(exc)
@@ -278,7 +289,7 @@ def cmd_verify(args) -> int:
     out["homogeneous"] = True
     if info:
         out.update(info)
-    nil = nilpotency_check(form, cap=args.cap)
+    nil = nilpotency_check(delta, cap=args.cap)
     out["nilpotency"] = {
         "status": nil.status,
         "cap": nil.cap,

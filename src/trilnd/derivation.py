@@ -8,23 +8,24 @@ check (is_well_defined), not an assumption, since the verification
 oracle deliberately produces candidates that can fail it.
 
 Every normal form comes from the presentation's one rewrite engine,
-P.engine, through poly.normal_form for a Poly. Iteration and
-zero tests (nilpotency_check, is_well_defined, kernel_member) run on a
-dense form of the derivation over the Gaussian integers that is exact up
-to a nonzero scalar. It has one constructor, _DenseForm(presentation,
-images, scale), and a Derivation keeps its form: the one accessor,
-Derivation.dense, packs the images with poly.integer_terms, the one
-scaler, on first use, and the Derivation of a form (_DenseForm.derivation)
-starts with that form. Derivation text is read straight into the form
-(_DenseForm.from_text) through engine.dense_normal_forms, the one
-normalizer, which `trilnd verify` checks from end to end.
-Derivation.apply, the Leibniz rule on Poly, and poly.stepwise_normal_form
-are the references the tests compare the dense form with. A form that
-passed the relation check, or that the oracle built from a solution of
-the relation rows, is marked well_defined; nilpotency_check checks any
-other form first. It decides in one walk over the degree function of
-delta: it strips each iterate's monomial content, adds up the index from
-the generators' own, and refutes by divisibility or by a cycle of
+P.engine, through poly.normal_form for a Poly. A Derivation holds two
+views of one map, each built from the other when first read and then
+kept: the Poly images, which reports print and the references read, and
+the packed images over the Gaussian integers at one integer scale, on
+which iteration and zero tests (nilpotency_check, is_well_defined,
+kernel_member) run. poly.integer_terms, the one scaler, packs the Poly
+images; the engine builds Poly images from packed ones without
+normalizing them again. Derivation text is read straight into the
+packed view (derivation_from_text) through engine.dense_normal_forms,
+the one normalizer, which `trilnd verify` checks from end to end; it
+builds Poly images only for a residue. Derivation.apply, the Leibniz
+rule on Poly, and poly.stepwise_normal_form are the references the
+tests compare the packed view with. A derivation that passed the
+relation check, or that the oracle built from a solution of the
+relation rows, is marked well_defined; nilpotency_check checks any
+other first. It decides in one walk over the degree function of delta:
+it strips each iterate's monomial content, adds up the index from the
+generators' own, and refutes by divisibility or by a cycle of
 generators whose chains need each other. refutation_holds re-checks a
 refutation on the exact images alone, with Derivation.apply.
 """
@@ -32,7 +33,7 @@ refutation on the exact images alone, with Derivation.apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple
 
 from .gaussian import GaussianRational, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
@@ -122,123 +123,28 @@ def _reject_foreign(
                 raise UnknownGenerator(message.format(gen_name(g)))
 
 
-class _DenseForm:
-    """A derivation over the Gaussian integers, exact up to a nonzero scalar.
+class Derivation:
+    """A derivation of the presentation, held as two views of one map.
 
-    Polynomials are in the dense form of poly.py, over the presentation's
-    generator_index. The images are nonzero, in normal form and free of
-    zero coefficients, scale times those of the derivation this form
-    stands for, scale being one positive integer. The normal form is the
-    presentation engine's, and step returns the primitive part of an
-    integer multiple of delta(p) in normal form: the result vanishes
-    exactly when delta(p) does, and has the same monomials. The Leibniz
-    parts of the images are built by the first step, so a form that is
-    never stepped, as a sample refuted by divisibility, never builds them.
-    well_defined is True once the form is known to map every relation
-    into the relation ideal: it passed broken_relation, or it was built
-    from a solution of the relation rows (the oracle's samples).
+    The Poly view maps each generator with a nonzero image to that image
+    in normal form; reports print it, and Derivation.apply and
+    refutation_holds read it. The packed view holds the same images in
+    the dense form of poly.py, over the presentation's generator_index:
+    nonzero, in normal form, free of zero coefficients and scale times
+    the Poly images, scale being one positive integer. step, the relation
+    check, kernel_member and nilpotency_check run on it. Either view is
+    built from the other when first read, then kept, and the images never
+    change after construction, so equality and hashing read the Poly
+    view. The packed view also keeps the Leibniz parts of the images,
+    built by the first step, so a derivation never stepped, as a sample
+    refuted by divisibility, never builds them. well_defined is True once
+    the derivation is known to map every relation into the relation
+    ideal: it passed is_well_defined, or it was built from a solution of
+    the relation rows (the oracle's samples).
     """
 
-    __slots__ = ("presentation", "scale", "images", "parts", "well_defined")
-
-    def __init__(self, presentation: TrinomialPresentation, images, scale, well_defined=False):
-        self.presentation = presentation
-        self.images = images
-        self.scale = scale
-        self.parts = None  # the Leibniz parts, built by the first step
-        self.well_defined = well_defined
-
-    @classmethod
-    def from_text(cls, presentation: TrinomialPresentation, text: str):
-        """The form of the derivation in the derivation file format (see
-        derivation_from_text), each term packed as it is read. Repeated
-        terms merge in first-seen order, as in poly_parse, and
-        engine.dense_normal_forms keeps an image in normal form as it is,
-        so the images, their term order and every error are those of
-        Derivation(presentation, {g: poly_parse(rhs)}), except that each
-        error raised by a line names the line."""
-        index = presentation.generator_index
-        known = presentation.generator_set
-        images: dict = {}
-        factors: dict = {}  # poly_terms' memo, shared by the lines
-        overflow = False
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, eq, rhs = line.partition("=")
-            if not eq:
-                raise DerivationFormatError(f"line {lineno}: expected 'generator = polynomial'")
-            name = name.strip()
-            try:
-                g = parse_gen_name(name)
-            except UnknownGenerator as exc:
-                raise DerivationFormatError(f"line {lineno}: {exc}") from None
-            if g not in known:
-                raise UnknownGenerator(
-                    f"line {lineno}: {name} is not a generator of this presentation"
-                )
-            if g in images:
-                raise DerivationFormatError(f"line {lineno}: duplicate image for {name}")
-            try:
-                terms = poly_terms(rhs, known, factors)
-            except PolyParseError as exc:
-                raise DerivationFormatError(f"line {lineno}: {exc}") from None
-            except UnknownGenerator as exc:
-                raise UnknownGenerator(f"line {lineno}: {exc}") from None
-            acc = images[g] = {}
-            for sign, pairs, (a, b, d) in terms:
-                if a or b:
-                    try:
-                        key = pack(pairs, index)
-                    except DegreeOverflow:  # raised below, unless it cancels
-                        key, overflow = Monomial(pairs), True
-                    _add_term(acc, key, GaussianRational._of(sign * a, sign * b, d))
-        if overflow:
-            for terms in images.values():
-                for key in terms:
-                    if isinstance(key, Monomial):
-                        pack(key.pairs, index)  # raises DegreeOverflow
-        scale, dense = dense_terms(images.values())
-        forms, top = presentation.engine.dense_normal_forms(dense)
-        images = {g: terms for g, terms in zip(images, forms) if terms}
-        return cls(presentation, images, scale * presentation.engine.scale**top)
-
-    def derivation(self) -> "Derivation":
-        """The Derivation this form stands for, keeping this form; the engine
-        builds its images from the dense ones without normalizing them again."""
-        poly = self.presentation.engine.poly
-        images = {g: poly(img, self.scale) for g, img in self.images.items()}
-        return Derivation._of(self.presentation, images, self)
-
-    def is_zero(self) -> bool:
-        return not self.images
-
-    def step(self, p: dict) -> dict:
-        """delta(p) in normal form, up to a nonzero scalar, as a primitive dense dict."""
-        parts = self.parts
-        if parts is None:
-            part = self.presentation.engine.leibniz_part
-            parts = self.parts = tuple(part(g, img.items()) for g, img in self.images.items())
-        terms = dense_leibniz(p, parts)
-        return primitive_part(self.presentation.engine.dense_normal_form(terms)[0])
-
-    def broken_relation(self) -> Optional[int]:
-        """The index of the first relation whose image is not zero in normal
-        form, or None, which also marks the form well defined."""
-        for idx, rel in enumerate(self.presentation.engine.relations):
-            if self.step(rel):
-                return idx
-        self.well_defined = True
-        return None
-
-
-class Derivation:
-    """Images are normalized on construction, zero images are dropped, and
-    the images never change after it: so dense() keeps the packed form it
-    builds, and equality and hashing read the images only."""
-
-    __slots__ = ("presentation", "images", "_form")
+    # the packed view is None or [images, scale, Leibniz parts or None]
+    __slots__ = ("presentation", "_images", "_dense", "well_defined")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
         known = presentation.generator_set
@@ -253,40 +159,75 @@ class Derivation:
             if reduced:
                 stored[g] = reduced
         self.presentation = presentation
-        self.images = stored
-        self._form = None
+        self._images = stored
+        self._dense = None
+        self.well_defined = False
 
     @staticmethod
-    def _of(presentation: TrinomialPresentation, images: dict, form=None) -> "Derivation":
-        """Wrap images that are nonzero and already in normal form, and the
-        form they were packed into if any, without copying or checking them."""
+    def _of(
+        presentation: TrinomialPresentation,
+        images: Optional[dict] = None,
+        packed: Optional[dict] = None,
+        scale: int = 1,
+        well_defined: bool = False,
+    ) -> "Derivation":
+        """Wrap one view without copying or checking it: Poly images, or
+        packed images at scale, as the class docstring states them."""
         out = Derivation.__new__(Derivation)
         out.presentation = presentation
-        out.images = images
-        out._form = form
+        out._images = images
+        out._dense = None if packed is None else [packed, scale, None]
+        out.well_defined = well_defined
         return out
 
-    def dense(self) -> _DenseForm:
-        """The packed form (_DenseForm) of this derivation: its images packed
-        as they are with poly.integer_terms on the first call, then kept."""
-        if self._form is None:
-            scale, dense = integer_terms(self.images.values(), self.presentation.generator_index)
-            self._form = _DenseForm(self.presentation, dict(zip(self.images, dense)), scale)
-        return self._form
+    @property
+    def images(self) -> dict:
+        """The Poly view; the engine builds it from the packed images on
+        first read, without normalizing them again."""
+        if self._images is None:
+            packed, scale, _ = self._dense
+            poly = self.presentation.engine.poly
+            self._images = {g: poly(img, scale) for g, img in packed.items()}
+        return self._images
+
+    def packed(self) -> Tuple[dict, int]:
+        """The packed images and their scale; poly.integer_terms, the one
+        scaler, packs the Poly images as they are on first read."""
+        if self._dense is None:
+            scale, dense = integer_terms(self._images.values(), self.presentation.generator_index)
+            self._dense = [dict(zip(self._images, dense)), scale, None]
+        return self._dense[0], self._dense[1]
+
+    def views(self) -> Tuple[Optional[dict], Optional[dict]]:
+        """(Poly images, packed images), each None while it is not built."""
+        return self._images, None if self._dense is None else self._dense[0]
+
+    def step(self, p: dict) -> dict:
+        """delta(p) for a dense p, in normal form and up to a nonzero
+        scalar, as a primitive dense dict: it vanishes exactly when
+        delta(p) does, and has the same monomials."""
+        engine = self.presentation.engine
+        if self._dense is None:
+            self.packed()
+        dense = self._dense
+        if dense[2] is None:
+            dense[2] = tuple(engine.leibniz_part(g, img.items()) for g, img in dense[0].items())
+        return primitive_part(engine.dense_normal_form(dense_leibniz(p, dense[2]))[0])
 
     def image(self, g: Gen) -> Poly:
         return self.images.get(g, Poly.zero())
 
     def image_strings(self) -> dict:
         """Nonzero images as formatted strings, in generator order."""
+        images = self.images
         return {
-            gen_name(g): poly_format(self.images[g])
+            gen_name(g): poly_format(images[g])
             for g in self.presentation.generators
-            if g in self.images
+            if g in images
         }
 
     def is_zero(self) -> bool:
-        return not self.images
+        return not (self._images if self._dense is None else self._dense[0])
 
     def relabelled(self, sigma: Mapping[Gen, Gen]) -> "Derivation":
         """sigma * self * sigma^-1 for a permutation sigma of the generators
@@ -345,24 +286,23 @@ class Derivation:
         return f"Derivation({body or '0'})"
 
 
-def is_well_defined(delta: Union[Derivation, _DenseForm]) -> WellDefinedReport:
+def is_well_defined(delta: Derivation) -> WellDefinedReport:
     """Check that every defining relation maps into the relation ideal.
 
-    The zero test runs on the dense form, which delta is or keeps, and
-    marks that form well defined when it passes; a broken relation's
-    residue is recomputed exactly with Derivation.apply.
+    The zero test runs on the packed view with Derivation.step and marks
+    delta well defined when it passes; a broken relation's residue is
+    recomputed exactly with Derivation.apply.
     """
-    dense = delta if isinstance(delta, _DenseForm) else delta.dense()
-    idx = dense.broken_relation()
-    if idx is None:
-        return WellDefinedReport(ok=True)
-    exact = delta.derivation() if delta is dense else delta
-    residue = exact.apply(delta.presentation.relations()[idx])
-    return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
+    for idx, rel in enumerate(delta.presentation.engine.relations):
+        if delta.step(rel):
+            residue = delta.apply(delta.presentation.relations()[idx])
+            return WellDefinedReport(ok=False, relation_index=idx, residue=residue)
+    delta.well_defined = True
+    return WellDefinedReport(ok=True)
 
 
 def nilpotency_check(
-    delta: Union[Derivation, _DenseForm],
+    delta: Derivation,
     cap: int = 64,
     term_limit: int = 4096,
     degree_limit: int = 512,
@@ -382,7 +322,8 @@ def nilpotency_check(
     generator is computed when first needed, on an explicit stack of
     open chains, and kept. The walk answers:
 
-    * not_applicable: delta is not marked well_defined and breaks a relation;
+    * not_applicable: delta is not marked well_defined, and
+      is_well_defined finds a broken relation;
     * refuted, "divisibility": the first generator, in generator order,
       in the content mu_1 of its own image;
     * refuted, "degree_cycle": a generator x needed while its own chain
@@ -397,17 +338,16 @@ def nilpotency_check(
     * verified(m), m = max nu + 1: m is minimal with delta^m killing
       every generator, which certifies local nilpotency.
 
-    Iterates live in the dense form, each a nonzero scalar multiple of the
-    true one, so content, term count and degree (of max(q)) are exact.
+    Iterates live in the packed view, each a nonzero scalar multiple of
+    the true one, so content, term count and degree (of max(q)) are exact.
     """
     if cap < 1:
         raise InvalidArgument("cap must be at least 1")
-    dense = delta if isinstance(delta, _DenseForm) else delta.dense()
-    if not dense.well_defined and dense.broken_relation() is not None:
+    if not delta.well_defined and not is_well_defined(delta):
         return NilpotencyReport("not_applicable", cap)
-    engine = dense.presentation.engine
-    generators = dense.presentation.generators
-    images = dense.images
+    engine = delta.presentation.engine
+    generators = delta.presentation.generators
+    images, _ = delta.packed()
     for g in generators:
         if g in images and engine.divides_every_key(g, images[g]):
             return NilpotencyReport("refuted", cap, witness=g, refutation="divisibility")
@@ -450,7 +390,7 @@ def nilpotency_check(
                 elif engine.degree(max(q)) > degree_limit:
                     guard = "degree_limit"
                 else:
-                    p = dense.step(q)
+                    p = delta.step(q)
                     if p:
                         frame[1:] = k + 1, total + 1, *engine.content(p), 0
                         continue
@@ -524,7 +464,7 @@ def _edge_holds(delta: Derivation, g: Gen, step: int, x: Gen, e: int) -> bool:
 def kernel_member(delta: Derivation, p: Poly) -> bool:
     _reject_foreign(p, delta.presentation.generator_set)
     (terms,) = integer_terms((p,), delta.presentation.generator_index)[1]
-    return not delta.dense().step(terms)
+    return not delta.step(terms)
 
 
 def replica(delta: Derivation, h: Poly) -> Derivation:
@@ -578,8 +518,56 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
     Blank lines and '#' comments are allowed; each other line must read
     'generator = polynomial', the polynomial in poly.poly_terms' grammar.
     Listing a generator twice is an error; unlisted generators map to
-    zero. Every error raised by a line names the line. The text is read
-    into the dense form (_DenseForm.from_text), and the Derivation built
-    from it.
+    zero. Each term is packed as it is read, and the Derivation has the
+    packed view only. Repeated terms merge in first-seen order, as in
+    poly_parse, and engine.dense_normal_forms keeps an image in normal
+    form as it is, so the images, their term order and every error are
+    those of Derivation(P, {g: poly_parse(rhs)}), except that each error
+    raised by a line names the line.
     """
-    return _DenseForm.from_text(P, text).derivation()
+    index = P.generator_index
+    known = P.generator_set
+    images: dict = {}
+    factors: dict = {}  # poly_terms' memo, shared by the lines
+    overflow = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, eq, rhs = line.partition("=")
+        if not eq:
+            raise DerivationFormatError(f"line {lineno}: expected 'generator = polynomial'")
+        name = name.strip()
+        try:
+            g = parse_gen_name(name)
+        except UnknownGenerator as exc:
+            raise DerivationFormatError(f"line {lineno}: {exc}") from None
+        if g not in known:
+            raise UnknownGenerator(
+                f"line {lineno}: {name} is not a generator of this presentation"
+            )
+        if g in images:
+            raise DerivationFormatError(f"line {lineno}: duplicate image for {name}")
+        try:
+            terms = poly_terms(rhs, known, factors)
+        except PolyParseError as exc:
+            raise DerivationFormatError(f"line {lineno}: {exc}") from None
+        except UnknownGenerator as exc:
+            raise UnknownGenerator(f"line {lineno}: {exc}") from None
+        acc = images[g] = {}
+        for sign, pairs, (a, b, d) in terms:
+            if a or b:
+                try:
+                    key = pack(pairs, index)
+                except DegreeOverflow:  # raised below, unless it cancels
+                    key, overflow = Monomial(pairs), True
+                _add_term(acc, key, GaussianRational._of(sign * a, sign * b, d))
+    if overflow:
+        for terms in images.values():
+            for key in terms:
+                if isinstance(key, Monomial):
+                    pack(key.pairs, index)  # raises DegreeOverflow
+    scale, dense = dense_terms(images.values())
+    forms, top = P.engine.dense_normal_forms(dense)
+    packed = {g: terms for g, terms in zip(images, forms) if terms}
+    return Derivation._of(P, packed=packed, scale=scale * P.engine.scale**top)

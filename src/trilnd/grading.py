@@ -159,22 +159,21 @@ def homogeneous_parts(p: Poly, grading: Grading) -> dict:
 def derivation_degree(delta, grading: Grading) -> Weight:
     """The common degree shift weight(image) - weight(gen) of a Derivation.
 
-    A Derivation stores only nonzero images; the zero derivation has no
+    It reads whichever view of delta is built, the Poly images first, and
+    builds neither: a packed term's weight is read off its key through the
+    presentation's engine, and the term becomes a Monomial only in a
+    NonHomogeneous message, which reads as the Poly view's would. A
+    Derivation stores only nonzero images; the zero derivation has no
     degree and raises ZeroDerivation, a ValueError.
     """
-    images = ((g, img.terms) for g, img in delta.images.items())
-    return _degree(images, grading, grading.weight_of_monomial)
-
-
-def dense_degree(form, grading: Grading) -> Weight:
-    """derivation_degree of a dense form (derivation._DenseForm), each
-    term's weight read off its packed key through the presentation's
-    engine. NonHomogeneous reads as derivation_degree's would: its terms
-    become Monomials only when raised."""
-    engine = form.presentation.engine
+    images, packed = delta.views()
+    if images is not None:
+        terms = ((g, img.terms) for g, img in images.items())
+        return _degree(terms, grading, grading.weight_of_monomial)
+    engine = delta.presentation.engine
     sparse, rank = grading.sparse, grading.rank
     return _degree(
-        form.images.items(), grading, lambda key: engine.weight(key, sparse, rank), engine.monomial
+        packed.items(), grading, lambda key: engine.weight(key, sparse, rank), engine.monomial
     )
 
 

@@ -14,10 +14,9 @@ rigid presentations must yield no certified nilpotent element.
 The search runs on the dense form of poly.py end to end. The engine
 enumerates the box as normal-form keys with their weights, an unknown is
 a (generator, key) pair, and the basis vectors and the samples combined
-from them are dense forms at one integer scale per space. Every sample
-is a Derivation that keeps its dense form (Derivation.dense), built from
-it without normalizing the images again for the basis and combinations.
-These solve every relation row, so their forms are marked well defined
+from them are Derivations with the packed view only, at one integer
+scale per space: their Poly images are built only when a report prints
+them. These solve every relation row, so they are marked well defined
 and nilpotency_check skips the relation check, as it does for each
 classifier output that lies in the span. SolutionSpace.unknowns turns
 its keys into monomials when first read.
@@ -32,7 +31,7 @@ from operator import add
 from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
-from .derivation import Derivation, NilpotencyReport, _DenseForm, nilpotency_check
+from .derivation import Derivation, NilpotencyReport, nilpotency_check
 from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading
 from .poly import dense_combination, dense_leibniz, dense_terms, pack, primitive_part
@@ -139,7 +138,7 @@ class SolutionSpace:
     """Derivations of one fixed degree, found by linear algebra.
 
     The unknowns are (generator, key) columns, and each basis vector is a
-    Derivation that keeps its dense form, at one integer scale common to
+    Derivation with the packed view only, at one integer scale common to
     the basis. unknowns, with its monomials, is built when first read.
     """
 
@@ -266,7 +265,7 @@ def solution_space(
         for k in sorted(vec):
             g, key = columns[k]
             images.setdefault(g, {})[key] = vec[k]
-        basis.append(_DenseForm(P, images, scale, well_defined=True).derivation())
+        basis.append(Derivation._of(P, packed=images, scale=scale, well_defined=True))
     return SolutionSpace(
         presentation=P,
         weight=weight,
@@ -278,18 +277,19 @@ def solution_space(
     )
 
 
-def _combination(x: _DenseForm, y: _DenseForm, c: Tuple[int, int]) -> _DenseForm:
-    """x + c * y for two dense forms at one scale and a Gaussian integer c,
-    as (real, imaginary), with cancelled terms and images dropped. The
-    relation images are linear in the derivation, so the sum is well
-    defined when both terms are."""
+def _combination(x: Derivation, y: Derivation, c: Tuple[int, int]) -> Derivation:
+    """x + c * y, packed only, for two derivations packed at one scale and
+    a Gaussian integer c, as (real, imaginary), with cancelled terms and
+    images dropped. The relation images are linear in the derivation, so
+    the sum is well defined when both terms are."""
+    (xs, scale), (ys, _) = x.packed(), y.packed()
     images = {}
-    for g in {**x.images, **y.images}:
-        img = dense_combination(x.images.get(g, {}), y.images.get(g, {}), *c)
+    for g in {**xs, **ys}:
+        img = dense_combination(xs.get(g, {}), ys.get(g, {}), *c)
         if img:
             images[g] = img
     well_defined = x.well_defined and y.well_defined
-    return _DenseForm(x.presentation, images, x.scale, well_defined)
+    return Derivation._of(x.presentation, packed=images, scale=scale, well_defined=well_defined)
 
 
 def _classifier_by_degree(P: TrinomialPresentation):
@@ -411,19 +411,19 @@ def oracle_enumerate(
     for w in weights:
         space = solution_space(P, w, degree_bound=degree_bound, max_unknowns=max_unknowns, box=box)
         samples = [(f"basis[{k}]", delta) for k, delta in enumerate(space.basis)]
-        head = [delta.dense() for delta in space.basis[:_MAX_COMBO_BASIS]]
+        head = space.basis[:_MAX_COMBO_BASIS]
         for a in range(len(head)):
             for b in range(a + 1, len(head)):
                 for sign, c in (("+", (1, 0)), ("-", (-1, 0)), ("+i*", (0, 1))):
                     name = f"basis[{a}]{sign}basis[{b}]"
-                    samples.append((name, _combination(head[a], head[b], c).derivation()))
+                    samples.append((name, _combination(head[a], head[b], c)))
         members = []
         for inst in by_degree.get(w, ()):
             name = _descriptor_label(inst.descriptor)
             delta = inst.derivation
             in_span = space.contains(delta)
             # in the span, it solves every relation row as the basis does
-            delta.dense().well_defined |= in_span
+            delta.well_defined |= in_span
             members.append((name, in_span))
             samples.append((f"classifier:{name}", delta))
         checked = []

@@ -524,6 +524,25 @@ def test_bad_lambda_string(capsys):
     assert rep["kind"] == "ScalarParseError"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,,2", "empty entry"),
+        ("", "no sample"),
+        (" , ", "no sample"),
+        ("1,1", "lists 1 twice"),
+        ("i,0,2/2,-i,1", "lists 1 twice"),
+    ],
+)
+def test_malformed_lambda_lists_are_rejected(capsys, text, message):
+    # an empty entry, an empty list and a repeated value were read as
+    # fewer samples or as duplicate records
+    code, rep = run(capsys, "lnds", "--presentation", f"{SAMPLES}/sphere.json", "--lambdas", text)
+    assert code == 1
+    assert rep["kind"] == "InvalidArgument"
+    assert message in rep["error"]
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])

@@ -1,27 +1,31 @@
-"""One way into the packed form.
+"""One derivation type, two views of one map.
 
-A _DenseForm is built by its one constructor, and a Derivation keeps
-one: Derivation.dense packs the images on first use, and the Derivation
-of a form starts with it. Coefficients reach the Gaussian integers
-through poly.dense_terms, and normal forms reach one power of the rule
-scale through RewriteEngine.dense_normal_forms. Every kept form must
-meet its invariant: nonzero images, keys in normal form, no zero
-coefficient, a positive integer scale, and the Derivation it stands for
+A Derivation holds Poly images and packed images, each built from the
+other on first read and then kept: Derivation.packed packs the Poly
+images with poly.integer_terms, the engine builds the Poly view of a
+packed-only Derivation, and derivation_from_text and the oracle build
+packed-only ones. Coefficients reach the Gaussian integers through
+poly.dense_terms, and normal forms reach one power of the rule scale
+through RewriteEngine.dense_normal_forms. Every packed view must meet
+its invariant: nonzero images, keys in normal form, no zero coefficient,
+a positive integer scale, and the packed-only Derivation of those images
 equal to an independent reference. A derivation is packed at most once,
 and its relations are checked at most once.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trilnd.derivation
 from trilnd.classify import NeedsNormalization, _Construction, enumerate_lnds, kernel_generators
 from trilnd.corpus import corpus
 from trilnd.derivation import (
     Derivation,
-    _DenseForm,
     derivation_from_text,
     derivation_to_text,
     is_well_defined,
@@ -48,14 +52,19 @@ THIRDS = type2(((2,), (2,), (3,)), constants=((gq(1), gq(0)), (gq(0), gq(3)), (g
 PRESENTATIONS = (HALVES, SIXTHS, THIRDS, *corpus()[:6])
 
 
-def assert_invariant(form, reference):
-    P = form.presentation
-    assert type(form.scale) is int and form.scale > 0
-    for g, image in form.images.items():
+def assert_invariant(delta, reference):
+    P = delta.presentation
+    images, scale = delta.packed()
+    assert type(scale) is int and scale > 0
+    for g, image in images.items():
         assert g in P.generator_set and image
         assert all(type(a) is int and type(b) is int and (a or b) for a, b in image.values())
         assert P.engine.in_normal_form(image)
-    assert form.derivation() == reference
+    assert Derivation._of(P, packed=images, scale=scale) == reference
+
+
+def packed_only(delta):
+    return delta.views()[0] is None
 
 
 def classifier_outputs(P):
@@ -90,20 +99,42 @@ def test_the_converter_and_the_text_reader_meet_the_invariant(data):
     P = data.draw(st.sampled_from(PRESENTATIONS))
     raw = data.draw(raw_images(P))
     reference = Derivation(P, raw)
-    assert_invariant(reference.dense(), reference)
-    assert reference.dense() is reference.dense()
+    assert_invariant(reference, reference)
+    assert reference.packed()[0] is reference.packed()[0]
     text = derivation_to_text(reference)
-    assert_invariant(_DenseForm.from_text(P, text), reference)
-    assert_invariant(derivation_from_text(P, text).dense(), reference)
+    parsed = derivation_from_text(P, text)
+    assert packed_only(parsed)
+    assert_invariant(parsed, reference)
+    # its Poly view, built on first read, keeps the packed view
+    packed = parsed.packed()[0]
+    assert parsed == reference
+    assert parsed.packed()[0] is packed
     # the images as drawn, terms outside normal form included
     text = "".join(f"{gen_name(g)} = {poly_format(img)}\n" for g, img in raw.items() if img)
-    assert_invariant(_DenseForm.from_text(P, text), reference)
+    parsed = derivation_from_text(P, text)
+    assert packed_only(parsed)
+    assert_invariant(parsed, reference)
+    assert parsed == Derivation(P, raw)
+
+
+def test_a_packed_only_derivation_survives_copy_and_pickle():
+    P = corpus()[0]
+    delta = enumerate_lnds(P, expand=False)[0].derivation
+    for checked in (False, True):
+        parsed = derivation_from_text(P, derivation_to_text(delta))
+        if checked:
+            assert is_well_defined(parsed).ok
+        for clone in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert packed_only(clone)
+            assert clone.well_defined is checked
+            assert_invariant(clone, delta)
+            assert clone == delta == parsed
 
 
 @pytest.mark.parametrize("P", [HALVES, *corpus()[:8]], ids=lambda P: P.describe())
 def test_the_classifier_check_meets_the_invariant(P):
-    # every coefficient D_j of every plan descriptor keeps the form that
-    # _checked marked well defined
+    # every coefficient D_j of every plan descriptor keeps the packed view
+    # that _checked marked well defined
     for entry in P.plan:
         descriptors = [desc for _, desc in entry.descriptors]
         if entry.family is not None:
@@ -114,13 +145,13 @@ def test_the_classifier_check_meets_the_invariant(P):
             except NeedsNormalization:
                 continue
             for delta in coefficients:
-                assert delta.dense().well_defined
-                assert_invariant(delta.dense(), delta)
+                assert delta.well_defined
+                assert_invariant(delta, delta)
     for delta in classifier_outputs(P):
-        assert_invariant(delta.dense(), delta)
+        assert_invariant(delta, delta)
         for c in SCALARS[:3]:
             scaled = delta * c
-            assert_invariant(scaled.dense(), scaled)
+            assert_invariant(scaled, scaled)
 
 
 @pytest.mark.parametrize("P", [HALVES, THIRDS], ids=lambda P: P.describe())
@@ -153,39 +184,44 @@ def test_the_oracle_basis_and_its_combinations_meet_the_invariant():
             space = solution_space(P, w, degree_bound=3)
             reference = reference_basis(space)
             assert len(space.basis) == len(reference)
-            forms = [delta.dense() for delta in space.basis]
-            for form, delta in zip(forms, reference):
-                assert form.well_defined
-                assert_invariant(form, delta)
-            for a in range(min(3, len(forms))):
-                for b in range(a + 1, min(3, len(forms))):
+            basis = space.basis
+            for delta, want in zip(basis, reference):
+                assert delta.well_defined and packed_only(delta)
+                assert_invariant(delta, want)
+            for a in range(min(3, len(basis))):
+                for b in range(a + 1, min(3, len(basis))):
                     for c in ((1, 0), (-1, 0), (0, 1)):
                         x, y = reference[a], reference[b]
-                        combination = _combination(forms[a], forms[b], c)
-                        assert combination.derivation().dense() is combination
+                        combination = _combination(basis[a], basis[b], c)
+                        assert packed_only(combination)
+                        packed = combination.packed()[0]
+                        assert combination.images is combination.images
+                        assert combination.packed()[0] is packed
                         assert_invariant(combination, x + y * gq(*c))
                         combinations += 1
         # every sample the oracle checks, classifier outputs included
         for entry in oracle_enumerate(P, degree_bound=3).entries:
             for _, delta, _ in entry.samples:
-                assert_invariant(delta.dense(), Derivation(P, delta.images))
+                assert_invariant(delta, Derivation(P, delta.images))
     assert combinations
 
 
 def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
     packs, checks = [], []
-    init, broken_relation = _DenseForm.__init__, _DenseForm.broken_relation
+    packed, check = Derivation.packed, trilnd.derivation.is_well_defined
 
-    def counted_init(form, *args, **kwargs):
-        packs.append(form)
-        init(form, *args, **kwargs)
+    def counted_packed(delta):
+        if delta.views()[1] is None:
+            packs.append(delta)
+        return packed(delta)
 
-    def counted_check(form):
-        checks.append(form)
-        return broken_relation(form)
+    def counted_check(delta):
+        checks.append(delta)
+        return check(delta)
 
-    monkeypatch.setattr(_DenseForm, "__init__", counted_init)
-    monkeypatch.setattr(_DenseForm, "broken_relation", counted_check)
+    monkeypatch.setattr(Derivation, "packed", counted_packed)
+    # nilpotency_check and the call below look the check up here
+    monkeypatch.setattr(trilnd.derivation, "is_well_defined", counted_check)
     chains = representatives = 0
     for P in corpus():
         built = [
@@ -199,7 +235,7 @@ def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
             packs.clear()
             checks.clear()
             # a representative built from one checked coefficient keeps
-            # the form _checked packed and marked well defined
+            # the packed view that _checked built and marked well defined
             if inst.orbit is None or inst.descriptor.c == inst.orbit.representative:
                 if inst.descriptor.kind in ("free", "type1", "t2a"):
                     assert nilpotency_check(delta).verified
@@ -207,7 +243,7 @@ def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
                     assert packs == checks == []
                     representatives += 1
                     continue
-            assert is_well_defined(delta).ok
+            assert trilnd.derivation.is_well_defined(delta).ok
             assert nilpotency_check(delta).verified
             assert all(kernel_member(delta, g) for g in kernel)
             assert len(packs) <= 1 and len(checks) <= 1

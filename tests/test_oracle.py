@@ -297,11 +297,11 @@ def test_contains_checks_the_reduced_constraints():
 def reference_loop(delta, cap):
     """nilpotency_check without the divisibility refutation: the dense
     iteration alone, with the default size guards."""
-    dense = delta.dense()
+    images, _ = delta.packed()
     n = len(delta.presentation.generators)
     worst = 1
     for g in delta.presentation.generators:
-        p = dense.images.get(g)
+        p = images.get(g)
         steps = 1
         while p:
             guard = None
@@ -313,7 +313,7 @@ def reference_loop(delta, cap):
                 guard = "degree_limit"
             if guard is not None:
                 return NilpotencyReport(status="inconclusive", cap=cap, witness=g, guard=guard)
-            p = dense.step(p)
+            p = delta.step(p)
             steps += 1
         worst = max(worst, steps)
     return NilpotencyReport(status="verified", cap=cap, index=worst)
@@ -400,9 +400,9 @@ def test_key_box_matches_brute_force():
 
 
 def test_dense_samples_match_their_derivation_views():
-    # each sample is kept dense; its Derivation view must be the named
+    # each sample is packed only; its Poly view must be the named
     # combination of the basis, in normal form, inside the space, with the
-    # verdict the dense form got
+    # verdict the packed view got
     for P in corpus():
         for entry in oracle_enumerate(P, degree_bound=4, cap=16).entries:
             space = solution_space(P, entry.weight, degree_bound=4)
@@ -449,25 +449,50 @@ def test_oracle_derivations_copy_and_pickle():
     P = surface(2, 2, 2)
     (entry,) = oracle_enumerate(P, weights=[(0,)], degree_bound=1).entries
     space = solution_space(P, (0,), degree_bound=1)
-    # a classifier output whose kept form is checked and stepped
+    # a classifier output whose packed view is checked and stepped
     output = enumerate_lnds(P, expand=False)[0].derivation
     assert nilpotency_check(output).verified
     for delta in [*space.basis, *(sample for _, sample, _ in entry.samples), output]:
         assert copy.copy(delta) == delta
         assert copy.deepcopy(delta) == delta
         assert pickle.loads(pickle.dumps(delta)) == delta
-    assert pickle.loads(pickle.dumps(output)).dense().well_defined
+    assert pickle.loads(pickle.dumps(output)).well_defined
+
+
+def test_the_oracle_builds_no_poly_image_it_does_not_print(monkeypatch):
+    # every sample is packed only, and nilpotent_found reads no Poly image;
+    # printing the report builds the images it prints, and the report
+    # reads as one whose samples were never counted
+    built = []
+    poly = RewriteEngine.poly
+
+    def counted(engine, terms, scale):
+        built.append(terms)
+        return poly(engine, terms, scale)
+
+    samples = 0
+    for P in corpus()[:6]:
+        monkeypatch.setattr(RewriteEngine, "poly", counted)
+        report = oracle_enumerate(P, degree_bound=4)
+        samples += sum(len(entry.samples) for entry in report.entries)
+        assert built == [], P.describe()
+        printed = report.to_dict()
+        assert built or all(not entry.samples for entry in report.entries)
+        built.clear()
+        monkeypatch.undo()
+        assert printed == oracle_enumerate(P, degree_bound=4).to_dict()
+    assert samples
 
 
 def test_every_sample_marked_well_defined_is_well_defined(monkeypatch):
-    # the oracle hands nilpotency_check Derivations whose kept dense forms
-    # are marked well defined, which skips the relation check before the
-    # certificate; a fresh Derivation of the same images is checked here
+    # the oracle hands nilpotency_check Derivations marked well defined,
+    # which skips the relation check before the certificate; a fresh
+    # Derivation of the same images is checked here
     marked = []
     check = trilnd.oracle.nilpotency_check
 
     def spy(sample, cap):
-        if sample.dense().well_defined:
+        if sample.well_defined:
             marked.append(sample)
         return check(sample, cap=cap)
 

@@ -197,9 +197,9 @@ def test_degree_bound_holds_at_library_level():
 
 def test_dense_images_are_keys_of_the_generator_positions():
     delta = Derivation(CYLINDER, {S1: poly_parse("3*T0_1^2*S2 - i")})
-    form = delta.dense()
+    images, _ = delta.packed()
     n = len(CYLINDER.generators)
-    image = form.images[S1]
+    image = images[S1]
     want = {
         (2, 0, 0, 0, 1): (3, 0),
         (0, 0, 0, 0, 0): (0, -1),

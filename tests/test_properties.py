@@ -202,7 +202,7 @@ def test_dense_step_is_apply_up_to_a_scalar(data):
     P = delta.presentation
     p = data.draw(polys(P, scalars=FRACTIONAL_SCALARS))
     _, (terms,) = integer_terms([p], P.generator_index)
-    got = delta.dense().step(terms)
+    got = delta.step(terms)
     exact = delta.apply(p)
     _, (want,) = integer_terms([exact], P.generator_index)
     assert got.keys() == want.keys()

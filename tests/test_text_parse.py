@@ -1,7 +1,7 @@
 """The text boundary: polynomial and derivation text read into the dense form.
 
 poly.poly_terms is the one reader of the term grammar; poly_parse builds
-a Poly from it and _DenseForm.from_text packs each term as it is read.
+a Poly from it and derivation_from_text packs each term as it is read.
 The reference below is the reader they replaced, a character scanner and
 a factor splitter feeding Derivation(P, images) and normal_form, kept
 here with two marked departures: errors raised on a right-hand side name
@@ -24,11 +24,10 @@ from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import (
     Derivation,
     DerivationFormatError,
-    _DenseForm,
     derivation_from_text,
 )
 from trilnd.gaussian import ONE, ScalarParseError, gq, gq_parse
-from trilnd.grading import NonHomogeneous, dense_degree, derivation_degree
+from trilnd.grading import NonHomogeneous, derivation_degree
 from trilnd.poly import (
     DegreeOverflow,
     Monomial,
@@ -334,12 +333,15 @@ def check_against_reference(P, text):
         return
     assert got == want, text
     if got[0] == "ok":
-        form = _DenseForm.from_text(P, text)
+        # outcome read the Poly view; the degree off the packed view alone
+        # must read the same, and build no Poly image
+        delta = derivation_from_text(P, text)
         try:
-            degree = dense_degree(form, P.grading) if got[1] else None
+            degree = derivation_degree(delta, P.grading) if got[1] else None
         except NonHomogeneous as exc:
             degree = str(exc)
         assert degree == got[2]
+        assert delta.views()[0] is None
 
 
 PARSE_SETTINGS = settings(
