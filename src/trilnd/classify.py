@@ -10,11 +10,11 @@ an exponent above 1, a tuple is admissible when
 * type 2, case B: |Big| = 3 and some pair inside Big consists of blocks
   whose chosen exponent is exactly 2 with every exponent even.
 
-Derivations are built from explicit partial-derivative formulas on two
-distinguished blocks; the remaining images are forced by the relations
-and recovered by exact division. Case B formulas need square roots of
-coefficient ratios inside Q(i); when those do not exist the build
-raises NeedsNormalization rather than moving to a field extension.
+Derivations are built on packed exponent keys, with no Poly arithmetic,
+from explicit partial-derivative formulas on two distinguished blocks;
+the remaining images are forced by the relations, exact key quotients.
+Case B formulas need square roots of coefficient ratios inside Q(i); if
+missing, the build raises NeedsNormalization, not a field extension.
 
 Admissibility only reads the exponent at the chosen variable of each
 block, so the tuples come in orbits: all tuples that pick variables of
@@ -29,6 +29,7 @@ first member; expand_orbits relabels it onto every other member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import prod
@@ -39,12 +40,9 @@ from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq
 from .grading import Weight, derivation_degree
 from .poly import (
     Gen,
-    Monomial,
-    NotDivisible,
     Poly,
-    _add_term,
     gen_name,
-    partial_derivative,
+    pack,
     poly_format,
     svar,
     tvar,
@@ -204,23 +202,18 @@ class TupleOrbit:
 
 def _check_swaps(P: TrinomialPresentation, groups) -> None:
     """Raise InternalError unless swapping the first column of each group
-    with each other column of the group fixes every relation exactly.
+    with each other one fixes every packed relation of P.engine, key by key.
 
     Every sigma of TupleOrbit.swap is a product of such transpositions in
     distinct blocks, so this one pass covers every orbit of P.
     """
-    swaps = [
-        (i, cols[0], j)
-        for i, block_groups in zip(P.block_numbers, groups)
-        for cols in block_groups
-        for j in cols[1:]
-    ]
-    relations = P.relations() if swaps else ()
-    for i, a, b in swaps:
-        sigma = {tvar(i, a): tvar(i, b), tvar(i, b): tvar(i, a)}
-        for index, relation in enumerate(relations):
-            if relation.relabel(sigma) != relation:
-                raise InternalError(f"swapping T{i}_{a} and T{i}_{b} moves relation {index}")
+    for i, block_groups in zip(P.block_numbers, groups):
+        for a, *others in block_groups:
+            for b in others:
+                engine, g, h = P.engine, tvar(i, a), tvar(i, b)
+                for index, relation in enumerate(engine.relations):
+                    if {engine.swapped(key, g, h): c for key, c in relation.items()} != relation:
+                        raise InternalError(f"swapping T{i}_{a} and T{i}_{b} moves relation {index}")
 
 
 def tuple_orbits(P: TrinomialPresentation):
@@ -386,20 +379,30 @@ def class_plan(P: TrinomialPresentation):
         yield PlannedClass(info, count, descriptors, family, orbit)
 
 
-def _partials_product(P: TrinomialPresentation, cmap: dict, blocks) -> Poly:
-    """The product of the block partials dT_i^{l_i}/dT_{i c_i} over blocks.
+def _block_term(P: TrinomialPresentation, i: int, c=None, m: int = 1) -> Tuple[int, int]:
+    """T_i^{l_i / m} as (key, 1) for c None, else its partial by T_ic as (key,
+    l_ic / m), kept in the presentation's block memo under ("term", i, c, m)."""
+    hit = P._block_memo.get(("term", i, c, m))
+    if hit is None:
+        exps = P.exponents(i)
+        pairs = [(tvar(i, j), e // m - (j == c)) for j, e in enumerate(exps, start=1)]
+        term = pack(pairs, P.generator_index), 1 if c is None else exps[c - 1] // m
+        hit = P._block_memo[("term", i, c, m)] = term
+    return hit
 
-    Blocks share no variable, so the product is one monomial: the exponent
-    pairs of the partials concatenated, higher blocks first (the monomial
-    order), with the product of the chosen exponents as coefficient.
-    """
-    pairs = []
-    coeff = 1
-    for i in sorted(blocks, reverse=True):
-        (m, _), = P.block_partial(i, cmap[i]).terms.items()
-        pairs.extend(m.pairs)
-        coeff *= P.exponents(i)[cmap[i] - 1]
-    return Poly._of({Monomial._of(tuple(pairs)): gq(coeff)})
+
+def _term(*factors) -> dict:
+    """The product of (key, integer) terms as one {key: coefficient}."""
+    return {sum(key for key, _ in factors): gq(prod(c for _, c in factors))}
+
+
+def _summed(terms) -> dict:
+    """The sum of (key, coefficient) pairs as {key: coefficient}, zeros dropped."""
+    acc = {}
+    for key, c in terms:
+        cur = acc.get(key)
+        acc[key] = c if cur is None else cur + c
+    return {key: c for key, c in acc.items() if c}
 
 
 def _off_tuple_generators(P: TrinomialPresentation, c):
@@ -495,12 +498,12 @@ class _Construction:
     use.
 
     This is the one place that reads a descriptor's kind. Every kind is
-    built once, as its coefficients in the parameter (coefficients), each
-    checked against every relation, and every derivation it describes is
-    their exact sum. The samples of a family, the two t2c classes and the
-    kernels of the descriptors share one construction. Callers keep it for
-    one plan entry at most, never on the presentation, which holds only
-    the block-level pieces and the plan.
+    built once, as its coefficients in the parameter, {packed key: Q(i)}
+    terms per image (terms), each checked against every relation
+    (coefficients); every derivation it describes is their exact sum on
+    those terms. Family samples, the two t2c classes and the descriptors'
+    kernels share one construction. Callers keep it for one plan entry at
+    most, never on the presentation, which holds only block-level pieces.
     """
 
     def __init__(self, P: TrinomialPresentation, desc: LndDescriptor, info=None):
@@ -545,8 +548,6 @@ class _Construction:
     def parts(self) -> Tuple[Poly, ...]:
         """T_B0^(l/m) and T_B1^(l/m) for t2b, m the chosen exponent of B0;
         the halves of the role blocks for t2c (B0, B1) and t2d (B0, B1, B2)."""
-        if self.kind == "t2a":
-            return ()
         count = 3 if self.kind == "t2d" else 2
         return tuple(self.presentation.block_power_divided(i, self._m) for i in self.roles[:count])
 
@@ -563,9 +564,9 @@ class _Construction:
         return (sb, _sqrt_or_raise(gamma / alpha, what))
 
     @cached_property
-    def image_pieces(self) -> Tuple[Poly, ...]:
+    def image_pieces(self) -> Tuple[dict, ...]:
         """The parameter-free factors of the two distinguished images of a
-        type 2 kind.
+        type 2 kind, each one term {key: coefficient} (_term).
 
         With rest the product of the partials of the blocks outside B0 and
         B1: rest for t2a, and d_b * rest and d_a * rest for t2b and t2c,
@@ -575,126 +576,90 @@ class _Construction:
         """
         P = self.presentation
         skip = self.roles if self.kind == "t2d" else self.roles[:2]
-        rest = _partials_product(P, self.cmap, (i for i in P.block_numbers if i not in skip))
+        rest = [_block_term(P, i, ci) for i, ci in self.cmap.items() if i not in skip]
         if self.kind == "t2a":
-            return (rest,)
-        d_parts = [partial_derivative(part, t) for part, t in zip(self.parts, self.gens)]
-        if self.kind in ("t2b", "t2c"):
-            d_a, d_b = d_parts
-            return (d_b * rest, d_a * rest)
-        d_a, d_b, d_c = d_parts
-        half_a, half_b, half_c = self.parts
-        return (
-            d_b * d_c * half_b * rest,
-            d_b * d_c * half_c * rest,
-            d_a * d_c * half_a * rest,
-            d_a * d_c * half_c * rest,
-        )
-
-    @cached_property
-    def solve_steps(self) -> tuple:
-        """(T_sc, (a_m, a), (b_m, b), c_m) for every block s outside B0 and
-        B1: the image of T_sc is -(dB0*alpha_s*img0 + dB1*beta_s*img1) /
-        (ds*gamma_s), with the minors of the relation on (B0, B1, s) and each
-        d the partial of a block power at the chosen variable, a single term.
-        So it is (a*a_m*img0 + b*b_m*img1) / c_m, a, b scalars and a_m, b_m,
-        c_m the monomials of dB0, dB1 and ds."""
-        P = self.presentation
-        B0, B1, _ = self.roles
-        (a_m, d_a), = P.block_partial(B0, self.cmap[B0]).terms.items()
-        (b_m, d_b), = P.block_partial(B1, self.cmap[B1]).terms.items()
-        steps = []
-        for s in P.block_numbers:
-            if s in (B0, B1):
-                continue
-            alpha_s, beta_s, gamma_s = P.triple_coefficients(B0, B1, s)
-            (c_m, d_c), = P.block_partial(s, self.cmap[s]).terms.items()
-            inverse = (d_c * gamma_s).inverse()
-            a, b = -d_a * alpha_s * inverse, -d_b * beta_s * inverse
-            steps.append((tvar(s, self.cmap[s]), (a_m, a), (b_m, b), c_m))
-        return tuple(steps)
+            return (_term(*rest),)
+        d_a, d_b, *d_c = (_block_term(P, i, self.cmap[i], self._m) for i in skip)
+        if self.kind != "t2d":
+            return (_term(d_b, *rest), _term(d_a, *rest))
+        half_a, half_b, half_c = (_block_term(P, i, m=2) for i in skip)
+        pairs = (d_b, half_b), (d_b, half_c), (d_a, half_a), (d_a, half_c)
+        return tuple(_term(d, *d_c, half, *rest) for d, half in pairs)
 
     def build(self, param=None) -> Derivation:
         """The derivation at param: coefficients[0] for a kind with one
-        coefficient, else the exact sum of param^j * D_j. A sum of normal
-        forms is a normal form, and the relations hold by linearity, so the
-        sum is neither normalized nor checked again."""
+        coefficient, else the exact sum of param^j * D_j on their terms. A
+        sum of normal forms is a normal form, and the relations hold by
+        linearity, so the sum is neither normalized nor checked again."""
         self.check_param(param)
         first, *rest = self.coefficients
         if not rest:
             return first
         images = {}
         power = ONE
-        for delta in self.coefficients:
-            if not power:
-                break
-            for g, img in delta.images.items():
-                terms = images.setdefault(g, {})
-                for m, c in img.terms.items():
-                    _add_term(terms, m, c if power is ONE else c * power)
+        for terms in self.terms:
+            for g, img in terms.items():
+                images.setdefault(g, []).extend((k, c if power is ONE else c * power) for k, c in img.items())
             power = power * param
-        return Derivation._of(
-            self.presentation, {g: Poly._of(terms) for g, terms in images.items() if terms}
-        )
+        images = {g: _summed(pairs) for g, pairs in images.items()}
+        return Derivation._of_terms(self.presentation, {g: img for g, img in images.items() if img})
+
+    @cached_property
+    def terms(self) -> tuple:
+        """D_0, ..., D_k as images {generator: {key: coefficient}}, the
+        derivation at param being the sum of param^j * D_j: one for free,
+        type1 and t2a, two for t2b and t2c, three for t2d. A type 2 D_j
+        sets its distinguished images by the classified formulas and solves
+        the rest (_solved); NeedsNormalization when a root is missing."""
+        if self.kind == "free":
+            return (dict.fromkeys(self.moved, _term()),)
+        if self.kind == "type1":
+            # each chosen variable maps to the product of the other blocks' partials
+            P = self.presentation
+            return ({
+                tvar(i, ci): _term(*(_block_term(P, k, ck) for k, ck in self.cmap.items() if k != i))
+                for i, ci in self.cmap.items()
+            },)
+        t_a, t_b, _ = self.gens
+        pieces = self.image_pieces
+        if self.kind in ("t2a", "t2b"):
+            heads = tuple({g: (piece, ONE)} for g, piece in zip(self.gens, pieces))
+        elif self.kind == "t2c":
+            # t_a -> mu*sb*A, t_b -> B
+            heads = ({t_b: (pieces[1], ONE)}, {t_a: (pieces[0], self.roots[0])})
+        else:
+            # t_a -> 2*lambda*sb*ab + (1+lambda^2)*i*sc*ac,
+            # t_b -> -2*lambda/sb*ba + (1-lambda^2)*sc/sb*bc
+            ab, ac, ba, bc = pieces
+            sb, sc = self.roots
+            heads = (
+                {t_a: (ac, I * sc), t_b: (bc, sc / sb)},
+                {t_a: (ab, 2 * sb), t_b: (ba, gq(-2) / sb)},
+                {t_a: (ac, I * sc), t_b: (bc, -sc / sb)},
+            )
+        return tuple(self._solved(head) for head in heads)
 
     @cached_property
     def coefficients(self) -> Tuple[Derivation, ...]:
-        """D_0, ..., D_k, the derivation at param being the sum of
-        param^j * D_j: one for free, type1 and t2a, two for t2b and t2c,
-        three for t2d. A type 2 D_j sets its distinguished images by the
-        classified formulas and solves the rest (_solved). A relation's
-        image is linear in the derivation, so checking each D_j once
-        (_checked) covers every param. NeedsNormalization, before any
-        check, when the roots are missing in Q(i)."""
-        P = self.presentation
-        if self.kind == "free":
-            terms = (dict.fromkeys(self.moved, Poly.constant(1)),)
-        elif self.kind == "type1":
-            # each chosen variable maps to the product of the other blocks' partials
-            terms = ({
-                tvar(i, self.cmap[i]): _partials_product(
-                    P, self.cmap, (k for k in P.block_numbers if k != i)
-                )
-                for i in P.block_numbers
-            },)
-        else:
-            t_a, t_b, _ = self.gens
-            pieces = self.image_pieces
-            if self.kind == "t2a":
-                heads = ({t_a: pieces[0]},)
-            elif self.kind == "t2b":
-                heads = ({t_a: pieces[0]}, {t_b: pieces[1]})
-            elif self.kind == "t2c":
-                # t_a -> mu*sb*A, t_b -> B
-                heads = ({t_b: pieces[1]}, {t_a: pieces[0] * self.roots[0]})
-            else:
-                # t_a -> 2*lambda*sb*ab + (1+lambda^2)*i*sc*ac,
-                # t_b -> -2*lambda/sb*ba + (1-lambda^2)*sc/sb*bc
-                ab, ac, ba, bc = pieces
-                sb, sc = self.roots
-                heads = (
-                    {t_a: ac * (I * sc), t_b: bc * (sc / sb)},
-                    {t_a: ab * (2 * sb), t_b: ba * (gq(-2) / sb)},
-                    {t_a: ac * (I * sc), t_b: bc * (-sc / sb)},
-                )
-            terms = tuple(self._solved(head) for head in heads)
-        if len(terms) == 1:
-            return (self._checked(terms[0], f"type {P.kind} construction"),)
+        """The checked D_j (_checked): a relation's image is linear in the
+        derivation, so checking each D_j once covers every param."""
+        if len(self.terms) == 1:
+            return (self._checked(self.terms[0], f"type {self.presentation.kind} construction"),)
         return tuple(
             self._checked(images, f"the coefficient D{j} of the {self.kind} construction")
-            for j, images in enumerate(terms)
+            for j, images in enumerate(self.terms)
         )
 
     def _checked(self, images: dict, what: str) -> Derivation:
-        """The derivation with these nonzero images, whose packed view is
-        checked against every relation; InternalError, naming what, for
-        a term outside normal form or a broken relation, which no formula
-        makes: a block enters an image as T_i^{l_i}/T_ic or as a root of
-        T_i^{l_i} times a partial, and the solved block cancels."""
+        """Derivation._of_terms of these nonzero images, once every key is in
+        normal form and the packed view kills every relation; InternalError,
+        naming what, for a term outside normal form or a broken relation,
+        which no formula makes: a block enters an image as T_i^{l_i}/T_ic or
+        as a root of T_i^{l_i} times a partial, and the solved block cancels."""
         P = self.presentation
-        delta = Derivation._of(P, images)
-        if not all(map(P.engine.in_normal_form, delta.packed()[0].values())):
+        if not all(map(P.engine.in_normal_form, images.values())):
             raise InternalError(f"{what} has a term outside normal form")
+        delta = Derivation._of_terms(P, images)
         report = is_well_defined(delta)
         if not report.ok:
             raise InternalError(f"{what} broke relation {report.relation_index}")
@@ -713,29 +678,42 @@ class _Construction:
             raise InternalError(f"the coefficients of the {self.kind} family differ in degree")
         return degrees.pop()
 
-    def _solved(self, images: dict) -> dict:
-        """images, which hold the distinguished images, extended by the
-        nonzero image of every other chosen variable."""
-        t_a, t_b, _ = self.gens
-        img0, img1 = images.get(t_a), images.get(t_b)
-        for t_s, (a_m, a), (b_m, b), c_m in self.solve_steps:
-            numerator = {}
-            for img, m_k, scalar in ((img0, a_m, a), (img1, b_m, b)):
-                if img and scalar:
-                    for m, c in img.terms.items():
-                        _add_term(numerator, m * m_k, c * scalar)
-            solved = {}
-            for m, c in numerator.items():
-                try:
-                    solved[m / c_m] = c
-                except NotDivisible:
+    def _solved(self, head: dict) -> dict:
+        """The nonzero images of a D_j: each distinguished image a piece times
+        a scalar, {generator: (piece, scalar)} in head, then the image of
+        every other chosen variable T_sc, -(dB0*alpha_s*img0 +
+        dB1*beta_s*img1) / (ds*gamma_s) with the minors of the relation on
+        (B0, B1, s) and each d = l * x^key a block partial, its terms exact
+        key quotients. The ratios -alpha_s/gamma_s and -beta_s/gamma_s are
+        kept in the presentation's block memo under ("ratios", B0, B1, s)."""
+        P = self.presentation
+        B0, B1, _ = self.roles
+        images = {g: piece if scalar is ONE else {k: c * scalar for k, c in piece.items()}
+                  for g, (piece, scalar) in head.items()}
+        heads = [(images.get(g, {}), _block_term(P, i, self.cmap[i])) for g, i in zip(self.gens, (B0, B1))]
+        for s, cs in self.cmap.items():
+            if s in (B0, B1):
+                continue
+            c_key, l_s = _block_term(P, s, cs)
+            ratios = P._block_memo.get(("ratios", B0, B1, s))
+            if ratios is None:
+                alpha, beta, gamma = P.triple_coefficients(B0, B1, s)
+                ratios = P._block_memo[("ratios", B0, B1, s)] = -alpha / gamma, -beta / gamma
+            pairs = [
+                (k + d_key, c * (r if l == l_s else r * Fraction(l, l_s)))
+                for (img, (d_key, l)), r in zip(heads, ratios)
+                for k, c in img.items()
+            ]
+            images[tvar(s, cs)] = solved = {}
+            for key, c in _summed(pairs).items():
+                quotient = P.engine.quotient(key, c_key)
+                if quotient is None:
                     raise ExactDivisionFailed(
-                        f"solving the image of {gen_name(t_s)} failed: "
-                        f"term {m} is not divisible by {c_m}"
-                    ) from None
-            if solved:
-                images[t_s] = Poly._of(solved)
-        return images
+                        f"solving the image of T{s}_{cs} failed: term "
+                        f"{P.engine.monomial(key)} is not divisible by {P.engine.monomial(c_key)}"
+                    )
+                solved[quotient] = c
+        return {g: img for g, img in images.items() if img}
 
     def kernel(self, param=None) -> list:
         """Generators of the kernel at param: every generator the derivation

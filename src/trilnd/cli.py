@@ -44,6 +44,7 @@ from .poly import (
     DegreeOverflow,
     PolyParseError,
     UnknownGenerator,
+    _EXPONENT_RE,
     poly_format,
     poly_parse,
 )
@@ -166,6 +167,15 @@ def _parse_lambdas(text):
         if lam in lams[:k]:
             raise InvalidArgument(f"--lambdas lists {gq_format(lam)} twice")
     return tuple(lams)
+
+
+def _integers(text: str) -> tuple:
+    """Comma-separated integers in the grammar of a derivation-text exponent,
+    ValueError otherwise: int() alone also reads "1_0" and any Unicode digit."""
+    items = text.split(",")
+    if not all(map(_EXPONENT_RE.fullmatch, items)):
+        raise ValueError(text)
+    return tuple(map(int, items))
 
 
 def _descriptor_from_json(text: str) -> LndDescriptor:
@@ -310,7 +320,7 @@ def cmd_oracle(args) -> int:
         weights = []
         for chunk in args.weight:
             try:
-                weights.append(tuple(int(x) for x in chunk.split(",")))
+                weights.append(_integers(chunk))
             except ValueError:
                 raise InvalidArgument(
                     f"weight {chunk!r} must be comma-separated integers"
@@ -328,9 +338,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_demazure(args) -> int:
     try:
-        first, second = args.rays.split(":")
-        ray1 = tuple(int(x) for x in first.split(","))
-        ray2 = tuple(int(x) for x in second.split(","))
+        ray1, ray2 = map(_integers, args.rays.split(":"))
     except ValueError:
         raise InvalidArgument('rays must look like "x1,y1:x2,y2"') from None
     cone = Cone2D(ray1, ray2)

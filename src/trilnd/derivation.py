@@ -13,21 +13,22 @@ views of one map, each built from the other when first read and then
 kept: the Poly images, which reports print and the references read, and
 the packed images over the Gaussian integers at one integer scale, on
 which iteration and zero tests (nilpotency_check, is_well_defined,
-kernel_member) run. poly.integer_terms, the one scaler, packs the Poly
-images; the engine builds Poly images from packed ones without
-normalizing them again. Derivation text is read straight into the
-packed view (derivation_from_text) through engine.dense_normal_forms,
-the one normalizer, which `trilnd verify` checks from end to end; it
-builds Poly images only for a residue. Derivation.apply, the Leibniz
-rule on Poly, and poly.stepwise_normal_form are the references the
-tests compare the packed view with. A derivation that passed the
-relation check, or that the oracle built from a solution of the
-relation rows, is marked well_defined; nilpotency_check checks any
-other first. It decides in one walk over the degree function of delta:
-it strips each iterate's monomial content, adds up the index from the
-generators' own, and refutes by divisibility or by a cycle of
-generators whose chains need each other. refutation_holds re-checks a
-refutation on the exact images alone, with Derivation.apply.
+kernel_member) run. poly.integer_terms packs Poly images, the engine
+builds Poly images from packed ones without normalizing them again, and
+the classifier wraps both views from one set of terms
+(Derivation._of_terms). Derivation text is read straight into the packed
+view (derivation_from_text) through engine.dense_normal_forms, the one
+normalizer, which `trilnd verify` checks from end to end; it builds Poly
+images only for a residue. Derivation.apply, the Leibniz rule on Poly,
+and poly.stepwise_normal_form are the references the tests compare the
+packed view with. A derivation that passed the relation check, or that
+the oracle built from a solution of the relation rows, is marked
+well_defined; nilpotency_check checks any other first. It decides in one
+walk over the degree function of delta: it strips each iterate's
+monomial content, adds up the index from the generators' own, and
+refutes by divisibility or by a cycle of generators whose chains need
+each other. refutation_holds re-checks a refutation on the exact images
+alone, with Derivation.apply.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class Derivation:
     the dense form of poly.py, over the presentation's generator_index:
     nonzero, in normal form, free of zero coefficients and scale times
     the Poly images, scale being one positive integer. step, the relation
-    check, kernel_member and nilpotency_check run on it. Either view is
-    built from the other when first read, then kept, and the images never
+    check, kernel_member and nilpotency_check run on it. A view not made
+    with it is built from the other when first read, then kept; images never
     change after construction, so equality and hashing read the Poly
     view. The packed view also keeps the Leibniz parts of the images,
     built by the first step, so a derivation never stepped, as a sample
@@ -171,14 +172,23 @@ class Derivation:
         scale: int = 1,
         well_defined: bool = False,
     ) -> "Derivation":
-        """Wrap one view without copying or checking it: Poly images, or
-        packed images at scale, as the class docstring states them."""
+        """Wrap one view, or both, without copying or checking them: Poly
+        images, packed images at scale, as the class docstring states them."""
         out = Derivation.__new__(Derivation)
         out.presentation = presentation
         out._images = images
         out._dense = None if packed is None else [packed, scale, None]
         out.well_defined = well_defined
         return out
+
+    @staticmethod
+    def _of_terms(presentation: TrinomialPresentation, images: dict) -> "Derivation":
+        """Both views, unchecked, of nonzero images {generator: {key: coefficient}}
+        in normal form: packed by dense_terms, Poly through the engine's memo."""
+        monomial = presentation.engine.monomial
+        scale, packed = dense_terms(images.values())
+        polys = {g: Poly._of({monomial(k): c for k, c in img.items()}) for g, img in images.items()}
+        return Derivation._of(presentation, polys, dict(zip(images, packed)), scale)
 
     @property
     def images(self) -> dict:

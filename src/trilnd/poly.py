@@ -433,8 +433,8 @@ def partial_derivative(p: Poly, g: Gen) -> Poly:
 # dict from keys to (real, imaginary) int pairs, a Gaussian-integer
 # multiple of the polynomial it stands for; the Leibniz step and a sum
 # keep cancelled entries as (0, 0). The positions are a presentation's
-# generator_index. Only this module reads the fields of a key; other
-# modules ask a RewriteEngine for a key's degree, generators or Monomial.
+# generator_index. Only this module reads the fields of a key; other modules
+# ask a RewriteEngine for a key's degree, generators, Monomial, quotient or swap.
 EXPONENT_BITS = 32
 EXPONENT_MASK = (1 << EXPONENT_BITS) - 1
 DEGREE_BOUND = 1 << EXPONENT_BITS
@@ -720,6 +720,17 @@ class RewriteEngine:
         common = sum(e << s for _, s, e in found)
         common += sum(e for *_, e in found) << self._degree_shift
         return tuple((g, e) for g, _, e in found), {key - common: c for key, c in terms.items()}
+
+    def quotient(self, key: int, divisor: int):
+        """The key of x^key / x^divisor; None unless x^divisor divides x^key."""
+        fields = ((key >> s) & EXPONENT_MASK >= (divisor >> s) & EXPONENT_MASK for _, s in self._fields)
+        return key - divisor if all(fields) else None
+
+    def swapped(self, key: int, g: Gen, h: Gen) -> int:
+        """The key with the exponents of the generators g and h exchanged."""
+        s, t = EXPONENT_BITS * self.index[g], EXPONENT_BITS * self.index[h]
+        e = ((key >> t) & EXPONENT_MASK) - ((key >> s) & EXPONENT_MASK)
+        return key + (e << s) - (e << t)
 
     def divides_every_key(self, g: Gen, terms: dict) -> bool:
         """Whether the generator g divides every key of a dense dict."""

@@ -44,7 +44,6 @@ from .poly import (
     Poly,
     RewriteEngine,
     gen_name,
-    partial_derivative,
     svar,
     tvar,
 )
@@ -216,10 +215,10 @@ class TrinomialPresentation:
 
     @cached_property
     def _block_memo(self) -> dict:
-        """Memo of the block-level pieces, filled on first use: keys
-        ("power", i, divisor) for block_power_divided and ("partial", i, j)
-        for block_partial. It holds n partials and a few powers per block,
-        and nothing that depends on a tuple or a derivation."""
+        """Memo of the block-level pieces, filled on first use: ("power", i,
+        divisor) for block_power_divided, and the classifier's packed block
+        terms ("term", i, c, m) and minor ratios ("ratios", p, q, s). Nothing
+        in it depends on a tuple or a derivation."""
         return {}
 
     def block_power(self, i: int) -> Poly:
@@ -237,15 +236,6 @@ class TrinomialPresentation:
             hit = self._block_memo[key] = Poly.monomial(
                 Monomial(tuple((tvar(i, j + 1), e // divisor) for j, e in enumerate(exps)))
             )
-        return hit
-
-    def block_partial(self, i: int, j: int) -> Poly:
-        """The partial derivative of T_i^{l_i} by T_ij: the single term
-        l_ij * T_i^{l_i} / T_ij."""
-        key = ("partial", i, j)
-        hit = self._block_memo.get(key)
-        if hit is None:
-            hit = self._block_memo[key] = partial_derivative(self.block_power(i), tvar(i, j))
         return hit
 
     def block_gcd(self, i: int) -> int:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import trilnd.derivation
+import trilnd.poly
 from trilnd import classify
 from trilnd.classify import (
     DEFAULT_LAMBDAS,
@@ -28,11 +30,11 @@ from trilnd.classify import (
 )
 from trilnd.cli import _descriptor_from_json
 from trilnd.corpus import corpus, unnormalized_member
-from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check
+from trilnd.derivation import Derivation, is_well_defined, kernel_member, nilpotency_check
 from trilnd.gaussian import I, gq
 from trilnd.grading import derivation_degree, weight_assignment
 from trilnd.oracle import induced_weight_box, oracle_enumerate
-from trilnd.poly import Poly, poly_parse, svar, tvar
+from trilnd.poly import Poly, RewriteEngine, poly_parse, svar, tvar
 from trilnd.presentation import TrinomialPresentation, surface, type1, type2
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -577,12 +579,16 @@ def test_presentation_keeps_only_block_level_pieces():
     instances = enumerate_lnds(P)
     assert len(instances) == 48 and all(inst.derivation is not None for inst in instances)
     blocks = set(P.block_numbers)
-    for key in P._block_memo:
-        tag, *args = key
-        if tag == "power":
-            assert args[0] in blocks and all(e % args[1] == 0 for e in P.exponents(args[0]))
-        else:
-            assert tag == "partial" and 1 <= args[1] <= P.block_size(args[0])
+    for tag, *args in P._block_memo:
+        if tag == "ratios":  # the minor ratios of a relation on three blocks
+            assert len(set(args)) == 3 and set(args) <= blocks
+            continue
+        # a block power ("power", i, m), or its packed term ("term", i, c, m)
+        # with c None or a column of block i
+        assert tag in ("power", "term") and len(args) == (2 if tag == "power" else 3)
+        i, *column, m = args
+        assert i in blocks and all(e % m == 0 for e in P.exponents(i))
+        assert column in ([], [None]) or 1 <= column[0] <= P.block_size(i)
     assert len(P._block_memo) <= P.n + P.r**3
     assert P._minors.keys() == set(itertools.permutations(blocks, 2))
     assert set(P.__dict__) <= {
@@ -593,3 +599,36 @@ def test_presentation_keeps_only_block_level_pieces():
     gc.collect()
     per_tuple = (classify._Construction, classify._EntryBuilds)
     assert not [obj for obj in gc.get_objects() if isinstance(obj, per_tuple)]
+
+
+def test_the_classifier_builds_no_poly_product_or_relation(monkeypatch):
+    """class_report and enumerate_lnds(expand=False) build every class on
+    packed keys: no Monomial product or quotient (poly._merge), no packing
+    of Poly images (poly.integer_terms, looked up in trilnd.derivation)
+    and no Poly relation (RewriteEngine.poly_relations)."""
+    calls = []
+    spied = [
+        (trilnd.poly, "_merge"),
+        (trilnd.poly, "integer_terms"),
+        (trilnd.derivation, "integer_terms"),
+        (RewriteEngine, "poly_relations"),
+    ]
+    for owner, name in spied:
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    for P in corpus():
+        P = _fresh(P)
+        class_report(P)
+        enumerate_lnds(P, expand=False)
+    assert calls == []
+    # the spies see each kind of call
+    P = _fresh(corpus()[0])
+    P.relations()
+    Derivation(P, {P.generators[0]: Poly.generator(P.generators[-1]) * 2}).packed()
+    Poly.generator(P.generators[0]) * Poly.generator(P.generators[-1])
+    assert calls == ["poly_relations", "integer_terms", "_merge"]

@@ -543,6 +543,27 @@ def test_malformed_lambda_lists_are_rejected(capsys, text, message):
     assert message in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--presentation", f"{SAMPLES}/sphere.json", "--bound", "1", "--weight", "\u0661"],
+         "weight '\u0661' must be comma-separated integers"),
+        (["oracle", "--presentation", f"{SAMPLES}/sphere.json", "--bound", "1", "--weight", "1_0"],
+         "weight '1_0' must be comma-separated integers"),
+        (["demazure", "--rays", "\u0661,0:0,\u0661", "--ray", "1"], 'rays must look like "x1,y1:x2,y2"'),
+        (["demazure", "--rays", "1_0,0:0,1", "--ray", "1"], 'rays must look like "x1,y1:x2,y2"'),
+    ],
+    ids=["weight-arabic-indic", "weight-underscore", "rays-arabic-indic", "rays-underscore"],
+)
+def test_integer_options_read_ascii_digits_only(capsys, argv, message):
+    # int() also reads underscores and any Unicode digit: the Arabic-Indic
+    # one was searched as weight [1] and ray (1, 0), "1_0" as weight [10],
+    # and the ray "1_0,0" was refused as the non-primitive (10, 0)
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep == {"error": message, "kind": "InvalidArgument"}
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])

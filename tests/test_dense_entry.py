@@ -3,14 +3,16 @@
 A Derivation holds Poly images and packed images, each built from the
 other on first read and then kept: Derivation.packed packs the Poly
 images with poly.integer_terms, the engine builds the Poly view of a
-packed-only Derivation, and derivation_from_text and the oracle build
-packed-only ones. Coefficients reach the Gaussian integers through
-poly.dense_terms, and normal forms reach one power of the rule scale
-through RewriteEngine.dense_normal_forms. Every packed view must meet
-its invariant: nonzero images, keys in normal form, no zero coefficient,
-a positive integer scale, and the packed-only Derivation of those images
-equal to an independent reference. A derivation is packed at most once,
-and its relations are checked at most once.
+packed-only Derivation, derivation_from_text and the oracle build
+packed-only ones, and the classifier wraps both views of each class from
+one set of packed terms (Derivation._of_terms). Coefficients reach the
+Gaussian integers through poly.dense_terms, and normal forms reach one
+power of the rule scale through RewriteEngine.dense_normal_forms. Every
+packed view must meet its invariant: nonzero images, keys in normal
+form, no zero coefficient, a positive integer scale, and the packed-only
+Derivation of those images equal to an independent reference. A
+derivation is packed at most once, and its relations are checked at most
+once.
 """
 
 import copy
@@ -32,7 +34,7 @@ from trilnd.derivation import (
     kernel_member,
     nilpotency_check,
 )
-from trilnd.gaussian import I, InternalError, gq
+from trilnd.gaussian import ONE, I, InternalError, gq
 from trilnd.oracle import (
     _combination,
     _nullspace,
@@ -40,7 +42,7 @@ from trilnd.oracle import (
     oracle_enumerate,
     solution_space,
 )
-from trilnd.poly import Monomial, Poly, gen_name, integer_terms, normal_form, poly_format
+from trilnd.poly import Monomial, Poly, gen_name, integer_terms, normal_form, pack, poly_format
 from trilnd.presentation import type1, type2
 
 SCALARS = (gq(1), -I, gq(Fraction(1, 2)), gq(Fraction(-2, 3)), gq(2, 1), gq(Fraction(1, 3), -2))
@@ -159,7 +161,7 @@ def test_the_classifier_check_refuses_a_term_outside_normal_form(P):
     lead = next(iter(P.rewrite_rules))
     construction = _Construction(P, P.plan[0].descriptors[0][1])
     with pytest.raises(InternalError, match="outside normal form"):
-        construction._checked({P.generators[0]: Poly.monomial(lead)}, "an image")
+        construction._checked({P.generators[0]: {pack(lead.pairs, P.generator_index): ONE}}, "an image")
 
 
 def reference_basis(space):

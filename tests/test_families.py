@@ -3,8 +3,11 @@
 A t2b family is D0 + lambda*D1, a t2d family D0 + lambda*D1 +
 lambda^2*D2, and the t2c classes D0 + mu*D1 at mu = i and -i. Each D_j
 is checked once against every relation, and every derivation is their
-exact sum. The reference below is the per-parameter formula that built
-each one from scratch, kept here to compare with.
+exact sum. The classifier builds on packed keys. The reference below
+builds every class of every kind from scratch, from its per-parameter
+formula, with Poly arithmetic alone: block partials by
+partial_derivative, their products, and exact_divide for the images the
+relations force. Its kernel generators come from the block powers.
 """
 
 import json
@@ -16,6 +19,7 @@ import pytest
 import trilnd.classify
 from trilnd.classify import (
     DEFAULT_LAMBDAS,
+    ExactDivisionFailed,
     LndDescriptor,
     _Construction,
     build_lnd,
@@ -26,49 +30,192 @@ from trilnd.classify import (
 from trilnd.cli import main
 from trilnd.corpus import corpus, rescaled_members
 from trilnd.derivation import Derivation, kernel_member
-from trilnd.gaussian import ONE, I, InternalError, gq
+from trilnd.gaussian import ONE, I, InternalError, gq, gq_sqrt
 from trilnd.grading import derivation_degree, weight_assignment
-from trilnd.poly import Poly, exact_divide, poly_format, poly_parse, svar, tvar
+from trilnd.poly import (
+    Poly,
+    exact_divide,
+    pack,
+    partial_derivative,
+    poly_format,
+    poly_parse,
+    svar,
+    tvar,
+)
 from trilnd.presentation import TrinomialPresentation, type2
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 EXTRA_LAMBDAS = (gq(3), gq(1, -2), gq(-1) / 2)
 
 
-def direct_member(P, desc: LndDescriptor) -> Derivation:
-    """The derivation at desc.param from the per-parameter formula: the two
-    distinguished images evaluated at it, every other chosen variable
-    solved from the triple relation through its block by exact division,
-    and every image normalized."""
-    construction = _Construction(P, desc)
-    t_a, t_b, _ = construction.gens
-    pieces = construction.image_pieces
+def product(polys) -> Poly:
+    out = Poly.constant(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+def roots(P, desc):
+    """(sb, sc) of a t2c or t2d descriptor, sc = 1 for t2c, or None when
+    one is missing in Q(i)."""
+    alpha, beta, gamma = P.triple_coefficients(*desc.roles)
+    sb = gq_sqrt(beta / alpha)
+    sc = gq_sqrt(gamma / alpha) if desc.kind == "t2d" else ONE
+    return None if sb is None or sc is None else (sb, sc)
+
+
+def halves(P, desc) -> dict:
+    """T_i^(l_i/m) per role block that a t2b, t2c or t2d formula reads, m the
+    chosen exponent of B0 for t2b and 2 otherwise."""
+    B0 = desc.roles[0]
+    m = P.exponents(B0)[desc.c[B0 - P.r0] - 1] if desc.kind == "t2b" else 2
+    return {i: P.block_power_divided(i, m) for i in desc.roles[: 3 if desc.kind == "t2d" else 2]}
+
+
+def direct_member(P, desc: LndDescriptor):
+    """The derivation desc describes, from its per-parameter formula, or
+    None when that needs a root missing in Q(i). Each chosen variable of a
+    type 1 tuple maps to the product of the other blocks' partials. Type 2
+    sets the two distinguished images at the parameter, solves every other
+    chosen variable from the triple relation through its block by exact
+    division, and normalizes every image."""
+    if desc.kind == "free":
+        return Derivation(P, {svar(desc.k): Poly.constant(1)})
+    blocks = list(P.block_numbers)
+    chosen = {i: tvar(i, ci) for i, ci in zip(blocks, desc.c)}
+    d = {i: partial_derivative(P.block_power(i), g) for i, g in chosen.items()}
+    if desc.kind == "type1":
+        return Derivation(P, {chosen[i]: product(d[k] for k in blocks if k != i) for i in blocks})
+    B0, B1, B2 = desc.roles
+    t_a, t_b = chosen[B0], chosen[B1]
     lam = desc.param
-    if desc.kind == "t2b":
-        images = {t_a: pieces[0], t_b: pieces[1] * lam}
-    elif desc.kind == "t2c":
-        images = {t_a: pieces[0] * (lam * construction.roots[0]), t_b: pieces[1]}
+    outside = desc.roles if desc.kind == "t2d" else (B0, B1)
+    rest = product(d[k] for k in blocks if k not in outside)
+    if desc.kind == "t2a":
+        images = {t_a: rest}
     else:
-        ab, ac, ba, bc = pieces
-        sb, sc = construction.roots
-        images = {
-            t_a: ab * (lam * 2 * sb) + ac * ((ONE + lam * lam) * I * sc),
-            t_b: ba * (-2 * lam / sb) + bc * ((ONE - lam * lam) * sc / sb),
-        }
-    B0, B1, _ = desc.roles
-    cmap = dict(zip(P.block_numbers, desc.c))
-    for s in P.block_numbers:
+        half = halves(P, desc)
+        dh = {i: partial_derivative(h, chosen[i]) for i, h in half.items()}
+        found = ONE, ONE
+        if desc.kind != "t2b":
+            found = roots(P, desc)
+            if found is None:
+                return None
+        sb, sc = found
+        if desc.kind == "t2b":
+            images = {t_a: dh[B1] * rest, t_b: dh[B0] * rest * lam}
+        elif desc.kind == "t2c":
+            images = {t_a: dh[B1] * rest * (lam * sb), t_b: dh[B0] * rest}
+        else:
+            a, b = dh[B1] * dh[B2] * rest, dh[B0] * dh[B2] * rest
+            images = {
+                t_a: a * half[B1] * (lam * 2 * sb) + a * half[B2] * ((ONE + lam * lam) * I * sc),
+                t_b: b * half[B0] * (-2 * lam / sb) + b * half[B2] * ((ONE - lam * lam) * sc / sb),
+            }
+    for s in blocks:
         if s in (B0, B1):
             continue
         alpha, beta, gamma = P.triple_coefficients(B0, B1, s)
         numerator = -(
-            P.block_partial(B0, cmap[B0]) * alpha * images[t_a]
-            + P.block_partial(B1, cmap[B1]) * beta * images[t_b]
+            d[B0] * alpha * images.get(t_a, Poly.zero())
+            + d[B1] * beta * images.get(t_b, Poly.zero())
         )
-        solved = exact_divide(numerator, P.block_partial(s, cmap[s]) * gamma)
+        solved = exact_divide(numerator, d[s] * gamma)
         if solved:
-            images[tvar(s, cmap[s])] = solved
+            images[chosen[s]] = solved
     return Derivation(P, images)
+
+
+def direct_kernel(P, desc: LndDescriptor, delta: Derivation) -> list:
+    """The kernel generators of desc at its parameter, delta its
+    direct_member: every generator it does not move (for t2b and t2d those
+    whose image vanishes at the parameter, else all but the chosen
+    variables), then the kernel generator of a type 2 kind beyond them."""
+    if desc.kind == "free":
+        moved = {svar(desc.k)}
+    elif desc.kind in ("t2b", "t2d"):
+        moved = set(delta.images)
+    else:
+        moved = {tvar(i, ci) for i, ci in zip(P.block_numbers, desc.c)}
+    gens = [Poly.generator(g) for g in P.generators if g not in moved]
+    if desc.kind in ("free", "type1"):
+        return gens
+    B0, B1, B2 = desc.roles
+    lam = desc.param
+    if desc.kind == "t2a":
+        return [*gens, Poly.generator(tvar(B1, desc.c[B1 - P.r0]))]
+    half = halves(P, desc)
+    if desc.kind == "t2b":
+        return [*gens, half[B0] * lam - half[B1]]
+    sb, sc = roots(P, desc)
+    if desc.kind == "t2c":
+        return [*gens, half[B0] * lam + half[B1] * sb]
+    extra = (
+        half[B0] * (ONE - lam * lam)
+        - half[B1] * ((ONE + lam * lam) * I * sb)
+        + half[B2] * (2 * lam * sc)
+    )
+    return [*gens, extra]
+
+
+# a dozen fixed wide presentations, mostly exponent-1 variables: type 1
+# with 3-4 blocks of 3-6 variables, type 2 with 3-4 blocks of up to 4
+WIDE_SHAPES = [
+    {"type": 1, "blocks": [[1, 1, 1], [1, 3, 1, 1], [1, 1, 2]], "constants": ["0", "1+i", "-2"]},
+    {"type": 2, "blocks": [[2, 1], [1, 1, 3], [1, 1]], "free_vars": 1},
+    {"type": 1, "blocks": [[1, 4, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 1]], "free_vars": 1,
+     "anchors": [2, 1, 3]},
+    {"type": 2, "blocks": [[1, 2, 1], [1, 1], [1, 1, 3], [2, 1]],
+     "constants": [["2", "0"], ["0", "1"], ["-2", "-2"], ["2", "-2"]]},
+    {"type": 1, "blocks": [[1, 1, 2], [3, 1, 1], [1, 1, 1], [1, 1, 2]], "free_vars": 2,
+     "constants": ["i", "-1", "2-i", "3"]},
+    {"type": 2, "blocks": [[1, 2, 1], [1, 1, 2], [3, 1, 1]], "free_vars": 1, "anchors": [3, 1, 2]},
+    {"type": 2, "blocks": [[2, 2, 1], [2, 1, 1, 2], [1, 1, 4]], "free_vars": 2},
+    {"type": 1, "blocks": [[2, 1, 1, 1, 3, 1], [1, 1, 1, 2, 1], [1, 1, 1, 2]]},
+    {"type": 1, "blocks": [[1, 1, 2, 1], [1, 1, 1, 3], [1, 1, 1, 1]], "free_vars": 1,
+     "constants": ["-3", "1-2i", "2i"]},
+    {"type": 2, "blocks": [[1, 1], [1, 2], [1, 1, 2], [1, 2, 1]], "free_vars": 1},
+    {"type": 2, "blocks": [[2, 4], [2, 2], [2, 1, 1]],
+     "constants": [["1", "0"], ["0", "2"], ["-1", "-1"]]},
+    {"type": 2, "blocks": [[2, 4, 2], [2, 2], [1, 1, 2, 2]], "anchors": [1, 2, 4]},
+]
+REFERENCE_SET = [
+    *corpus(),
+    *rescaled_members(),
+    *(TrinomialPresentation.from_input_dict(data) for data in WIDE_SHAPES),
+]
+
+
+def test_the_reference_set_has_every_kind():
+    kinds = {
+        desc.kind
+        for P in REFERENCE_SET
+        for entry in P.plan
+        for desc in (*(d for _, d in entry.descriptors), entry.family)
+        if desc is not None
+    }
+    assert kinds == {"free", "type1", "t2a", "t2b", "t2c", "t2d"}
+    assert len({P.describe() for P in REFERENCE_SET[-len(WIDE_SHAPES):]}) == len(WIDE_SHAPES)
+
+
+@pytest.mark.parametrize(
+    "P", REFERENCE_SET, ids=[f"{k}-{P.describe()}" for k, P in enumerate(REFERENCE_SET)]
+)
+def test_every_class_is_the_direct_formula(P):
+    """Every class of every plan entry, family samples at DEFAULT_LAMBDAS +
+    EXTRA_LAMBDAS, has the reference's images, kernel generators and
+    degree, and the reference's kernel generators are killed."""
+    for inst in enumerate_lnds(P, DEFAULT_LAMBDAS + EXTRA_LAMBDAS, expand=False):
+        desc = inst.descriptor
+        want = direct_member(P, desc)
+        if want is None:
+            assert inst.derivation is None and inst.error.startswith("NeedsNormalization")
+            continue
+        assert inst.derivation.images == want.images, (P.describe(), desc)
+        assert inst.degree_shift() == derivation_degree(want, P.grading), (P.describe(), desc)
+        kernel = direct_kernel(P, desc, want)
+        assert kernel_generators(P, desc) == kernel, (P.describe(), desc)
+        assert all(kernel_member(want, h) for h in kernel), (P.describe(), desc)
 
 
 FAMILIES = [
@@ -131,11 +278,11 @@ def test_an_inconsistent_coefficient_is_an_internal_error(monkeypatch):
     family's one build raises ExactDivisionFailed, an InternalError."""
     P = next(P for P in corpus() if P.describe() == "type2[(2),(2),(2)]d0")
     family = next(e.family for e in class_plan(P) if e.family is not None and e.family.kind == "t2d")
-    _, ac, ba, bc = _Construction(P, family).image_pieces
-    monkeypatch.setattr(
-        _Construction, "image_pieces", property(lambda self: (Poly.zero(), ac, ba, bc))
-    )
-    with pytest.raises(InternalError):
+    ab, ac, ba, bc = _Construction(P, family).image_pieces
+    assert all(len(piece) == 1 for piece in (ab, ac, ba, bc))
+    # the packed pieces are one term {key: coefficient} each; {} is zero
+    monkeypatch.setattr(_Construction, "image_pieces", property(lambda self: ({}, ac, ba, bc)))
+    with pytest.raises(ExactDivisionFailed, match="solving the image of T2_1 failed: term "):
         build_lnd(P, LndDescriptor("t2d", c=family.c, roles=family.roles, param=gq(2)))
 
 
@@ -243,5 +390,6 @@ def test_a_build_outside_normal_form_is_an_internal_error():
     construction = _Construction(P, LndDescriptor("free", k=1))
     lead = poly_parse("T2_1^2")  # the lead of the rule of block 2
     assert Derivation(P, {svar(1): lead}).image(svar(1)) != lead
+    (m,) = lead.terms
     with pytest.raises(InternalError, match="test has a term outside normal form"):
-        construction._checked({svar(1): lead}, "test")
+        construction._checked({svar(1): {pack(m.pairs, P.generator_index): ONE}}, "test")

@@ -6,10 +6,17 @@ import is of a stdlib module, of the package itself (relative), or of
 sympy, and sympy is imported only inside function bodies of gaussian.py
 and presentation.py, so importing trilnd never loads it. The modules
 are read as source, without importing them.
+
+Every module also stays under 8,192 tokens, the size at which CPython's
+parser doubles its token array (to 16,384 entries) while it compiles the
+module: the benchmark workers compile trilnd from source, and their peak
+RSS steps up by about 0.5 MB when any module crosses it.
 """
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trilnd"
@@ -96,3 +103,26 @@ def test_the_walks_see_what_they_must_refuse():
     ]
     assert floats(tree) == [(7, "float() call"), (7, "literal 0.5")]
     assert floats(ast.parse("y = 2j * 3")) == [(1, "literal 2j")]
+
+
+# the step of CPython's token array, and the token types the count leaves out
+TOKEN_STEP = 8192
+UNCOUNTED = {tokenize.NL, tokenize.COMMENT, tokenize.ENDMARKER}
+
+
+def token_count(source: str) -> int:
+    tokens = tokenize.tokenize(io.BytesIO(source.encode()).readline)
+    return sum(1 for token in tokens if token.type not in UNCOUNTED)
+
+
+def test_every_module_stays_under_the_token_step():
+    counts = {path.name: token_count(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {"classify.py", "poly.py"} <= set(counts)
+    assert {name: n for name, n in counts.items() if n >= TOKEN_STEP} == {}
+
+
+def test_the_token_count_leaves_out_layout_and_comments():
+    # ENCODING, NAME, OP, NUMBER, NEWLINE: five; the comment and the blank
+    # line's NL are not counted
+    assert token_count("x = 1  # one\n\n") == 5
+    assert token_count("") == 1

@@ -38,7 +38,7 @@ from trilnd.corpus import corpus, unnormalized_member
 from trilnd.gaussian import InternalError, gq
 from trilnd.grading import derivation_degree, weight_assignment
 from trilnd.oracle import _classifier_by_degree, induced_weight_box
-from trilnd.poly import Poly, poly_format, tvar
+from trilnd.poly import RewriteEngine, pack, poly_format, tvar
 from trilnd.presentation import TrinomialPresentation, type1, type2
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -280,9 +280,17 @@ def test_orbits_enumerate_exponent_classes():
 
 
 def test_a_swap_that_moves_a_relation_is_an_internal_error(monkeypatch, tmp_path):
+    # every engine's one relation gains the term T1_1, which the swap of
+    # T1_1 and T1_2 moves; the swap check reads the engine's relations
+    build = RewriteEngine.__init__
+
+    def with_a_bad_relation(engine, index, rules, relations):
+        build(engine, index, rules, relations)
+        (relation,) = engine.relations
+        engine.relations = ({**relation, pack(((tvar(1, 1), 1),), index): (1, 0)},)
+
+    monkeypatch.setattr(RewriteEngine, "__init__", with_a_bad_relation)
     P = type1(((1, 1), (2,)))
-    bad = P.relations()[0] + Poly.generator(tvar(1, 1))
-    monkeypatch.setattr(TrinomialPresentation, "relations", lambda self: (bad,))
     with pytest.raises(InternalError, match="swapping T1_1 and T1_2 moves relation 0"):
         list(class_plan(P))
     path = tmp_path / "p.json"
@@ -290,6 +298,15 @@ def test_a_swap_that_moves_a_relation_is_an_internal_error(monkeypatch, tmp_path
     code, rep = cli("lnds", "--presentation", str(path))
     assert code == 4
     assert rep == {"error": "swapping T1_1 and T1_2 moves relation 0", "kind": "InternalError"}
+
+
+@pytest.mark.parametrize("P, groups, swap", [
+    (type1(((1, 2), (1,))), [[(1, 2)], [(1,)]], "T1_1 and T1_2"),
+    (type2(((1,), (2, 1, 1), (2,))), [[(1,)], [(1, 3)], [(1,)]], "T1_1 and T1_3"),
+], ids=["type1", "type2"])
+def test_the_swap_check_refuses_columns_of_unequal_exponents(P, groups, swap):
+    with pytest.raises(InternalError, match=f"swapping {swap} moves relation 0"):
+        classify._check_swaps(P, groups)
 
 
 def test_orbit_record_of_the_readme_example(tmp_path):

@@ -196,15 +196,24 @@ def test_block_power_helpers():
     assert P.block_gcd(2) == 3
 
 
-def test_block_partial_is_the_partial_of_the_block_power():
+def test_the_packed_block_partial_is_the_partial_of_the_block_power():
+    """classify._block_term(P, i, j, m), the key and coefficient the
+    classifier builds with, is the partial of T_i^{l_i / m} by T_ij, and
+    _block_term(P, i, m=m) is T_i^{l_i / m}, for every m that divides the
+    block's exponents."""
+    from trilnd.classify import _block_term
+
     for P in corpus():
         checked = set()
         for i in P.block_numbers:
             for j in range(1, P.block_size(i) + 1):
-                fresh = partial_derivative(P.block_power(i), tvar(i, j))
-                assert P.block_partial(i, j) == fresh, (P.describe(), i, j)
-                assert len(fresh.terms) == 1
-                assert P.block_partial(i, j) is P.block_partial(i, j)
+                for m in (m for m in range(1, P.block_gcd(i) + 1) if P.block_gcd(i) % m == 0):
+                    fresh = partial_derivative(P.block_power_divided(i, m), tvar(i, j))
+                    key, e = _block_term(P, i, j, m)
+                    assert len(fresh.terms) == 1
+                    assert Poly.monomial(P.engine.monomial(key), gq(e)) == fresh, (P.describe(), i, j)
+                    key, e = _block_term(P, i, m=m)
+                    assert (Poly.monomial(P.engine.monomial(key)), e) == (P.block_power_divided(i, m), 1)
                 checked.add(tvar(i, j))
         assert checked == {g for g in P.generators if gen_name(g).startswith("T")}
 
@@ -227,7 +236,7 @@ def test_warm_caches_do_not_change_identity():
         warm = TrinomialPresentation.from_input_dict(P.to_input_dict())
         cold = TrinomialPresentation.from_input_dict(P.to_input_dict())
         warm.relations()
-        warm.block_partial(warm.r0, 1)  # the relations leave the block memo empty
+        warm.block_power(warm.r0)  # the relations leave the block memo empty
         class_report(warm)
         enumerate_lnds(warm)
         assert warm._block_memo and {"_relations", "engine"} <= set(warm.__dict__)
