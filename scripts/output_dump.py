@@ -8,8 +8,10 @@ Run it once against each source tree and compare the dumps byte for byte:
 
 Run it from the repository root, so that sample_inputs/ is found. It
 does not add src/ to the path itself: PYTHONPATH picks the tree under
-test. The inputs are sample_inputs/*.json, every corpus() member and
-unnormalized_member(). For each it writes:
+test. The inputs are sample_inputs/*.json, every corpus() member,
+unnormalized_member() and every rescaled_members() entry, whose t2c and
+t2d roots are not 1, so that roots and fractional Gaussian coefficients
+reach the printed images and kernel patterns. For each it writes:
 
 * stdout and exit code of the CLI commands analyze, lnds and
   lnds --lambdas "0,1,i,2-3i", each with and without --expand, and
@@ -34,7 +36,7 @@ import tempfile
 
 from trilnd.classify import enumerate_lnds, kernel_generators
 from trilnd.cli import main as cli_main
-from trilnd.corpus import corpus, unnormalized_member
+from trilnd.corpus import corpus, rescaled_members, unnormalized_member
 from trilnd.derivation import derivation_to_text
 from trilnd.oracle import oracle_enumerate
 from trilnd.poly import poly_format
@@ -105,7 +107,7 @@ def main() -> int:
         with open(path, encoding="utf-8") as fh:
             P = TrinomialPresentation.from_json(fh.read())
         dump_member(path, path, P, write)
-    members = [*corpus(), unnormalized_member()]
+    members = [*corpus(), unnormalized_member(), *rescaled_members()]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "presentation.json")
         for index, P in enumerate(members):

@@ -38,15 +38,7 @@ from typing import Optional, Tuple
 from .derivation import Derivation, is_well_defined
 from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
 from .grading import Weight, derivation_degree
-from .poly import (
-    Gen,
-    Poly,
-    gen_name,
-    pack,
-    poly_format,
-    svar,
-    tvar,
-)
+from .poly import Gen, Poly, gen_name, pack, svar, tvar
 from .presentation import AssumptionViolated, TrinomialPresentation, _is_int
 
 
@@ -212,7 +204,7 @@ def _check_swaps(P: TrinomialPresentation, groups) -> None:
             for b in others:
                 engine, g, h = P.engine, tvar(i, a), tvar(i, b)
                 for index, relation in enumerate(engine.relations):
-                    if {engine.swapped(key, g, h): c for key, c in relation.items()} != relation:
+                    if engine.swapped(relation, {g: h, h: g}) != relation:
                         raise InternalError(f"swapping T{i}_{a} and T{i}_{b} moves relation {index}")
 
 
@@ -545,11 +537,12 @@ class _Construction:
             raise InadmissibleDescriptor(fault)
 
     @cached_property
-    def parts(self) -> Tuple[Poly, ...]:
-        """T_B0^(l/m) and T_B1^(l/m) for t2b, m the chosen exponent of B0;
-        the halves of the role blocks for t2c (B0, B1) and t2d (B0, B1, B2)."""
+    def parts(self) -> Tuple[int, ...]:
+        """The keys of T_B0^(l/m) and T_B1^(l/m) for t2b, m the chosen
+        exponent of B0; of the halves of the role blocks for t2c (B0, B1)
+        and t2d (B0, B1, B2)."""
         count = 3 if self.kind == "t2d" else 2
-        return tuple(self.presentation.block_power_divided(i, self._m) for i in self.roles[:count])
+        return tuple(_block_term(self.presentation, i, m=self._m)[0] for i in self.roles[:count])
 
     @cached_property
     def roots(self) -> Tuple[GaussianRational, ...]:
@@ -601,8 +594,7 @@ class _Construction:
             for g, img in terms.items():
                 images.setdefault(g, []).extend((k, c if power is ONE else c * power) for k, c in img.items())
             power = power * param
-        images = {g: _summed(pairs) for g, pairs in images.items()}
-        return Derivation._of_terms(self.presentation, {g: img for g, img in images.items() if img})
+        return Derivation._of_terms(self.presentation, {g: _summed(pairs) for g, pairs in images.items()})
 
     @cached_property
     def terms(self) -> tuple:
@@ -651,8 +643,8 @@ class _Construction:
         )
 
     def _checked(self, images: dict, what: str) -> Derivation:
-        """Derivation._of_terms of these nonzero images, once every key is in
-        normal form and the packed view kills every relation; InternalError,
+        """Derivation._of_terms of these images, once every key is in
+        normal form and the packed images kill every relation; InternalError,
         naming what, for a term outside normal form or a broken relation,
         which no formula makes: a block enters an image as T_i^{l_i}/T_ic or
         as a root of T_i^{l_i} times a partial, and the solved block cancels."""
@@ -679,9 +671,9 @@ class _Construction:
         return degrees.pop()
 
     def _solved(self, head: dict) -> dict:
-        """The nonzero images of a D_j: each distinguished image a piece times
-        a scalar, {generator: (piece, scalar)} in head, then the image of
-        every other chosen variable T_sc, -(dB0*alpha_s*img0 +
+        """The images of a D_j, empty ones included: each distinguished image
+        a piece times a scalar, {generator: (piece, scalar)} in head, then the
+        image of every other chosen variable T_sc, -(dB0*alpha_s*img0 +
         dB1*beta_s*img1) / (ds*gamma_s) with the minors of the relation on
         (B0, B1, s) and each d = l * x^key a block partial, its terms exact
         key quotients. The ratios -alpha_s/gamma_s and -beta_s/gamma_s are
@@ -713,47 +705,42 @@ class _Construction:
                         f"{P.engine.monomial(key)} is not divisible by {P.engine.monomial(c_key)}"
                     )
                 solved[quotient] = c
-        return {g: img for g, img in images.items() if img}
+        return images
 
     def kernel(self, param=None) -> list:
         """Generators of the kernel at param: every generator the derivation
         does not move, then kernel_extra's generator if any. A family member
         moves the generators whose image at param is nonzero; at an
         exceptional param that leaves out some chosen variable."""
+        P = self.presentation
         extra = self.kernel_extra(param)
-        moved = self.build(param).images if self.kind in ("t2b", "t2d") else self.moved
-        gens = [Poly.generator(g) for g in self.presentation.generators if g not in moved]
-        return gens if extra is None else [*gens, extra]
+        moved = self.build(param).packed()[0] if self.kind in ("t2b", "t2d") else self.moved
+        gens = [Poly.generator(g) for g in P.generators if g not in moved]
+        return gens if extra is None else [*gens, Poly({P.engine.monomial(k): c for k, c in extra.items()})]
 
-    def kernel_extra(self, param) -> Optional[Poly]:
+    def kernel_extra(self, param) -> Optional[dict]:
         """The kernel generator of a type 2 kind beyond the generators it
-        does not move; None for free and type1."""
+        does not move, as {key: coefficient}; None for free and type1."""
         self.check_param(param)
         if self.kind == "t2a":
-            return Poly.generator(self.gens[1])
+            return {pack(((self.gens[1], 1),), self.presentation.generator_index): ONE}
         if self.kind == "t2b":
-            part_a, part_b = self.parts
-            return part_a * param - part_b
-        if self.kind == "t2c":
-            half_a, half_b = self.parts
-            return half_a * param + half_b * self.roots[0]
-        if self.kind == "t2d":
-            half_a, half_b, half_c = self.parts
+            coefficients = param, -ONE
+        elif self.kind == "t2c":
+            coefficients = param, self.roots[0]
+        elif self.kind == "t2d":
             sb, sc = self.roots
-            lam = param
-            return (
-                half_a * (ONE - lam * lam)
-                - half_b * ((ONE + lam * lam) * I * sb)
-                + half_c * (2 * lam * sc)
-            )
-        return None
+            coefficients = ONE - param * param, -(ONE + param * param) * I * sb, 2 * param * sc
+        else:
+            return None
+        return {key: c for key, c in zip(self.parts, coefficients) if c}
 
     def kernel_pattern(self, sigma) -> str:
         """kernel_extra of a t2b or t2d family in the formal parameter
         lambda, carried onto the orbit member whose swap is sigma;
         NeedsNormalization when it needs a root missing in Q(i)."""
-        roots = self.roots
-        parts = [poly_format(part.relabel(sigma)) for part in self.parts]
+        roots, engine = self.roots, self.presentation.engine
+        parts = [engine.format(engine.swapped({part: ONE}, sigma)) for part in self.parts]
         if self.kind == "t2b":
             return f"lambda*({parts[0]}) - ({parts[1]})"
         sb, sc = roots
@@ -1072,7 +1059,8 @@ def _concrete_formula(label, inst: LndInstance, extra, kernel, sigma):
         entry["error"] = inst.error
         return entry
     entry["images"] = inst.derivation.image_strings()
-    entry["kernel"] = kernel if extra is None else [*kernel, poly_format(extra.relabel(sigma))]
+    engine = inst.derivation.presentation.engine
+    entry["kernel"] = kernel if extra is None else [*kernel, engine.format(engine.swapped(extra, sigma))]
     return entry
 
 
@@ -1107,7 +1095,7 @@ def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
     info = entry.info
     if info is None:
         free = entry.descriptors[0][1]
-        free_kernel = [poly_format(g) for g in builds.construction(free).kernel()]
+        free_kernel = [gen_name(g) for g in P.generators if g != svar(free.k)]
 
     def fmt(c, sigma, orbit=None):
         if info is None:

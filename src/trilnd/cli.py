@@ -169,13 +169,18 @@ def _parse_lambdas(text):
     return tuple(lams)
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: an integer in the grammar of a
+    derivation-text exponent, argparse.ArgumentTypeError otherwise (a usage
+    error, exit 2); int() alone also reads "1_0" and any Unicode digit."""
+    if not _EXPONENT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _integers(text: str) -> tuple:
-    """Comma-separated integers in the grammar of a derivation-text exponent,
-    ValueError otherwise: int() alone also reads "1_0" and any Unicode digit."""
-    items = text.split(",")
-    if not all(map(_EXPONENT_RE.fullmatch, items)):
-        raise ValueError(text)
-    return tuple(map(int, items))
+    """Comma-separated integers, each read by _integer."""
+    return tuple(map(_integer, text.split(",")))
 
 
 def _descriptor_from_json(text: str) -> LndDescriptor:
@@ -274,7 +279,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_verify(args) -> int:
     P = TrinomialPresentation.from_json(_read_text(args.presentation))
-    # every check runs on the packed view; Poly images are built only for
+    # every check runs on the packed images; Poly images are built only for
     # a residue
     delta = derivation_from_text(P, _read_text(args.derivation))
     out = {"presentation": P.to_input_dict()}
@@ -321,7 +326,7 @@ def cmd_oracle(args) -> int:
         for chunk in args.weight:
             try:
                 weights.append(_integers(chunk))
-            except ValueError:
+            except argparse.ArgumentTypeError:
                 raise InvalidArgument(
                     f"weight {chunk!r} must be comma-separated integers"
                 ) from None
@@ -339,7 +344,7 @@ def cmd_oracle(args) -> int:
 def cmd_demazure(args) -> int:
     try:
         ray1, ray2 = map(_integers, args.rays.split(":"))
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise InvalidArgument('rays must look like "x1,y1:x2,y2"') from None
     cone = Cone2D(ray1, ray2)
     family = demazure_roots(cone, args.ray)
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a derivation given as gen = poly lines")
     p.add_argument("--presentation", required=True)
     p.add_argument("--derivation", required=True, help="path to the derivation text file")
-    p.add_argument("--cap", type=int, default=64, help="nilpotency iteration cap")
+    p.add_argument("--cap", type=_integer, default=64, help="nilpotency iteration cap")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="linear-algebra search per degree")
@@ -413,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="degree shift as comma-separated integers; repeatable; "
         "defaults to the classifier-induced box",
     )
-    p.add_argument("--bound", type=int, default=4, help="image degree bound")
-    p.add_argument("--cap", type=int, default=64, help="nilpotency iteration cap (default 64)")
-    p.add_argument("--max-unknowns", type=int, default=600, dest="max_unknowns")
+    p.add_argument("--bound", type=_integer, default=4, help="image degree bound")
+    p.add_argument("--cap", type=_integer, default=64, help="nilpotency iteration cap (default 64)")
+    p.add_argument("--max-unknowns", type=_integer, default=600, dest="max_unknowns")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("demazure", help="root family of a ray of a plane cone")
     p.add_argument("--rays", required=True, help='cone rays as "x1,y1:x2,y2"')
-    p.add_argument("--ray", type=int, required=True, choices=(1, 2))
+    p.add_argument("--ray", type=_integer, required=True, choices=(1, 2))
     p.add_argument(
-        "--materialize", type=int, help="also output the p-th member of the family"
+        "--materialize", type=_integer, help="also output the p-th member of the family"
     )
     p.set_defaults(func=cmd_demazure)
 
@@ -438,24 +443,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except BrokenPipeError:  # an OSError, but no input error
+            raise
+        except _INPUT_ERRORS as exc:
+            error, code = exc, EXIT_INPUT
+        except Exception as exc:
+            if not isinstance(exc, InternalError):
+                # a bug no self-check caught: its traceback goes to stderr.
+                # Imported here so that no command loads traceback at start-up.
+                import traceback
+
+                traceback.print_exc()
+            error, code = exc, EXIT_INTERNAL
+        _emit({"error": str(error), "kind": type(error).__name__})
+        return code
     except BrokenPipeError:
-        # nobody reads stdout any more; dropping it keeps the flush at
-        # interpreter exit from failing again on what is still buffered
+        # nobody reads stdout any more, whether for a report or for an
+        # error; dropping it keeps the flush at interpreter exit from
+        # failing again on what is still buffered
         sys.stdout = None
         return EXIT_BROKEN_PIPE
-    except _INPUT_ERRORS as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__})
-        return EXIT_INPUT
-    except Exception as exc:
-        if not isinstance(exc, InternalError):
-            # a bug no self-check caught: its traceback goes to stderr.
-            # Imported here so that no command loads traceback at start-up.
-            import traceback
-
-            traceback.print_exc()
-        _emit({"error": str(exc), "kind": type(exc).__name__})
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,21 +8,21 @@ check (is_well_defined), not an assumption, since the verification
 oracle deliberately produces candidates that can fail it.
 
 Every normal form comes from the presentation's one rewrite engine,
-P.engine, through poly.normal_form for a Poly. A Derivation holds two
-views of one map, each built from the other when first read and then
-kept: the Poly images, which reports print and the references read, and
-the packed images over the Gaussian integers at one integer scale, on
-which iteration and zero tests (nilpotency_check, is_well_defined,
-kernel_member) run. poly.integer_terms packs Poly images, the engine
-builds Poly images from packed ones without normalizing them again, and
-the classifier wraps both views from one set of terms
-(Derivation._of_terms). Derivation text is read straight into the packed
-view (derivation_from_text) through engine.dense_normal_forms, the one
+P.engine. A Derivation is its packed images over the Gaussian integers at
+one integer scale, on which iteration and zero tests (nilpotency_check,
+is_well_defined, kernel_member), the degree, the orbit relabelling
+(RewriteEngine.swapped) and the printed text (RewriteEngine.format) run.
+Its Poly images are a view derived from them, built when first read,
+for the references: Derivation.apply, the Leibniz rule on Poly, and
+poly.stepwise_normal_form are what the tests compare the packed images
+with. Derivation(P, images) normalizes Poly images through
+poly.normal_form and packs them once with poly.integer_terms; the
+classifier packs its terms with dense_terms (Derivation._of_terms).
+Derivation text is read straight into packed images
+(derivation_from_text) through engine.dense_normal_forms, the one
 normalizer, which `trilnd verify` checks from end to end; it builds Poly
-images only for a residue. Derivation.apply, the Leibniz rule on Poly,
-and poly.stepwise_normal_form are the references the tests compare the
-packed view with. A derivation that passed the relation check, or that
-the oracle built from a solution of the relation rows, is marked
+images only for a residue. A derivation that passed the relation check,
+or that the oracle built from a solution of the relation rows, is marked
 well_defined; nilpotency_check checks any other first. It decides in one
 walk over the degree function of delta: it strips each iterate's
 monomial content, adds up the index from the generators' own, and
@@ -125,26 +125,29 @@ def _reject_foreign(
 
 
 class Derivation:
-    """A derivation of the presentation, held as two views of one map.
+    """A derivation of the presentation, held as its packed images.
 
-    The Poly view maps each generator with a nonzero image to that image
-    in normal form; reports print it, and Derivation.apply and
-    refutation_holds read it. The packed view holds the same images in
-    the dense form of poly.py, over the presentation's generator_index:
-    nonzero, in normal form, free of zero coefficients and scale times
-    the Poly images, scale being one positive integer. step, the relation
-    check, kernel_member and nilpotency_check run on it. A view not made
-    with it is built from the other when first read, then kept; images never
-    change after construction, so equality and hashing read the Poly
-    view. The packed view also keeps the Leibniz parts of the images,
-    built by the first step, so a derivation never stepped, as a sample
-    refuted by divisibility, never builds them. well_defined is True once
-    the derivation is known to map every relation into the relation
-    ideal: it passed is_well_defined, or it was built from a solution of
-    the relation rows (the oracle's samples).
+    The packed images map each generator with a nonzero image to that
+    image in the dense form of poly.py, over the presentation's
+    generator_index: in normal form, free of zero coefficients and scale
+    times the exact image, scale being one positive integer. step, the
+    relation check, kernel_member, nilpotency_check, the degree, the
+    orbit relabelling and the printed text all read them. The Poly view
+    (images) is derived from them: built by the engine on first read and
+    kept, never packed back. Only the references read it: apply,
+    refutation_holds, the residue of is_well_defined, replica, scaled,
+    addition, decompose, equality and hashing. Derivation(P, images)
+    normalizes Poly images, keeps them as the Poly view and packs them
+    once. The packed images also keep their Leibniz parts, built by the
+    first step, so a derivation never stepped, as a sample refuted by
+    divisibility, never builds them. well_defined is True once the
+    derivation is known to map every relation into the relation ideal:
+    it passed is_well_defined, or it was built from a solution of the
+    relation rows (the oracle's samples).
     """
 
-    # the packed view is None or [images, scale, Leibniz parts or None]
+    # _dense is [packed images, scale, Leibniz parts or None]; _images is
+    # the Poly view, None until read
     __slots__ = ("presentation", "_images", "_dense", "well_defined")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
@@ -159,36 +162,36 @@ class Derivation:
             reduced = normal_form(img, presentation)
             if reduced:
                 stored[g] = reduced
+        scale, dense = integer_terms(stored.values(), presentation.generator_index)
         self.presentation = presentation
         self._images = stored
-        self._dense = None
+        self._dense = [dict(zip(stored, dense)), scale, None]
         self.well_defined = False
 
     @staticmethod
     def _of(
         presentation: TrinomialPresentation,
-        images: Optional[dict] = None,
-        packed: Optional[dict] = None,
+        packed: dict,
         scale: int = 1,
         well_defined: bool = False,
     ) -> "Derivation":
-        """Wrap one view, or both, without copying or checking them: Poly
-        images, packed images at scale, as the class docstring states them."""
+        """Wrap packed images at scale, as the class docstring states them,
+        without copying or checking them."""
         out = Derivation.__new__(Derivation)
         out.presentation = presentation
-        out._images = images
-        out._dense = None if packed is None else [packed, scale, None]
+        out._images = None
+        out._dense = [packed, scale, None]
         out.well_defined = well_defined
         return out
 
     @staticmethod
     def _of_terms(presentation: TrinomialPresentation, images: dict) -> "Derivation":
-        """Both views, unchecked, of nonzero images {generator: {key: coefficient}}
-        in normal form: packed by dense_terms, Poly through the engine's memo."""
-        monomial = presentation.engine.monomial
+        """The packed images, unchecked, of images {generator: {key:
+        coefficient}} in normal form, scaled by dense_terms; empty images are
+        dropped."""
+        images = {g: img for g, img in images.items() if img}
         scale, packed = dense_terms(images.values())
-        polys = {g: Poly._of({monomial(k): c for k, c in img.items()}) for g, img in images.items()}
-        return Derivation._of(presentation, polys, dict(zip(images, packed)), scale)
+        return Derivation._of(presentation, dict(zip(images, packed)), scale)
 
     @property
     def images(self) -> dict:
@@ -201,24 +204,14 @@ class Derivation:
         return self._images
 
     def packed(self) -> Tuple[dict, int]:
-        """The packed images and their scale; poly.integer_terms, the one
-        scaler, packs the Poly images as they are on first read."""
-        if self._dense is None:
-            scale, dense = integer_terms(self._images.values(), self.presentation.generator_index)
-            self._dense = [dict(zip(self._images, dense)), scale, None]
+        """The packed images and their scale."""
         return self._dense[0], self._dense[1]
-
-    def views(self) -> Tuple[Optional[dict], Optional[dict]]:
-        """(Poly images, packed images), each None while it is not built."""
-        return self._images, None if self._dense is None else self._dense[0]
 
     def step(self, p: dict) -> dict:
         """delta(p) for a dense p, in normal form and up to a nonzero
         scalar, as a primitive dense dict: it vanishes exactly when
         delta(p) does, and has the same monomials."""
         engine = self.presentation.engine
-        if self._dense is None:
-            self.packed()
         dense = self._dense
         if dense[2] is None:
             dense[2] = tuple(engine.leibniz_part(g, img.items()) for g, img in dense[0].items())
@@ -229,27 +222,32 @@ class Derivation:
 
     def image_strings(self) -> dict:
         """Nonzero images as formatted strings, in generator order."""
-        images = self.images
-        return {
-            gen_name(g): poly_format(images[g])
-            for g in self.presentation.generators
-            if g in images
-        }
+        packed = self._dense[0]
+        return {gen_name(g): self._text(g) for g in self.presentation.generators if g in packed}
+
+    def _text(self, g: Gen) -> str:
+        """The nonzero image of g as poly_format writes it, off its keys
+        (RewriteEngine.format)."""
+        packed, scale, _ = self._dense
+        exact = {key: GaussianRational._of(a, b, scale) for key, (a, b) in packed[g].items()}
+        return self.presentation.engine.format(exact)
 
     def is_zero(self) -> bool:
-        return not (self._images if self._dense is None else self._dense[0])
+        return not self._dense[0]
 
     def relabelled(self, sigma: Mapping[Gen, Gen]) -> "Derivation":
-        """sigma * self * sigma^-1 for a permutation sigma of the generators
-        that maps every relation to itself.
+        """sigma * self * sigma^-1 for a product sigma of transpositions of
+        generators, each listed both ways, that maps every relation to itself.
 
         Such a sigma fixes every block power, hence every rewrite rule, so
-        it maps normal forms to normal forms: the images are not normalized
-        again. The caller checks the relations.
+        it maps normal forms to normal forms: the packed images are swapped
+        key by key (RewriteEngine.swapped) and not normalized again. The
+        caller checks the relations.
         """
+        packed, scale = self.packed()
+        swapped = self.presentation.engine.swapped
         return Derivation._of(
-            self.presentation,
-            {sigma.get(g, g): img.relabel(sigma) for g, img in self.images.items()},
+            self.presentation, {sigma.get(g, g): swapped(img, sigma) for g, img in packed.items()}, scale
         )
 
     def __eq__(self, other):
@@ -291,15 +289,14 @@ class Derivation:
         return Derivation(self.presentation, merged)
 
     def __repr__(self):
-        images = sorted(self.images.items(), reverse=True)
-        body = ", ".join(f"{gen_name(g)} -> {poly_format(img)}" for g, img in images)
+        body = ", ".join(f"{gen_name(g)} -> {self._text(g)}" for g in sorted(self._dense[0], reverse=True))
         return f"Derivation({body or '0'})"
 
 
 def is_well_defined(delta: Derivation) -> WellDefinedReport:
     """Check that every defining relation maps into the relation ideal.
 
-    The zero test runs on the packed view with Derivation.step and marks
+    The zero test runs on the packed images with Derivation.step and marks
     delta well defined when it passes; a broken relation's residue is
     recomputed exactly with Derivation.apply.
     """
@@ -348,7 +345,7 @@ def nilpotency_check(
     * verified(m), m = max nu + 1: m is minimal with delta^m killing
       every generator, which certifies local nilpotency.
 
-    Iterates live in the packed view, each a nonzero scalar multiple of
+    Iterates live in the packed form, each a nonzero scalar multiple of
     the true one, so content, term count and degree (of max(q)) are exact.
     """
     if cap < 1:
@@ -514,11 +511,7 @@ def derivation_to_text(delta: Derivation) -> str:
     as an empty body. Reading the output back yields an equal
     derivation.
     """
-    lines = []
-    for g in delta.presentation.generators:
-        img = delta.images.get(g)
-        if img is not None:
-            lines.append(f"{gen_name(g)} = {poly_format(img)}")
+    lines = [f"{name} = {text}" for name, text in delta.image_strings().items()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -528,8 +521,8 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
     Blank lines and '#' comments are allowed; each other line must read
     'generator = polynomial', the polynomial in poly.poly_terms' grammar.
     Listing a generator twice is an error; unlisted generators map to
-    zero. Each term is packed as it is read, and the Derivation has the
-    packed view only. Repeated terms merge in first-seen order, as in
+    zero. Each term is packed as it is read, into the Derivation's packed
+    images. Repeated terms merge in first-seen order, as in
     poly_parse, and engine.dense_normal_forms keeps an image in normal
     form as it is, so the images, their term order and every error are
     those of Derivation(P, {g: poly_parse(rhs)}), except that each error
@@ -580,4 +573,4 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
     scale, dense = dense_terms(images.values())
     forms, top = P.engine.dense_normal_forms(dense)
     packed = {g: terms for g, terms in zip(images, forms) if terms}
-    return Derivation._of(P, packed=packed, scale=scale * P.engine.scale**top)
+    return Derivation._of(P, packed, scale * P.engine.scale**top)

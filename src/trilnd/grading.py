@@ -159,30 +159,17 @@ def homogeneous_parts(p: Poly, grading: Grading) -> dict:
 def derivation_degree(delta, grading: Grading) -> Weight:
     """The common degree shift weight(image) - weight(gen) of a Derivation.
 
-    It reads whichever view of delta is built, the Poly images first, and
-    builds neither: a packed term's weight is read off its key through the
-    presentation's engine, and the term becomes a Monomial only in a
-    NonHomogeneous message, which reads as the Poly view's would. A
-    Derivation stores only nonzero images; the zero derivation has no
-    degree and raises ZeroDerivation, a ValueError.
+    Each term's weight is read off its packed key through the
+    presentation's engine, and a term becomes a Monomial only in a
+    NonHomogeneous message. A Derivation stores only nonzero images; the
+    zero derivation has no degree and raises ZeroDerivation, a ValueError.
     """
-    images, packed = delta.views()
-    if images is not None:
-        terms = ((g, img.terms) for g, img in images.items())
-        return _degree(terms, grading, grading.weight_of_monomial)
     engine = delta.presentation.engine
     sparse, rank = grading.sparse, grading.rank
-    return _degree(
-        packed.items(), grading, lambda key: engine.weight(key, sparse, rank), engine.monomial
-    )
-
-
-def _degree(images, grading: Grading, weigh, monomial=None) -> Weight:
-    """The common shift over (generator, nonzero terms) pairs; see
-    _common_weight for weigh and monomial."""
     degree = None
-    for g, terms in images:
-        shift = tuple(map(sub, _common_weight(terms, weigh, monomial), grading.weights[g]))
+    for g, terms in delta.packed()[0].items():
+        weight = _common_weight(terms, lambda key: engine.weight(key, sparse, rank), engine.monomial)
+        shift = tuple(map(sub, weight, grading.weights[g]))
         if degree is None:
             degree = shift
         elif shift != degree:

@@ -14,12 +14,13 @@ rigid presentations must yield no certified nilpotent element.
 The search runs on the dense form of poly.py end to end. The engine
 enumerates the box as normal-form keys with their weights, an unknown is
 a (generator, key) pair, and the basis vectors and the samples combined
-from them are Derivations with the packed view only, at one integer
-scale per space: their Poly images are built only when a report prints
-them. These solve every relation row, so they are marked well defined
-and nilpotency_check skips the relation check, as it does for each
-classifier output that lies in the span. SolutionSpace.unknowns turns
-its keys into monomials when first read.
+from them are Derivations of packed images at one integer scale per
+space; reports print them off their keys, and SolutionSpace.contains
+reads a classifier output's coordinates off its keys, so no Poly is
+built. The samples solve every relation row, so they are marked well
+defined and nilpotency_check skips the relation check, as it does for
+each classifier output that lies in the span. SolutionSpace.unknowns
+turns its keys into monomials when first read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
 from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading
-from .poly import dense_combination, dense_leibniz, dense_terms, pack, primitive_part
+from .poly import dense_combination, dense_leibniz, dense_terms, primitive_part
 from .presentation import TrinomialPresentation
 
 
@@ -138,8 +139,7 @@ class SolutionSpace:
     """Derivations of one fixed degree, found by linear algebra.
 
     The unknowns are (generator, key) columns, and each basis vector is a
-    Derivation with the packed view only, at one integer scale common to
-    the basis. unknowns, with its monomials, is built when first read.
+    Derivation of packed images at one integer scale common to the basis. unknowns, with its monomials, is built when first read.
     """
 
     presentation: TrinomialPresentation
@@ -157,20 +157,20 @@ class SolutionSpace:
         return [(g, monomial(key)) for g, key in self._columns]
 
     def coordinates_of(self, delta: Derivation):
-        """Coefficient vector of a derivation, or None if it uses
-        monomials outside the search box."""
+        """Coefficient vector of a derivation, read off its packed keys, or
+        None if it uses monomials outside the search box or is a derivation
+        on other generators, whose keys are over another index."""
+        if delta.presentation.generators != self.presentation.generators:
+            return None
         column = {gk: k for k, gk in enumerate(self._columns)}
-        index = self.presentation.generator_index
         vec = [ZERO] * len(column)
-        for g, img in delta.images.items():
-            for m, c in img.terms.items():
-                try:
-                    k = column.get((g, pack(m.pairs, index)))
-                except KeyError:  # a generator of another presentation
-                    return None
+        packed, scale = delta.packed()
+        for g, img in packed.items():
+            for key, (a, b) in img.items():
+                k = column.get((g, key))
                 if k is None:
                     return None
-                vec[k] = c
+                vec[k] = GaussianRational._of(a, b, scale)
         return vec
 
     def contains(self, delta: Derivation) -> bool:
@@ -265,7 +265,7 @@ def solution_space(
         for k in sorted(vec):
             g, key = columns[k]
             images.setdefault(g, {})[key] = vec[k]
-        basis.append(Derivation._of(P, packed=images, scale=scale, well_defined=True))
+        basis.append(Derivation._of(P, images, scale, well_defined=True))
     return SolutionSpace(
         presentation=P,
         weight=weight,
@@ -289,7 +289,7 @@ def _combination(x: Derivation, y: Derivation, c: Tuple[int, int]) -> Derivation
         if img:
             images[g] = img
     well_defined = x.well_defined and y.well_defined
-    return Derivation._of(x.presentation, packed=images, scale=scale, well_defined=well_defined)
+    return Derivation._of(x.presentation, images, scale, well_defined)
 
 
 def _classifier_by_degree(P: TrinomialPresentation):

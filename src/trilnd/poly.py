@@ -18,8 +18,12 @@ dense form described below; normal_form is its entry for a Poly, and
 stepwise_normal_form the independent reference. dense_terms is the one
 scaler to Gaussian integers, RewriteEngine.dense_normal_forms the one
 normalizer to one power of the rule scale. The engine also enumerates a
-degree box of normal-form keys (RewriteEngine.box) and turns keys and
-dense polynomials back into Monomial and Poly (monomial, poly).
+degree box of normal-form keys (RewriteEngine.box), relabels keys
+(swapped), writes a polynomial on keys in the text of poly_format
+(format), and turns keys and dense polynomials back into Monomial and
+Poly (monomial, poly) for the references that read them. poly_format and
+RewriteEngine.format share one text: _joined joins the terms and
+_monomial_text writes each monomial, as Monomial.__str__ does.
 """
 
 from __future__ import annotations
@@ -141,16 +145,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return _merge(self, other, 1)
 
-    def relabel(self, sigma: Mapping[Gen, Gen]) -> "Monomial":
-        """Each generator g replaced by sigma.get(g, g); sigma must be one to one.
-
-        Pairs of generators sigma leaves alone are shared with self."""
-        if not sigma:
-            return self
-        pairs = [(sigma[pair[0]], pair[1]) if pair[0] in sigma else pair for pair in self._pairs]
-        pairs.sort(reverse=True)
-        return Monomial._of(tuple(pairs))
-
     def divides(self, other: "Monomial") -> bool:
         other_map = dict(other._pairs)
         return all(other_map.get(g, 0) >= e for g, e in self._pairs)
@@ -177,12 +171,7 @@ class Monomial:
         return self._pairs >= other._pairs
 
     def __str__(self):
-        if not self._pairs:
-            return "1"
-        out = []
-        for g, e in self._pairs:
-            out.append(gen_name(g) if e == 1 else f"{gen_name(g)}^{e}")
-        return "*".join(out)
+        return _monomial_text((gen_name(g), e) for g, e in self._pairs) or "1"
 
     def __repr__(self):
         return f"Monomial({self})"
@@ -375,12 +364,6 @@ class Poly:
                 _add_term(acc, tm, tc)
         return Poly._of(acc)
 
-    def relabel(self, sigma: Mapping[Gen, Gen]) -> "Poly":
-        """Each generator g replaced by sigma.get(g, g); sigma must be one to one."""
-        if not sigma:
-            return self
-        return Poly._of({m.relabel(sigma): c for m, c in self._terms.items()})
-
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
@@ -434,7 +417,8 @@ def partial_derivative(p: Poly, g: Gen) -> Poly:
 # multiple of the polynomial it stands for; the Leibniz step and a sum
 # keep cancelled entries as (0, 0). The positions are a presentation's
 # generator_index. Only this module reads the fields of a key; other modules
-# ask a RewriteEngine for a key's degree, generators, Monomial, quotient or swap.
+# ask a RewriteEngine for a key's degree, generators, Monomial, quotient, swap
+# or text.
 EXPONENT_BITS = 32
 EXPONENT_MASK = (1 << EXPONENT_BITS) - 1
 DEGREE_BOUND = 1 << EXPONENT_BITS
@@ -620,6 +604,7 @@ class RewriteEngine:
         # the order of a Monomial's pairs, in which lex order on the fields
         # of two keys is the Monomial order
         self._fields = tuple(sorted(((g, EXPONENT_BITS * k) for g, k in index.items()), reverse=True))
+        self._names = tuple((gen_name(g), shift) for g, shift in self._fields)
 
     def poly_rules(self) -> dict:
         """The rules as Poly: lead Monomial -> replacement."""
@@ -726,11 +711,33 @@ class RewriteEngine:
         fields = ((key >> s) & EXPONENT_MASK >= (divisor >> s) & EXPONENT_MASK for _, s in self._fields)
         return key - divisor if all(fields) else None
 
-    def swapped(self, key: int, g: Gen, h: Gen) -> int:
-        """The key with the exponents of the generators g and h exchanged."""
-        s, t = EXPONENT_BITS * self.index[g], EXPONENT_BITS * self.index[h]
-        e = ((key >> t) & EXPONENT_MASK) - ((key >> s) & EXPONENT_MASK)
-        return key + (e << s) - (e << t)
+    def swapped(self, terms: dict, sigma: Mapping[Gen, Gen]) -> dict:
+        """terms, a dict keyed by keys, with the exponents of g and sigma[g]
+        exchanged in every key, for sigma a product of transpositions of
+        distinct generators, each listed both ways (g -> h and h -> g)."""
+        swaps = [(EXPONENT_BITS * self.index[g], EXPONENT_BITS * self.index[h]) for g, h in sigma.items() if g < h]
+        out = {}
+        for key, c in terms.items():
+            for s, t in swaps:
+                e = ((key >> t) & EXPONENT_MASK) - ((key >> s) & EXPONENT_MASK)
+                key += (e << s) - (e << t)
+            out[key] = c
+        return out
+
+    def format(self, terms: dict) -> str:
+        """poly_format of the polynomial {key: nonzero GaussianRational},
+        written off the keys: the terms in decreasing order of their exponent
+        vectors, most significant generator first, which is the Monomial
+        order, and each key in the text of Monomial.__str__."""
+        items = terms.items()
+        if len(terms) > 1:
+            fields = self._fields
+            items = sorted(items, key=lambda t: [(t[0] >> s) & EXPONENT_MASK for _, s in fields], reverse=True)
+        names = self._names
+        return _joined(
+            (c, _monomial_text((name, e) for name, s in names if (e := (key >> s) & EXPONENT_MASK)))
+            for key, c in items
+        )
 
     def divides_every_key(self, g: Gen, terms: dict) -> bool:
         """Whether the generator g divides every key of a dense dict."""
@@ -897,17 +904,29 @@ def poly_format(p: Poly) -> str:
     Pure real or pure imaginary coefficients print bare (3*x, -2i*x is
     written -2i*x without parentheses only when the coefficient has a
     single part; mixed coefficients like 1+i are parenthesized).
+    RewriteEngine.format writes a polynomial on packed keys in the same
+    text.
     """
-    if p.is_zero():
-        return "0"
+    return _joined((c, _monomial_text((gen_name(g), e) for g, e in m.pairs)) for m, c in p.sorted_terms())
+
+
+def _monomial_text(powers) -> str:
+    """The text of a monomial from its (generator name, exponent) pairs, most
+    significant generator first; "" for the monomial 1."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers)
+
+
+def _joined(terms) -> str:
+    """The text of a polynomial from its (nonzero coefficient, _monomial_text)
+    pairs in decreasing monomial order; "0" when there are none."""
     chunks = []
-    for m, c in p.sorted_terms():
+    for c, m in terms:
         cs = gq_format(c)
         needs_paren = ("+" in cs[1:]) or ("-" in cs[1:])
-        if m.is_one():
+        if not m:
             body = f"({cs})" if needs_paren else cs
         elif cs == "1":
-            body = str(m)
+            body = m
         elif cs == "-1":
             body = f"-{m}"
         elif needs_paren:
@@ -920,7 +939,7 @@ def poly_format(p: Poly) -> str:
             chunks.append(" - " + body[1:])
         else:
             chunks.append(" + " + body)
-    return "".join(chunks)
+    return "".join(chunks) or "0"
 
 
 def poly_parse(text: str, allowed: Iterable[Gen] = None) -> Poly:

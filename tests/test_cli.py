@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import trilnd.classify
+import trilnd.cli
 from trilnd.cli import main
 from trilnd.corpus import corpus
 from trilnd.derivation import WellDefinedReport
@@ -499,7 +500,17 @@ def test_descriptor_needs_integers_and_lists(capsys, presentation, descriptor):
     assert rep["kind"] == "InadmissibleDescriptor"
 
 
-def test_closed_stdout_exits_quietly(monkeypatch):
+def raise_internal_error(*args, **kwargs):
+    raise InternalError("a planted self-check failure")
+
+
+@pytest.mark.parametrize(
+    "path, patch",
+    [(f"{SAMPLES}/sphere.json", False), (None, False), (f"{SAMPLES}/sphere.json", True)],
+    ids=["report", "input-error", "internal-error"],
+)
+def test_closed_stdout_exits_quietly(monkeypatch, tmp_path, path, patch):
+    # the {"error", "kind"} of exits 1 and 4 goes to the closed stdout too
     class ClosedPipe:
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
@@ -507,8 +518,12 @@ def test_closed_stdout_exits_quietly(monkeypatch):
         def flush(self):
             pass
 
+    if path is None:
+        path = write_presentation(tmp_path, {"type": 3})
+    if patch:
+        monkeypatch.setattr(trilnd.cli, "class_report", raise_internal_error)
     monkeypatch.setattr("sys.stdout", ClosedPipe())
-    assert main(["analyze", "--presentation", f"{SAMPLES}/sphere.json"]) == 141
+    assert main(["analyze", "--presentation", path]) == 141
 
 
 def test_bad_lambda_string(capsys):
@@ -562,6 +577,40 @@ def test_integer_options_read_ascii_digits_only(capsys, argv, message):
     code, rep = run(capsys, *argv)
     assert code == 1
     assert rep == {"error": message, "kind": "InvalidArgument"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demazure", "--rays", "0,1:3,-1", "--ray", "\u0661", "--materialize", "2"],
+        ["demazure", "--rays", "0,1:3,-1", "--ray", "1", "--materialize", "\u0662"],
+        ["demazure", "--rays", "0,1:3,-1", "--ray", "1", "--materialize", "1_0"],
+        ["oracle", "--presentation", f"{SAMPLES}/sphere.json", "--max-unknowns", " 1_0 "],
+        ["oracle", "--presentation", f"{SAMPLES}/sphere.json", "--bound", "\u0661"],
+        ["oracle", "--presentation", f"{SAMPLES}/sphere.json", "--cap", "1_6"],
+        ["verify", "--presentation", f"{SAMPLES}/sphere.json", "--derivation", "-", "--cap", "\u0661"],
+    ],
+    ids=[
+        "ray", "materialize-arabic-indic", "materialize-underscore", "max-unknowns", "bound",
+        "oracle-cap", "verify-cap",
+    ],
+)
+def test_integer_options_are_usage_errors_unless_ascii_digits(capsys, argv):
+    # int() alone read these: the demazure ray and member as 1 and 2, the
+    # oracle limits as 10, 1 and 16
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer" in capsys.readouterr().err
+
+
+def test_integer_options_keep_sign_and_spaces(capsys):
+    code, rep = run(capsys, "demazure", "--rays", "0,1:3,-1", "--ray", " +2 ", "--materialize", " +3")
+    assert code == 0
+    assert (rep["ray"], rep["member"]["p"]) == (2, 3)
+    code, rep = run(capsys, "demazure", "--rays", "0,1:3,-1", "--ray", "1", "--materialize", "-1")
+    assert code == 1
+    assert rep["kind"] == "RootOutOfRange"
 
 
 def test_usage_error_exits_two():

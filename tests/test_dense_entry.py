@@ -1,18 +1,17 @@
-"""One derivation type, two views of one map.
+"""One derivation type: its packed images, with a Poly view derived from them.
 
-A Derivation holds Poly images and packed images, each built from the
-other on first read and then kept: Derivation.packed packs the Poly
-images with poly.integer_terms, the engine builds the Poly view of a
-packed-only Derivation, derivation_from_text and the oracle build
-packed-only ones, and the classifier wraps both views of each class from
-one set of packed terms (Derivation._of_terms). Coefficients reach the
+A Derivation is its packed images. Derivation(P, images) packs Poly
+images once with poly.integer_terms and keeps them as the Poly view;
+derivation_from_text, the oracle and the classifier (Derivation._of_terms)
+build packed images only, and the engine builds their Poly view when it
+is first read, never packing it back. Coefficients reach the
 Gaussian integers through poly.dense_terms, and normal forms reach one
 power of the rule scale through RewriteEngine.dense_normal_forms. Every
 packed view must meet its invariant: nonzero images, keys in normal
 form, no zero coefficient, a positive integer scale, and the packed-only
 Derivation of those images equal to an independent reference. A
-derivation is packed at most once, and its relations are checked at most
-once.
+derivation is packed once, when it is made, and its relations are
+checked at most once.
 """
 
 import copy
@@ -66,7 +65,8 @@ def assert_invariant(delta, reference):
 
 
 def packed_only(delta):
-    return delta.views()[0] is None
+    """Whether the Poly view of delta is not built yet."""
+    return delta._images is None
 
 
 def classifier_outputs(P):
@@ -209,19 +209,21 @@ def test_the_oracle_basis_and_its_combinations_meet_the_invariant():
 
 
 def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
-    packs, checks = [], []
-    packed, check = Derivation.packed, trilnd.derivation.is_well_defined
+    # a Derivation is packed when it is made; views counts the Poly views
+    # built since, which no check reads
+    views, checks = [], []
+    images, check = Derivation.images, trilnd.derivation.is_well_defined
 
-    def counted_packed(delta):
-        if delta.views()[1] is None:
-            packs.append(delta)
-        return packed(delta)
+    def counted_images(delta):
+        if delta._images is None:
+            views.append(delta)
+        return images.fget(delta)
 
     def counted_check(delta):
         checks.append(delta)
         return check(delta)
 
-    monkeypatch.setattr(Derivation, "packed", counted_packed)
+    monkeypatch.setattr(Derivation, "images", property(counted_images))
     # nilpotency_check and the call below look the check up here
     monkeypatch.setattr(trilnd.derivation, "is_well_defined", counted_check)
     chains = representatives = 0
@@ -234,7 +236,7 @@ def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
         ]
         for inst, kernel in built:
             delta = inst.derivation
-            packs.clear()
+            views.clear()
             checks.clear()
             # a representative built from one checked coefficient keeps
             # the packed view that _checked built and marked well defined
@@ -242,13 +244,13 @@ def test_a_derivation_is_packed_and_checked_at_most_once(monkeypatch):
                 if inst.descriptor.kind in ("free", "type1", "t2a"):
                     assert nilpotency_check(delta).verified
                     assert all(kernel_member(delta, g) for g in kernel)
-                    assert packs == checks == []
+                    assert views == checks == []
                     representatives += 1
                     continue
             assert trilnd.derivation.is_well_defined(delta).ok
             assert nilpotency_check(delta).verified
             assert all(kernel_member(delta, g) for g in kernel)
-            assert len(packs) <= 1 and len(checks) <= 1
+            assert views == [] and len(checks) <= 1
             chains += 1
     assert chains and representatives
 

@@ -33,6 +33,7 @@ from trilnd.derivation import Derivation, kernel_member
 from trilnd.gaussian import ONE, I, InternalError, gq, gq_sqrt
 from trilnd.grading import derivation_degree, weight_assignment
 from trilnd.poly import (
+    Monomial,
     Poly,
     exact_divide,
     pack,
@@ -216,6 +217,48 @@ def test_every_class_is_the_direct_formula(P):
         kernel = direct_kernel(P, desc, want)
         assert kernel_generators(P, desc) == kernel, (P.describe(), desc)
         assert all(kernel_member(want, h) for h in kernel), (P.describe(), desc)
+
+
+def reference_relabel(pairs, sigma):
+    """Monomial pairs with each generator g renamed sigma.get(g, g), most
+    significant generator first."""
+    return tuple(sorted(((sigma.get(g, g), e) for g, e in pairs), reverse=True))
+
+
+def test_key_relabelling_is_the_monomial_relabel():
+    """For every orbit swap sigma of the corpus and the wide shapes,
+    RewriteEngine.swapped renames the keys of every relation and of every
+    class image at the representative as the reference renames their
+    Monomial pairs, and Derivation.relabelled is the reference relabel of
+    the Poly images."""
+    swaps = 0
+    for P in (*corpus(), *REFERENCE_SET[-len(WIDE_SHAPES):]):
+        engine = P.engine
+        instances = [
+            inst for inst in enumerate_lnds(P, expand=False)
+            if inst.orbit is not None and inst.derivation is not None
+        ]
+        for orbit in dict.fromkeys(inst.orbit for inst in instances):
+            members = [inst.derivation for inst in instances if inst.orbit == orbit]
+            images = [img for delta in members for img in delta.packed()[0].values()]
+            for c in orbit.members():
+                sigma = orbit.swap(c)
+                swaps += bool(sigma)
+                for terms in (*engine.relations, *images):
+                    swapped = engine.swapped(terms, sigma)
+                    assert list(swapped.values()) == list(terms.values())
+                    assert [engine.monomial(key).pairs for key in swapped] == [
+                        reference_relabel(engine.monomial(key).pairs, sigma) for key in terms
+                    ], (P.describe(), c)
+                for delta in members:
+                    want = {
+                        sigma.get(g, g): Poly(
+                            {Monomial(reference_relabel(m.pairs, sigma)): k for m, k in img.terms.items()}
+                        )
+                        for g, img in delta.images.items()
+                    }
+                    assert delta.relabelled(sigma).images == want, (P.describe(), c)
+    assert swaps > 100
 
 
 FAMILIES = [

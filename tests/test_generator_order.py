@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trilnd.corpus import corpus
-from trilnd.poly import Monomial, NotDivisible, gen_name, parse_gen_name, svar, tvar
+from trilnd.poly import Monomial, NotDivisible, gen_name, pack, parse_gen_name, svar, tvar
 from trilnd.presentation import TrinomialPresentation, type1
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -121,11 +121,18 @@ def test_products_and_quotients_are_the_reference_monomials(a, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(EXPONENT_MAPS, st.randoms(use_true_random=False))
-def test_relabel_sorts_by_the_reference_order(a, rnd: random.Random):
-    gens = list(GENERATORS)
-    images = gens[:]
-    rnd.shuffle(images)
-    sigma = dict(zip(gens, images))
-    relabelled = {sigma[g]: e for g, e in a.items()}
-    assert Monomial(a).relabel(sigma).pairs == reference_pairs(relabelled)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_relabel_sorts_by_the_reference_order(data, rnd: random.Random):
+    # the key relabel, RewriteEngine.swapped, on a product of disjoint
+    # transpositions: the Monomial of the swapped key has the reference pairs
+    P = data.draw(st.sampled_from(PRESENTATIONS))
+    a = data.draw(st.dictionaries(st.sampled_from(P.generators), st.integers(0, 5), max_size=6))
+    gens = list(P.generators)
+    rnd.shuffle(gens)
+    sigma = {}
+    for g, h in zip(gens[0::2], gens[1::2]):
+        if rnd.random() < 0.5:
+            sigma.update({g: h, h: g})
+    (key,) = P.engine.swapped({pack(a.items(), P.generator_index): None}, sigma)
+    relabelled = {sigma.get(g, g): e for g, e in a.items()}
+    assert P.engine.monomial(key).pairs == reference_pairs(relabelled)

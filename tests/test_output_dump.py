@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_SHA256 = "49e3e552771c96ff15049985b06caa935b848228c97577d76488e4cb9c880b47"
+OUTPUT_SHA256 = "b74f90b1a5b150eb98142697c4b8fc888db103ebca433d0a4072ca60d52caff0"
 
 
 def test_output_dump_matches_the_pinned_digest():

@@ -333,15 +333,15 @@ def check_against_reference(P, text):
         return
     assert got == want, text
     if got[0] == "ok":
-        # outcome read the Poly view; the degree off the packed view alone
-        # must read the same, and build no Poly image
+        # outcome read the Poly view; the degree off the packed images alone
+        # must read the same, and build no Poly view
         delta = derivation_from_text(P, text)
         try:
             degree = derivation_degree(delta, P.grading) if got[1] else None
         except NonHomogeneous as exc:
             degree = str(exc)
         assert degree == got[2]
-        assert delta.views()[0] is None
+        assert delta._images is None
 
 
 PARSE_SETTINGS = settings(
