@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 from .derivation import Derivation, is_well_defined
 from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
 from .grading import Weight, derivation_degree
-from .poly import Gen, Poly, gen_name, pack, svar, tvar
+from .poly import Gen, Poly, gen_name, pack, summed_terms, svar, tvar
 from .presentation import AssumptionViolated, TrinomialPresentation, _is_int
 
 
@@ -371,37 +371,9 @@ def class_plan(P: TrinomialPresentation):
         yield PlannedClass(info, count, descriptors, family, orbit)
 
 
-def _block_term(P: TrinomialPresentation, i: int, c=None, m: int = 1) -> Tuple[int, int]:
-    """T_i^{l_i / m} as (key, 1) for c None, else its partial by T_ic as (key,
-    l_ic / m), kept in the presentation's block memo under ("term", i, c, m)."""
-    hit = P._block_memo.get(("term", i, c, m))
-    if hit is None:
-        exps = P.exponents(i)
-        pairs = [(tvar(i, j), e // m - (j == c)) for j, e in enumerate(exps, start=1)]
-        term = pack(pairs, P.generator_index), 1 if c is None else exps[c - 1] // m
-        hit = P._block_memo[("term", i, c, m)] = term
-    return hit
-
-
 def _term(*factors) -> dict:
     """The product of (key, integer) terms as one {key: coefficient}."""
     return {sum(key for key, _ in factors): gq(prod(c for _, c in factors))}
-
-
-def _summed(terms) -> dict:
-    """The sum of (key, coefficient) pairs as {key: coefficient}, zeros dropped."""
-    acc = {}
-    for key, c in terms:
-        cur = acc.get(key)
-        acc[key] = c if cur is None else cur + c
-    return {key: c for key, c in acc.items() if c}
-
-
-def _off_tuple_generators(P: TrinomialPresentation, c):
-    """Off-tuple variables and free variables: the kernel part common to
-    every class of the tuple."""
-    chosen = {tvar(i, ci) for i, ci in zip(P.block_numbers, c)}
-    return [g for g in P.generators if g not in chosen]
 
 
 def _sqrt_or_raise(ratio: GaussianRational, what: str) -> GaussianRational:
@@ -542,7 +514,7 @@ class _Construction:
         exponent of B0; of the halves of the role blocks for t2c (B0, B1)
         and t2d (B0, B1, B2)."""
         count = 3 if self.kind == "t2d" else 2
-        return tuple(_block_term(self.presentation, i, m=self._m)[0] for i in self.roles[:count])
+        return tuple(self.presentation.block_term(i, m=self._m)[0] for i in self.roles[:count])
 
     @cached_property
     def roots(self) -> Tuple[GaussianRational, ...]:
@@ -569,13 +541,13 @@ class _Construction:
         """
         P = self.presentation
         skip = self.roles if self.kind == "t2d" else self.roles[:2]
-        rest = [_block_term(P, i, ci) for i, ci in self.cmap.items() if i not in skip]
+        rest = [P.block_term(i, ci) for i, ci in self.cmap.items() if i not in skip]
         if self.kind == "t2a":
             return (_term(*rest),)
-        d_a, d_b, *d_c = (_block_term(P, i, self.cmap[i], self._m) for i in skip)
+        d_a, d_b, *d_c = (P.block_term(i, self.cmap[i], self._m) for i in skip)
         if self.kind != "t2d":
             return (_term(d_b, *rest), _term(d_a, *rest))
-        half_a, half_b, half_c = (_block_term(P, i, m=2) for i in skip)
+        half_a, half_b, half_c = (P.block_term(i, m=2) for i in skip)
         pairs = (d_b, half_b), (d_b, half_c), (d_a, half_a), (d_a, half_c)
         return tuple(_term(d, *d_c, half, *rest) for d, half in pairs)
 
@@ -594,7 +566,7 @@ class _Construction:
             for g, img in terms.items():
                 images.setdefault(g, []).extend((k, c if power is ONE else c * power) for k, c in img.items())
             power = power * param
-        return Derivation._of_terms(self.presentation, {g: _summed(pairs) for g, pairs in images.items()})
+        return Derivation._of_terms(self.presentation, {g: summed_terms(pairs) for g, pairs in images.items()})
 
     @cached_property
     def terms(self) -> tuple:
@@ -609,7 +581,7 @@ class _Construction:
             # each chosen variable maps to the product of the other blocks' partials
             P = self.presentation
             return ({
-                tvar(i, ci): _term(*(_block_term(P, k, ck) for k, ck in self.cmap.items() if k != i))
+                tvar(i, ci): _term(*(P.block_term(k, ck) for k, ck in self.cmap.items() if k != i))
                 for i, ci in self.cmap.items()
             },)
         t_a, t_b, _ = self.gens
@@ -676,28 +648,25 @@ class _Construction:
         image of every other chosen variable T_sc, -(dB0*alpha_s*img0 +
         dB1*beta_s*img1) / (ds*gamma_s) with the minors of the relation on
         (B0, B1, s) and each d = l * x^key a block partial, its terms exact
-        key quotients. The ratios -alpha_s/gamma_s and -beta_s/gamma_s are
-        kept in the presentation's block memo under ("ratios", B0, B1, s)."""
+        key quotients; P.minor_ratios keeps -alpha_s/gamma_s and
+        -beta_s/gamma_s."""
         P = self.presentation
         B0, B1, _ = self.roles
         images = {g: piece if scalar is ONE else {k: c * scalar for k, c in piece.items()}
                   for g, (piece, scalar) in head.items()}
-        heads = [(images.get(g, {}), _block_term(P, i, self.cmap[i])) for g, i in zip(self.gens, (B0, B1))]
+        heads = [(images.get(g, {}), P.block_term(i, self.cmap[i])) for g, i in zip(self.gens, (B0, B1))]
         for s, cs in self.cmap.items():
             if s in (B0, B1):
                 continue
-            c_key, l_s = _block_term(P, s, cs)
-            ratios = P._block_memo.get(("ratios", B0, B1, s))
-            if ratios is None:
-                alpha, beta, gamma = P.triple_coefficients(B0, B1, s)
-                ratios = P._block_memo[("ratios", B0, B1, s)] = -alpha / gamma, -beta / gamma
+            c_key, l_s = P.block_term(s, cs)
+            ratios = P.minor_ratios(B0, B1, s)
             pairs = [
                 (k + d_key, c * (r if l == l_s else r * Fraction(l, l_s)))
                 for (img, (d_key, l)), r in zip(heads, ratios)
                 for k, c in img.items()
             ]
             images[tvar(s, cs)] = solved = {}
-            for key, c in _summed(pairs).items():
+            for key, c in summed_terms(pairs).items():
                 quotient = P.engine.quotient(key, c_key)
                 if quotient is None:
                     raise ExactDivisionFailed(
@@ -1083,7 +1052,9 @@ def _family_formula(builds: _EntryBuilds, family: LndDescriptor, c, sigma):
 def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
     """Build one plan entry at its representative; return fmt(c, sigma),
     the report entry of orbit member c (None for a free variable) with
-    sigma = orbit.swap(c), naming the orbit when one is passed."""
+    sigma = orbit.swap(c), naming the orbit when one is passed. Its kernel
+    list is each g whose sigma(g), sigma being its own inverse, the entry's
+    construction does not move (_Construction.moved)."""
     builds = _EntryBuilds(P, entry)
     concrete = []
     for label, desc in entry.descriptors:
@@ -1093,21 +1064,20 @@ def _class_formatter(P: TrinomialPresentation, entry: PlannedClass):
             extra = builds.construction(desc).kernel_extra(desc.param)
         concrete.append((label, inst, extra))
     info = entry.info
-    if info is None:
-        free = entry.descriptors[0][1]
-        free_kernel = [gen_name(g) for g in P.generators if g != svar(free.k)]
+    first = entry.descriptors[0][1]
+    moved = builds.construction(first).moved
+    names = [(g, gen_name(g)) for g in P.generators]
 
     def fmt(c, sigma, orbit=None):
+        kernel = [name for g, name in names if sigma.get(g, g) not in moved]
         if info is None:
-            out = {"tuple": None, "case": "free_variable", "k": free.k}
-            kernel = free_kernel
+            out = {"tuple": None, "case": "free_variable", "k": first.k}
         else:
             out = {"tuple": list(c), "case": info.case}
             if info.case != "Type1":
                 out["labelings"] = [list(lab) for lab in info.labelings]
             if orbit is not None:
                 out["orbit"] = orbit.to_dict()
-            kernel = [gen_name(g) for g in _off_tuple_generators(P, c)]
         formulas = [
             _concrete_formula(label, inst.relabelled(c, sigma), extra, kernel, sigma)
             for label, inst, extra in concrete

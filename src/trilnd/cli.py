@@ -52,6 +52,7 @@ from .presentation import (
     PresentationError,
     TrinomialPresentation,
     _is_int,
+    _json_object,
     all_ones_rescaling,
 )
 from .toric import Cone2D, RootOutOfRange, demazure_roots
@@ -184,8 +185,9 @@ def _integers(text: str) -> tuple:
 
 
 def _descriptor_from_json(text: str) -> LndDescriptor:
+    hook = functools.partial(_json_object, error=InadmissibleDescriptor)
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise InadmissibleDescriptor(f"descriptor is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "kind" not in data:
@@ -282,6 +284,8 @@ def cmd_verify(args) -> int:
     # every check runs on the packed images; Poly images are built only for
     # a residue
     delta = derivation_from_text(P, _read_text(args.derivation))
+    if args.cap < 1:  # refused before any check, whatever the derivation
+        raise InvalidArgument("cap must be at least 1")
     out = {"presentation": P.to_input_dict()}
     report = is_well_defined(delta)
     out["well_defined"] = report.ok

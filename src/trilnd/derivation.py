@@ -15,15 +15,16 @@ is_well_defined, kernel_member), the degree, the orbit relabelling
 Its Poly images are a view derived from them, built when first read,
 for the references: Derivation.apply, the Leibniz rule on Poly, and
 poly.stepwise_normal_form are what the tests compare the packed images
-with. Derivation(P, images) normalizes Poly images through
-poly.normal_form and packs them once with poly.integer_terms; the
-classifier packs its terms with dense_terms (Derivation._of_terms).
-Derivation text is read straight into packed images
-(derivation_from_text) through engine.dense_normal_forms, the one
-normalizer, which `trilnd verify` checks from end to end; it builds Poly
-images only for a residue. A derivation that passed the relation check,
-or that the oracle built from a solution of the relation rows, is marked
-well_defined; nilpotency_check checks any other first. It decides in one
+with. Derivation(P, images) packs Poly images with poly.packed_terms,
+and derivation_from_text packs the terms of derivation text as it reads
+them; both end in one tail (_normal_images): dense_terms, then
+engine.dense_normal_forms, the one normalizer, and neither keeps a Poly
+view. `trilnd verify` checks text from end to end on the packed images
+and builds Poly images only for a residue. The classifier packs its
+terms, already in normal form, with dense_terms (Derivation._of_terms).
+A derivation that passed the relation check, or that the oracle built
+from a solution of the relation rows, is marked well_defined;
+nilpotency_check checks any other first. It decides in one
 walk over the degree function of delta: it strips each iterate's
 monomial content, adds up the index from the generators' own, and
 refutes by divisibility or by a cycle of generators whose chains need
@@ -47,13 +48,14 @@ from .poly import (
     UnknownGenerator,
     _add_product,
     _add_term,
+    _reject_foreign,
     dense_leibniz,
     dense_terms,
     exact_divide,
     gen_name,
-    integer_terms,
     normal_form,
     pack,
+    packed_terms,
     parse_gen_name,
     partial_derivative,
     poly_format,
@@ -112,18 +114,6 @@ class NilpotencyReport:
         return out
 
 
-def _reject_foreign(
-    p: Poly, known, message: str = "{} is not a generator of this presentation"
-) -> None:
-    """Raise UnknownGenerator, message naming the first generator of p
-    outside known in p's term order, if there is one. Callers check their
-    input before normalizing it, where a foreign term may cancel."""
-    for m in p.terms:
-        for g, _ in m.pairs:
-            if g not in known:
-                raise UnknownGenerator(message.format(gen_name(g)))
-
-
 class Derivation:
     """A derivation of the presentation, held as its packed images.
 
@@ -136,14 +126,15 @@ class Derivation:
     (images) is derived from them: built by the engine on first read and
     kept, never packed back. Only the references read it: apply,
     refutation_holds, the residue of is_well_defined, replica, scaled,
-    addition, decompose, equality and hashing. Derivation(P, images)
-    normalizes Poly images, keeps them as the Poly view and packs them
-    once. The packed images also keep their Leibniz parts, built by the
-    first step, so a derivation never stepped, as a sample refuted by
-    divisibility, never builds them. well_defined is True once the
-    derivation is known to map every relation into the relation ideal:
-    it passed is_well_defined, or it was built from a solution of the
-    relation rows (the oracle's samples).
+    addition, decompose, equality and hashing. Every constructor keeps
+    the packed images only: Derivation(P, images) packs and normalizes
+    Poly images and keeps no Poly view of them. The packed images also
+    keep their Leibniz parts, built by the first step, so a derivation
+    never stepped, as a sample refuted by divisibility, never builds
+    them. well_defined is True once the derivation is known to map
+    every relation into the relation ideal: it passed is_well_defined, or
+    it was built from a solution of the relation rows (the oracle's
+    samples).
     """
 
     # _dense is [packed images, scale, Leibniz parts or None]; _images is
@@ -151,21 +142,17 @@ class Derivation:
     __slots__ = ("presentation", "_images", "_dense", "well_defined")
 
     def __init__(self, presentation: TrinomialPresentation, images: Mapping[Gen, Poly]):
-        known = presentation.generator_set
-        stored = {}
+        index = presentation.generator_index
+        terms = {}
         for g, img in images.items():
-            if g not in known:
+            if g not in index:
                 raise UnknownGenerator(f"{gen_name(g)} is not a generator here")
             if not isinstance(img, Poly):
                 img = Poly.constant(img)
-            _reject_foreign(img, known, f"image of {gen_name(g)} uses foreign generator {{}}")
-            reduced = normal_form(img, presentation)
-            if reduced:
-                stored[g] = reduced
-        scale, dense = integer_terms(stored.values(), presentation.generator_index)
+            terms[g] = packed_terms(img, index, f"image of {gen_name(g)} uses foreign generator {{}}")
         self.presentation = presentation
-        self._images = stored
-        self._dense = [dict(zip(stored, dense)), scale, None]
+        self._images = None
+        self._dense = [*_normal_images(presentation, terms), None]
         self.well_defined = False
 
     @staticmethod
@@ -291,6 +278,15 @@ class Derivation:
     def __repr__(self):
         body = ", ".join(f"{gen_name(g)} -> {self._text(g)}" for g in sorted(self._dense[0], reverse=True))
         return f"Derivation({body or '0'})"
+
+
+def _normal_images(P: TrinomialPresentation, images: dict) -> Tuple[dict, int]:
+    """(packed images, scale) of {generator: {key: nonzero GaussianRational}}
+    by dense_terms and engine.dense_normal_forms, vanished images dropped:
+    the tail of Derivation(P, images) and derivation_from_text."""
+    scale, dense = dense_terms(images.values())
+    forms, top = P.engine.dense_normal_forms(dense)
+    return {g: terms for g, terms in zip(images, forms) if terms}, scale * P.engine.scale**top
 
 
 def is_well_defined(delta: Derivation) -> WellDefinedReport:
@@ -469,8 +465,7 @@ def _edge_holds(delta: Derivation, g: Gen, step: int, x: Gen, e: int) -> bool:
 
 
 def kernel_member(delta: Derivation, p: Poly) -> bool:
-    _reject_foreign(p, delta.presentation.generator_set)
-    (terms,) = integer_terms((p,), delta.presentation.generator_index)[1]
+    _, (terms,) = dense_terms((packed_terms(p, delta.presentation.generator_index),))
     return not delta.step(terms)
 
 
@@ -570,7 +565,4 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
             for key in terms:
                 if isinstance(key, Monomial):
                     pack(key.pairs, index)  # raises DegreeOverflow
-    scale, dense = dense_terms(images.values())
-    forms, top = P.engine.dense_normal_forms(dense)
-    packed = {g: terms for g, terms in zip(images, forms) if terms}
-    return Derivation._of(P, packed, scale * P.engine.scale**top)
+    return Derivation._of(P, *_normal_images(P, images))

@@ -139,7 +139,8 @@ class SolutionSpace:
     """Derivations of one fixed degree, found by linear algebra.
 
     The unknowns are (generator, key) columns, and each basis vector is a
-    Derivation of packed images at one integer scale common to the basis. unknowns, with its monomials, is built when first read.
+    Derivation of packed images at one integer scale common to the basis.
+    unknowns, with its monomials, is built when first read.
     """
 
     presentation: TrinomialPresentation

@@ -15,15 +15,16 @@ gen_name and parse_gen_name build or read a generator's fields.
 
 Normal forms come from one rewrite engine, RewriteEngine, on the packed
 dense form described below; normal_form is its entry for a Poly, and
-stepwise_normal_form the independent reference. dense_terms is the one
-scaler to Gaussian integers, RewriteEngine.dense_normal_forms the one
-normalizer to one power of the rule scale. The engine also enumerates a
-degree box of normal-form keys (RewriteEngine.box), relabels keys
-(swapped), writes a polynomial on keys in the text of poly_format
-(format), and turns keys and dense polynomials back into Monomial and
-Poly (monomial, poly) for the references that read them. poly_format and
-RewriteEngine.format share one text: _joined joins the terms and
-_monomial_text writes each monomial, as Monomial.__str__ does.
+stepwise_normal_form the independent reference. packed_terms is the one
+packer of a Poly, dense_terms the one scaler to Gaussian integers,
+RewriteEngine.dense_normal_forms the one normalizer to one power of the
+rule scale, _add_term (summed_terms) the one merger of terms. The engine
+also enumerates a degree box of normal-form keys (RewriteEngine.box),
+relabels keys (swapped), writes keys in the text of poly_format (format),
+and turns keys and dense polynomials back into Monomial and Poly
+(monomial, poly) for the references. Every polynomial text, toric's too,
+is written by _joined, joining terms, and _monomial_text, as
+Monomial.__str__ does.
 """
 
 from __future__ import annotations
@@ -227,6 +228,16 @@ def _add_term(acc: dict, m: Monomial, c: GaussianRational) -> None:
         acc[m] = new
     else:
         del acc[m]
+
+
+def summed_terms(terms) -> dict:
+    """The sum of (key, coefficient) pairs, a key being a Monomial or packed,
+    as {key: nonzero coefficient}, merged by _add_term; zeros skipped."""
+    acc: dict = {}
+    for key, c in terms:
+        if c:
+            _add_term(acc, key, c)
+    return acc
 
 
 class Poly:
@@ -450,21 +461,34 @@ def unpack(key: int, n: int) -> tuple:
     return tuple((key >> (EXPONENT_BITS * k)) & EXPONENT_MASK for k in range(n))
 
 
-def integer_terms(polys: Iterable[Poly], index: Mapping[Gen, int]):
-    """Scale polynomials by one positive integer into dense Gaussian-integer form.
+_NOT_HERE = "{} is not a generator of this presentation"
 
-    Returns (s, dense): s is the least positive integer that clears every
-    denominator of every coefficient, and dense lists s * p for each p as
-    a dense polynomial over index, which must hold every generator of polys.
-    Raises DegreeOverflow for a monomial of total degree DEGREE_BOUND or more.
-    """
-    return dense_terms([{pack(m.pairs, index): c for m, c in p.terms.items()} for p in polys])
+
+def _reject_foreign(p: Poly, known, message: str = _NOT_HERE) -> None:
+    """Raise UnknownGenerator, message naming the first generator of p
+    outside known in p's term order, if there is one. Callers check their
+    input before normalizing it, where a foreign term may cancel."""
+    for m in p.terms:
+        for g, _ in m.pairs:
+            if g not in known:
+                raise UnknownGenerator(message.format(gen_name(g)))
+
+
+def packed_terms(p: Poly, index: Mapping[Gen, int], message: str = _NOT_HERE) -> dict:
+    """p as {key: coefficient} over index. Raises UnknownGenerator as
+    _reject_foreign does, else DegreeOverflow at total degree DEGREE_BOUND."""
+    try:
+        return {pack(m.pairs, index): c for m, c in p.terms.items()}
+    except (KeyError, DegreeOverflow):
+        _reject_foreign(p, index, message)
+        raise
 
 
 def dense_terms(polys: Iterable[Mapping]):
-    """integer_terms of polynomials given as dicts from keys to nonzero
-    GaussianRational coefficients: (s, dense), dense keeping each dict's
-    key order; the only code that takes an lcm of coefficient denominators."""
+    """(s, dense) for dicts from keys to nonzero GaussianRational (as from
+    packed_terms): s the least positive integer clearing every denominator,
+    and dense each s * p in Gaussian integers, in p's key order; the only
+    code that takes an lcm of coefficient denominators."""
     polys = list(polys)
     s = lcm(*[c._abd[2] for p in polys for c in p.values()])
     dense = []
@@ -864,16 +888,11 @@ def normal_form(p: Poly, presentation: TrinomialPresentation) -> Poly:
     DEGREE_BOUND or more.
     """
     engine = presentation.engine
-    try:
-        keys = [pack(m.pairs, engine.index) for m in p.terms]
-    except KeyError as exc:
-        raise UnknownGenerator(
-            f"{gen_name(exc.args[0])} is not a generator of this presentation"
-        ) from None
-    if engine.in_normal_form(keys):
+    terms = packed_terms(p, engine.index)
+    if engine.in_normal_form(terms):
         return p
-    scale, (terms,) = dense_terms((dict(zip(keys, p.terms.values())),))
-    nf, top = engine.dense_normal_form(terms)
+    scale, (dense,) = dense_terms((terms,))
+    nf, top = engine.dense_normal_form(dense)
     return engine.poly(nf, scale * engine.scale**top)
 
 

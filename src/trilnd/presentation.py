@@ -44,6 +44,7 @@ from .poly import (
     Poly,
     RewriteEngine,
     gen_name,
+    pack,
     svar,
     tvar,
 )
@@ -76,6 +77,17 @@ class AssumptionViolated(PresentationError):
 def _is_int(value) -> bool:
     """True for ints but not bools, which JSON true/false would smuggle in."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_object(pairs, error=BadShape) -> dict:
+    """object_pairs_hook of json.loads: the object's dict, or error naming a
+    key listed twice, which json.loads alone reads as its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise error(f"field {key!r} is repeated")
+        out[key] = value
+    return out
 
 
 def _det2(a: Tuple[GaussianRational, GaussianRational], b) -> GaussianRational:
@@ -215,28 +227,38 @@ class TrinomialPresentation:
 
     @cached_property
     def _block_memo(self) -> dict:
-        """Memo of the block-level pieces, filled on first use: ("power", i,
-        divisor) for block_power_divided, and the classifier's packed block
-        terms ("term", i, c, m) and minor ratios ("ratios", p, q, s). Nothing
-        in it depends on a tuple or a derivation."""
+        """Memo of the block-level pieces, filled on first use and read only
+        here: the packed block terms ("term", i, c, m) of block_term and the
+        minor ratios ("ratios", p, q, s) of minor_ratios. Nothing in it
+        depends on a tuple or a derivation."""
         return {}
+
+    def block_term(self, i: int, c: Optional[int] = None, m: int = 1) -> Tuple[int, int]:
+        """T_i^{l_i / m} as (key, 1) for c None, else its partial by T_ic as
+        (key, l_ic / m): the packed block pieces every class is built from,
+        kept in the block memo. m must divide every exponent of block i."""
+        key = ("term", i, c, m)
+        hit = self._block_memo.get(key)
+        if hit is None:
+            exps = self.exponents(i)
+            pairs = [(tvar(i, j), e // m - (j == c)) for j, e in enumerate(exps, start=1)]
+            term = pack(pairs, self.generator_index), 1 if c is None else exps[c - 1] // m
+            hit = self._block_memo[key] = term
+        return hit
 
     def block_power(self, i: int) -> Poly:
         """The monomial T_i^{l_i}."""
         return self.block_power_divided(i, 1)
 
     def block_power_divided(self, i: int, divisor: int) -> Poly:
-        """The monomial T_i^{l_i / divisor}; divisor must divide every exponent."""
-        key = ("power", i, divisor)
-        hit = self._block_memo.get(key)
-        if hit is None:
-            exps = self.exponents(i)
-            if any(e % divisor for e in exps):
-                raise ValueError(f"{divisor} does not divide the exponents of block {i}")
-            hit = self._block_memo[key] = Poly.monomial(
-                Monomial(tuple((tvar(i, j + 1), e // divisor) for j, e in enumerate(exps)))
-            )
-        return hit
+        """The monomial T_i^{l_i / divisor}, built afresh (not from block_term);
+        divisor must divide every exponent."""
+        exps = self.exponents(i)
+        if any(e % divisor for e in exps):
+            raise ValueError(f"{divisor} does not divide the exponents of block {i}")
+        return Poly.monomial(
+            Monomial(tuple((tvar(i, j + 1), e // divisor) for j, e in enumerate(exps)))
+        )
 
     def block_gcd(self, i: int) -> int:
         g = 0
@@ -253,6 +275,16 @@ class TrinomialPresentation:
         if len({p, q, s}) != 3 or not all(i in self.block_numbers for i in (p, q, s)):
             raise AssumptionViolated(f"{p}, {q}, {s} are not three distinct blocks of 0..{self.r}")
         return self._minors[q, s], self._minors[s, p], self._minors[p, q]
+
+    def minor_ratios(self, p: int, q: int, s: int):
+        """(-alpha/gamma, -beta/gamma) of triple_coefficients(p, q, s), kept in
+        the block memo: T_s^{l_s} in terms of T_p^{l_p} and T_q^{l_q}."""
+        key = ("ratios", p, q, s)
+        hit = self._block_memo.get(key)
+        if hit is None:
+            alpha, beta, gamma = self.triple_coefficients(p, q, s)
+            hit = self._block_memo[key] = -alpha / gamma, -beta / gamma
+        return hit
 
     def triple_relation(self, p: int, q: int, s: int) -> Poly:
         alpha, beta, gamma = self.triple_coefficients(p, q, s)
@@ -301,8 +333,8 @@ class TrinomialPresentation:
         else:
             rules = []
             for j in range(2, self.r + 1):
-                alpha, beta, gamma = self.triple_coefficients(0, 1, j)
-                rules.append((power[j], ((power[0], -alpha / gamma), (power[1], -beta / gamma))))
+                ratio_0, ratio_1 = self.minor_ratios(0, 1, j)
+                rules.append((power[j], ((power[0], ratio_0), (power[1], ratio_1))))
             relations = []
             for i in range(self.r - 1):
                 coefficients = self.triple_coefficients(i, i + 1, i + 2)
@@ -456,7 +488,7 @@ class TrinomialPresentation:
     @staticmethod
     def from_json(text: str) -> "TrinomialPresentation":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise BadShape(f"invalid JSON: {exc}") from None
         return TrinomialPresentation.from_input_dict(data)

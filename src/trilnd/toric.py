@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 from .classify import DEFAULT_LAMBDAS
 from .derivation import Derivation
 from .gaussian import GaussianRational, I, InternalError, InvalidArgument, ONE, gq, gq_format
-from .poly import Poly, tvar
+from .poly import Poly, _joined, _monomial_text, tvar
 from .presentation import TrinomialPresentation, _ext_gcd, surface
 
 
@@ -185,22 +185,9 @@ def _character_in_uvz(gamma: int, point) -> Tuple[int, int, int]:
 
 
 def _format_uvz(coeff: int, exps) -> str:
-    if coeff == 0:
-        return "0"
-    factors = []
-    for name, e in zip(("u", "v", "z"), exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    if not factors:
-        return str(coeff)
-    body = "*".join(factors)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    return f"{coeff}*{body}"
+    """coeff * u^a * v^b * z^c for exps (a, b, c), in the text of poly_format."""
+    term = _monomial_text((name, e) for name, e in zip("uvz", exps) if e)
+    return _joined([(gq(coeff), term)] if coeff else [])
 
 
 @dataclass(frozen=True)

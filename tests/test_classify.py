@@ -583,12 +583,12 @@ def test_presentation_keeps_only_block_level_pieces():
         if tag == "ratios":  # the minor ratios of a relation on three blocks
             assert len(set(args)) == 3 and set(args) <= blocks
             continue
-        # a block power ("power", i, m), or its packed term ("term", i, c, m)
-        # with c None or a column of block i
-        assert tag in ("power", "term") and len(args) == (2 if tag == "power" else 3)
-        i, *column, m = args
+        # a packed block term ("term", i, c, m) with c None or a column of
+        # block i; no block power
+        assert tag == "term" and len(args) == 3
+        i, column, m = args
         assert i in blocks and all(e % m == 0 for e in P.exponents(i))
-        assert column in ([], [None]) or 1 <= column[0] <= P.block_size(i)
+        assert column is None or 1 <= column <= P.block_size(i)
     assert len(P._block_memo) <= P.n + P.r**3
     assert P._minors.keys() == set(itertools.permutations(blocks, 2))
     assert set(P.__dict__) <= {
@@ -604,13 +604,13 @@ def test_presentation_keeps_only_block_level_pieces():
 def test_the_classifier_builds_no_poly_product_or_relation(monkeypatch):
     """class_report and enumerate_lnds(expand=False) build every class on
     packed keys: no Monomial product or quotient (poly._merge), no packing
-    of Poly images (poly.integer_terms, looked up in trilnd.derivation)
+    of Poly images (poly.packed_terms, looked up in trilnd.derivation)
     and no Poly relation (RewriteEngine.poly_relations)."""
     calls = []
     spied = [
         (trilnd.poly, "_merge"),
-        (trilnd.poly, "integer_terms"),
-        (trilnd.derivation, "integer_terms"),
+        (trilnd.poly, "packed_terms"),
+        (trilnd.derivation, "packed_terms"),
         (RewriteEngine, "poly_relations"),
     ]
     for owner, name in spied:
@@ -631,4 +631,4 @@ def test_the_classifier_builds_no_poly_product_or_relation(monkeypatch):
     P.relations()
     Derivation(P, {P.generators[0]: Poly.generator(P.generators[-1]) * 2}).packed()
     Poly.generator(P.generators[0]) * Poly.generator(P.generators[-1])
-    assert calls == ["poly_relations", "integer_terms", "_merge"]
+    assert calls == ["poly_relations", "packed_terms", "_merge"]

@@ -285,6 +285,24 @@ def test_verify_strips_a_power_past_the_degree_guard(tmp_path, capsys):
     assert rep["verified"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "text",
+    ["T0_1 = T0_1\n", "", "T0_1 = 2i*T2_1\nT1_1 = 2*T2_1\nT2_1 = -2*T1_1 - 2i*T0_1\n"],
+    ids=["broken", "zero", "nilpotent"],
+)
+def test_verify_refuses_a_cap_below_one_whatever_the_derivation(tmp_path, capsys, text, cap):
+    # a derivation that breaks a relation is refused like any other, before
+    # the relation check, as oracle refuses a bad cap before any search
+    deriv = tmp_path / "d.txt"
+    deriv.write_text(text)
+    code, rep = run(
+        capsys, "verify", "--presentation", f"{SAMPLES}/sphere.json",
+        "--derivation", str(deriv), "--cap", cap,
+    )
+    assert (code, rep) == (1, {"error": "cap must be at least 1", "kind": "InvalidArgument"})
+
+
 def test_oracle_sphere(capsys):
     code, rep = run(
         capsys,
@@ -397,6 +415,37 @@ def test_unknown_presentation_field(tmp_path, capsys):
     code, rep = run(capsys, "analyze", "--presentation", path)
     assert code == 1
     assert "weights" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"type": 1, "blocks": [[2], [3]], "blocks": [[1], [1]]}', "blocks"),
+        ('{"type": 2, "type": 1, "blocks": [[2], [3]]}', "type"),
+        ('{"type": 1, "blocks": [[2], [3]], "free_vars": 0, "free_vars": 1}', "free_vars"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "lnds"])
+def test_a_repeated_presentation_key_is_refused(tmp_path, capsys, text, key, command):
+    # json.loads alone would read the last value
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, rep = run(capsys, command, "--presentation", str(path))
+    assert (code, rep) == (1, {"error": f"field {key!r} is repeated", "kind": "BadShape"})
+
+
+@pytest.mark.parametrize(
+    "descriptor, key",
+    [
+        ('{"kind": "t2a", "kind": "t2c", "c": [1, 1, 1], "roles": [0, 1, 2], "param": "i"}', "kind"),
+        ('{"kind": "t2c", "c": [1, 1, 1], "roles": [0, 1, 2], "param": "i", "param": "-i"}', "param"),
+    ],
+)
+def test_a_repeated_descriptor_key_is_refused(capsys, descriptor, key):
+    code, rep = run(
+        capsys, "kernel", "--presentation", f"{SAMPLES}/sphere.json", "--descriptor", descriptor
+    )
+    assert (code, rep) == (1, {"error": f"field {key!r} is repeated", "kind": "InadmissibleDescriptor"})
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,17 @@
 """One derivation type: its packed images, with a Poly view derived from them.
 
 A Derivation is its packed images. Derivation(P, images) packs Poly
-images once with poly.integer_terms and keeps them as the Poly view;
-derivation_from_text, the oracle and the classifier (Derivation._of_terms)
-build packed images only, and the engine builds their Poly view when it
-is first read, never packing it back. Coefficients reach the
-Gaussian integers through poly.dense_terms, and normal forms reach one
-power of the rule scale through RewriteEngine.dense_normal_forms. Every
-packed view must meet its invariant: nonzero images, keys in normal
-form, no zero coefficient, a positive integer scale, and the packed-only
-Derivation of those images equal to an independent reference. A
-derivation is packed once, when it is made, and its relations are
-checked at most once.
+images with poly.packed_terms, derivation_from_text packs text as it
+reads it, and the oracle and the classifier (Derivation._of_terms) build
+packed images: every constructor keeps packed images only, and the
+engine builds their Poly view when it is first read, never packing it
+back. Coefficients reach the Gaussian integers through poly.dense_terms,
+and normal forms reach one power of the rule scale through
+RewriteEngine.dense_normal_forms. Every packed view must meet its
+invariant: nonzero images, keys in normal form, no zero coefficient, a
+positive integer scale, and the packed-only Derivation of those images
+equal to an independent reference. A derivation is packed once, when it
+is made, and its relations are checked at most once.
 """
 
 import copy
@@ -41,7 +41,17 @@ from trilnd.oracle import (
     oracle_enumerate,
     solution_space,
 )
-from trilnd.poly import Monomial, Poly, gen_name, integer_terms, normal_form, pack, poly_format
+from trilnd.poly import (
+    Monomial,
+    Poly,
+    dense_terms,
+    gen_name,
+    normal_form,
+    pack,
+    packed_terms,
+    poly_format,
+    stepwise_normal_form,
+)
 from trilnd.presentation import type1, type2
 
 SCALARS = (gq(1), -I, gq(Fraction(1, 2)), gq(Fraction(-2, 3)), gq(2, 1), gq(Fraction(1, 3), -2))
@@ -117,6 +127,20 @@ def test_the_converter_and_the_text_reader_meet_the_invariant(data):
     assert packed_only(parsed)
     assert_invariant(parsed, reference)
     assert parsed == Derivation(P, raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_converter_keeps_no_poly_view(data):
+    # Derivation(P, images) packs and normalizes its images and keeps no
+    # Poly view of them; the view built on first read is the stepwise
+    # normal form of each input, with the images that vanish dropped
+    P = data.draw(st.sampled_from(PRESENTATIONS))
+    raw = data.draw(raw_images(P))
+    delta = Derivation(P, raw)
+    assert packed_only(delta)
+    want = {g: nf for g, img in raw.items() if (nf := stepwise_normal_form(img, P.rewrite_rules))}
+    assert delta.images == want
 
 
 def test_a_packed_only_derivation_survives_copy_and_pickle():
@@ -266,7 +290,7 @@ def test_dense_normal_forms_share_one_power_of_the_scale(data):
     polys = list(data.draw(raw_images(P)).values())
     # inputs that need no rule, and one with a cancelled entry
     polys += [normal_form(p, P) for p in data.draw(raw_images(P)).values()]
-    s, dense = integer_terms(polys, P.generator_index)
+    s, dense = dense_terms(packed_terms(p, P.generator_index) for p in polys)
     box = engine.box(1, [()] * len(P.generators))
     spare = [key for key, _ in box if dense and key not in dense[-1]]
     if spare and data.draw(st.booleans()):
@@ -290,7 +314,7 @@ def test_inputs_of_different_tops_are_brought_to_the_highest():
     t1, t2 = P.generators
     lead = Poly.generator(t2) ** 3
     polys = [Poly.generator(t1) * gq(Fraction(1, 3)), lead * lead + Poly.generator(t2), lead]
-    s, dense = integer_terms(polys, P.generator_index)
+    s, dense = dense_terms(packed_terms(p, P.generator_index) for p in polys)
     (normal,), _ = engine.dense_normal_forms(dense[:1])
     assert normal is dense[0]
     forms, top = engine.dense_normal_forms(dense)

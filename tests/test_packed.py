@@ -14,10 +14,12 @@ from trilnd.poly import (
     DegreeOverflow,
     Monomial,
     Poly,
+    UnknownGenerator,
+    dense_terms,
     exact_divide,
-    integer_terms,
     normal_form,
     pack,
+    packed_terms,
     poly_parse,
     svar,
     tvar,
@@ -77,14 +79,14 @@ CYLINDER = surface(2, 2, 2, d=2)
 S1, S2 = svar(1), svar(2)
 
 
-def test_integer_terms_refuses_a_monomial_past_the_bound():
+def test_packed_terms_refuses_a_monomial_past_the_bound():
     index = CYLINDER.generator_index
     fits = poly_parse(f"S1^{DEGREE_BOUND // 2}*S2^{DEGREE_BOUND // 2 - 1} + 1")
-    _, (terms,) = integer_terms([fits], index)
+    terms = packed_terms(fits, index)
     assert max(terms) >> (EXPONENT_BITS * len(index)) == DEGREE_BOUND - 1
     for text in (f"S1^{DEGREE_BOUND}", f"S1^{DEGREE_BOUND // 2}*S2^{DEGREE_BOUND // 2} + 1"):
         with pytest.raises(DegreeOverflow):
-            integer_terms([poly_parse(text)], index)
+            packed_terms(poly_parse(text), index)
 
 
 def test_a_step_past_the_bound_raises():
@@ -195,6 +197,20 @@ def test_degree_bound_holds_at_library_level():
     assert normal_form(below, P) is below
 
 
+def test_a_foreign_generator_is_named_before_a_degree_past_the_bound():
+    # every entry that packs a Poly names a foreign generator in a later
+    # term before it refuses an earlier monomial past the bound
+    P = type1(((2,), (3,)), d=1)
+    image = Poly.generator(svar(1)) ** DEGREE_BOUND + Poly.generator(svar(2))
+    with pytest.raises(UnknownGenerator, match="^image of T1_1 uses foreign generator S2$"):
+        Derivation(P, {tvar(1, 1): image})
+    with pytest.raises(UnknownGenerator, match="^S2 is not a generator of this presentation$"):
+        normal_form(image, P)
+    delta = Derivation(P, {tvar(1, 1): Poly.generator(tvar(2, 1))})
+    with pytest.raises(UnknownGenerator, match="^S2 is not a generator of this presentation$"):
+        kernel_member(delta, image)
+
+
 def test_dense_images_are_keys_of_the_generator_positions():
     delta = Derivation(CYLINDER, {S1: poly_parse("3*T0_1^2*S2 - i")})
     images, _ = delta.packed()
@@ -221,11 +237,11 @@ def test_dense_images_are_keys_of_the_generator_positions():
 def test_content_is_the_least_exponent_of_each_generator(text):
     p = poly_parse(text)
     engine = CYLINDER.engine
-    terms = integer_terms([p], CYLINDER.generator_index)[1][0]
+    terms = dense_terms([packed_terms(p, CYLINDER.generator_index)])[1][0]
     pairs, quotient = engine.content(terms)
     least = {g: min(m.exponent(g) for m in p.terms) for g in CYLINDER.generators}
     assert dict(pairs) == {g: e for g, e in least.items() if e}
     assert [g for g, _ in pairs] == sorted(dict(pairs), reverse=True)
     mu = Monomial(pairs)
-    want = integer_terms([exact_divide(p, mu)], CYLINDER.generator_index)[1][0]
+    want = dense_terms([packed_terms(exact_divide(p, mu), CYLINDER.generator_index)])[1][0]
     assert quotient == want

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 from fractions import Fraction
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import trilnd
 from trilnd.corpus import corpus
 from trilnd.gaussian import gq
 from trilnd.poly import Poly, gen_name, partial_derivative, poly_parse, svar, tvar
@@ -197,25 +199,44 @@ def test_block_power_helpers():
 
 
 def test_the_packed_block_partial_is_the_partial_of_the_block_power():
-    """classify._block_term(P, i, j, m), the key and coefficient the
-    classifier builds with, is the partial of T_i^{l_i / m} by T_ij, and
-    _block_term(P, i, m=m) is T_i^{l_i / m}, for every m that divides the
+    """P.block_term(i, j, m), the key and coefficient the classifier
+    builds with, is the partial of T_i^{l_i / m} by T_ij, and
+    P.block_term(i, m=m) is T_i^{l_i / m}, for every m that divides the
     block's exponents."""
-    from trilnd.classify import _block_term
-
     for P in corpus():
         checked = set()
         for i in P.block_numbers:
             for j in range(1, P.block_size(i) + 1):
                 for m in (m for m in range(1, P.block_gcd(i) + 1) if P.block_gcd(i) % m == 0):
                     fresh = partial_derivative(P.block_power_divided(i, m), tvar(i, j))
-                    key, e = _block_term(P, i, j, m)
+                    key, e = P.block_term(i, j, m)
                     assert len(fresh.terms) == 1
                     assert Poly.monomial(P.engine.monomial(key), gq(e)) == fresh, (P.describe(), i, j)
-                    key, e = _block_term(P, i, m=m)
+                    key, e = P.block_term(i, m=m)
                     assert (Poly.monomial(P.engine.monomial(key)), e) == (P.block_power_divided(i, m), 1)
                 checked.add(tvar(i, j))
         assert checked == {g for g in P.generators if gen_name(g).startswith("T")}
+
+
+def test_only_the_presentation_names_its_block_memo():
+    """The block memo has one owner: no module of the package but
+    presentation.py names _block_memo, as an attribute, a name, a
+    definition or a string."""
+
+    def names_it(node):
+        return "_block_memo" in (
+            getattr(node, "attr", None),
+            getattr(node, "id", None),
+            getattr(node, "name", None),
+            getattr(node, "value", None),
+        )
+
+    naming = {
+        path.name
+        for path in Path(trilnd.__file__).parent.glob("*.py")
+        if any(map(names_it, ast.walk(ast.parse(path.read_text()))))
+    }
+    assert naming == {"presentation.py"}
 
 
 def test_memoized_minors_are_the_fresh_minors():
@@ -236,7 +257,7 @@ def test_warm_caches_do_not_change_identity():
         warm = TrinomialPresentation.from_input_dict(P.to_input_dict())
         cold = TrinomialPresentation.from_input_dict(P.to_input_dict())
         warm.relations()
-        warm.block_power(warm.r0)  # the relations leave the block memo empty
+        warm.block_term(warm.r0)  # fills the block memo
         class_report(warm)
         enumerate_lnds(warm)
         assert warm._block_memo and {"_relations", "engine"} <= set(warm.__dict__)

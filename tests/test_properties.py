@@ -45,9 +45,10 @@ from trilnd.oracle import _nullspace, _rref, oracle_enumerate
 from trilnd.poly import (
     Monomial,
     Poly,
+    dense_terms,
     gen_name,
-    integer_terms,
     normal_form,
+    packed_terms,
     stepwise_normal_form,
 )
 from trilnd.presentation import PresentationError, TrinomialPresentation, surface, type2
@@ -201,10 +202,10 @@ def test_dense_step_is_apply_up_to_a_scalar(data):
     delta = data.draw(corpus_derivations())
     P = delta.presentation
     p = data.draw(polys(P, scalars=FRACTIONAL_SCALARS))
-    _, (terms,) = integer_terms([p], P.generator_index)
+    _, (terms,) = dense_terms([packed_terms(p, P.generator_index)])
     got = delta.step(terms)
     exact = delta.apply(p)
-    _, (want,) = integer_terms([exact], P.generator_index)
+    _, (want,) = dense_terms([packed_terms(exact, P.generator_index)])
     assert got.keys() == want.keys()
     if got:
         m0 = next(iter(got))

@@ -35,7 +35,8 @@ from trilnd.poly import (
     PolyParseError,
     UnknownGenerator,
     _add_term,
-    integer_terms,
+    dense_terms,
+    packed_terms,
     parse_gen_name,
     poly_parse,
     tvar,
@@ -559,5 +560,6 @@ def test_the_rules_and_relations_are_views_of_the_engine():
             list(p.terms.items()) for p in relations
         ]
         engine = P.engine
-        assert engine.scale == integer_terms(rules.values(), P.generator_index)[0]
-        assert list(engine.relations) == integer_terms(relations, P.generator_index)[1]
+        index = P.generator_index
+        assert engine.scale == dense_terms(packed_terms(p, index) for p in rules.values())[0]
+        assert list(engine.relations) == dense_terms(packed_terms(p, index) for p in relations)[1]

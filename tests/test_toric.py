@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from trilnd.derivation import is_well_defined, kernel_member, nilpotency_check, replica
@@ -16,6 +18,7 @@ from trilnd.toric import (
     toric_derivation,
     weighted_plane_lnds,
 )
+from trilnd.toric import _character_in_uvz, _format_uvz, _uvz_weights
 
 
 # -- cones and root families -------------------------------------------------
@@ -115,6 +118,47 @@ def test_toric_derivation_first_root():
         "T2_1": "-2*T1_1 - 2i*T0_1",
     }
     assert td.xyz == case_b_pair(3)[0][1]
+
+
+def reference_uvz(coeff, exps):
+    """coeff * u^a * v^b * z^c as toric.py once wrote it, with a text writer
+    of its own: the reference for _format_uvz, which writes with poly's."""
+    if coeff == 0:
+        return "0"
+    factors = []
+    for name, e in zip(("u", "v", "z"), exps):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    if not factors:
+        return str(coeff)
+    body = "*".join(factors)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return f"-{body}"
+    return f"{coeff}*{body}"
+
+
+def test_the_uv_text_is_the_reference_text():
+    # zero, the units and other coefficients, on exponent triples with zeros
+    for coeff in (*range(-12, 13), 100, -144):
+        for exps in itertools.product(range(4), repeat=3):
+            assert _format_uvz(coeff, exps) == reference_uvz(coeff, exps), (coeff, exps)
+    # and every image toric_derivation writes, on both rays
+    for gamma in (1, 2, 3, 5):
+        for ray in (1, 2):
+            family = demazure_roots(gamma_cone(gamma), ray)
+            for p in (1, 2, 4):
+                e = family.root(p)
+                want = {}
+                for name, m in _uvz_weights(gamma).items():
+                    coeff = family.normal[0] * m[0] + family.normal[1] * m[1]
+                    # a zero coefficient has no character to write
+                    exps = _character_in_uvz(gamma, (m[0] + e[0], m[1] + e[1])) if coeff else ()
+                    want[name] = reference_uvz(coeff, exps)
+                assert toric_derivation(gamma, ray, p).uv_images == want, (gamma, ray, p)
 
 
 def test_toric_derivation_second_ray_mirrors():
