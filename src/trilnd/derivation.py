@@ -46,8 +46,7 @@ from .poly import (
     Poly,
     PolyParseError,
     UnknownGenerator,
-    _add_product,
-    _add_term,
+    _products,
     _reject_foreign,
     dense_leibniz,
     dense_terms,
@@ -61,6 +60,7 @@ from .poly import (
     poly_format,
     poly_terms,
     primitive_part,
+    summed_terms,
 )
 from .presentation import TrinomialPresentation
 
@@ -251,10 +251,8 @@ class Derivation:
         """The Leibniz extension, the sum over the nonzero images of
         dp/dg * delta(g), returned in normal form."""
         _reject_foreign(p, self.presentation.generator_set)
-        acc: dict = {}
-        for g, img in self.images.items():
-            _add_product(acc, partial_derivative(p, g), img)
-        return normal_form(Poly._of(acc), self.presentation)
+        terms = (t for g, img in self.images.items() for t in _products(partial_derivative(p, g), img))
+        return normal_form(Poly._of(summed_terms(terms)), self.presentation)
 
     def scaled(self, factor: GaussianRational) -> "Derivation":
         factor = factor if isinstance(factor, GaussianRational) else gq(factor)
@@ -528,6 +526,15 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
     images: dict = {}
     factors: dict = {}  # poly_terms' memo, shared by the lines
     overflow = False
+
+    def term_key(pairs):  # past the degree bound, a Monomial: raised below unless it cancels
+        nonlocal overflow
+        try:
+            return pack(pairs, index)
+        except DegreeOverflow:
+            overflow = True
+            return Monomial(pairs)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -552,14 +559,9 @@ def derivation_from_text(P: TrinomialPresentation, text: str) -> Derivation:
             raise DerivationFormatError(f"line {lineno}: {exc}") from None
         except UnknownGenerator as exc:
             raise UnknownGenerator(f"line {lineno}: {exc}") from None
-        acc = images[g] = {}
-        for sign, pairs, (a, b, d) in terms:
-            if a or b:
-                try:
-                    key = pack(pairs, index)
-                except DegreeOverflow:  # raised below, unless it cancels
-                    key, overflow = Monomial(pairs), True
-                _add_term(acc, key, GaussianRational._of(sign * a, sign * b, d))
+        images[g] = summed_terms(
+            (term_key(pairs), GaussianRational._of(sign * a, sign * b, d)) for sign, pairs, (a, b, d) in terms
+        )
     if overflow:
         for terms in images.values():
             for key in terms:

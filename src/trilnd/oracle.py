@@ -69,16 +69,12 @@ def reduced_monomials(P: TrinomialPresentation, max_degree: int):
 
 
 def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
-    """p * row - x * pivot_row, where p = pivot_row[c] and x = row[c], divided
-    by the gcd of its real and imaginary parts. Column c drops out."""
+    """p * row - x * pivot_row (dense_combination), where p = pivot_row[c] and
+    x = row[c], divided by the gcd of its parts. Column c drops out."""
     pa, pb = pivot_row[c]
     xa, xb = row[c]
-    out = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
-    for j, (a, b) in pivot_row.items():
-        ra, rb = xa * a - xb * b, xa * b + xb * a
-        cur = out.get(j)
-        out[j] = (-ra, -rb) if cur is None else (cur[0] - ra, cur[1] - rb)
-    return primitive_part({j: v for j, v in out.items() if v[0] or v[1]})
+    scaled = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
+    return primitive_part(dense_combination(scaled, pivot_row, -xa, -xb))
 
 
 def _rref(rows: List[dict], ncols: int):

@@ -18,13 +18,13 @@ dense form described below; normal_form is its entry for a Poly, and
 stepwise_normal_form the independent reference. packed_terms is the one
 packer of a Poly, dense_terms the one scaler to Gaussian integers,
 RewriteEngine.dense_normal_forms the one normalizer to one power of the
-rule scale, _add_term (summed_terms) the one merger of terms. The engine
-also enumerates a degree box of normal-form keys (RewriteEngine.box),
-relabels keys (swapped), writes keys in the text of poly_format (format),
-and turns keys and dense polynomials back into Monomial and Poly
-(monomial, poly) for the references. Every polynomial text, toric's too,
-is written by _joined, joining terms, and _monomial_text, as
-Monomial.__str__ does.
+rule scale. summed_terms merges every stream of Q(i) terms, Poly and
+packed alike, and _add_scaled every Gaussian-integer one. The engine also
+enumerates a degree box of normal-form keys (RewriteEngine.box), relabels
+keys (swapped), writes keys in the text of poly_format (format), and turns
+keys and dense polynomials back into Monomial and Poly (monomial, poly)
+for the references. Every polynomial text, toric's too, is written by
+_joined, joining terms, and _monomial_text, as Monomial.__str__ does.
 """
 
 from __future__ import annotations
@@ -219,24 +219,19 @@ def _merge(a: Monomial, b: Monomial, sign: int) -> Monomial:
     return Monomial._of(tuple(pairs))
 
 
-def _add_term(acc: dict, m: Monomial, c: GaussianRational) -> None:
-    """Add the nonzero c to the coefficient of m in acc, dropping m if it
-    cancels. This is the only place that merges terms."""
-    cur = acc.get(m)
-    new = c if cur is None else cur + c
-    if new:
-        acc[m] = new
-    else:
-        del acc[m]
-
-
 def summed_terms(terms) -> dict:
     """The sum of (key, coefficient) pairs, a key being a Monomial or packed,
-    as {key: nonzero coefficient}, merged by _add_term; zeros skipped."""
+    as {key: nonzero coefficient} in first-seen order, zeros skipped and a
+    cancelled key dropped: the only merger of GaussianRational terms."""
     acc: dict = {}
     for key, c in terms:
         if c:
-            _add_term(acc, key, c)
+            cur = acc.get(key)
+            new = c if cur is None else cur + c
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
     return acc
 
 
@@ -246,16 +241,10 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[Monomial, GaussianRational], Iterable] = ()):
-        items = _items(terms)
-        acc: dict = {}
-        for m, c in items:
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
-            if not isinstance(c, GaussianRational):
-                c = gq(c)
-            if c:
-                _add_term(acc, m, c)
-        self._terms = acc
+        self._terms = summed_terms(
+            (m if isinstance(m, Monomial) else Monomial(m), c if isinstance(c, GaussianRational) else gq(c))
+            for m, c in _items(terms)
+        )
 
     @staticmethod
     def _of(terms: dict) -> "Poly":
@@ -311,10 +300,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        d = dict(self._terms)
-        for m, c in other._terms.items():
-            _add_term(d, m, c)
-        return Poly._of(d)
+        return Poly._of(summed_terms(t for p in (self, other) for t in p._terms.items()))
 
     __radd__ = __add__
 
@@ -342,9 +328,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict = {}
-        _add_product(acc, self, other)
-        return Poly._of(acc)
+        return Poly._of(summed_terms(_products(self, other)))
 
     __rmul__ = __mul__
 
@@ -362,7 +346,7 @@ class Poly:
 
     def substitute(self, assignment: Mapping[Gen, "Poly"]) -> "Poly":
         """Replace each generator by a polynomial (missing ones stay)."""
-        acc: dict = {}
+        terms = []
         for m, c in self._terms.items():
             term = Poly.constant(c)
             for g, e in m.pairs:
@@ -371,9 +355,8 @@ class Poly:
                     term = term * Poly.monomial(Monomial(((g, e),)))
                 else:
                     term = term * repl**e
-            for tm, tc in term._terms.items():
-                _add_term(acc, tm, tc)
-        return Poly._of(acc)
+            terms += term._terms.items()
+        return Poly._of(summed_terms(terms))
 
     def __eq__(self, other):
         other = _as_poly(other)
@@ -399,22 +382,18 @@ def _as_poly(value):
     return NotImplemented
 
 
-def _add_product(acc: dict, p: Poly, q: Poly) -> None:
-    """Add p * q into the term dict acc."""
+def _products(p: Poly, q: Poly):
+    """The terms of p * q, unmerged: each term of p times each of q."""
     q_terms = q.terms.items()
     for m1, c1 in p.terms.items():
         for m2, c2 in q_terms:
-            _add_term(acc, m1 * m2, c1 * c2)
+            yield m1 * m2, c1 * c2
 
 
 def partial_derivative(p: Poly, g: Gen) -> Poly:
-    acc: dict = {}
+    """dp/dg. No terms merge: m -> m / g is injective on monomials with g."""
     unit = Monomial._of(((g, 1),))
-    for m, c in p.terms.items():
-        e = m.exponent(g)
-        if e:
-            _add_term(acc, m / unit, c * e)
-    return Poly._of(acc)
+    return Poly._of({m / unit: c * e for m, c in p.terms.items() if (e := m.exponent(g))})
 
 
 # The dense form keys a monomial x^e in n generators by one int, its packed
@@ -526,7 +505,8 @@ def dense_combination(p: dict, q: dict, a: int, b: int) -> dict:
 def dense_leibniz(p: dict, parts) -> dict:
     """The Leibniz rule on a dense dict: the sum over the
     RewriteEngine.leibniz_part pairs (shift, shifted) of dp/dx_k * image_k,
-    not reduced."""
+    not reduced. The inner loop is _add_scaled's body, inlined as this is
+    the hottest loop of the nilpotency walk."""
     acc: dict = {}
     get = acc.get
     for m, (a, b) in p.items():
@@ -969,11 +949,11 @@ def poly_parse(text: str, allowed: Iterable[Gen] = None) -> Poly:
     UnknownGenerator.
     """
     allowed_set = set(allowed) if allowed is not None else None
-    acc: dict = {}
-    for sign, pairs, (a, b, d) in poly_terms(text, allowed_set):
-        if a or b:
-            _add_term(acc, Monomial(pairs), GaussianRational._of(sign * a, sign * b, d))
-    return Poly._of(acc)
+    summed = summed_terms(
+        (Monomial(pairs), GaussianRational._of(sign * a, sign * b, d))
+        for sign, pairs, (a, b, d) in poly_terms(text, allowed_set)
+    )
+    return Poly._of(summed)
 
 
 # the signs at which a term can end, and the parentheses that nest them;

@@ -125,3 +125,25 @@ def test_only_dense_terms_takes_an_lcm():
                 }
     assert {name for name, _ in callers} <= {"poly.py", "gaussian.py"}
     assert {func for name, func in callers if name == "poly.py"} == {"dense_terms"}
+
+
+def test_only_summed_terms_drops_a_cancelled_term():
+    """poly.summed_terms is the one merger of GaussianRational terms: every
+    del of a subscript sits in it, but for gaussian.gq_factor's removal of
+    a prime whose exponent reached 0, and the per-term helpers it replaced
+    are gone."""
+    dels, defined = [], set()
+    for name, tree in modules().items():
+        owners = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(func.name)
+                # ast.walk meets an outer function first, so an inner one overwrites it
+                owners.update((node, func.name) for node in ast.walk(func))
+        dels += [
+            (name, owners.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Delete) and any(isinstance(t, ast.Subscript) for t in node.targets)
+        ]
+    assert sorted(dels) == [("gaussian.py", "gq_factor"), ("poly.py", "summed_terms")]
+    assert not defined & {"_add_term", "_add_product"}

@@ -39,7 +39,7 @@ from trilnd.derivation import (
     refutation_holds,
     replica,
 )
-from trilnd.gaussian import I, ONE, ZERO, GaussianRational, gq
+from trilnd.gaussian import I, ONE, ZERO, GaussianRational, gq, gq_format
 from trilnd.grading import weight_assignment, weight_of
 from trilnd.oracle import _nullspace, _rref, oracle_enumerate
 from trilnd.poly import (
@@ -48,8 +48,12 @@ from trilnd.poly import (
     dense_terms,
     gen_name,
     normal_form,
+    pack,
     packed_terms,
+    poly_parse,
     stepwise_normal_form,
+    summed_terms,
+    svar,
 )
 from trilnd.presentation import PresentationError, TrinomialPresentation, surface, type2
 from trilnd.toric import Cone2D, demazure_roots, gamma_cone, toric_derivation
@@ -136,6 +140,63 @@ def test_normal_form_returns_an_irreducible_input_itself(data):
 @given(polys(SPHERE), polys(SPHERE))
 def test_ring_subtraction_cancels(p, q):
     assert (p + q) - q == p
+
+
+# -- the one merger of terms ---------------------------------------------------
+
+# free-variable monomials are in normal form, so a derivation keeps them as read
+FREE = surface(2, 2, 2, d=2)
+FREE_KEYS = [Monomial(), Monomial({svar(1): 1}), Monomial({svar(1): 2, svar(2): 1}), Monomial({svar(2): 3})]
+PARTS = st.tuples(
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]), st.sampled_from([0, 1, -1, 2])
+)
+
+
+@st.composite
+def term_streams(draw):
+    """(key position, (re, im)) pairs over FREE_KEYS, with zeros and repeats,
+    and one key's sum cancelled, then that key added again."""
+    pair = st.tuples(st.integers(0, len(FREE_KEYS) - 1), PARTS)
+    stream = draw(st.lists(pair, max_size=8))
+    k = draw(st.integers(0, len(FREE_KEYS) - 1))
+    total = [sum(c[part] for j, c in stream if j == k) for part in (0, 1)]
+    stream += [(k, (-total[0], -total[1])), (k, draw(PARTS))]
+    return stream + draw(st.lists(pair, max_size=8))
+
+
+def reference_sum(stream):
+    """{key position: (re, im)} of the nonzero sums over Fractions, ordered by
+    the term at which each key's running sum last left zero."""
+    totals, entered = {}, {}
+    for pos, (k, c) in enumerate(stream):
+        t = totals.get(k, (0, 0))
+        if t == (0, 0) and c != (0, 0):
+            entered[k] = pos
+        totals[k] = (t[0] + c[0], t[1] + c[1])
+    live = [k for k, t in totals.items() if t != (0, 0)]
+    return {k: totals[k] for k in sorted(live, key=entered.get)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_streams(), st.booleans())
+def test_summed_terms_adds_up_a_term_stream(stream, packed):
+    index = FREE.generator_index
+    keys = [pack(m.pairs, index) for m in FREE_KEYS] if packed else FREE_KEYS
+    got = summed_terms((keys[k], gq(*c)) for k, c in stream)
+    assert all(got.values())
+    fractions = [(key, (Fraction(a, d), Fraction(b, d))) for key, c in got.items() for a, b, d in [c._abd]]
+    assert fractions == [(keys[k], t) for k, t in reference_sum(stream).items()]
+    # every reader of Q(i) terms sums them as summed_terms does
+    pairs = [(FREE_KEYS[k], gq(*c)) for k, c in stream]
+    want = list(summed_terms(pairs).items())
+    assert list(Poly(pairs).terms.items()) == want
+    text = " + ".join(f"({gq_format(c)})*{m}" for m, c in pairs)
+    assert list(poly_parse(text).terms.items()) == want
+    g = svar(1)
+    images, scale = derivation_from_text(FREE, f"{gen_name(g)} = {text}").packed()
+    assert [(key, GaussianRational._of(a, b, scale)) for key, (a, b) in images.get(g, {}).items()] == [
+        (pack(m.pairs, index), c) for m, c in want
+    ]
 
 
 @settings(max_examples=200, deadline=None)

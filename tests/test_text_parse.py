@@ -26,7 +26,7 @@ from trilnd.derivation import (
     DerivationFormatError,
     derivation_from_text,
 )
-from trilnd.gaussian import ONE, ScalarParseError, gq, gq_parse
+from trilnd.gaussian import ONE, ZERO, ScalarParseError, gq, gq_parse
 from trilnd.grading import NonHomogeneous, derivation_degree
 from trilnd.poly import (
     DegreeOverflow,
@@ -34,7 +34,6 @@ from trilnd.poly import (
     Poly,
     PolyParseError,
     UnknownGenerator,
-    _add_term,
     dense_terms,
     packed_terms,
     parse_gen_name,
@@ -186,8 +185,12 @@ def ref_poly_parse(text, allowed=None):
     acc = {}
     for sign, chunk in ref_split_terms(s):
         m, c = ref_parse_term(chunk, allowed_set)
-        if c:
-            _add_term(acc, m, c * sign)
+        if c:  # merged here, not by the merger under test
+            total = acc.get(m, ZERO) + c * sign
+            if total:
+                acc[m] = total
+            else:
+                del acc[m]
     return Poly._of(acc)
 
 
