@@ -14,7 +14,7 @@ relations between monomial block powers. Entry points:
 * cli: the command line.
 """
 
-from .gaussian import GaussianRational, I, InternalError, InvalidArgument, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
+from .gaussian import GaussianRational, I, InputError, InternalError, InvalidArgument, ONE, ZERO, gq, gq_format, gq_parse, gq_sqrt
 from .poly import (
     DegreeOverflow,
     Gen,

@@ -36,29 +36,29 @@ from math import prod
 from typing import Optional, Tuple
 
 from .derivation import Derivation, is_well_defined
-from .gaussian import I, ONE, GaussianRational, InternalError, gq, gq_format, gq_sqrt
+from .gaussian import I, ONE, GaussianRational, InputError, InternalError, gq, gq_format, gq_sqrt
 from .grading import Weight, derivation_degree
 from .poly import Gen, Poly, gen_name, pack, summed_terms, svar, tvar
 from .presentation import AssumptionViolated, TrinomialPresentation, _is_int
 
 
-class WrongType(TypeError):
+class WrongType(InputError, TypeError):
     """Operation defined for the other presentation type."""
 
 
-class InadmissibleTuple(ValueError):
+class InadmissibleTuple(InputError):
     """The tuple fails the admissibility predicate."""
 
 
-class InadmissibleDescriptor(ValueError):
+class InadmissibleDescriptor(InputError):
     """A derivation descriptor that does not match any classified case."""
 
 
-class NoSuchFreeVariable(ValueError):
+class NoSuchFreeVariable(InputError):
     """Free variable index out of range."""
 
 
-class NeedsNormalization(ValueError):
+class NeedsNormalization(InputError):
     """Construction requires a root of a coefficient ratio missing in Q(i)."""
 
     def __init__(self, message, ratio=None, order=None):
@@ -397,7 +397,7 @@ def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[Admiss
     """The AdmissibleTuple of a descriptor's tuple (None for a free
     variable), after checking everything about desc but its parameter's
     value; raises the input error that names what is wrong."""
-    if desc.kind not in _FIELDS:
+    if not isinstance(desc.kind, str) or desc.kind not in _FIELDS:
         raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
     fields = _FIELDS[desc.kind]
     stray = [

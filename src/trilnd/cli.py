@@ -2,7 +2,8 @@
 
 Every command reads a presentation from a JSON file and writes a JSON
 report to stdout. Exit codes: 0 on success, 1 on invalid input or
-exceeded search limits, 2 when a verification fails (a relation is
+exceeded search limits (a trilnd.InputError, or a file that cannot be
+read or is not UTF-8), 2 when a verification fails (a relation is
 broken, the derivation is not homogeneous, or nilpotency is refuted by
 divisibility or a degree cycle), 3 when nilpotency ends inconclusive (a
 guard such as the cap tripped), 4 when a self-check fails (an
@@ -21,41 +22,32 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import (
     InadmissibleDescriptor,
-    InadmissibleTuple,
     LndDescriptor,
-    NeedsNormalization,
-    NoSuchFreeVariable,
-    WrongType,
     _Construction,
     class_report,
     enumerate_lnds,
 )
 from .derivation import (
-    DerivationFormatError,
     derivation_from_text,
     is_well_defined,
     kernel_member,
     nilpotency_check,
 )
-from .gaussian import InternalError, InvalidArgument, ScalarParseError, gq_format, gq_parse
+from .gaussian import InputError, InternalError, InvalidArgument, gq_format, gq_parse
 from .grading import NonHomogeneous, derivation_degree
-from .oracle import BoxTooLarge, oracle_enumerate
+from .oracle import oracle_enumerate
 from .poly import (
-    DegreeOverflow,
-    PolyParseError,
-    UnknownGenerator,
     _EXPONENT_RE,
     poly_format,
     poly_parse,
 )
 from .presentation import (
-    PresentationError,
     TrinomialPresentation,
     _is_int,
     _json_object,
     all_ones_rescaling,
 )
-from .toric import Cone2D, RootOutOfRange, demazure_roots
+from .toric import Cone2D, demazure_roots
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,25 +56,7 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
-_INPUT_ERRORS = (
-    PresentationError,
-    ScalarParseError,
-    PolyParseError,
-    UnknownGenerator,
-    DerivationFormatError,
-    InadmissibleTuple,
-    InadmissibleDescriptor,
-    NoSuchFreeVariable,
-    NeedsNormalization,
-    WrongType,
-    RootOutOfRange,
-    BoxTooLarge,
-    InvalidArgument,
-    DegreeOverflow,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-    OSError,
-)
+_INPUT_ERRORS = (InputError, UnicodeDecodeError, OSError)
 
 
 def json_text(obj, newline: str = "\n") -> str:
@@ -188,7 +162,9 @@ def _descriptor_from_json(text: str) -> LndDescriptor:
     hook = functools.partial(_json_object, error=InadmissibleDescriptor)
     try:
         data = json.loads(text, object_pairs_hook=hook)
-    except json.JSONDecodeError as exc:
+    except InputError:  # a repeated field
+        raise
+    except (ValueError, RecursionError) as exc:  # also too deep, or past the digit limit
         raise InadmissibleDescriptor(f"descriptor is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "kind" not in data:
         raise InadmissibleDescriptor('descriptor must be an object with a "kind" field')
@@ -330,7 +306,7 @@ def cmd_oracle(args) -> int:
         for chunk in args.weight:
             try:
                 weights.append(_integers(chunk))
-            except argparse.ArgumentTypeError:
+            except (ValueError, argparse.ArgumentTypeError):  # also past the digit limit
                 raise InvalidArgument(
                     f"weight {chunk!r} must be comma-separated integers"
                 ) from None

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from .gaussian import GaussianRational, InvalidArgument, gq
+from .gaussian import GaussianRational, InputError, InvalidArgument, gq
 from .grading import Grading, homogeneous_parts
 from .poly import (
     DegreeOverflow,
@@ -69,7 +69,7 @@ class NotInKernel(ValueError):
     """replica() was given a cofactor outside the kernel."""
 
 
-class DerivationFormatError(ValueError):
+class DerivationFormatError(InputError):
     """Malformed derivation file."""
 
 

@@ -12,11 +12,19 @@ there is no floating point anywhere in the pipeline.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 
-class ScalarParseError(ValueError):
+class InputError(ValueError):
+    """The input was refused. Every trilnd error that names a fault in what
+    it was given (a malformed file, option or value, an inadmissible
+    request, a search past its limits) derives from this class, and the
+    CLI exits 1 on it; an InternalError or any other exception is a bug."""
+
+
+class ScalarParseError(InputError):
     """Raised when a scalar literal cannot be parsed."""
 
 
@@ -24,7 +32,7 @@ class InternalError(RuntimeError):
     """A self-check failed: this signals a bug, never invalid input."""
 
 
-class InvalidArgument(ValueError):
+class InvalidArgument(InputError):
     """An option or argument value outside its documented range."""
 
 
@@ -243,6 +251,20 @@ _SCALAR = _re.compile(
 )
 
 
+def _parse_int(text: str, error) -> int:
+    """int(text) for text that a pattern has matched as an optional sign and
+    ASCII digits, or error when it has more digits than
+    sys.get_int_max_str_digits(), the interpreter's bound on the quadratic
+    cost of reading an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.strip().lstrip("+-"))
+        raise error(
+            f"integer of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def gq_parse(text: str) -> GaussianRational:
     """Parse a scalar literal like '3', '-2/5', 'i', '-i', '1/2+2/3i', '1-i'.
 
@@ -256,12 +278,12 @@ def gq_parse(text: str) -> GaussianRational:
     if m is None:
         raise ScalarParseError(f"bad scalar literal: {text!r}")
     num, den, sign, inum, iden = m.groups()
-    a = int(num) if num else 0
-    q = int(den) if den else 1
+    a = _parse_int(num, ScalarParseError) if num else 0
+    q = _parse_int(den, ScalarParseError) if den else 1
     if sign is None:
         return GaussianRational._of(a, 0, q)
-    b = int(inum) if inum else 1
-    t = int(iden) if iden else 1
+    b = _parse_int(inum, ScalarParseError) if inum else 1
+    t = _parse_int(iden, ScalarParseError) if iden else 1
     return GaussianRational._of(a * t, -b * q if sign == "-" else b * q, q * t)
 
 

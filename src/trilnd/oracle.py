@@ -33,13 +33,13 @@ from typing import List, Optional, Tuple
 
 from .classify import enumerate_lnds
 from .derivation import Derivation, NilpotencyReport, nilpotency_check
-from .gaussian import GaussianRational, InvalidArgument, ONE, ZERO, gq_format
+from .gaussian import GaussianRational, InputError, InvalidArgument, ONE, ZERO, gq_format
 from .grading import Grading
 from .poly import dense_combination, dense_leibniz, dense_terms, primitive_part
 from .presentation import TrinomialPresentation
 
 
-class BoxTooLarge(RuntimeError):
+class BoxTooLarge(InputError, RuntimeError):
     """The search region exceeds the configured size limits."""
 
 

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, Tuple, Union
 
-from .gaussian import ONE, ZERO, GaussianRational, ScalarParseError, gq, gq_format, gq_parse
+from .gaussian import ONE, ZERO, GaussianRational, InputError, ScalarParseError, _parse_int, gq, gq_format, gq_parse
 
 if TYPE_CHECKING:
     from .presentation import TrinomialPresentation
@@ -43,11 +43,11 @@ if TYPE_CHECKING:
 Gen = Tuple
 
 
-class UnknownGenerator(ValueError):
+class UnknownGenerator(InputError):
     """A generator name outside the allowed alphabet."""
 
 
-class PolyParseError(ValueError):
+class PolyParseError(InputError):
     """Raised when polynomial text cannot be parsed."""
 
 
@@ -55,7 +55,7 @@ class NotDivisible(ValueError):
     """exact_divide was asked for a quotient that does not exist."""
 
 
-class DegreeOverflow(ValueError):
+class DegreeOverflow(InputError):
     """A monomial of the dense form has total degree DEGREE_BOUND or more."""
 
 
@@ -84,8 +84,8 @@ def parse_gen_name(name: str) -> Gen:
     if not m:
         raise UnknownGenerator(f"bad generator name: {name!r}")
     if m.group(1) is not None:
-        return tvar(int(m.group(1)), int(m.group(2)))
-    return svar(int(m.group(3)))
+        return tvar(_parse_int(m.group(1), UnknownGenerator), _parse_int(m.group(2), UnknownGenerator))
+    return svar(_parse_int(m.group(3), UnknownGenerator))
 
 
 def _items(data):
@@ -1061,7 +1061,7 @@ def _factor(f: str, allowed) -> tuple:
             return g, 1
         if not _EXPONENT_RE.fullmatch(exp_text):
             raise PolyParseError(f"bad exponent in {f!r}")
-        e = int(exp_text)
+        e = _parse_int(exp_text, PolyParseError)
         if e < 0:
             raise PolyParseError("negative exponent")
         return g, e

@@ -30,6 +30,7 @@ from .gaussian import (
     ONE,
     UNITS,
     GaussianRational,
+    InputError,
     InternalError,
     ScalarParseError,
     gq,
@@ -50,7 +51,7 @@ from .poly import (
 )
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
     """Base class for invalid presentation data."""
 
 
@@ -489,7 +490,9 @@ class TrinomialPresentation:
     def from_json(text: str) -> "TrinomialPresentation":
         try:
             data = json.loads(text, object_pairs_hook=_json_object)
-        except json.JSONDecodeError as exc:
+        except InputError:  # a repeated field
+            raise
+        except (ValueError, RecursionError) as exc:  # also too deep, or past the digit limit
             raise BadShape(f"invalid JSON: {exc}") from None
         return TrinomialPresentation.from_input_dict(data)
 

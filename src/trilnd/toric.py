@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .classify import DEFAULT_LAMBDAS
 from .derivation import Derivation
-from .gaussian import GaussianRational, I, InternalError, InvalidArgument, ONE, gq, gq_format
+from .gaussian import GaussianRational, I, InputError, InternalError, InvalidArgument, ONE, gq, gq_format
 from .poly import Poly, _joined, _monomial_text, tvar
 from .presentation import TrinomialPresentation, _ext_gcd, surface
 
@@ -30,7 +30,7 @@ from .presentation import TrinomialPresentation, _ext_gcd, surface
 _XYZ = tuple(Poly.generator(tvar(i, 1)) for i in range(3))
 
 
-class RootOutOfRange(ValueError):
+class RootOutOfRange(InputError):
     """Asked to materialize a family member with an index below 1."""
 
 

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
-from trilnd.classify import LndDescriptor, NeedsNormalization, build_lnd_type2, enumerate_lnds
-from trilnd.corpus import corpus, unnormalized_member
+from trilnd.classify import LndDescriptor, NeedsNormalization, build_lnd_type2, class_report, enumerate_lnds
+from trilnd.corpus import corpus, rescaled_members, unnormalized_member
+from trilnd.presentation import TrinomialPresentation
 from trilnd.gaussian import I
 
 
@@ -50,3 +53,39 @@ def test_unnormalized_member_is_kept_outside():
     desc = LndDescriptor(kind="t2c", c=(1, 1, 1), roles=(0, 1, 2), param=I)
     with pytest.raises(NeedsNormalization):
         build_lnd_type2(P, desc)
+
+
+def block_orders(P):
+    """P with its blocks in every order, each carrying its type 1 constant
+    or type 2 column (and its anchor), every distinct presentation once."""
+    seen = []
+    for order in itertools.permutations(range(len(P.blocks))):
+        Q = TrinomialPresentation(
+            kind=P.kind,
+            blocks=tuple(P.blocks[i] for i in order),
+            constants=tuple(P.constants[i] for i in order),
+            d=P.d,
+            anchors=None if P.anchors is None else tuple(P.anchors[i] for i in order),
+        )
+        if Q not in seen:
+            seen.append(Q)
+    return seen
+
+
+def class_story(P):
+    """The counts of P's class entries as a multiset, and its rigid and
+    semirigid verdicts."""
+    report = class_report(P)
+    counts = sorted(entry["count"] for entry in report.classes)
+    return counts, report.rigidity.rigid, report.semirigidity.semirigid
+
+
+@pytest.mark.parametrize("P", [*corpus(), *rescaled_members()], ids=str)
+def test_reordered_blocks_keep_the_classes(P):
+    """Reordering the blocks renames the generators of an isomorphic
+    algebra, so the classes keep their counts. The classifier's choices of
+    a labeling, a witness and a third role block read the block order; a
+    fault in one of them can stay on the orders the corpus holds."""
+    story = class_story(P)
+    for Q in block_orders(P):
+        assert class_story(Q) == story, Q.describe()
