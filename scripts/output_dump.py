@@ -23,6 +23,12 @@ reach the printed images and kernel patterns. For each it writes:
 * oracle_enumerate(degree_bound=3, cap=4).to_dict() for members with
   n + d <= 4.
 
+After the last member come the inputs that no member reaches: verify of
+BROKEN on sample_inputs/sphere_cylinder.json; the same block for
+GAUSSIAN_PRIME_MEMBER, whose coefficient ratio has a norm with a prime
+factor that is 1 mod 4; and analyze of REFUSED, an input error whose
+message shows the bad value.
+
 Temporary file names never reach the output.
 """
 
@@ -38,9 +44,10 @@ from trilnd.classify import enumerate_lnds, kernel_generators
 from trilnd.cli import main as cli_main
 from trilnd.corpus import corpus, rescaled_members, unnormalized_member
 from trilnd.derivation import derivation_to_text
+from trilnd.gaussian import gq
 from trilnd.oracle import oracle_enumerate
 from trilnd.poly import poly_format
-from trilnd.presentation import TrinomialPresentation
+from trilnd.presentation import TrinomialPresentation, type2
 
 COMMANDS = (
     ("analyze",),
@@ -51,6 +58,13 @@ COMMANDS = (
     ("lnds", "--expand", "--lambdas", "0,1,i,2-3i"),
     ("normalize",),
 )
+
+# a derivation that breaks the relation, whose residue verify prints, and
+# one whose image is not homogeneous
+BROKEN = ("T0_1 = 1\n", "S1 = 1 + T1_1\n")
+# normalize splits the ratio's norm, 25 = 5^2, into Gaussian primes
+GAUSSIAN_PRIME_MEMBER = type2(((2,), (2,), (3,)), constants=((1, 0), (0, 1), (gq(-3, -4), -1)))
+REFUSED = '{"type": 3, "blocks": [[2], [3]]}'
 
 
 def attempt(fn):
@@ -114,6 +128,19 @@ def main() -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(P.to_input_dict(), fh)
             dump_member(f"member {index}: {P.describe()}", path, P, write)
+        for text in BROKEN:
+            out, code = run_cli(
+                ["verify", "--presentation", "sample_inputs/sphere_cylinder.json", "--derivation", "-"], text
+            )
+            write(f"=== verify {text.strip()} on sample_inputs/sphere_cylinder.json: exit {code}\n{out}")
+        P = GAUSSIAN_PRIME_MEMBER
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(P.to_input_dict(), fh)
+        dump_member(f"Gaussian-prime member: {P.describe()}", path, P, write)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(REFUSED)
+        out, code = run_cli(["analyze", "--presentation", path])
+        write(f"=== analyze {REFUSED}: exit {code}\n{out}")
     return 0
 
 

@@ -107,9 +107,7 @@ from .toric import (
     demazure_roots,
     gamma_cone,
     surface_case,
-    surface_lnds,
     toric_derivation,
-    weighted_plane_lnds,
 )
 from .corpus import corpus
 

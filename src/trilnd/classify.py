@@ -36,7 +36,7 @@ from math import prod
 from typing import Optional, Tuple
 
 from .derivation import Derivation, is_well_defined
-from .gaussian import I, ONE, GaussianRational, InputError, InternalError, gq, gq_format, gq_sqrt
+from .gaussian import I, ONE, GaussianRational, InputError, InternalError, _shown, gq, gq_format, gq_sqrt
 from .grading import Weight, derivation_degree
 from .poly import Gen, Poly, gen_name, pack, summed_terms, svar, tvar
 from .presentation import AssumptionViolated, TrinomialPresentation, _is_int
@@ -116,7 +116,7 @@ def _tuple_info(P: TrinomialPresentation, c) -> AdmissibleTuple:
         raise InadmissibleTuple(f"tuple must pick one variable in each of {len(nums)} blocks")
     for i, ci in zip(nums, c):
         if not _is_int(ci) or not 1 <= ci <= P.block_size(i):
-            raise InadmissibleTuple(f"index {ci!r} out of range in block {i}")
+            raise InadmissibleTuple(f"index {_shown(ci)} out of range in block {i}")
     cmap = dict(zip(nums, c))
     big = tuple(i for i in nums if P.exponents(i)[cmap[i] - 1] > 1)
     if P.kind == 1:
@@ -398,7 +398,7 @@ def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[Admiss
     variable), after checking everything about desc but its parameter's
     value; raises the input error that names what is wrong."""
     if not isinstance(desc.kind, str) or desc.kind not in _FIELDS:
-        raise InadmissibleDescriptor(f"unknown descriptor kind {desc.kind!r}")
+        raise InadmissibleDescriptor(f"unknown descriptor kind {_shown(desc.kind)}")
     fields = _FIELDS[desc.kind]
     stray = [
         f for f in ("k", "c", "roles", "param") if f not in fields and getattr(desc, f) is not None
@@ -410,7 +410,7 @@ def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[Admiss
             raise InadmissibleDescriptor("free descriptor needs an index k")
         if not _is_int(desc.k) or not 1 <= desc.k <= P.d:
             raise NoSuchFreeVariable(
-                f"presentation has {P.d} free variables, asked for {desc.k}"
+                f"presentation has {P.d} free variables, asked for {_shown(desc.k)}"
             )
         return None
     if desc.kind == "type1":
@@ -431,7 +431,7 @@ def _validated(P: TrinomialPresentation, desc: LndDescriptor) -> Optional[Admiss
     if len(roles) != 3 or len(set(roles)) != 3 or any(
         not _is_int(i) or i not in P.block_numbers for i in roles
     ):
-        raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {roles}")
+        raise InadmissibleDescriptor(f"roles must be three distinct blocks, got {_shown(roles)}")
     B0, B1, B2 = roles
     if desc.kind in ("t2a", "t2b"):
         if info.case != "A":

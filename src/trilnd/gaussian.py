@@ -56,10 +56,6 @@ class GaussianRational:
         _set_abd(self, abd)
 
     @staticmethod
-    def of(real, imag=0) -> "GaussianRational":
-        return GaussianRational(real, imag)
-
-    @staticmethod
     def _of(a: int, b: int, d: int) -> "GaussianRational":
         if d != 1:
             g = gcd(a, b, d)
@@ -190,9 +186,6 @@ class GaussianRational:
     def __hash__(self):
         return hash(self._abd)
 
-    def is_rational(self) -> bool:
-        return self._abd[1] == 0
-
     def __str__(self) -> str:
         return gq_format(self)
 
@@ -263,6 +256,20 @@ def _parse_int(text: str, error) -> int:
         raise error(
             f"integer of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def _shown(value) -> str:
+    """repr(value) for the message of an input error, in bounded text. An int
+    past 256 bits reads "an integer of N bits": the repr of one past
+    sys.get_int_max_str_digits() raises ValueError. Any other repr is cut
+    at 80 characters."""
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        text = repr(value)
+    except ValueError:  # a container that holds such an int
+        return f"a {type(value).__name__} that holds an integer too long to print"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def gq_parse(text: str) -> GaussianRational:

@@ -140,9 +140,6 @@ class Monomial:
     def variables(self) -> tuple:
         return tuple(g for g, _ in self._pairs)
 
-    def is_one(self) -> bool:
-        return not self._pairs
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return _merge(self, other, 1)
 

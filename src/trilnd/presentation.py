@@ -33,6 +33,7 @@ from .gaussian import (
     InputError,
     InternalError,
     ScalarParseError,
+    _shown,
     gq,
     gq_factor,
     gq_format,
@@ -107,7 +108,7 @@ class TrinomialPresentation:
 
     def __post_init__(self):
         if not _is_int(self.kind) or self.kind not in (1, 2):
-            raise BadShape(f"kind must be 1 or 2, got {self.kind!r}")
+            raise BadShape(f"kind must be 1 or 2, got {_shown(self.kind)}")
         if not isinstance(self.blocks, tuple) or not all(
             isinstance(b, tuple) for b in self.blocks
         ):
@@ -122,9 +123,9 @@ class TrinomialPresentation:
                 raise BadShape("empty exponent row")
             for e in row:
                 if not _is_int(e) or e <= 0:
-                    raise NonPositiveExponent(f"bad exponent {e!r}")
+                    raise NonPositiveExponent(f"bad exponent {_shown(e)}")
         if not _is_int(self.d) or self.d < 0:
-            raise BadShape(f"free variable count must be a nonnegative int, got {self.d!r}")
+            raise BadShape(f"free variable count must be a nonnegative int, got {_shown(self.d)}")
         if len(self.constants) != len(self.blocks):
             raise BadShape(
                 f"expected {len(self.blocks)} constants, got {len(self.constants)}"
@@ -159,7 +160,7 @@ class TrinomialPresentation:
                 raise BadShape("anchors must give one index per block")
             for row, b in zip(self.blocks, self.anchors):
                 if not _is_int(b) or not 1 <= b <= len(row):
-                    raise BadShape(f"anchor {b!r} out of range for a block of size {len(row)}")
+                    raise BadShape(f"anchor {_shown(b)} out of range for a block of size {len(row)}")
 
     # -- basic shape ----------------------------------------------------
 
@@ -443,7 +444,7 @@ class TrinomialPresentation:
         except KeyError as exc:
             raise BadShape(f"missing field {exc.args[0]!r}") from None
         if not _is_int(kind) or kind not in (1, 2):
-            raise BadShape(f"type must be 1 or 2, got {kind!r}")
+            raise BadShape(f"type must be 1 or 2, got {_shown(kind)}")
         if not isinstance(raw_blocks, list) or not all(
             isinstance(row, list) for row in raw_blocks
         ):
@@ -467,7 +468,7 @@ class TrinomialPresentation:
                 return gq_parse(value)
             if _is_int(value):
                 return gq(value)
-            raise BadShape(f"constants must be integers or scalar strings, got {value!r}")
+            raise BadShape(f"constants must be integers or scalar strings, got {_shown(value)}")
 
         try:
             if kind == 1:

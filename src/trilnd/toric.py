@@ -8,20 +8,19 @@ attached to one of the two extremal rays, and this module computes
 those root sets in closed form, materializes individual roots, and
 turns a root into the matching derivation in both coordinate systems.
 
-Also here: the coarse classification of the surfaces x^a + y^b + z^c by
-their exponent pattern, and closed-form derivation lists per case used
-to cross-check the generic classifier.
+Also here: the coarse case of a surface x^a + y^b + z^c by its exponent
+pattern, and the two classes of x^2 + y^2 + z^g in closed form, against
+which scripts/surface_families.py checks the roots and the classifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .classify import DEFAULT_LAMBDAS
 from .derivation import Derivation
-from .gaussian import GaussianRational, I, InputError, InternalError, InvalidArgument, ONE, gq, gq_format
+from .gaussian import I, InputError, InternalError, InvalidArgument, ONE, gq
 from .poly import Poly, _joined, _monomial_text, tvar
 from .presentation import TrinomialPresentation, _ext_gcd, surface
 
@@ -199,18 +198,6 @@ class ToricDerivation:
     uv_images: dict
     xyz: Derivation
 
-    def to_dict(self):
-        return {
-            "gamma": self.gamma,
-            "ray": self.ray_index,
-            "p": self.p,
-            "root": list(self.root),
-            "uv_images": dict(self.uv_images),
-            "xyz_images": {
-                g: s for g, s in self.xyz.image_strings().items()
-            },
-        }
-
 
 def toric_derivation(gamma: int, ray_index: int, p: int) -> ToricDerivation:
     """The derivation attached to the p-th root on the chosen ray.
@@ -271,7 +258,7 @@ def toric_derivation(gamma: int, ray_index: int, p: int) -> ToricDerivation:
     )
 
 
-# -- closed-form derivation lists for the surfaces --------------------------
+# -- the surfaces x^a + y^b + z^c -------------------------------------------
 
 
 def surface_case(alpha: int, beta: int, gamma: int) -> str:
@@ -320,108 +307,3 @@ def case_b_pair(gamma: int):
         (x * I - y) * 2,
     )
     return [("delta_0", delta_0), ("delta_infinity", delta_inf)]
-
-
-def case_c_family(lam: GaussianRational) -> Derivation:
-    """The parameter family member on x^2 + y^2 + z^2."""
-    P = surface(2, 2, 2)
-    x, y, z = _XYZ
-    one_plus = (ONE + lam * lam) * I
-    one_minus = ONE - lam * lam
-    return _surface_delta(
-        P,
-        y * (lam * 2) + z * one_plus,
-        x * (lam * -2) + z * one_minus,
-        x * -one_plus - y * one_minus,
-    )
-
-
-def case_c_limit() -> Derivation:
-    """The limit member of the family on x^2 + y^2 + z^2."""
-    P = surface(2, 2, 2)
-    x, y, z = _XYZ
-    return _surface_delta(P, z * -I, z, x * I - y)
-
-
-def weighted_plane_lnds(a: int, b: int, lambdas=None):
-    """Homogeneous derivation families of k[x, y] graded by deg x = b,
-    deg y = a, for coprime positive a, b.
-
-    Always: the two coordinate partials. When a == 1 the derivations
-    x -> b*y^(b-1), y -> lambda exist (kernel lambda*x - y^b), and
-    symmetrically when b == 1.
-    """
-    if gcd(a, b) != 1:
-        raise ValueError("the weight pair must be coprime")
-    lams = tuple(l for l in (DEFAULT_LAMBDAS if lambdas is None else lambdas) if l)
-    out = [
-        ("partial_x", {"x": Poly.constant(1), "y": Poly.zero()}),
-        ("partial_y", {"x": Poly.zero(), "y": Poly.constant(1)}),
-    ]
-    xg, yg, _ = _XYZ
-    if a == 1:
-        for lam in lams:
-            out.append(
-                (
-                    f"shear_x(lambda={gq_format(lam)})",
-                    {"x": yg ** (b - 1) * b, "y": Poly.constant(lam)},
-                )
-            )
-    if b == 1:
-        for lam in lams:
-            out.append(
-                (
-                    f"shear_y(lambda={gq_format(lam)})",
-                    {"x": Poly.constant(lam), "y": xg ** (a - 1) * a},
-                )
-            )
-    return out
-
-
-def surface_lnds(alpha: int, beta: int, gamma: int, lambdas=None):
-    """Closed-form list of homogeneous derivations of x^a + y^b + z^c,
-    one representative per class (parameter families sampled).
-
-    This list is written down independently of the generic classifier
-    so the two can be compared.
-    """
-    case = surface_case(alpha, beta, gamma)
-    if case == "rigid":
-        return []
-    lams = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
-    P = surface(alpha, beta, gamma)
-    if case == "A":
-        return _case_a_lifted(P, alpha, beta, gamma, lams)
-    if case == "B":
-        # exponents are 2, 2, g up to order; only the standard order is
-        # written down here, other orders go through the classifier
-        if (alpha, beta) != (2, 2):
-            raise ValueError("closed forms are written for the order x^2 + y^2 + z^g")
-        return case_b_pair(gamma)
-    out = [(f"delta_lambda({gq_format(lam)})", case_c_family(lam)) for lam in lams]
-    out.append(("delta_infinity", case_c_limit()))
-    return out
-
-
-def _case_a_lifted(P, alpha, beta, gamma, lams):
-    """Lift plane derivations through the exponent-1 variable."""
-    exps = (alpha, beta, gamma)
-    solved = exps.index(1)
-    others = [k for k in range(3) if k != solved]
-    p, q = exps[others[0]], exps[others[1]]
-    g = gcd(p, q)
-    plane = weighted_plane_lnds(p // g, q // g, lams)
-    out = []
-    for name, images in plane:
-        dx = images["x"].substitute({tvar(0, 1): _XYZ[others[0]], tvar(1, 1): _XYZ[others[1]]})
-        dy = images["y"].substitute({tvar(0, 1): _XYZ[others[0]], tvar(1, 1): _XYZ[others[1]]})
-        dsolved = -(
-            _XYZ[others[0]] ** (p - 1) * dx * p + _XYZ[others[1]] ** (q - 1) * dy * q
-        )
-        image_map = {
-            tvar(others[0], 1): dx,
-            tvar(others[1], 1): dy,
-            tvar(solved, 1): dsolved,
-        }
-        out.append((name, Derivation(P, image_map)))
-    return out

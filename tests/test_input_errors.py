@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import trilnd
 import trilnd.cli
-from trilnd.classify import build_lnd, kernel_generators
+from trilnd.classify import LndDescriptor, build_lnd, kernel_generators
 from trilnd.cli import _descriptor_from_json, main
 from trilnd.corpus import corpus
 from trilnd.derivation import NotInKernel, derivation_from_text
@@ -312,6 +312,43 @@ def test_integers_past_the_digit_limit_are_input_errors():
     for text in (f"T0_1 = {n}*T1_1", f"T0_1 = T1_1^{n}", f"T{n}_1 = 1"):
         with pytest.raises(trilnd.DerivationFormatError, match="^line 1: "):
             derivation_from_text(sphere, text)
+
+
+# Library calls whose refusal names an int past the digit limit, whose
+# repr raises ValueError; each message shows that value in bounded text.
+LIBRARY_VALUES = {
+    "exponent": lambda n: type1([[-n], [2]]),
+    "free-vars": lambda n: type1([[2], [2]], d=-n),
+    "anchor": lambda n: type1([[2], [3]], anchors=[n, 1]),
+    "type": lambda n: TrinomialPresentation.from_input_dict({"type": n, "blocks": [[2], [3]]}),
+    "constant": lambda n: TrinomialPresentation.from_input_dict(
+        {"type": 1, "blocks": [[2], [3]], "constants": [[n], 1]}
+    ),
+    "tuple": lambda n: build_lnd(type1([[2], [3]]), LndDescriptor(kind="type1", c=(n, 1))),
+    "free-k": lambda n: build_lnd(type1([[2], [3]], d=1), LndDescriptor(kind="free", k=n)),
+    "roles": lambda n: build_lnd(
+        type2([[2], [2], [3]]), LndDescriptor(kind="t2a", c=(1, 1, 1), roles=(0, 1, n))
+    ),
+    "kind": lambda n: build_lnd(type1([[2], [3]]), LndDescriptor(kind=n)),
+}
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("make", LIBRARY_VALUES.values(), ids=LIBRARY_VALUES.keys())
+def test_a_library_value_past_the_digit_limit_is_an_input_error(make):
+    n = 10**DIGIT_LIMIT  # DIGIT_LIMIT + 1 digits
+    with pytest.raises(InputError, match="integer") as info:
+        make(n)
+    assert len(str(info.value)) < 120
+
+
+def test_ordinary_values_are_shown_by_their_repr():
+    with pytest.raises(InputError, match=r"^bad exponent -2$"):
+        type1([[-2], [2]])
+    with pytest.raises(InputError, match=r"^type must be 1 or 2, got '1'$"):
+        TrinomialPresentation.from_input_dict({"type": "1", "blocks": [[2], [3]]})
+    with pytest.raises(InputError, match=r"^roles must be three distinct blocks, got \(0, 1, 1\)$"):
+        build_lnd(type2([[2], [2], [3]]), LndDescriptor(kind="t2a", c=(1, 1, 1), roles=(0, 1, 1)))
 
 
 # -- the refusals through the CLI -------------------------------------------

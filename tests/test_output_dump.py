@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_SHA256 = "b74f90b1a5b150eb98142697c4b8fc888db103ebca433d0a4072ca60d52caff0"
+OUTPUT_SHA256 = "daf3f77496eb23251c20a51187960e796b4b862f9a00c25064311cbb34c2c346"
 
 
 def test_output_dump_matches_the_pinned_digest():

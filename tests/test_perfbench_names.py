@@ -17,11 +17,22 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def traced_names():
+def traced_tables():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for module, attr, _name in (*tracing.SPANS, *tracing.COUNTED)]
+    return tracing.SPANS, tracing.COUNTED
+
+
+def traced_names():
+    spans, counted = traced_tables()
+    return [(module, attr) for module, attr, _name in (*spans, *counted)]
+
+
+def test_both_tables_list_names():
+    # an empty table would leave nothing for the cases below to resolve
+    spans, counted = traced_tables()
+    assert spans and counted
 
 
 @pytest.mark.parametrize("module_name, attr", traced_names(), ids=lambda value: value)

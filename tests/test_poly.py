@@ -42,7 +42,6 @@ def test_monomial_merges_and_drops_zeros():
     assert m.exponent(X) == 2
     assert m.exponent(Y) == 0
     assert m.variables() == (X,)
-    assert Monomial().is_one()
     with pytest.raises(ValueError):
         Monomial({X: -1})
 

@@ -519,7 +519,7 @@ def test_gaussian_field_axioms(a, b, c):
 @settings(max_examples=300, deadline=None)
 @given(SCALARS)
 def test_gaussian_conjugate_norm(a):
-    assert a * a.conjugate() == GaussianRational.of(a.norm())
+    assert a * a.conjugate() == gq(a.norm())
 
 
 # -- classifier invariances ----------------------------------------------------

@@ -9,14 +9,10 @@ from trilnd.toric import (
     Cone2D,
     RootOutOfRange,
     case_b_pair,
-    case_c_family,
-    case_c_limit,
     demazure_roots,
     gamma_cone,
     surface_case,
-    surface_lnds,
     toric_derivation,
-    weighted_plane_lnds,
 )
 from trilnd.toric import _character_in_uvz, _format_uvz, _uvz_weights
 
@@ -190,16 +186,6 @@ def test_toric_derivations_verify():
                 assert nilpotency_check(td.xyz).verified
 
 
-def test_toric_serialization():
-    d = toric_derivation(3, 1, 1).to_dict()
-    assert d["gamma"] == 3
-    assert d["ray"] == 1
-    assert d["p"] == 1
-    assert d["root"] == [-1, 1]
-    assert d["uv_images"] == {"u": "3*z^2", "v": "0", "z": "v"}
-    assert set(d["xyz_images"]) == {"T0_1", "T1_1", "T2_1"}
-
-
 # -- surface case analysis ---------------------------------------------------
 
 
@@ -226,82 +212,3 @@ def test_case_b_pair_kernels():
         assert kernel_member(d1, poly_parse("i*T0_1 - T1_1"))
         assert nilpotency_check(d0).verified
         assert nilpotency_check(d1).verified
-
-
-def test_case_c_family_and_limit():
-    d1 = case_c_family(gq(1))
-    assert d1.image_strings() == {
-        "T0_1": "2i*T2_1 + 2*T1_1",
-        "T1_1": "-2*T0_1",
-        "T2_1": "-2i*T0_1",
-    }
-    lim = case_c_limit()
-    assert lim.image_strings() == {
-        "T0_1": "-i*T2_1",
-        "T1_1": "T2_1",
-        "T2_1": "-T1_1 + i*T0_1",
-    }
-    # the limit is not proportional to any finite family member
-    for lam in (gq(0), gq(1), gq(-1), gq(5)):
-        assert case_c_family(lam) != lim
-
-
-# -- weighted planes and lifted families --------------------------------------
-
-
-def test_weighted_plane_requires_coprime():
-    with pytest.raises(ValueError):
-        weighted_plane_lnds(2, 4)
-
-
-def test_weighted_plane_generic_weights():
-    out = weighted_plane_lnds(2, 3)
-    assert [lab for lab, _ in out] == ["partial_x", "partial_y"]
-
-
-def test_weighted_plane_shears():
-    out = weighted_plane_lnds(1, 2, lambdas=(gq(0), gq(1), gq(3)))
-    labels = [lab for lab, _ in out]
-    assert labels == ["partial_x", "partial_y", "shear_x(lambda=1)", "shear_x(lambda=3)"]
-    shear = dict(out)["shear_x(lambda=1)"]
-    assert {k: str(v) for k, v in shear.items()} == {"x": "2*T1_1", "y": "1"}
-
-
-def test_weighted_plane_both_shears_when_unweighted():
-    out = weighted_plane_lnds(1, 1, lambdas=(gq(1),))
-    labels = [lab for lab, _ in out]
-    assert labels == [
-        "partial_x",
-        "partial_y",
-        "shear_x(lambda=1)",
-        "shear_y(lambda=1)",
-    ]
-
-
-def test_surface_lnds_rigid_case_is_empty():
-    assert surface_lnds(3, 3, 3) == []
-    assert surface_lnds(2, 3, 4) == []
-
-
-def test_surface_lnds_case_b():
-    out = surface_lnds(2, 2, 4)
-    assert [lab for lab, _ in out] == ["delta_0", "delta_infinity"]
-    assert out[0][1].image_strings()["T2_1"] == "-2*T1_1 - 2i*T0_1"
-    with pytest.raises(ValueError):
-        surface_lnds(2, 4, 2)
-
-
-def test_surface_lnds_case_c():
-    out = surface_lnds(2, 2, 2, lambdas=(gq(0), gq(1)))
-    labels = [lab for lab, _ in out]
-    assert labels == ["delta_lambda(0)", "delta_lambda(1)", "delta_infinity"]
-    assert out[0][1] == case_c_family(gq(0))
-    assert out[-1][1] == case_c_limit()
-
-
-def test_surface_lnds_case_a_verifies():
-    out = surface_lnds(1, 3, 5)
-    assert out
-    for lab, d in out:
-        assert is_well_defined(d).ok
-        assert nilpotency_check(d).verified
